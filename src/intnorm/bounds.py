@@ -19,23 +19,23 @@ Three families of estimates are evaluated and cross-checked here:
 collar half-width that the cylinder machinery relies on (shrunk collars
 are wide relative to their boundary circles, and x*cl(x) is increasing),
 on dense grids.
+
+The hyperbolic bounds and profiles share one expression of (s, l1) over
+the ``hyptrig`` backends; ``extended=True`` evaluates it in mpmath and
+returns floats.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import NamedTuple, Optional, Sequence
 
-import mpmath
-
+from .cylinder import SHRINK_MARGIN
 from .errors import DomainError, GeometryError
-from .hyptrig import TWO_ARSINH_ONE, collar_width
-
-# Shrink margin whose collar inequalities are certified by
-# collar_constants_check; matches cylinder.SHRINK_MARGIN.
-_SHRINK = 1.3
+from .hyptrig import TWO_ARSINH_ONE, _boundary_length, _collar_width, \
+    _extended
 
 
 def _require_positive(name: str, value: float) -> float:
@@ -105,29 +105,35 @@ class BoundReport:
 def general_bounds(p: SurfaceParams) -> BoundReport:
     """Evaluate the any-curvature bounds 1/V, 1/(2*l1*D), 9/l1**2.
 
-    The sandwich 1/(2*l1*D) <= 9/l1**2 is automatic from l1 <= 2D and is
-    re-asserted here as an internal consistency check.
+    The sandwich 1/(2*l1*D) <= 9/l1**2 follows from l1 <= 2D, which
+    SurfaceParams enforces.
     """
     inv_vol = 1.0 / p.volume
     lower_l1d = 1.0 / (2.0 * p.l1 * p.diameter)
     upper_l1sq = 9.0 / (p.l1 * p.l1)
-    if not lower_l1d <= upper_l1sq * (1.0 + 1e-12):
-        raise GeometryError(
-            f"bound ordering failed: 1/(2*l1*D) = {lower_l1d} > "
-            f"9/l1^2 = {upper_l1sq}")
     return BoundReport(genus=p.genus, l1=p.l1, diameter=p.diameter,
                        volume=p.volume, inv_vol=inv_vol,
                        lower_l1d=lower_l1d, upper_l1sq=upper_l1sq)
 
 
-def _hyperbolic_bounds_extended(s: int, l1: float) -> HyperbolicBounds:
-    with mpmath.workdps(50):
-        ls = mpmath.mpf(l1)
-        cl = mpmath.asinh(1 / mpmath.sinh(ls / 2))
-        lower = 1 / ((s - 1) * ls * (105 * s + 4 * mpmath.asinh(4 / ls)))
-        upper = 144 + 18 * (s - 1) / (ls * cl)
-        rate = 1 / (2 * ls * cl)
-        return HyperbolicBounds(float(lower), float(upper), float(rate))
+def _hyperbolic(m, s: int, l1):
+    """(lower, upper, collar_rate, cl(l1), arsinh(4/l1)) over backend m."""
+    cl = _collar_width(m, l1)
+    asinh_term = m.asinh(4 / l1)
+    lower = 1 / ((s - 1) * l1 * (105 * s + 4 * asinh_term))
+    upper = 144 + 18 * (s - 1) / (l1 * cl)
+    return lower, upper, 1 / (2 * l1 * cl), cl, asinh_term
+
+
+def _hyperbolic_terms(s: int, l1: float, extended: bool) -> tuple:
+    """``_hyperbolic`` as floats, with the bound ordering enforced."""
+    terms = tuple(map(float, _extended(_hyperbolic, s, l1))) if extended \
+        else _hyperbolic(math, s, l1)
+    if not terms[0] < terms[1]:
+        raise GeometryError(
+            f"hyperbolic bound ordering failed at s={s}, l1={l1}: "
+            f"{terms[0]} >= {terms[1]}")
+    return terms
 
 
 def hyperbolic_bounds(s: int, l1: float, *,
@@ -148,18 +154,7 @@ def hyperbolic_bounds(s: int, l1: float, *,
             f"l1 = {l1} is not a short systole (>= 2*arsinh(1) = "
             f"{TWO_ARSINH_ONE:.6f}); the collar-based bounds degenerate",
             stacklevel=2)
-    if extended:
-        result = _hyperbolic_bounds_extended(s, l1)
-    else:
-        cl = collar_width(l1)
-        lower = 1.0 / ((s - 1) * l1 * (105.0 * s + 4.0 * math.asinh(4.0 / l1)))
-        upper = 144.0 + 18.0 * (s - 1) / (l1 * cl)
-        result = HyperbolicBounds(lower, upper, 1.0 / (2.0 * l1 * cl))
-    if not result.lower < result.upper:
-        raise GeometryError(
-            f"hyperbolic bound ordering failed at s={s}, l1={l1}: "
-            f"{result.lower} >= {result.upper}")
-    return result
+    return HyperbolicBounds(*_hyperbolic_terms(s, l1, extended)[:3])
 
 
 def full_bound_report(p: SurfaceParams, *,
@@ -169,12 +164,8 @@ def full_bound_report(p: SurfaceParams, *,
     if p.genus < 2:
         return report
     hb = hyperbolic_bounds(p.genus, p.l1, extended=extended)
-    return BoundReport(genus=p.genus, l1=p.l1, diameter=p.diameter,
-                       volume=p.volume, inv_vol=report.inv_vol,
-                       lower_l1d=report.lower_l1d,
-                       upper_l1sq=report.upper_l1sq,
-                       hyp_lower=hb.lower, hyp_upper=hb.upper,
-                       collar_rate=hb.collar_rate)
+    return replace(report, hyp_lower=hb.lower, hyp_upper=hb.upper,
+                   collar_rate=hb.collar_rate)
 
 
 class ProfileRow(NamedTuple):
@@ -212,19 +203,19 @@ def asymptotic_profile(s: int, l1_grid: Sequence[float], *,
         if l1 >= 1.0:
             raise DomainError(
                 f"profile grid values must lie in (0, 1), got {l1}")
-        hb = hyperbolic_bounds(s, l1, extended=extended)
+        lower, upper, rate, cl, asinh_term = _hyperbolic_terms(s, l1,
+                                                               extended)
         log_abs = -math.log(l1)
         scale = l1 * log_abs
         rows.append(ProfileRow(
             l1=l1,
-            lower=hb.lower,
-            upper=hb.upper,
-            collar_rate=hb.collar_rate,
-            lower_profile=hb.lower * scale,
-            upper_profile=hb.upper * scale,
-            lower_profile_tail=log_abs / (4.0 * (s - 1)
-                                          * math.asinh(4.0 / l1)),
-            upper_profile_tail=18.0 * (s - 1) * log_abs / collar_width(l1),
+            lower=lower,
+            upper=upper,
+            collar_rate=rate,
+            lower_profile=lower * scale,
+            upper_profile=upper * scale,
+            lower_profile_tail=log_abs / (4.0 * (s - 1) * asinh_term),
+            upper_profile_tail=18.0 * (s - 1) * log_abs / cl,
         ))
     return tuple(rows)
 
@@ -284,8 +275,9 @@ def collar_constants_check(
         if x > 0.25:
             raise DomainError(
                 f"collar grid values must lie in (0, 0.25], got {x}")
-        w = collar_width(x) - _SHRINK
-        circle = x * math.cosh(w)
+        cl = _collar_width(math, x)
+        w = cl - SHRINK_MARGIN
+        circle = _boundary_length(math, x, w)
         width_margin = min(width_margin, 2.0 * w - 5.0 * circle)
         boundary_margin = min(boundary_margin, circle - 0.5)
         if not 2.0 * w > 5.0 * circle:
@@ -300,9 +292,9 @@ def collar_constants_check(
             violations.append(
                 f"boundary circle {circle} at core length {x} is not "
                 f"longer than 2x = {2 * x}")
-        if not collar_width(x) > 1.95:
+        if not cl > 1.95:
             violations.append(
-                f"collar half-width {collar_width(x)} at core length {x} "
+                f"collar half-width {cl} at core length {x} "
                 "is not above 1.95")
 
     mono = sorted(_require_positive("monotonicity grid value", v)
@@ -313,7 +305,7 @@ def collar_constants_check(
                 "monotonicity grid values must lie in (0, 2*arsinh(1)], "
                 f"got {v}")
     mono_decrement = math.inf
-    values = [1.0 / (x * collar_width(x)) for x in mono]
+    values = [1.0 / (x * _collar_width(math, x)) for x in mono]
     for x_prev, x_next, f_prev, f_next in zip(mono, mono[1:],
                                               values, values[1:]):
         if x_next == x_prev:

@@ -126,11 +126,7 @@ class ArcSpec:
     @property
     def orientation(self) -> int:
         """Sign of the winding: +1, -1, or 0 for a perpendicular arc."""
-        if self.winding > 0:
-            return 1
-        if self.winding < 0:
-            return -1
-        return 0
+        return _sign(self.winding)
 
 
 def winding_from_endpoints(cyl: Cylinder, t_in: float,
@@ -176,8 +172,7 @@ def intersection_bounds(c_wind: float, d_wind: float,
             raise DomainError(f"{name} must be finite, got {v!r}")
     x = d_wind - c_wind if same_side else d_wind + c_wind
     lo = int(math.floor(abs(x)))
-    sign = 1 if x > 0 else (-1 if x < 0 else 0)
-    return WindingBounds(lo=lo, hi=lo + 1, sign=sign)
+    return WindingBounds(lo=lo, hi=lo + 1, sign=_sign(x))
 
 
 def dehn_twist_winding(c_wind: float, crossing_sign: int, z: float) -> float:
@@ -370,14 +365,12 @@ class RewindInput:
     """One arc's data for the rewinding move.
 
     kind is 'gamma' or 'delta' (which of the two curve families the arc
-    belongs to), winding its winding number, orientation the sign of the
-    winding, and m_gamma / m_delta the floors of the minimal absolute
-    windings of the two families.
+    belongs to), winding its winding number, and m_gamma / m_delta the
+    floors of the minimal absolute windings of the two families.
     """
 
     kind: str
     winding: float
-    orientation: int
     m_gamma: int
     m_delta: int
 
@@ -387,16 +380,16 @@ class RewindInput:
                               f"got {self.kind!r}")
         if not math.isfinite(self.winding):
             raise DomainError("winding must be finite")
-        expected = 1 if self.winding > 0 else (-1 if self.winding < 0 else 0)
-        if self.orientation != expected:
-            raise DomainError(
-                f"orientation {self.orientation} does not match the sign "
-                f"of winding {self.winding}")
         for name in ("m_gamma", "m_delta"):
             m = getattr(self, name)
             if not isinstance(m, int) or m < 0:
                 raise DomainError(f"{name} must be a non-negative integer, "
                                   f"got {m!r}")
+
+    @property
+    def orientation(self) -> int:
+        """Sign of the winding: +1, -1, or 0."""
+        return _sign(self.winding)
 
 
 def rewind_winding(inp: RewindInput, gamma_leads: bool) -> float:
@@ -490,8 +483,8 @@ def rewind_suite_check(gamma_winds: Sequence[float],
     gamma_leads = min_g <= min_d
 
     def rewound(kind: str, v: float) -> float:
-        inp = RewindInput(kind=kind, winding=v, orientation=_sign(v),
-                          m_gamma=m_gamma, m_delta=m_delta)
+        inp = RewindInput(kind=kind, winding=v, m_gamma=m_gamma,
+                          m_delta=m_delta)
         return rewind_winding(inp, gamma_leads)
 
     gamma_new = tuple(rewound("gamma", v) for v in gamma_winds)

@@ -197,7 +197,11 @@ def reduced_basis(lat: Lattice) -> tuple[IntegerClass, IntegerClass]:
     if v1 @ v1 > v2 @ v2:
         v1, v2, c1, c2 = v2, v1, c2, c1
     for _ in range(64):
-        mu = round((v1 @ v2) / (v1 @ v1))
+        norm_sq = float(v1 @ v1)
+        if not 0.0 < norm_sq < math.inf:
+            raise DomainError(f"squared length {norm_sq} of a basis vector "
+                              "is outside the range of double precision")
+        mu = round((v1 @ v2) / norm_sq)
         if mu:
             v2 = v2 - mu * v1
             c2 = (c2[0] - mu * c1[0], c2[1] - mu * c1[1])
@@ -425,15 +429,17 @@ def segment_bound_check(lat: Lattice, cutoff: float) -> SegmentBoundReport:
 
 
 def norm_comparison_report(lat: Lattice, h) -> NormComparison:
-    """Compare the stable norm of a real class with the L2 norm of its
-    harmonic representative (stable / sqrt(covolume) on a flat torus),
+    """Compare the stable norm of a real class h = x*e1 + y*e2 with the L2
+    norm |alpha| * sqrt(V) of the harmonic form alpha.dx Poincare dual to
+    it, whose periods B^T alpha = (Int(h, e1), Int(h, e2)) = (-y, x),
     checking stable/sqrt(V) <= l2 <= k_real * sqrt(V) * stable.  Both
     inequalities are equalities here, which is what makes the flat torus
     the extremal case."""
     x, y = _as_float_pair("h", h)
     v = lat.covolume
     stable = class_length(lat, (x, y))
-    l2 = stable / math.sqrt(v)
+    alpha = np.linalg.solve(lat.basis_matrix().T, (-y, x))
+    l2 = math.hypot(*alpha) * math.sqrt(v)
     lower = stable / math.sqrt(v)
     upper = k_real(lat) * math.sqrt(v) * stable
     tol = 1e-12

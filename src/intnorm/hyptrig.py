@@ -1,9 +1,10 @@
 """Hyperbolic trigonometry for collars around short closed geodesics.
 
-Every function evaluates a closed-form expression in 64-bit floats by
-default.  Passing ``extended=True`` reruns the same expression through
-mpmath at ``EXTENDED_DPS`` significant digits and returns an ``mpf``;
-the test suite uses that mode to back every frozen reference value.
+Each closed form is one private expression ``_f(m, ...)`` over a backend
+``m``: ``math`` by default, or mpmath at ``EXTENDED_DPS`` significant
+digits with ``extended=True``, which returns an ``mpf``.  The tests back
+the frozen reference values with the extended mode; ``bounds`` reuses the
+expressions.
 """
 
 from __future__ import annotations
@@ -32,18 +33,51 @@ def _require_finite(name: str, value: float) -> None:
         raise DomainError(f"{name} must be finite, got {value!r}")
 
 
+def _extended(expr, *args):
+    """Evaluate ``expr`` over mpmath at EXTENDED_DPS digits."""
+    with mpmath.workdps(EXTENDED_DPS):
+        return expr(mpmath, *(mpmath.mpf(a) for a in args))
+
+
+def _collar_width(m, length):
+    # float64 runs out of range where 1/sinh(length/2) overflows (length
+    # below about 1e-308) or sinh itself overflows (length above 1420)
+    try:
+        width = m.asinh(1 / m.sinh(length / 2))
+    except OverflowError:
+        width = m.inf
+    if not m.isfinite(width):
+        raise DomainError(f"collar width of length {length!r} is outside "
+                          "the range of double precision")
+    return width
+
+
+def _fermi_distance(m, t1, s1, t2, s2):
+    arg = m.cosh(s1) * m.cosh(s2) * m.cosh(t2 - t1) - m.sinh(s1) * m.sinh(s2)
+    # rounding can push the argument a hair below 1 for coincident points
+    return m.acosh(max(arg, 1))
+
+
+def _crossing_arc_length(m, half_width, delta_t):
+    return 2 * m.acosh(m.cosh(half_width) * m.cosh(delta_t / 2))
+
+
+def _boundary_length(m, core_length, half_width):
+    return core_length * m.cosh(half_width)
+
+
 def collar_width(length: float, *, extended: bool = False):
     """Half-width arsinh(1/sinh(length/2)) of the embedded collar around a
     closed geodesic of the given length.
 
     Strictly decreasing in the length; behaves like log(4/length) as the
-    geodesic shrinks.
+    geodesic shrinks.  Raises DomainError where the float64 value is not
+    finite.
     """
     _require_positive("length", float(length))
     if extended:
-        with mpmath.workdps(EXTENDED_DPS):
-            return mpmath.asinh(1 / mpmath.sinh(mpmath.mpf(length) / 2))
-    return math.asinh(1.0 / math.sinh(length / 2.0))
+        return _extended(_collar_width, length)
+    return _collar_width(math, length)
 
 
 def fermi_distance(p1, p2, *, extended: bool = False):
@@ -57,15 +91,8 @@ def fermi_distance(p1, p2, *, extended: bool = False):
     for name, v in (("t1", t1), ("s1", s1), ("t2", t2), ("s2", s2)):
         _require_finite(name, float(v))
     if extended:
-        with mpmath.workdps(EXTENDED_DPS):
-            t1, s1, t2, s2 = (mpmath.mpf(x) for x in (t1, s1, t2, s2))
-            arg = mpmath.cosh(s1) * mpmath.cosh(s2) * mpmath.cosh(t2 - t1) \
-                - mpmath.sinh(s1) * mpmath.sinh(s2)
-            return mpmath.acosh(max(arg, mpmath.mpf(1)))
-    arg = math.cosh(s1) * math.cosh(s2) * math.cosh(t2 - t1) \
-        - math.sinh(s1) * math.sinh(s2)
-    # rounding can push the argument a hair below 1 for coincident points
-    return math.acosh(max(arg, 1.0))
+        return _extended(_fermi_distance, t1, s1, t2, s2)
+    return _fermi_distance(math, t1, s1, t2, s2)
 
 
 def crossing_arc_length(half_width: float, delta_t: float, *,
@@ -80,11 +107,8 @@ def crossing_arc_length(half_width: float, delta_t: float, *,
     _require_positive("half_width", float(half_width))
     _require_finite("delta_t", float(delta_t))
     if extended:
-        with mpmath.workdps(EXTENDED_DPS):
-            w = mpmath.mpf(half_width)
-            dt = mpmath.mpf(delta_t)
-            return 2 * mpmath.acosh(mpmath.cosh(w) * mpmath.cosh(dt / 2))
-    return 2.0 * math.acosh(math.cosh(half_width) * math.cosh(delta_t / 2.0))
+        return _extended(_crossing_arc_length, half_width, delta_t)
+    return _crossing_arc_length(math, half_width, delta_t)
 
 
 def boundary_length(core_length: float, half_width: float, *,
@@ -94,6 +118,5 @@ def boundary_length(core_length: float, half_width: float, *,
     _require_positive("core_length", float(core_length))
     _require_positive("half_width", float(half_width))
     if extended:
-        with mpmath.workdps(EXTENDED_DPS):
-            return mpmath.mpf(core_length) * mpmath.cosh(mpmath.mpf(half_width))
-    return core_length * math.cosh(half_width)
+        return _extended(_boundary_length, core_length, half_width)
+    return _boundary_length(math, core_length, half_width)

@@ -108,16 +108,12 @@ def torus_suite(seed: int, *, lattices: int = 20, oracle_pairs: int = 500,
     checks: list[CheckOutcome] = []
     violations: list[str] = []
 
-    # ratio value: k_real * covolume = 1, search never exceeds k_real,
-    # and attains it on the square and hexagonal lattices
+    # ratio value: the search never exceeds k_real, and attains it on the
+    # square and hexagonal lattices
     vs: list[str] = []
     cases = 0
     for lat in lats + [square, hexagonal]:
         cases += 1
-        prod = torus_mod.k_real(lat) * lat.covolume
-        if abs(prod - 1.0) > 1e-12:
-            vs.append(f"k_real*covolume = {prod!r} is off unity for "
-                      f"basis {lat.e1}, {lat.e2}")
         k = torus_mod.k_real(lat)
         res = torus_mod.best_ratio_search(
             lat, cutoff_multiple * torus_mod.systole(lat))
@@ -483,9 +479,8 @@ def bounds_suite(seed: int, *, genus_max: int = 20,
                  grid_points: int = 50) -> SuiteReport:
     """All bound-formula invariants: double-versus-extended agreement,
     ordering across the (genus, l1) grid, the general-bound sandwich on
-    random parameters, profile monotonicity and limits, the collar
-    constants on their full ranges, and the cylinder-count aggregation
-    identity."""
+    random parameters, profile monotonicity and limits, and the collar
+    constants on their full ranges."""
     rng = named_stream(seed, "bounds.params")
     checks: list[CheckOutcome] = []
     violations: list[str] = []
@@ -514,9 +509,6 @@ def bounds_suite(seed: int, *, genus_max: int = 20,
         for l1 in grid:
             hb = bounds_mod.hyperbolic_bounds(s, l1)
             cases += 1
-            if not hb.lower < hb.upper:
-                vs.append(f"lower {hb.lower!r} not below upper "
-                          f"{hb.upper!r} at (s={s}, l1={l1})")
             if not hb.lower < hb.collar_rate:
                 vs.append(f"lower {hb.lower!r} not below the collar rate "
                           f"{hb.collar_rate!r} at (s={s}, l1={l1})")
@@ -581,15 +573,14 @@ def bounds_suite(seed: int, *, genus_max: int = 20,
         vs.append(f"upper tail profile {last.upper_profile_tail!r} at "
                   f"l1=1e-12 not within 5% of 18")
     for s, l1 in ((2, 1e-3), (3, 1e-4)):
-        row = bounds_mod.asymptotic_profile(s, (l1,))[0]
-        ex = bounds_mod.hyperbolic_bounds(s, l1, extended=True)
-        scale = l1 * (-math.log(l1))
-        if abs(row.lower_profile - ex.lower * scale) > 1e-9 * ex.lower * scale:
-            vs.append(f"lower profile at (s={s}, l1={l1}) drifts from "
-                      f"extended precision")
-        if abs(row.upper_profile - ex.upper * scale) > 1e-9 * ex.upper * scale:
-            vs.append(f"upper profile at (s={s}, l1={l1}) drifts from "
-                      f"extended precision")
+        (row,) = bounds_mod.asymptotic_profile(s, (l1,))
+        (ex,) = bounds_mod.asymptotic_profile(s, (l1,), extended=True)
+        for field in ("lower_profile", "upper_profile",
+                      "lower_profile_tail", "upper_profile_tail"):
+            d, e = getattr(row, field), getattr(ex, field)
+            if abs(d - e) > 1e-9 * e:
+                vs.append(f"{field} at (s={s}, l1={l1}) drifts from "
+                          "extended precision")
     checks.append(CheckOutcome("asymptotic_profiles",
                                len(rows) + 2, len(vs)))
     violations += vs
@@ -600,15 +591,6 @@ def bounds_suite(seed: int, *, genus_max: int = 20,
                                rep.points_checked + rep.mono_points_checked,
                                len(rep.violations)))
     violations += list(rep.violations)
-
-    # aggregation identity: 18*(s-1) = 6*(3s-3) cylinders' worth, exactly
-    vs = []
-    for s in range(2, genus_max + 1):
-        if 18 * (s - 1) != 6 * (3 * s - 3):
-            vs.append(f"aggregation identity fails at s={s}")
-    checks.append(CheckOutcome("aggregation_identity",
-                               genus_max - 1, len(vs)))
-    violations += vs
 
     return SuiteReport(suite="bounds", seed=seed, checks=tuple(checks),
                        violations=_cap(violations))

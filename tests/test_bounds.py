@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import math
 
+import mpmath
 import pytest
 
 from intnorm import (
@@ -175,6 +176,19 @@ def test_asymptotic_profile_extended_mode():
     (e,) = asymptotic_profile(2, [1e-4], extended=True)
     assert d.lower == pytest.approx(e.lower, rel=1e-9)
     assert d.upper == pytest.approx(e.upper, rel=1e-9)
+    assert d.lower_profile_tail == pytest.approx(e.lower_profile_tail,
+                                                 rel=1e-12)
+    assert d.upper_profile_tail == pytest.approx(e.upper_profile_tail,
+                                                 rel=1e-12)
+    with mpmath.workdps(50):
+        l1 = mpmath.mpf(1e-4)
+        log_abs = -mpmath.log(l1)
+        lower_tail = log_abs / (4 * mpmath.asinh(4 / l1))
+        upper_tail = 18 * log_abs / mpmath.asinh(1 / mpmath.sinh(l1 / 2))
+    assert e.lower_profile_tail == pytest.approx(float(lower_tail),
+                                                 rel=2e-15)
+    assert e.upper_profile_tail == pytest.approx(float(upper_tail),
+                                                 rel=2e-15)
 
 
 # ------------------------------------------------------------- collar checks

@@ -8,6 +8,8 @@ byte-reproducible for a fixed seed.
 from __future__ import annotations
 
 import json
+import subprocess
+import sys
 
 import pytest
 
@@ -43,6 +45,14 @@ def test_torus_unit_square(capsys):
     assert res["segment_bound"]["sine_bound_ok"] is True
     for entry in res["norm_comparison"]:
         assert entry["two_sided_ok"] is True
+
+
+def test_precision_flag_belongs_to_bounds_only(capsys):
+    _, doc = run_json(capsys, ["torus", "--lattice", "1,0,0,1"])
+    assert "precision" not in doc["inputs"]
+    with pytest.raises(SystemExit) as exc:
+        main(["torus", "--lattice", "1,0,0,1", "--precision", "extended"])
+    assert exc.value.code == 2
 
 
 def test_torus_hexagonal_decimal_basis(capsys):
@@ -241,3 +251,19 @@ def test_version_flag(capsys):
         main(["--version"])
     assert exc.value.code == 0
     assert intnorm.__version__ in capsys.readouterr().out
+
+
+# ------------------------------------------------------------ input errors
+
+@pytest.mark.parametrize("argv", [
+    ["cylinder", "--core-length", "2000", "--mode", "full", "--samples", "1"],
+    ["bounds", "--genus", "2", "--l1-grid", "1e-320:0.5:3"],
+    ["verify", "--suite", "bounds", "--output", "/nonexistent/dir/x.json"],
+    ["torus", "--lattice", "1,0,0,1e-300"],
+])
+def test_out_of_range_input_exits_2_without_traceback(argv):
+    proc = subprocess.run([sys.executable, "-m", "intnorm", *argv],
+                          capture_output=True, text=True)
+    assert proc.returncode == 2
+    assert "intnorm: error:" in proc.stderr
+    assert "Traceback" not in proc.stderr

@@ -336,33 +336,25 @@ def test_dehn_twist_map_range_check():
 # ---------------------------------------------------------------- rewinding
 
 def test_rewind_winding_worked_example():
-    inp = RewindInput(kind="gamma", winding=3.4, orientation=1,
-                      m_gamma=3, m_delta=7)
+    inp = RewindInput(kind="gamma", winding=3.4, m_gamma=3, m_delta=7)
     assert rewind_winding(inp, True) == pytest.approx(1.4)
-    inp_d = RewindInput(kind="delta", winding=7.2, orientation=1,
-                        m_gamma=3, m_delta=7)
+    inp_d = RewindInput(kind="delta", winding=7.2, m_gamma=3, m_delta=7)
     assert rewind_winding(inp_d, True) == pytest.approx(3.2)
 
 
 def test_rewind_winding_negative_orientation():
-    inp = RewindInput(kind="gamma", winding=-3.4, orientation=-1,
-                      m_gamma=3, m_delta=7)
+    inp = RewindInput(kind="gamma", winding=-3.4, m_gamma=3, m_delta=7)
+    assert inp.orientation == -1
     assert rewind_winding(inp, True) == pytest.approx(-1.4)
 
 
 def test_rewind_input_validation():
     with pytest.raises(DomainError):
-        RewindInput(kind="x", winding=1.0, orientation=1,
-                    m_gamma=1, m_delta=1)
+        RewindInput(kind="x", winding=1.0, m_gamma=1, m_delta=1)
     with pytest.raises(DomainError):
-        RewindInput(kind="gamma", winding=1.0, orientation=-1,
-                    m_gamma=1, m_delta=1)
+        RewindInput(kind="gamma", winding=1.0, m_gamma=-1, m_delta=1)
     with pytest.raises(DomainError):
-        RewindInput(kind="gamma", winding=1.0, orientation=1,
-                    m_gamma=-1, m_delta=1)
-    with pytest.raises(DomainError):
-        RewindInput(kind="gamma", winding=1.0, orientation=1,
-                    m_gamma=1.5, m_delta=1)
+        RewindInput(kind="gamma", winding=1.0, m_gamma=1.5, m_delta=1)
 
 
 def test_rewind_suite_worked_example():

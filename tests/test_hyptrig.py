@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 
+import mpmath
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -49,6 +50,24 @@ def test_collar_width_extended_agrees_with_double():
     for length in COLLAR_WIDTH_REFERENCE:
         wide = float(collar_width(length, extended=True))
         assert collar_width(length) == pytest.approx(wide, rel=1e-13)
+    for args in ((1.0, 2.0), (0.5, -4.0), (3.0, 0.1)):
+        wide = float(crossing_arc_length(*args, extended=True))
+        assert crossing_arc_length(*args) == pytest.approx(wide, rel=1e-13)
+    for args in ((0.2, 1.5), (1e-3, 7.0)):
+        wide = float(boundary_length(*args, extended=True))
+        assert boundary_length(*args) == pytest.approx(wide, rel=1e-13)
+    for p1, p2 in (((0.0, -1.0), (2.0, 1.0)), ((0.3, 0.5), (-1.2, -0.4))):
+        wide = float(fermi_distance(p1, p2, extended=True))
+        assert fermi_distance(p1, p2) == pytest.approx(wide, rel=1e-13)
+
+
+def test_extended_mode_returns_50_digit_values():
+    assert isinstance(collar_width(0.1, extended=True), mpmath.mpf)
+    with mpmath.workdps(60):
+        reference = 2 * mpmath.acosh(mpmath.cosh(1) * mpmath.cosh(1))
+        value = crossing_arc_length(1.0, 2.0, extended=True)
+        assert abs(value - reference) < mpmath.mpf(10) ** -45
+        assert fermi_distance((0.0, 0.0), (0.0, 0.0), extended=True) == 0
 
 
 def test_collar_width_small_length_asymptotics():
@@ -139,7 +158,10 @@ def test_two_arsinh_one_constant():
     assert TWO_ARSINH_ONE == pytest.approx(1.7627471740390860505, rel=1e-15)
 
 
-@pytest.mark.parametrize("bad", [0.0, -1.0, math.inf, math.nan])
+# the last two leave the range of double precision: 1/sinh(length/2)
+# overflows below about 1e-308, sinh(length/2) above about 1420
+@pytest.mark.parametrize("bad", [0.0, -1.0, math.inf, math.nan, 1e-320,
+                                 2000.0])
 def test_collar_width_rejects_bad_lengths(bad):
     with pytest.raises(DomainError):
         collar_width(bad)
