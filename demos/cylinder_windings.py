@@ -5,9 +5,9 @@ embedded collar whose half-width cl(l) = arsinh(1/sinh(l/2)) blows up as
 the core shrinks.  An arc crossing that collar is summarized by one real
 number — its winding — and two arcs must cross each other a number of
 times pinned by the difference (or sum) of their windings.  This script
-builds collars, checks the window and sign rule against the half-plane
-crossing oracle, applies Dehn twists, and runs the rewinding move that
-trades large windings for boundary loops.
+builds collars, checks the window and sign rule against the crossing
+oracle, applies Dehn twists, and runs the rewinding move that trades
+large windings for boundary loops.
 
 Run:  python3 demos/cylinder_windings.py
 """
@@ -52,7 +52,7 @@ for t_in, t_out in ((0.05, 0.57), (0.12, 0.12), (0.05, -0.15)):
 
 # -- the window and sign rule vs the oracle -----------------------------------
 
-show("Crossing window vs the half-plane oracle")
+show("Crossing window vs the crossing oracle")
 rng = np.random.default_rng(1)
 pairs = (
     (ArcSpec(0.03, 0.0, 1), ArcSpec(0.11, 2.5, 1)),

@@ -5,7 +5,7 @@ ratio of an intersection number to the product of the curves' lengths is
 a metric invariant of the surface.  This package computes that ratio
 exactly on flat tori (lattice enumeration plus a straight-line crossing
 oracle) and verifies the winding-number calculus of crossings inside
-hyperbolic collars (an upper half-plane geodesic oracle), alongside every
+hyperbolic collars (a geodesic oracle in Fermi coordinates), alongside every
 closed-form bound the two regimes support.  Each formula ships with the
 brute-force check that re-derives it.
 """

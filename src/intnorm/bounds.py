@@ -127,8 +127,13 @@ def _hyperbolic(m, s: int, l1):
 
 def _hyperbolic_terms(s: int, l1: float, extended: bool) -> tuple:
     """``_hyperbolic`` as floats, with the bound ordering enforced."""
-    terms = tuple(map(float, _extended(_hyperbolic, s, l1))) if extended \
-        else _hyperbolic(math, s, l1)
+    if extended:
+        terms = tuple(map(float, _extended(_hyperbolic, s, l1)))
+        if not all(map(math.isfinite, terms)):
+            raise DomainError(f"hyperbolic bounds at s={s}, l1={l1} leave "
+                              "the range of double precision")
+    else:
+        terms = _hyperbolic(math, s, l1)
     if not terms[0] < terms[1]:
         raise GeometryError(
             f"hyperbolic bound ordering failed at s={s}, l1={l1}: "

@@ -77,8 +77,8 @@ def build_parser() -> argparse.ArgumentParser:
                         "30 * systole)")
 
     c = sub.add_parser("cylinder", parents=[common],
-                       help="winding-window sweep against the half-plane "
-                            "crossing oracle")
+                       help="winding-window sweep against the crossing "
+                            "oracle")
     c.add_argument("--core-length", type=float, required=True,
                    dest="core_length")
     c.add_argument("--samples", type=int, default=1000)

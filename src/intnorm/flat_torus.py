@@ -110,8 +110,17 @@ class Lattice:
     def __post_init__(self):
         object.__setattr__(self, "e1", _as_float_pair("e1", self.e1))
         object.__setattr__(self, "e2", _as_float_pair("e2", self.e2))
-        if self.det == 0.0:
-            raise DegenerateInputError("basis vectors are linearly dependent")
+        det = self.det
+        if det == 0.0 or not math.isfinite(det):
+            # floats are exact rationals, so this tells a dependent basis
+            # from a determinant that underflows or overflows
+            (e1x, e1y), (e2x, e2y) = self.e1, self.e2
+            if Fraction(e1x) * Fraction(e2y) == Fraction(e1y) * Fraction(e2x):
+                raise DegenerateInputError(
+                    "basis vectors are linearly dependent")
+            raise DomainError(f"determinant of the basis {self.e1}, "
+                              f"{self.e2} is outside the range of double "
+                              "precision")
 
     @classmethod
     def from_string(cls, text: str) -> "Lattice":

@@ -155,10 +155,13 @@ def torus_suite(seed: int, *, lattices: int = 20, oracle_pairs: int = 500,
                           f"for {tuple(u)} x {tuple(v)} on basis "
                           f"{lat.e1}, {lat.e2}")
                 continue
+            # the oracle gives every crossing one sign, so only that sign
+            # is compared
             expected = 1 if n > 0 else -1
-            if any(s != expected for s in rep.signs):
-                vs.append(f"oracle signs {rep.signs} are not uniformly "
-                          f"{expected} for {tuple(u)} x {tuple(v)}")
+            sign = rep.uniform_sign()
+            if sign != expected:
+                vs.append(f"oracle sign {sign} != sign(Int) = {expected} "
+                          f"for {tuple(u)} x {tuple(v)}")
     checks.append(CheckOutcome("oracle_equivalence", cases, len(vs)))
     violations += vs
 
@@ -340,17 +343,14 @@ def _sample_family(rng, m: int, count: int = 2) -> tuple[float, ...]:
 def cylinder_suite(seed: int, *, samples: int = 10_000,
                    core_lengths: Sequence[float] = (0.05, 0.1, 0.2),
                    flipped_samples: int = 1_000,
-                   margin_samples: int = 500,
                    twist_samples: int = 2_000,
                    rewind_m_max: int = 12,
                    rewind_per_cell: int = 50) -> SuiteReport:
     """All cylinder invariants: the winding window and sign rule against
-    the half-plane oracle (both crossing conventions), the translate
-    window margin, Dehn twist algebra, the exhaustive rewind grid, and the
-    collar-constant inequalities."""
+    the crossing oracle (both crossing conventions), Dehn twist algebra,
+    the exhaustive rewind grid, and the collar-constant inequalities."""
     rng_sweep = named_stream(seed, "cylinder.sweep")
     rng_flip = named_stream(seed, "cylinder.flipped")
-    rng_margin = named_stream(seed, "cylinder.margin")
     rng_twist = named_stream(seed, "cylinder.twist")
     rng_rewind = named_stream(seed, "cylinder.rewind")
 
@@ -375,33 +375,6 @@ def cylinder_suite(seed: int, *, samples: int = 10_000,
     vs.extend(f"[flipped] {v}" for v in res.violations)
     checks.append(CheckOutcome("flipped_sign_convention",
                                flipped_samples, len(vs)))
-    violations += vs
-
-    # translate window margin: widening the deck-translate window never
-    # adds crossings
-    vs = []
-    cyl = cyl_mod.make_collar(0.2, "shrunk")
-    done = 0
-    attempts = 0
-    while done < margin_samples and attempts < margin_samples * 3:
-        attempts += 1
-        arc1 = cyl_mod.ArcSpec(rng_margin.uniform(0.0, 0.2),
-                               rng_margin.uniform(-8.0, 8.0), 1)
-        arc2 = cyl_mod.ArcSpec(rng_margin.uniform(0.0, 0.2),
-                               rng_margin.uniform(-8.0, 8.0),
-                               1 if rng_margin.random() < 0.5 else -1)
-        try:
-            narrow = cyl_mod.crossing_count_oracle_cyl(cyl, arc1, arc2)
-            wide = cyl_mod.crossing_count_oracle_cyl(cyl, arc1, arc2,
-                                                     window_pad=6)
-        except RetrySignal:
-            continue
-        done += 1
-        if narrow.count != wide.count or narrow.signs != wide.signs:
-            vs.append(
-                f"window margin too small: pad 2 gives {narrow.count}, "
-                f"pad 6 gives {wide.count} for {arc1} x {arc2}")
-    checks.append(CheckOutcome("translate_window_margin", done, len(vs)))
     violations += vs
 
     # Dehn twist algebra: exact inversion on dyadic inputs, and agreement

@@ -260,10 +260,18 @@ def test_version_flag(capsys):
     ["bounds", "--genus", "2", "--l1-grid", "1e-320:0.5:3"],
     ["verify", "--suite", "bounds", "--output", "/nonexistent/dir/x.json"],
     ["torus", "--lattice", "1,0,0,1e-300"],
+    ["cylinder", "--core-length", "1e-200", "--mode", "full",
+     "--samples", "3"],
+    ["torus", "--lattice", "1e-170,0,0,1e-170"],
+    ["torus", "--lattice", "1e200,0,0,1e200"],
+    ["bounds", "--genus", "2", "--l1-grid", "1e-320:0.5:3",
+     "--precision", "extended"],
 ])
 def test_out_of_range_input_exits_2_without_traceback(argv):
     proc = subprocess.run([sys.executable, "-m", "intnorm", *argv],
                           capture_output=True, text=True)
     assert proc.returncode == 2
-    assert "intnorm: error:" in proc.stderr
+    # the error line is all that reaches stderr: no warning, no traceback
+    assert proc.stderr.startswith("intnorm: error:")
+    assert proc.stderr.count("\n") == 1
     assert "Traceback" not in proc.stderr

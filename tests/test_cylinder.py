@@ -1,5 +1,5 @@
-"""Cylinder arcs: collar construction, winding arithmetic, the half-plane
-crossing oracle, Dehn twists, and the rewinding move.
+"""Cylinder arcs: collar construction, winding arithmetic, the crossing
+oracle in Fermi coordinates, Dehn twists, and the rewinding move.
 """
 
 from __future__ import annotations
@@ -35,6 +35,9 @@ from intnorm import (
     rewind_winding,
     winding_from_endpoints,
 )
+from intnorm.cylinder import MAX_ADVANCE, MIN_CORE_LENGTH
+
+from halfplane_reference import crossing_count_oracle_halfplane
 
 CYL = make_collar(0.2, "shrunk")
 
@@ -186,19 +189,39 @@ def test_oracle_rejects_identical_arcs():
 
 def test_oracle_validates_window_pad_and_entry():
     arc1 = ArcSpec(entry_t=0.03, winding=0.0, crossing_sign=1)
-    arc2 = ArcSpec(entry_t=0.11, winding=1.0, crossing_sign=1)
-    with pytest.raises(DomainError):
-        crossing_count_oracle_cyl(CYL, arc1, arc2, window_pad=0)
     bad_entry = ArcSpec(entry_t=0.25, winding=1.0, crossing_sign=1)
     with pytest.raises(DomainError):
         crossing_count_oracle_cyl(CYL, arc1, bad_entry)
 
 
 def test_oracle_rejects_huge_windings():
-    arc1 = ArcSpec(entry_t=0.03, winding=0.0, crossing_sign=1)
-    arc2 = ArcSpec(entry_t=0.11, winding=501.0, crossing_sign=1)
-    with pytest.raises(DomainError, match="winding too large"):
-        crossing_count_oracle_cyl(CYL, arc1, arc2)
+    # accepted at the advance bound, refused just past it, on either arc
+    edge = MAX_ADVANCE / CYL.core_length
+    arc1 = ArcSpec(entry_t=0.03, winding=0.5, crossing_sign=1)
+    for wind in (edge, -edge):
+        arc2 = ArcSpec(entry_t=0.11, winding=wind, crossing_sign=-1)
+        rep = crossing_count_oracle_cyl(CYL, arc1, arc2)
+        lo, hi, sign = intersection_bounds(0.5, wind, False)
+        assert lo <= rep.count <= hi
+        assert rep.uniform_sign() == sign
+        past = ArcSpec(entry_t=0.11, winding=math.nextafter(wind, 2 * wind),
+                       crossing_sign=-1)
+        for pair in ((arc1, past), (past, arc1)):
+            with pytest.raises(DomainError, match="core advance"):
+                crossing_count_oracle_cyl(CYL, *pair)
+
+
+def test_oracle_rejects_cores_below_its_bound():
+    arc1 = ArcSpec(entry_t=0.0, winding=0.5, crossing_sign=1)
+    arc2 = ArcSpec(entry_t=0.0, winding=-2.5, crossing_sign=1)
+    at_edge = Cylinder(core_length=MIN_CORE_LENGTH, half_width=3.0)
+    rep = crossing_count_oracle_cyl(at_edge, arc1, arc2)
+    assert rep.count in (3, 4)
+    assert rep.uniform_sign() == -1
+    past = Cylinder(core_length=math.nextafter(MIN_CORE_LENGTH, 0.0),
+                    half_width=3.0)
+    with pytest.raises(DomainError, match="core length"):
+        crossing_count_oracle_cyl(past, arc1, arc2)
 
 
 def test_oracle_sign_table_matches_winding_rule():
@@ -229,13 +252,53 @@ def test_oracle_window_count_respects_negative_windings():
     assert lo == 4
 
 
-def test_oracle_wider_window_changes_nothing():
-    arc1 = ArcSpec(entry_t=0.04, winding=2.2, crossing_sign=1)
-    arc2 = ArcSpec(entry_t=0.17, winding=-1.6, crossing_sign=-1)
-    narrow = crossing_count_oracle_cyl(CYL, arc1, arc2, window_pad=2)
-    wide = crossing_count_oracle_cyl(CYL, arc1, arc2, window_pad=8)
-    assert narrow.count == wide.count
-    assert narrow.signs == wide.signs
+@pytest.mark.parametrize("core", [0.05, 0.1, 0.2])
+def test_oracle_matches_halfplane_reference(core):
+    """Identical counts and signs to the half-plane oracle on seeded
+    pairs with |winding| <= 64, where that oracle is right."""
+    cyl = make_collar(core, "shrunk")
+    rng = np.random.default_rng(int(core * 1000))
+    for _ in range(1000):
+        c, d = rng.uniform(-64.0, 64.0, 2)
+        arc1 = ArcSpec(rng.uniform(0.0, core), c, int(rng.choice([-1, 1])))
+        arc2 = ArcSpec(rng.uniform(0.0, core), d, int(rng.choice([-1, 1])))
+        ref = crossing_count_oracle_halfplane(cyl, arc1, arc2)
+        rep = crossing_count_oracle_cyl(cyl, arc1, arc2)
+        assert (rep.count, rep.signs) == (ref.count, ref.signs), (arc1, arc2)
+        # the half-plane positions keep only about 5 digits at |w| = 64
+        for (t, s), (t_ref, s_ref) in zip(rep.positions, ref.positions):
+            assert math.dist((t, s), (t_ref, s_ref)) < 1e-4
+
+
+@pytest.mark.parametrize("core", [0.05, 0.1, 0.2])
+def test_oracle_window_and_sign_up_to_the_advance_bound(core):
+    """Window and sign rule on seeded pairs whose core advances spread
+    log-uniformly up to MAX_ADVANCE, with both arcs at the bound last."""
+    cyl = make_collar(core, "shrunk")
+    rng = np.random.default_rng(7 + int(core * 1000))
+    edge = MAX_ADVANCE / core
+    winds = [tuple(np.exp(rng.uniform(-3.0, math.log(edge), 2))
+                   * rng.choice([-1.0, 1.0], 2)) for _ in range(200)]
+    winds.append((edge, -edge))
+    for c, d in winds:
+        eps1 = int(rng.choice([-1, 1]))
+        same = bool(rng.random() < 0.5)
+        arc1 = ArcSpec(rng.uniform(0.0, core), float(c), eps1)
+        arc2 = ArcSpec(rng.uniform(0.0, core), float(d),
+                       eps1 if same else -eps1)
+        lo, hi, sign = intersection_bounds(float(c), float(d), same)
+        rep = count_crossings_cyl(cyl, arc1, arc2, rng)
+        assert lo <= rep.count <= hi, (arc1, arc2)
+        assert set(rep.signs) <= {eps1 * sign}, (arc1, arc2)
+
+
+def test_oracle_retries_on_boundary_graze():
+    # the perpendicular first arc passes through the second arc's exit
+    # point on the boundary s = +w
+    arc1 = ArcSpec(entry_t=0.1, winding=0.0, crossing_sign=1)
+    arc2 = ArcSpec(entry_t=0.05, winding=0.25, crossing_sign=1)
+    with pytest.raises(RetrySignal, match="grazes"):
+        crossing_count_oracle_cyl(CYL, arc1, arc2)
 
 
 def test_count_crossings_cyl_recovers_from_overlapping_lifts():

@@ -57,8 +57,14 @@ def test_lattice_determinant_and_orientation():
 def test_lattice_rejects_degenerate_basis():
     with pytest.raises(DegenerateInputError):
         Lattice(e1=(1.0, 2.0), e2=(2.0, 4.0))
+    with pytest.raises(DegenerateInputError, match="linearly dependent"):
+        Lattice(e1=(1e-170, 3e-170), e2=(2e-170, 6e-170))
     with pytest.raises(DomainError):
         Lattice(e1=(math.nan, 0.0), e2=(0.0, 1.0))
+    # independent bases whose determinant underflows or overflows
+    for scale in (1e-170, 1e200):
+        with pytest.raises(DomainError, match="double precision"):
+            Lattice(e1=(scale, 0.0), e2=(0.0, scale))
 
 
 def test_from_string_decimal_and_rational():
