@@ -43,10 +43,13 @@ from .flat_torus import CrossingReport
 from .hyptrig import boundary_length, collar_width, crossing_arc_length
 
 # Domain of the crossing oracle: the core advance |winding| * core_length
-# of each arc, and the core length (measured, see
-# crossing_count_oracle_cyl).
+# of each arc, the core length (measured, see crossing_count_oracle_cyl),
+# and the number of deck translates tried, about |w1| + |w2|, which the
+# advance does not bound on a short core.  The oracle spends 2 to 5 us per
+# translate, so MAX_TRANSLATES keeps one call under about half a second.
 MAX_ADVANCE = 400.0
 MIN_CORE_LENGTH = 1e-9
+MAX_TRANSLATES = 100_000
 
 # Fermi distance from the collar boundary |s| = half_width within which a
 # crossing raises RetrySignal.
@@ -281,6 +284,9 @@ def crossing_count_oracle_cyl(cyl: Cylinder, arc1: ArcSpec,
       that close to an arc end can land on the wrong side of it, at a rate
       of roughly 1e-16/core_length per pair: 4 wrong pairs in 1000 at core
       1e-14, 1 in 2000 at 1e-13 and at 1e-12, none in 1000 at 1e-9.
+    On a short core the advance leaves the number of translates, about
+    |w1| + |w2|, open, so more than MAX_TRANSLATES = 100,000 are refused
+    too; a call at that bound takes about 0.5 s.
 
     Raises RetrySignal when the two lifts overlap (the same core point and
     slope, where numerator and denominator both vanish) or a crossing lies
@@ -295,10 +301,14 @@ def crossing_count_oracle_cyl(cyl: Cylinder, arc1: ArcSpec,
                           f"{MIN_CORE_LENGTH}")
     a1, b1, m1, h1 = _fermi_arc(cyl, arc1)
     a2, b2, m2, h2 = _fermi_arc(cyl, arc2)
+    first = math.ceil((m1 - m2 - h1 - h2) / l)
+    last = math.floor((m1 - m2 + h1 + h2) / l)
+    if last - first + 1 > MAX_TRANSLATES:
+        raise DomainError(f"{last - first + 1} deck translates to try "
+                          f"exceed the oracle's bound {MAX_TRANSLATES}")
     p, q = b2 * a1, b1 * a2
     hits: list[tuple[float, tuple[float, float], int]] = []
-    for k in range(math.ceil((m1 - m2 - h1 - h2) / l),
-                   math.floor((m1 - m2 + h1 + h2) / l) + 1):
+    for k in range(first, last + 1):
         d = m2 + k * l - m1
         if (abs(d) <= OVERLAP_TOLERANCE * l
                 and abs(p - q) <= OVERLAP_TOLERANCE * (abs(p) + abs(q))):

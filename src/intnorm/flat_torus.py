@@ -11,6 +11,16 @@ searches below certify that on concrete lattices by exhaustive
 enumeration, and ``crossing_count_oracle`` reproduces each intersection
 number by literally counting transversal crossings of straight
 representatives.
+
+The enumeration box is taken in the Lagrange-reduced basis, so it holds
+a bounded multiple of the N classes it returns.  No search builds an
+N x N table.  Pair by pair, |Int(u, v)| / (|u| |v|) =
+|sin(angle(u, v))| / covolume, so ``best_ratio_search`` and
+``segment_bound_check`` sort the directions by angle and evaluate only
+the pairs near perpendicular: O(N log N) time and O(N) memory.
+``min_length_product`` finds the shortest partners of each class in its
+Bezout coset: O(N).  Each returns what the full table would, float bits
+and tie-broken pairs included.
 """
 
 from __future__ import annotations
@@ -39,7 +49,17 @@ _CUTOFF_SLACK = 1e-12
 # geodesic; crossings this close to the seam trigger a retry.
 SEAM_TOLERANCE = 1e-9
 
+# Most cells an enumeration box may hold, and most candidate pairs a
+# search may evaluate: each costs tens of bytes of int64 and float64
+# arrays, a few hundred MB at the bound.
 _MAX_ENUM_CELLS = 8_000_000
+_MAX_SEARCH_PAIRS = 4_000_000
+
+# Largest coefficient of an enumerated class in the given basis: products
+# of two stay below 2**62, so intersection numbers are exact in int64.
+_MAX_COEFFICIENT = 2 ** 31
+
+_EPS = 2.0 ** -52
 
 
 class IntegerClass(NamedTuple):
@@ -196,24 +216,43 @@ def k_real(lat: Lattice) -> float:
     return 1.0 / lat.covolume
 
 
+def _check_squared_length(cls: tuple[int, int], v: np.ndarray) -> None:
+    """Refuse the vector of a class when its squared length leaves the
+    range of double precision, checked in Python floats, which overflow
+    to inf without a warning."""
+    x, y = float(v[0]), float(v[1])
+    sq = x * x + y * y
+    if not 0.0 < sq < math.inf:
+        name = {(1, 0): "e1", (0, 1): "e2"}.get(cls, f"the class {cls}")
+        raise DomainError(f"squared length {sq!r} of {name} = ({x!r}, {y!r}) "
+                          "is outside the range of double precision")
+
+
 def reduced_basis(lat: Lattice) -> tuple[IntegerClass, IntegerClass]:
     """Lagrange-reduced basis of the lattice, as integer coefficient pairs
     (c1, c2) in the original basis, normalized so the embedded vectors
-    satisfy |v1| <= |v2| and <v1, v2> <= 0."""
+    satisfy |v1| <= |v2| and <v1, v2> <= 0.
+
+    Raises DomainError when the squared length of a basis vector, or of a
+    vector met on the way, leaves the range of double precision, or when
+    a reduction step overflows it."""
     v1 = np.array(lat.e1, dtype=float)
     v2 = np.array(lat.e2, dtype=float)
     c1, c2 = (1, 0), (0, 1)
+    _check_squared_length(c1, v1)
+    _check_squared_length(c2, v2)
     if v1 @ v1 > v2 @ v2:
         v1, v2, c1, c2 = v2, v1, c2, c1
     for _ in range(64):
-        norm_sq = float(v1 @ v1)
-        if not 0.0 < norm_sq < math.inf:
-            raise DomainError(f"squared length {norm_sq} of a basis vector "
-                              "is outside the range of double precision")
-        mu = round((v1 @ v2) / norm_sq)
+        mu = float(v1 @ v2) / float(v1 @ v1)
+        if not math.isfinite(mu):
+            raise DomainError(f"the basis {lat.e1}, {lat.e2} is too skewed "
+                              "to reduce in double precision")
+        mu = round(mu)
         if mu:
             v2 = v2 - mu * v1
             c2 = (c2[0] - mu * c1[0], c2[1] - mu * c1[1])
+            _check_squared_length(c2, v2)
         if v2 @ v2 >= v1 @ v1:
             break
         v1, v2, c1, c2 = v2, v1, c2, c1
@@ -224,37 +263,63 @@ def reduced_basis(lat: Lattice) -> tuple[IntegerClass, IntegerClass]:
     return IntegerClass(*c1), IntegerClass(*c2)
 
 
+def _reach(lat: Lattice, cutoff: float) -> float:
+    """A radius holding every class whose computed length passes the
+    cutoff.  Lengths are computed in the given basis, with a relative
+    rounding error up to a few eps * |e1| * |e2| / covolume."""
+    skew = math.hypot(*lat.e1) / lat.covolume * math.hypot(*lat.e2)
+    return cutoff * (1.0 + 1e-9 + 16.0 * _EPS * skew)
+
+
 def enumerate_classes(lat: Lattice, cutoff: float, *,
                       primitive_only: bool = False,
                       canonical: bool = False
                       ) -> tuple[np.ndarray, np.ndarray]:
     """All nonzero integer classes of length <= cutoff, with their lengths.
 
-    Exhaustive by construction: the coefficient box is certified by
-    Cauchy-Schwarz against the dual basis, so no class of length below the
-    cutoff can fall outside it.  ``canonical`` keeps one representative of
-    each {v, -v} pair (a > 0, or a == 0 and b > 0).  Classes come back
-    sorted lexicographically.
+    Exhaustive by construction.  The coefficient box is taken in the
+    Lagrange-reduced basis (r1, r2): a class p*r1 + q*r2 of length |v| has
+    |p| <= |v| * |r2| / covolume and |q| <= |v| * |r1| / covolume
+    (Cauchy-Schwarz against the dual basis), so no class of length below
+    the cutoff can fall outside the box, and the box holds a bounded
+    multiple of the class count however skewed the given basis is.  The
+    classes are mapped back to coefficients (a, b) in the given basis, and
+    their lengths are computed from a*e1 + b*e2.  ``canonical`` keeps one
+    representative of each {v, -v} pair (a > 0, or a == 0 and b > 0).
+    Classes come back sorted lexicographically by (a, b).
+
+    Raises DomainError when the box holds more than 8M cells, or when a
+    coefficient in the given basis could exceed 2**31, past which
+    intersection numbers would overflow int64.
     """
     cutoff = float(cutoff)
     if not math.isfinite(cutoff) or cutoff <= 0.0:
         raise DomainError(f"cutoff must be positive and finite, got {cutoff!r}")
-    e1x, e1y = lat.e1
-    e2x, e2y = lat.e2
-    covol = lat.covolume
-    # |a| <= |v| * |e2| / covolume and |b| <= |v| * |e1| / covolume
-    amax = int(math.ceil(cutoff * math.hypot(e2x, e2y) / covol * (1 + 1e-9)))
-    bmax = int(math.ceil(cutoff * math.hypot(e1x, e1y) / covol * (1 + 1e-9)))
-    cells = (2 * amax + 1) * (2 * bmax + 1)
+    c1, c2 = reduced_basis(lat)
+    reach = _reach(lat, cutoff) / lat.covolume
+    # clipped so that an infinite reach still gives an integer, and a refusal
+    pmax, qmax = (math.ceil(min(reach * class_length(lat, c), _MAX_ENUM_CELLS))
+                  for c in (c2, c1))
+    cells = (2 * pmax + 1) * (2 * qmax + 1)
     if cells > _MAX_ENUM_CELLS:
         raise DomainError(
             f"enumeration box with {cells} cells is too large; "
-            "reduce the cutoff or use a better-conditioned basis")
-    a = np.arange(-amax, amax + 1, dtype=np.int64)
-    b = np.arange(-bmax, bmax + 1, dtype=np.int64)
-    A, B = np.meshgrid(a, b, indexing="ij")
-    A = A.ravel()
-    B = B.ravel()
+            "reduce the cutoff")
+    (a1, b1), (a2, b2) = c1, c2
+    coefficient = max(pmax * abs(a1) + qmax * abs(a2),
+                      pmax * abs(b1) + qmax * abs(b2))
+    if coefficient > _MAX_COEFFICIENT:
+        raise DomainError(
+            f"classes of length {cutoff} reach coefficient {coefficient} in "
+            f"the given basis, beyond {_MAX_COEFFICIENT}; use a "
+            "better-conditioned basis")
+    P, Q = np.meshgrid(np.arange(-pmax, pmax + 1, dtype=np.int64),
+                       np.arange(-qmax, qmax + 1, dtype=np.int64),
+                       indexing="ij")
+    A = (P * a1 + Q * a2).ravel()
+    B = (P * b1 + Q * b2).ravel()
+    e1x, e1y = lat.e1
+    e2x, e2y = lat.e2
     vx = A * e1x + B * e2x
     vy = A * e1y + B * e2y
     lsq = vx * vx + vy * vy
@@ -314,61 +379,221 @@ class NormComparison(NamedTuple):
     two_sided_ok: bool
 
 
-def _pairwise_tables(classes: np.ndarray, lengths: np.ndarray):
-    a = classes[:, 0]
-    b = classes[:, 1]
-    inter = np.abs(a[:, None] * b[None, :] - b[:, None] * a[None, :])
-    len_prod = lengths[:, None] * lengths[None, :]
-    return inter, len_prod
+def _intersections(classes: np.ndarray, i: np.ndarray,
+                   j: np.ndarray) -> np.ndarray:
+    a, b = classes[:, 0], classes[:, 1]
+    return np.abs(a[i] * b[j] - b[i] * a[j])
+
+
+def _distinct_pairs(count: int, i: np.ndarray,
+                    j: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct pairs (min, max) of two index arrays, without i == j,
+    in lexicographic order."""
+    keep = i != j
+    key = np.unique(np.minimum(i, j)[keep] * count + np.maximum(i, j)[keep])
+    return key // count, key % count
+
+
+def _near_perpendicular_pairs(lat: Lattice, classes: np.ndarray,
+                              lengths: np.ndarray
+                              ) -> tuple[np.ndarray, np.ndarray]:
+    """Index pairs (i, j), i < j in lexicographic order, holding every pair
+    of canonical primitive classes whose |Int| / (l_i * l_j) can come
+    within the searches' 1e-14 tie band of the largest.
+
+    |Int(u, v)| / (|u| |v|) = |sin(angle(u, v))| / covolume, so the pairs
+    near the maximum are the pairs nearest to perpendicular.  The
+    directions are sorted by angle mod pi.  The two classes on either side
+    of each class's perpendicular give a lower bound on the maximum; every
+    pair within the angle from perpendicular that this bound leaves open
+    is kept, widened for the tie band and for the rounding of the lengths
+    and angles, which grows with the skew of the given basis.  O(N log N)
+    time and O(N) memory, with a few pairs per class.  Raises DomainError
+    past 4M candidate pairs, which only a badly skewed given basis with a
+    large cutoff reaches.
+    """
+    count = classes.shape[0]
+    if count == 1:
+        # the one class paired with itself, as the full table has it
+        return np.zeros(1, np.int64), np.zeros(1, np.int64)
+    a, b = classes[:, 0], classes[:, 1]
+    (e1x, e1y), (e2x, e2y) = lat.e1, lat.e2
+    angle = np.arctan2(a * e1y + b * e2y, a * e1x + b * e2x) % np.pi
+    order = np.argsort(angle)
+    ring = np.concatenate((angle[order] - np.pi, angle[order],
+                           angle[order] + np.pi))
+    normal = angle + np.pi / 2
+    every = np.arange(count)
+    at = np.searchsorted(ring, normal)
+    i = np.concatenate((every, every))
+    j = order[np.concatenate((at - 1, at)) % count]
+    best = float((_intersections(classes, i, j)
+                  / (lengths[i] * lengths[j])).max())
+    e1, e2 = math.hypot(e1x, e1y), math.hypot(e2x, e2y)
+    kappa = float(((np.abs(a) * e1 + np.abs(b) * e2) / lengths).max())
+    err = 32.0 * _EPS * (kappa + e1 / lat.covolume * e2 + 2.0)
+    sine = best * lat.covolume * (1.0 - 1e-14 - err)
+    cosine = math.sqrt(max(0.0, (1.0 - sine) * (1.0 + sine)))
+    width = min(math.asin(min(cosine, 1.0)) + err, math.pi / 2)
+    lo = np.searchsorted(ring, normal - width, side="left")
+    sizes = np.searchsorted(ring, normal + width, side="right") - lo
+    total = int(sizes.sum())
+    if total > _MAX_SEARCH_PAIRS:
+        raise DomainError(
+            f"the search would evaluate {total} candidate pairs; reduce "
+            "the cutoff or use a better-conditioned basis")
+    owner = np.repeat(every, sizes)
+    step = np.arange(total) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+    return _distinct_pairs(count, owner, order[(lo[owner] + step) % count])
+
+
+def _inverse_mod(x: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """Elementwise s in [0, m) with s*x = 1 (mod m), for coprime x and
+    m >= 1, by the extended Euclidean algorithm."""
+    r0, r1 = x % m, m
+    s0, s1 = np.ones_like(m), np.zeros_like(m)
+    while r1.any():
+        live = r1 != 0
+        quot = r0 // np.where(live, r1, 1)
+        r0, r1 = np.where(live, r1, r0), np.where(live, r0 - quot * r1, 0)
+        s0, s1 = np.where(live, s1, s0), np.where(live, s0 - quot * s1, 0)
+    return s0 % m
+
+
+def _shortest_coset_pairs(lat: Lattice, classes: np.ndarray, n: int,
+                          cutoff: float) -> tuple[np.ndarray, np.ndarray]:
+    """Index pairs (i, j), i < j in lexicographic order, of canonical
+    classes with |Int| = n, holding every such pair whose length product
+    is within the 1e-14 tie band of the smallest.
+
+    The work is done in coefficients of the reduced basis, where the
+    numbers stay small and |Int| is unchanged.  For u with g = gcd(u)
+    dividing n, the v with Int(u, v) = n form the coset v0 + k*u/g, v0
+    from Bezout's identity, and |v|^2 = h^2 + |u/g|^2 * (k - k0)^2 about
+    the projection k0 of the origin.  For a fixed u the shortest members
+    give the smallest products.  The next member out is longer in |v|^2
+    by a share of at least (|u|/(g*reach))^2, which the 8M-cell guard
+    keeps above 4e-7, far beyond the tie band; so the four members about
+    k0 are tried and kept when they are enumerated classes.  Each pair is
+    found from the class u with Int(u, v) = +n.  O(N) time and memory.
+    """
+    count = classes.shape[0]
+    reach = _reach(lat, cutoff)
+    c1, c2 = reduced_basis(lat)
+    (r1x, r1y), (r2x, r2y) = lat.embed(c1), lat.embed(c2)
+    covol = abs(r1x * r2y - r1y * r2x)
+    none = np.zeros(0, np.int64)
+    if n > reach / covol * reach:  # |Int(u, v)| <= |u| |v| / covolume
+        return none, none
+    det = c1[0] * c2[1] - c1[1] * c2[0]
+    a, b = classes[:, 0], classes[:, 1]
+    p = det * (c2[1] * a - c2[0] * b)
+    q = det * (c1[0] * b - c1[1] * a)
+    g = np.gcd(p, q)
+    # the partners of u lie at distance h = n * covolume / |u| from 0
+    norm = np.hypot(p * r1x + q * r2x, p * r1y + q * r2y)
+    sel = np.flatnonzero((n % g == 0) & (n * covol <= reach * norm))
+    x, y, m = p[sel] // g[sel], q[sel] // g[sel], n // g[sel]
+    span = norm[sel] / g[sel]
+    # x*d0 - y*c0 = m
+    flat = y == 0
+    modulus = np.where(flat, 1, np.abs(y))
+    d0 = np.where(flat, m * x,
+                  (m % modulus) * _inverse_mod(x, modulus) % modulus)
+    c0 = np.where(flat, 0, (x * d0 - m) // np.where(flat, 1, y))
+    k0 = -((c0 * r1x + d0 * r2x) * ((x * r1x + y * r2x) / span)
+           + (c0 * r1y + d0 * r2y) * ((x * r1y + y * r2y) / span)) / span
+    k = np.floor(k0).astype(np.int64)[:, None] + np.arange(-1, 3)
+    vc = (c0[:, None] + k * x[:, None]).ravel()
+    vd = (d0[:, None] + k * y[:, None]).ravel()
+    # look the members up among the classes
+    pm, qm = int(np.abs(p).max()), int(np.abs(q).max())
+    keys = (p + pm) * (2 * qm + 1) + (q + qm)
+    order = np.argsort(keys)
+    keys = keys[order]
+    inside = (np.abs(vc) <= pm) & (np.abs(vd) <= qm)
+    key = np.where(inside, (vc + pm) * (2 * qm + 1) + (vd + qm), -1)
+    at = np.minimum(np.searchsorted(keys, key), count - 1)
+    found = inside & (keys[at] == key)
+    return _distinct_pairs(count, np.repeat(sel, 4)[found], order[at][found])
 
 
 def _refine_pair_choice(lat: Lattice, classes: np.ndarray,
-                        candidates: np.ndarray, inter: np.ndarray,
+                        first: np.ndarray, second: np.ndarray,
+                        inter: np.ndarray,
                         maximize_ratio: bool) -> tuple[int, int]:
-    """Pick one (i, j) among float-tied candidates.  With an exact basis
-    the squared objective is compared in rational arithmetic; remaining
-    ties go to the lexicographically smallest pair of classes."""
-    entries = [tuple(ij) for ij in candidates]
+    """Pick one pair among float-tied candidates, given as index arrays
+    into the lexicographically sorted classes with first < second.  With
+    an exact basis the squared objective is compared in rational
+    arithmetic; remaining ties go to the lexicographically smallest pair
+    of classes."""
+    entries = list(zip(first.tolist(), second.tolist(), inter.tolist()))
     if lat.exact is not None and len(entries) > 1:
-        def key_exact(ij):
-            i, j = ij
-            lsq = (lat.length_sq_exact(classes[i]) *
-                   lat.length_sq_exact(classes[j]))
-            n = int(inter[i, j])
-            # ratio^2 = n^2 / lsq ; product^2 = lsq
-            return Fraction(n * n) / lsq if maximize_ratio else lsq
-        best = max(entries, key=key_exact) if maximize_ratio else \
-            min(entries, key=key_exact)
-        best_val = key_exact(best)
-        entries = [ij for ij in entries if key_exact(ij) == best_val]
-    entries.sort(key=lambda ij: (tuple(classes[ij[0]]), tuple(classes[ij[1]])))
-    return entries[0]
+        # squared lengths in integers, over the common denominator of the
+        # Gram matrix; one scale for every pair keeps the order and ties
+        e1x, e1y, e2x, e2y = lat.exact
+        gram = (e1x * e1x + e1y * e1y, e1x * e2x + e1y * e2y,
+                e2x * e2x + e2y * e2y)
+        scale = math.lcm(*(g.denominator for g in gram))
+        g11, g12, g22 = (int(g * scale) for g in gram)
+
+        def lsq(k):
+            a, b = classes[k].tolist()
+            return g11 * a * a + 2 * g12 * a * b + g22 * b * b
+
+        def key_exact(entry):
+            i, j, n = entry
+            product = lsq(i) * lsq(j)
+            # ratio^2 = n^2 / product ; length product^2 = product
+            return Fraction(n * n, product) if maximize_ratio else product
+        keys = [key_exact(e) for e in entries]
+        best = max(keys) if maximize_ratio else min(keys)
+        entries = [e for e, key in zip(entries, keys) if key == best]
+    i, j, _ = min(entries)
+    return i, j
+
+
+def _class_pair(classes: np.ndarray, i: int,
+                j: int) -> tuple[IntegerClass, IntegerClass]:
+    return (IntegerClass(*map(int, classes[i])),
+            IntegerClass(*map(int, classes[j])))
 
 
 def best_ratio_search(lat: Lattice, cutoff: float) -> RatioResult:
     """Maximize |intersection| / (length * length) over primitive classes
     of length <= cutoff.  Never exceeds k_real(lat); reaches it on square
-    and hexagonal lattices."""
+    and hexagonal lattices.
+
+    Only the pairs nearest to perpendicular are evaluated (see
+    ``_near_perpendicular_pairs``): O(N log N) time and O(N) memory in the
+    number N of classes.  The ratio, its 1e-14 tie band and the tie-break
+    are those of the full N x N table.
+    """
     classes, lengths = enumerate_classes(lat, cutoff, primitive_only=True,
                                          canonical=True)
     if classes.shape[0] == 0:
         raise EmptySearchError(
             f"no primitive classes of length <= {cutoff}; "
             "the cutoff sits below the systole")
-    inter, len_prod = _pairwise_tables(classes, lengths)
-    ratio = inter / len_prod
+    i, j = _near_perpendicular_pairs(lat, classes, lengths)
+    inter = _intersections(classes, i, j)
+    ratio = inter / (lengths[i] * lengths[j])
     best = float(ratio.max())
-    candidates = np.argwhere(ratio >= best * (1.0 - 1e-14))
-    i, j = _refine_pair_choice(lat, classes, candidates, inter,
+    tied = ratio >= best * (1.0 - 1e-14)
+    i, j = _refine_pair_choice(lat, classes, i[tied], j[tied], inter[tied],
                                maximize_ratio=True)
-    pair = (IntegerClass(*map(int, classes[i])),
-            IntegerClass(*map(int, classes[j])))
-    return RatioResult(ratio=best, pair=pair)
+    return RatioResult(ratio=best, pair=_class_pair(classes, i, j))
 
 
 def min_length_product(lat: Lattice, n: int, cutoff: float) -> MinProductResult:
     """Minimize length(u) * length(v) over classes of length <= cutoff
-    subject to |intersection(u, v)| = n."""
+    subject to |intersection(u, v)| = n.
+
+    Only the shortest partners of each class are evaluated, found in
+    Bezout cosets (see ``_shortest_coset_pairs``): O(N) time and memory
+    in the number N of classes.  The product, its 1e-14 tie band and the
+    tie-break are those of the full N x N table.
+    """
     n = operator.index(n)
     if n == 0:
         raise DegenerateInputError(
@@ -379,19 +604,17 @@ def min_length_product(lat: Lattice, n: int, cutoff: float) -> MinProductResult:
     if classes.shape[0] == 0:
         raise EmptySearchError(
             f"no classes of length <= {cutoff}; cutoff below the systole")
-    inter, len_prod = _pairwise_tables(classes, lengths)
-    mask = inter == n
-    if not mask.any():
+    i, j = _shortest_coset_pairs(lat, classes, n, cutoff)
+    if i.size == 0:
         raise CutoffTooSmallError(
             f"no pair with |intersection| = {n} inside cutoff {cutoff}")
-    masked = np.where(mask, len_prod, np.inf)
-    best = float(masked.min())
-    candidates = np.argwhere(masked <= best * (1.0 + 1e-14))
-    i, j = _refine_pair_choice(lat, classes, candidates, inter,
+    product = lengths[i] * lengths[j]
+    best = float(product.min())
+    tied = product <= best * (1.0 + 1e-14)
+    i, j = _refine_pair_choice(lat, classes, i[tied], j[tied],
+                               np.full(int(tied.sum()), n),
                                maximize_ratio=False)
-    pair = (IntegerClass(*map(int, classes[i])),
-            IntegerClass(*map(int, classes[j])))
-    return MinProductResult(pair=pair, product=best)
+    return MinProductResult(pair=_class_pair(classes, i, j), product=best)
 
 
 @dataclass(frozen=True)
@@ -412,25 +635,32 @@ class SegmentBoundReport:
 
 def segment_bound_check(lat: Lattice, cutoff: float) -> SegmentBoundReport:
     """Evaluate the normalized intersection bound over all primitive pairs
-    of length <= cutoff."""
+    of length <= cutoff.
+
+    The maximum lies among the pairs nearest to perpendicular (see
+    ``_near_perpendicular_pairs``), so only those are evaluated: O(N log N)
+    time and O(N) memory.  ``pairs_checked`` counts the pairs the search
+    covers, N * (N - 1) / 2, and ``argmax_pair`` is the first maximum in
+    lexicographic order, as in the full N x N table.
+    """
     classes, lengths = enumerate_classes(lat, cutoff, primitive_only=True,
                                          canonical=True)
     if classes.shape[0] == 0:
         raise EmptySearchError(
             f"no primitive classes of length <= {cutoff}")
     l1 = systole(lat)
-    inter, len_prod = _pairwise_tables(classes, lengths)
-    normalized = inter * (l1 * l1) / len_prod
-    best = float(normalized.max())
-    i, j = np.unravel_index(int(np.argmax(normalized)), normalized.shape)
+    i, j = _near_perpendicular_pairs(lat, classes, lengths)
+    normalized = (_intersections(classes, i, j) * (l1 * l1)
+                  / (lengths[i] * lengths[j]))
+    k = int(np.argmax(normalized))
+    best = float(normalized[k])
     count = classes.shape[0]
     sine_bound = l1 * l1 / lat.covolume
     return SegmentBoundReport(
         systole=l1,
         pairs_checked=count * (count - 1) // 2,
         max_normalized=best,
-        argmax_pair=(IntegerClass(*map(int, classes[i])),
-                     IntegerClass(*map(int, classes[j]))),
+        argmax_pair=_class_pair(classes, int(i[k]), int(j[k])),
         nine_bound_ok=best <= 9.0 * (1.0 + 1e-12),
         sine_bound=sine_bound,
         sine_bound_ok=best <= sine_bound * (1.0 + 1e-12),

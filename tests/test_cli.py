@@ -47,6 +47,34 @@ def test_torus_unit_square(capsys):
         assert entry["two_sided_ok"] is True
 
 
+def test_torus_skewed_basis_of_a_benign_lattice(capsys):
+    # covolume 1; the enumeration box in this basis would hold 37.8M cells
+    code, doc = run_json(capsys, ["torus", "--lattice", "1,0,10000.5,1",
+                                  "--cutoff", "16"])
+    assert code == 0
+    res = doc["results"]
+    assert res["covolume"] == 1.0
+    assert res["best_ratio"] <= res["k_real"] * (1 + 1e-12)
+    assert res["segment_bound"]["sine_bound_ok"] is True
+
+
+def test_torus_at_cutoff_150_stays_small(tmp_path):
+    # about 24.8k primitive classes: one dense table would be 4.9 GB
+    script = ("import resource, sys\n"
+              "from intnorm.cli import main\n"
+              "code = main(sys.argv[1:])\n"
+              "print(code, resource.getrusage(resource.RUSAGE_SELF)"
+              ".ru_maxrss)\n")
+    proc = subprocess.run(
+        [sys.executable, "-c", script, "torus", "--lattice",
+         "1,0,1/2,0.8660254037844386", "--cutoff", "150",
+         "--output", str(tmp_path / "torus.json")],
+        capture_output=True, text=True, check=True)
+    code, peak_kb = map(int, proc.stdout.split())
+    assert code == 0
+    assert peak_kb < 200 * 1024
+
+
 def test_precision_flag_belongs_to_bounds_only(capsys):
     _, doc = run_json(capsys, ["torus", "--lattice", "1,0,0,1"])
     assert "precision" not in doc["inputs"]
@@ -139,6 +167,17 @@ def test_cylinder_explicit_arc_pairs(tmp_path, capsys):
     second = pairs[1]
     assert second["same_side"] is False
     assert second["window"] == [0, 1]
+
+
+def test_cylinder_arc_pair_past_the_translate_bound_exits_2(tmp_path,
+                                                            capsys):
+    # core advance 100 is inside the oracle's bound, 2e6 translates are not
+    path = tmp_path / "arcs.json"
+    path.write_text(json.dumps({"pairs": [{"arc1": [0.0, 1e6, 1],
+                                           "arc2": [5e-5, -1e6, 1]}]}))
+    assert main(["cylinder", "--core-length", "1e-4", "--samples", "1",
+                 "--arcs-json", str(path)]) == 2
+    assert "translates" in capsys.readouterr().err
 
 
 def test_cylinder_malformed_arc_file(tmp_path, capsys):
@@ -264,6 +303,8 @@ def test_version_flag(capsys):
      "--samples", "3"],
     ["torus", "--lattice", "1e-170,0,0,1e-170"],
     ["torus", "--lattice", "1e200,0,0,1e200"],
+    ["torus", "--lattice", "1e200,0,0,1e-200"],
+    ["torus", "--lattice", "1e-160,0,1e150,1"],
     ["bounds", "--genus", "2", "--l1-grid", "1e-320:0.5:3",
      "--precision", "extended"],
 ])

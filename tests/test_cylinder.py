@@ -35,7 +35,7 @@ from intnorm import (
     rewind_winding,
     winding_from_endpoints,
 )
-from intnorm.cylinder import MAX_ADVANCE, MIN_CORE_LENGTH
+from intnorm.cylinder import MAX_ADVANCE, MAX_TRANSLATES, MIN_CORE_LENGTH
 
 from halfplane_reference import crossing_count_oracle_halfplane
 
@@ -209,6 +209,24 @@ def test_oracle_rejects_huge_windings():
         for pair in ((arc1, past), (past, arc1)):
             with pytest.raises(DomainError, match="core advance"):
                 crossing_count_oracle_cyl(CYL, *pair)
+
+
+def test_oracle_rejects_more_translates_than_its_bound():
+    # on a short core the advance bound leaves the translate count open
+    short = Cylinder(core_length=1e-4, half_width=3.0)
+    arc1 = ArcSpec(entry_t=0.0, winding=0.5, crossing_sign=1)
+    inside = ArcSpec(entry_t=5e-5, winding=0.9 * MAX_TRANSLATES,
+                     crossing_sign=-1)
+    assert inside.winding * short.core_length < MAX_ADVANCE
+    rep = count_crossings_cyl(short, arc1, inside, np.random.default_rng(4))
+    lo, hi, sign = intersection_bounds(0.5, inside.winding, False)
+    assert lo <= rep.count <= hi
+    assert rep.uniform_sign() == sign
+    past = ArcSpec(entry_t=5e-5, winding=1.1 * MAX_TRANSLATES,
+                   crossing_sign=-1)
+    for pair in ((arc1, past), (past, arc1)):
+        with pytest.raises(DomainError, match="translates"):
+            crossing_count_oracle_cyl(short, *pair)
 
 
 def test_oracle_rejects_cores_below_its_bound():

@@ -5,6 +5,7 @@ enumeration, extremal-ratio searches, and the geodesic crossing oracle.
 from __future__ import annotations
 
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -34,6 +35,9 @@ from intnorm import (
     systole,
     torus_diameter,
 )
+from intnorm import flat_torus
+
+import torus_reference as dense
 
 SQUARE = Lattice(e1=(1.0, 0.0), e2=(0.0, 1.0))
 HEX = Lattice.from_string("1,0,1/2,0.8660254037844386")
@@ -141,6 +145,13 @@ def test_reduced_basis_unskews():
     assert math.hypot(*v2) == pytest.approx(math.hypot(0.3, 1.0), rel=1e-12)
 
 
+def test_reduced_basis_names_the_vector_out_of_range():
+    with pytest.raises(DomainError, match=r"squared length inf of e1"):
+        reduced_basis(Lattice(e1=(1e200, 0.0), e2=(0.0, 1e-200)))
+    with pytest.raises(DomainError, match="too skewed"):
+        reduced_basis(Lattice(e1=(1e-160, 0.0), e2=(1e150, 1.0)))
+
+
 def test_systole_examples():
     assert systole(SQUARE) == pytest.approx(1.0, rel=1e-15)
     assert systole(Lattice(e1=(1.0, 0.0), e2=(0.5, 2.0))) == pytest.approx(
@@ -201,9 +212,42 @@ def test_enumerate_classes_rejects_bad_cutoff():
 
 
 def test_enumerate_classes_refuses_pathological_boxes():
+    # about 3e9 classes below the cutoff, in any basis
     thin = Lattice(e1=(1.0, 0.0), e2=(0.0, 1e-7))
     with pytest.raises(DomainError, match="too large"):
         enumerate_classes(thin, 10.0)
+    # coefficients in the given basis past 2**31
+    with pytest.raises(DomainError, match="coefficient"):
+        enumerate_classes(Lattice.from_string("1,0,1e12,1"), 1.0)
+
+
+def test_enumeration_box_is_taken_in_the_reduced_basis():
+    # the box in the given basis would hold 37.8M cells
+    skewed = Lattice.from_string("1,0,10000.5,1")
+    classes, lengths = enumerate_classes(skewed, 16.0)
+    # the same lattice in its reduced basis has as many classes
+    assert classes.shape[0] == enumerate_classes(
+        Lattice.from_string("1,0,1/2,1"), 16.0)[0].shape[0] == 796
+    assert np.all(lengths <= 16.0 * (1 + 1e-12))
+    with pytest.raises(DomainError, match="too large"):
+        dense.enumerate_classes_box(skewed, 16.0)
+
+
+@pytest.mark.parametrize("text", [
+    "1,0,0,1", "1,0,1/2,0.8660254037844386", "1,0,93.3,0.98",
+    "1,0,0,-1", "1.1,0.3,-0.2,0.9", "0.3,1.7,-2.2,0.4"])
+def test_enumeration_keeps_the_class_set_of_the_given_basis_box(text):
+    lat = Lattice.from_string(text)
+    for cutoff in (0.9, 2.0, 7.5, 20.0):
+        for primitive_only in (False, True):
+            for canonical in (False, True):
+                new = enumerate_classes(lat, cutoff, canonical=canonical,
+                                        primitive_only=primitive_only)
+                old = dense.enumerate_classes_box(
+                    lat, cutoff, canonical=canonical,
+                    primitive_only=primitive_only)
+                assert np.array_equal(new[0], old[0])
+                assert new[1].tobytes() == old[1].tobytes()
 
 
 # ----------------------------------------------------------------- searches
@@ -274,6 +318,74 @@ def test_min_length_product_input_validation():
         min_length_product(SQUARE, 50, 2.0)
     with pytest.raises(EmptySearchError):
         min_length_product(SQUARE, 1, 0.5)
+
+
+# ------------------------------------------- fast searches vs dense tables
+
+def _same_results(lat, cutoff, products=(1, 2, 3, 5, 8)):
+    """The O(N) searches and the dense reference agree exactly: ratios,
+    pairs, reports and products, compared by repr, which tells float bits
+    apart."""
+    def outcome(search, *args):
+        try:
+            return repr(search(lat, *args))
+        except (DomainError, EmptySearchError) as exc:
+            return f"{type(exc).__name__}: {exc}"
+
+    for name in ("best_ratio_search", "segment_bound_check"):
+        fast = outcome(getattr(flat_torus, name), cutoff)
+        assert fast == outcome(getattr(dense, name), cutoff), (name, cutoff)
+    for n in products:
+        fast = outcome(flat_torus.min_length_product, n, cutoff)
+        assert fast == outcome(dense.min_length_product, n, cutoff), n
+
+
+@pytest.mark.parametrize("text", [
+    "1,0,0,1", "1,0,1/2,0.8660254037844386", "2,0,1,3", "1,0,1/2,7/8",
+    # orientation reversed
+    "0,1,1,0", "1,0,0,-1", "1/2,0.8660254037844386,1,0", "1,3,2,0",
+    "1,0,93.3,0.98"])
+def test_fast_searches_match_dense_tables(text):
+    for lat in (Lattice.from_string(text),
+                Lattice(Lattice.from_string(text).e1,
+                        Lattice.from_string(text).e2)):
+        l1 = systole(lat)
+        for multiple in (0.5, 1.0, 1.3, 2.5, 6.0, 14.0):
+            _same_results(lat, multiple * l1)
+
+
+@given(m=st.lists(st.floats(-3.0, 3.0), min_size=4, max_size=4),
+       exact=st.booleans(), multiple=st.floats(1.0, 10.0))
+@settings(max_examples=60, deadline=None)
+def test_fast_searches_match_dense_tables_on_random_bases(m, exact,
+                                                          multiple):
+    if abs(m[0] * m[3] - m[1] * m[2]) < 0.05 * (1 + sum(x * x for x in m)):
+        return
+    text = ",".join(repr(x) for x in m)
+    lat = Lattice.from_string(text) if exact else \
+        Lattice(e1=(m[0], m[1]), e2=(m[2], m[3]))
+    _same_results(lat, multiple * systole(lat), products=(1, 4))
+
+
+def test_searches_build_no_pair_tables():
+    # about 4k classes: one dense float64 table alone is 128 MB
+    tracemalloc.start()
+    try:
+        best_ratio_search(HEX, 60.0)
+        segment_bound_check(HEX, 60.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8e6
+
+
+def test_searches_refuse_more_candidate_pairs_than_their_bound(
+        monkeypatch):
+    monkeypatch.setattr(flat_torus, "_MAX_SEARCH_PAIRS", 10)
+    with pytest.raises(DomainError, match="candidate pairs"):
+        best_ratio_search(SQUARE, 10.0)
+    with pytest.raises(DomainError, match="candidate pairs"):
+        segment_bound_check(SQUARE, 10.0)
 
 
 # ------------------------------------------------------------ segment bound
