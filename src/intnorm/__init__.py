@@ -53,7 +53,6 @@ from .errors import (
     ModeError,
     RejectedInputError,
     RetrySignal,
-    WidthError,
 )
 from .flat_torus import (
     CrossingReport,
@@ -99,7 +98,7 @@ __all__ = [
     "DomainError", "EmptySearchError", "GeometryError", "HyperbolicBounds",
     "IntegerClass", "Lattice", "ModeError", "ProfileRow", "RealClass",
     "RejectedInputError", "RetrySignal", "RewindInput", "RewindReport",
-    "SuiteReport", "SurfaceParams", "TWO_ARSINH_ONE", "WidthError",
+    "SuiteReport", "SurfaceParams", "TWO_ARSINH_ONE",
     "WindingBounds", "arc_length", "asymptotic_profile",
     "best_ratio_search", "boundary_length", "bounds_suite", "class_length",
     "collar_constants_check", "collar_width", "count_crossings",

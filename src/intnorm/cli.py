@@ -34,7 +34,8 @@ from .flat_torus import Lattice, RealClass, best_ratio_search, k_real, \
     norm_comparison_report, segment_bound_check, systole, torus_diameter
 from .hyptrig import EXTENDED_DPS
 from .seeding import named_stream
-from .suites import lemma_sweep, run_suites
+from .suites import lemma_sweep, ratio_violations, run_suites, \
+    segment_violations, window_violations
 
 _PROFILE_COLUMNS = ("l1", "hyp_lower", "hyp_upper", "collar_rate",
                     "lower_profile", "upper_profile",
@@ -120,17 +121,7 @@ def run_torus(args) -> tuple[dict, Optional[tuple]]:
     best = best_ratio_search(lat, cutoff)
     seg = segment_bound_check(lat, cutoff)
 
-    violations: list[str] = []
-    if best.ratio > k * (1.0 + 1e-12):
-        violations.append(
-            f"best ratio {best.ratio!r} exceeds k_real = {k!r}")
-    if not seg.nine_bound_ok:
-        violations.append(
-            f"segment bound 9 violated: max {seg.max_normalized!r}")
-    if not seg.sine_bound_ok:
-        violations.append(
-            f"angle bound violated: max {seg.max_normalized!r} > "
-            f"{seg.sine_bound!r}")
+    violations = ratio_violations(best.ratio, k) + segment_violations(seg)
     norms = []
     for cls in best.pair:
         rep = norm_comparison_report(lat, RealClass(float(cls.a),
@@ -220,16 +211,8 @@ def run_cylinder(args) -> tuple[dict, Optional[tuple]]:
                 "expected_sign": arc1.crossing_sign * wb.sign,
             }
             pair_reports.append(entry)
-            if not wb.lo <= rep.count <= wb.hi:
-                violations.append(
-                    f"pair #{i}: count {rep.count} outside window "
-                    f"[{wb.lo}, {wb.hi}]")
-            expected = arc1.crossing_sign * wb.sign
-            if rep.count and expected and any(s != expected
-                                              for s in rep.signs):
-                violations.append(
-                    f"pair #{i}: signs {rep.signs} not uniformly "
-                    f"{expected}")
+            violations += [f"pair #{i}: {v}" for v in
+                           window_violations(rep, wb, arc1.crossing_sign)]
 
     records = [dict(r) for r in res.records]
     report = {

@@ -37,7 +37,6 @@ from .errors import (
     ModeError,
     RejectedInputError,
     RetrySignal,
-    WidthError,
 )
 from .flat_torus import CrossingReport
 from .hyptrig import boundary_length, collar_width, crossing_arc_length
@@ -61,12 +60,14 @@ S_TOLERANCE = 1e-9
 OVERLAP_TOLERANCE = 1e-13
 
 # Jitter scale for retry perturbations of entry positions, as a fraction
-# of the core length.
+# of the core length, and how many jittered retries follow the first try.
 JITTER_SCALE = 1e-6
+MAX_RETRIES = 8
 
-# Default collar-shrinking parameters: trimming the full half-width by
+# Collar-shrinking parameters: trimming the full half-width by
 # SHRINK_MARGIN keeps the boundary circles short relative to the width
-# for every core length below SHORT_CORE_THRESHOLD.
+# for every core length below SHORT_CORE_THRESHOLD
+# (bounds.collar_constants_check).
 SHRINK_MARGIN = 1.3
 SHORT_CORE_THRESHOLD = 0.25
 
@@ -90,29 +91,24 @@ class Cylinder:
         return boundary_length(self.core_length, self.half_width)
 
 
-def make_collar(core_length: float, mode: str = "shrunk", *,
-                shrink: float = SHRINK_MARGIN,
-                short_threshold: float = SHORT_CORE_THRESHOLD) -> Cylinder:
+def make_collar(core_length: float, mode: str = "shrunk") -> Cylinder:
     """Build the collar cylinder around a closed geodesic.
 
     mode 'full' uses the full embedded-collar half-width
-    collar_width(core_length); mode 'shrunk' subtracts ``shrink`` from it
-    and requires core_length < short_threshold, which keeps the shrunk
-    width comfortably positive and the boundary circles short.
+    collar_width(core_length); mode 'shrunk' subtracts SHRINK_MARGIN = 1.3
+    from it and requires core_length < SHORT_CORE_THRESHOLD = 0.25.  There
+    collar_width exceeds 1.95, so the shrunk width stays above 0.65 and
+    the boundary circles short.
     """
     if mode not in ("full", "shrunk"):
         raise ModeError(f"unknown collar mode {mode!r}")
     w = collar_width(core_length)
     if mode == "shrunk":
-        if core_length >= short_threshold:
+        if core_length >= SHORT_CORE_THRESHOLD:
             raise ModeError(
-                f"shrunk mode needs core_length < {short_threshold}, "
+                f"shrunk mode needs core_length < {SHORT_CORE_THRESHOLD}, "
                 f"got {core_length}")
-        w -= shrink
-        if w <= 0.0:
-            raise WidthError(
-                f"shrunk width {w} is not positive for "
-                f"core_length={core_length}, shrink={shrink}")
+        w -= SHRINK_MARGIN
     return Cylinder(core_length=core_length, half_width=w)
 
 
@@ -228,10 +224,8 @@ def halfplane_to_fermi(x: float, y: float) -> tuple[float, float]:
     """Inverse of fermi_to_halfplane on the open upper half-plane."""
     if y <= 0.0:
         raise DomainError(f"point must lie in the upper half-plane, y={y}")
-    r = math.hypot(x, y)
-    t = math.log(r)
-    s = math.copysign(math.acosh(max(r / y, 1.0)), x)
-    return t, s
+    # x/y = sinh s keeps s near 0, where r/y = cosh s rounds to 1
+    return math.log(math.hypot(x, y)), math.asinh(x / y)
 
 
 def _fermi_arc(cyl: Cylinder,
@@ -337,14 +331,15 @@ def crossing_count_oracle_cyl(cyl: Cylinder, arc1: ArcSpec,
                           positions=tuple(h[1] for h in hits))
 
 
-def count_crossings_cyl(cyl: Cylinder, arc1: ArcSpec, arc2: ArcSpec, rng, *,
-                        max_retries: int = 8) -> CrossingReport:
+def count_crossings_cyl(cyl: Cylinder, arc1: ArcSpec, arc2: ArcSpec,
+                        rng) -> CrossingReport:
     """Run the cylinder crossing oracle, perturbing the second arc's entry
     position by a uniform jitter in (0, core_length * 1e-6) whenever a
-    near-degenerate configuration raises RetrySignal."""
+    near-degenerate configuration raises RetrySignal, at most MAX_RETRIES
+    times."""
     candidate = arc2
     last = None
-    for _ in range(max_retries + 1):
+    for _ in range(MAX_RETRIES + 1):
         try:
             return crossing_count_oracle_cyl(cyl, arc1, candidate)
         except RetrySignal as exc:
@@ -353,7 +348,7 @@ def count_crossings_cyl(cyl: Cylinder, arc1: ArcSpec, arc2: ArcSpec, rng, *,
             candidate = replace(
                 arc2, entry_t=(arc2.entry_t + jitter) % cyl.core_length)
     raise RetrySignal(
-        f"still degenerate after {max_retries} retries") from last
+        f"still degenerate after {MAX_RETRIES} retries") from last
 
 
 # ---------------------------------------------------------------------------
@@ -453,10 +448,15 @@ def _check_family(name: str, winds: Sequence[float]) -> None:
                 f"orientation, got {tuple(winds)}")
 
 
+# The reference collar of rewind_suite_check: the shrunk collar of core
+# length 0.2 and the length of its boundary circle.
+_REWIND_COLLAR = make_collar(0.2, "shrunk")
+_REWIND_CIRCLE = _REWIND_COLLAR.boundary_circle_length()
+
+
 def rewind_suite_check(gamma_winds: Sequence[float],
                        delta_winds: Sequence[float],
-                       same_side: bool, *,
-                       core_length: float = 0.2) -> RewindReport:
+                       same_side: bool) -> RewindReport:
     """Rewind two families of windings against each other and check the
     structural guarantees of the move.
 
@@ -468,8 +468,8 @@ def rewind_suite_check(gamma_winds: Sequence[float],
     value below 3 and the trailing one below 5; for every cross pair the
     sign of (delta - gamma) (same side) or (delta + gamma) (opposite
     sides) is unchanged; and each rewound winding, traded for a loop along
-    the boundary circle of the reference shrunk collar with the given core
-    length, is strictly shorter than the arc it replaces.
+    the boundary circle of the reference shrunk collar of core length
+    0.2, is strictly shorter than the arc it replaces.
     """
     gamma_winds = tuple(float(v) for v in gamma_winds)
     delta_winds = tuple(float(v) for v in delta_winds)
@@ -514,13 +514,12 @@ def rewind_suite_check(gamma_winds: Sequence[float],
                     f" flipped on pair ({cg}, {dl}): "
                     f"{_sign(before)} -> {_sign(after)}")
 
-    cyl = make_collar(core_length, "shrunk")
-    circle = cyl.boundary_circle_length()
+    w, l = _REWIND_COLLAR.half_width, _REWIND_COLLAR.core_length
     for name, winds, winds_new in (("gamma", gamma_winds, gamma_new),
                                    ("delta", delta_winds, delta_new)):
         for v, v_new in zip(winds, winds_new):
-            arc = ArcSpec(entry_t=0.0, winding=v, crossing_sign=1)
-            if not abs(v_new) * circle < arc_length(cyl, arc):
+            if not (abs(v_new) * _REWIND_CIRCLE
+                    < crossing_arc_length(w, abs(v) * l)):
                 violations.append(
                     f"rewound {name} winding {v_new} as a boundary loop is "
                     f"not shorter than the original arc of winding {v}")

@@ -18,10 +18,6 @@ class ModeError(GeometryError):
     """Collar mode incompatible with the requested core length."""
 
 
-class WidthError(GeometryError):
-    """Collar width came out non-positive."""
-
-
 class EmptySearchError(GeometryError):
     """The search radius contains no candidate classes."""
 

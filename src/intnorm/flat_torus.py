@@ -46,8 +46,10 @@ from .errors import (
 _CUTOFF_SLACK = 1e-12
 
 # Parameter-space tolerance around the base-point seam of a closed
-# geodesic; crossings this close to the seam trigger a retry.
+# geodesic; crossings this close to the seam trigger a retry, with a new
+# random base point, for at most MAX_TRIES tries in all.
 SEAM_TOLERANCE = 1e-9
+MAX_TRIES = 8
 
 # Most cells an enumeration box may hold, and most candidate pairs a
 # search may evaluate: each costs tens of bytes of int64 and float64
@@ -765,12 +767,11 @@ def crossing_count_oracle(lat: Lattice, u, v, offset) -> CrossingReport:
                           positions=positions)
 
 
-def count_crossings(lat: Lattice, u, v, rng, *,
-                    max_tries: int = 8) -> CrossingReport:
+def count_crossings(lat: Lattice, u, v, rng) -> CrossingReport:
     """Run the torus crossing oracle with a random base-point offset,
-    re-randomizing on RetrySignal up to ``max_tries`` times."""
+    re-randomizing on RetrySignal up to MAX_TRIES times in all."""
     last = None
-    for _ in range(max_tries):
+    for _ in range(MAX_TRIES):
         frac = rng.random(2)
         offset = (frac[0] * lat.e1[0] + frac[1] * lat.e2[0],
                   frac[0] * lat.e1[1] + frac[1] * lat.e2[1])
@@ -779,4 +780,4 @@ def count_crossings(lat: Lattice, u, v, rng, *,
         except RetrySignal as exc:
             last = exc
     raise RetrySignal(
-        f"no seam-free offset found in {max_tries} tries") from last
+        f"no seam-free offset found in {MAX_TRIES} tries") from last

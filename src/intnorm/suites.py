@@ -2,17 +2,26 @@
 re-checked here against brute force, exact arithmetic, or extended
 precision, over seeded random samples and dense grids.
 
-The three suites (torus, cylinder, bounds) return structured reports with
-an explicit list of violations; an empty list means every check passed.
-All randomness is drawn from named Philox streams keyed by one seed, so a
-fixed seed reproduces the identical report byte for byte.
+Each check is a plain function of the seed that returns
+``(cases, violations)``: how many cases it ran and one message per failed
+case.  A suite is an ordered list of named checks, and one runner turns it
+into a ``SuiteReport``: a ``CheckOutcome`` per check and the violations of
+all checks, capped at 25 with a count of the rest.  An empty list means
+every check passed.  Sample sizes are fixed in the checks.  All randomness
+is drawn from named Philox streams keyed by the seed, one stream per
+check, so a fixed seed reproduces the identical report byte for byte.
+
+The verdicts that the command line also reports on single inputs are
+written once here: ``ratio_violations`` and ``segment_violations`` for a
+torus search, ``window_violations`` for one crossing count.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from itertools import product
+from typing import Callable, Optional, Sequence
 
 from . import bounds as bounds_mod
 from . import cylinder as cyl_mod
@@ -28,11 +37,6 @@ class CheckOutcome:
     name: str
     cases: int
     failures: int
-    detail: str = ""
-
-    @property
-    def passed(self) -> bool:
-        return self.failures == 0
 
 
 @dataclass(frozen=True)
@@ -42,24 +46,50 @@ class SuiteReport:
     checks: tuple[CheckOutcome, ...]
     violations: tuple[str, ...]
 
-    @property
-    def ok(self) -> bool:
-        return not self.violations
 
+Check = Callable[[int], tuple[int, list[str]]]
 
 _MAX_REPORTED = 25
 
 
-def _cap(violations: Sequence[str]) -> tuple[str, ...]:
-    vs = list(violations)
-    if len(vs) > _MAX_REPORTED:
-        extra = len(vs) - _MAX_REPORTED
-        vs = vs[:_MAX_REPORTED] + [f"... and {extra} more"]
-    return tuple(vs)
+def _run_checks(suite: str, seed: int,
+                checks: Sequence[tuple[str, Check]]) -> SuiteReport:
+    """Run the named checks in order and collect their outcomes; each
+    violation counts as one failure of the check that reported it."""
+    outcomes: list[CheckOutcome] = []
+    violations: list[str] = []
+    for name, check in checks:
+        cases, vs = check(seed)
+        outcomes.append(CheckOutcome(name, cases, len(vs)))
+        violations += vs
+    extra = len(violations) - _MAX_REPORTED
+    if extra > 0:
+        violations = violations[:_MAX_REPORTED] + [f"... and {extra} more"]
+    return SuiteReport(suite=suite, seed=seed, checks=tuple(outcomes),
+                       violations=tuple(violations))
 
 
 # ---------------------------------------------------------------------------
 # flat torus
+
+
+def ratio_violations(ratio: float, k: float) -> list[str]:
+    """A searched ratio may not exceed k_real beyond rounding."""
+    if ratio > k * (1.0 + 1e-12):
+        return [f"best ratio {ratio!r} exceeds k_real = {k!r}"]
+    return []
+
+
+def segment_violations(seg: torus_mod.SegmentBoundReport) -> list[str]:
+    """The normalized products stay at most 9 and at most the sine bound
+    l1^2/covolume."""
+    vs = []
+    if not seg.nine_bound_ok:
+        vs.append(f"segment bound 9 violated: max {seg.max_normalized!r}")
+    if not seg.sine_bound_ok:
+        vs.append(f"angle bound violated: max {seg.max_normalized!r} > "
+                  f"{seg.sine_bound!r}")
+    return vs
 
 
 def random_lattice(rng) -> torus_mod.Lattice:
@@ -76,8 +106,10 @@ def random_lattice(rng) -> torus_mod.Lattice:
     return torus_mod.Lattice(e1, e2)
 
 
-def _random_primitive_class(lat: torus_mod.Lattice, rng,
-                            max_len: float = 15.0) -> torus_mod.IntegerClass:
+def _random_primitive_class(lat: torus_mod.Lattice,
+                            rng) -> torus_mod.IntegerClass:
+    """Random primitive class with coefficients in [-8, 8] and length at
+    most 15."""
     for _ in range(10_000):
         a = int(rng.integers(-8, 9))
         b = int(rng.integers(-8, 9))
@@ -85,75 +117,67 @@ def _random_primitive_class(lat: torus_mod.Lattice, rng,
             continue
         g = math.gcd(a, b)
         cls = torus_mod.IntegerClass(a // g, b // g)
-        if torus_mod.class_length(lat, cls) <= max_len:
+        if torus_mod.class_length(lat, cls) <= 15.0:
             return cls
     raise GeometryError("failed to sample a short primitive class")
 
 
-def torus_suite(seed: int, *, lattices: int = 20, oracle_pairs: int = 500,
-                norm_pairs: int = 100,
-                cutoff_multiple: float = 30.0) -> SuiteReport:
-    """All flat-torus invariants: exact ratio value, oracle equivalence,
-    segment bound, norm comparison, intersection-form algebra, and scale
-    equivariance."""
-    rng_lat = named_stream(seed, "torus.lattices")
-    rng_oracle = named_stream(seed, "torus.oracle")
-    rng_norm = named_stream(seed, "torus.norm")
-    rng_alg = named_stream(seed, "torus.algebra")
+def _lattices(seed: int) -> list[torus_mod.Lattice]:
+    """The 20 random lattices that the torus checks share."""
+    rng = named_stream(seed, "torus.lattices")
+    return [random_lattice(rng) for _ in range(20)]
 
-    lats = [random_lattice(rng_lat) for _ in range(lattices)]
-    square = torus_mod.Lattice((1.0, 0.0), (0.0, 1.0))
-    hexagonal = torus_mod.Lattice((1.0, 0.0), (0.5, math.sqrt(3.0) / 2.0))
 
-    checks: list[CheckOutcome] = []
-    violations: list[str] = []
+def _basis(lat: torus_mod.Lattice) -> str:
+    return f"basis {lat.e1}, {lat.e2}"
 
-    # ratio value: the search never exceeds k_real, and attains it on the
-    # square and hexagonal lattices
+
+_SQUARE = torus_mod.Lattice((1.0, 0.0), (0.0, 1.0))
+_HEXAGONAL = torus_mod.Lattice((1.0, 0.0), (0.5, math.sqrt(3.0) / 2.0))
+
+
+def _ratio_value(seed: int) -> tuple[int, list[str]]:
+    """The search never exceeds k_real, and attains it on the square and
+    hexagonal lattices."""
+    named = [(None, lat) for lat in _lattices(seed)]
+    named += [("square", _SQUARE), ("hexagonal", _HEXAGONAL)]
     vs: list[str] = []
     cases = 0
-    for lat in lats + [square, hexagonal]:
-        cases += 1
+    for name, lat in named:
         k = torus_mod.k_real(lat)
-        res = torus_mod.best_ratio_search(
-            lat, cutoff_multiple * torus_mod.systole(lat))
-        if res.ratio > k * (1.0 + 1e-12):
-            vs.append(f"search ratio {res.ratio!r} exceeds k_real {k!r} "
-                      f"for basis {lat.e1}, {lat.e2}")
-    for name, lat in (("square", square), ("hexagonal", hexagonal)):
+        ratio = torus_mod.best_ratio_search(
+            lat, 30.0 * torus_mod.systole(lat)).ratio
         cases += 1
-        k = torus_mod.k_real(lat)
-        res = torus_mod.best_ratio_search(
-            lat, cutoff_multiple * torus_mod.systole(lat))
-        if abs(res.ratio - k) > 1e-12 * k:
-            vs.append(f"search ratio {res.ratio!r} misses k_real {k!r} "
-                      f"on the {name} lattice")
-    checks.append(CheckOutcome("ratio_value", cases, len(vs)))
-    violations += vs
+        vs += [f"{v} for {_basis(lat)}" for v in ratio_violations(ratio, k)]
+        if name is not None:
+            cases += 1
+            if abs(ratio - k) > 1e-12 * k:
+                vs.append(f"search ratio {ratio!r} misses k_real {k!r} "
+                          f"on the {name} lattice")
+    return cases, vs
 
-    # oracle equivalence: straight-line crossing counts match |a*d - b*c|
-    vs = []
-    per_lat = max(1, oracle_pairs // len(lats))
+
+def _oracle_equivalence(seed: int) -> tuple[int, list[str]]:
+    """Straight-line crossing counts match |a*d - b*c|, with its sign."""
+    rng = named_stream(seed, "torus.oracle")
+    vs: list[str] = []
     cases = 0
-    for lat in lats:
-        for _ in range(per_lat):
-            if cases >= oracle_pairs:
-                break
-            u = _random_primitive_class(lat, rng_oracle)
-            v = _random_primitive_class(lat, rng_oracle)
+    for lat in _lattices(seed):
+        for _ in range(25):
+            u = _random_primitive_class(lat, rng)
+            v = _random_primitive_class(lat, rng)
             n = torus_mod.intersection_number(u, v)
             if n == 0:
                 continue
             cases += 1
             try:
-                rep = torus_mod.count_crossings(lat, u, v, rng_oracle)
+                rep = torus_mod.count_crossings(lat, u, v, rng)
             except RetrySignal as exc:
                 vs.append(f"oracle stuck on {tuple(u)} x {tuple(v)}: {exc}")
                 continue
             if rep.count != abs(n):
                 vs.append(f"oracle count {rep.count} != |Int| = {abs(n)} "
-                          f"for {tuple(u)} x {tuple(v)} on basis "
-                          f"{lat.e1}, {lat.e2}")
+                          f"for {tuple(u)} x {tuple(v)} on {_basis(lat)}")
                 continue
             # the oracle gives every crossing one sign, so only that sign
             # is compared
@@ -162,85 +186,94 @@ def torus_suite(seed: int, *, lattices: int = 20, oracle_pairs: int = 500,
             if sign != expected:
                 vs.append(f"oracle sign {sign} != sign(Int) = {expected} "
                           f"for {tuple(u)} x {tuple(v)}")
-    checks.append(CheckOutcome("oracle_equivalence", cases, len(vs)))
-    violations += vs
+    return cases, vs
 
-    # segment bound: |Int| * l1^2 / (len*len) <= 9, and <= l1^2/covolume
-    vs = []
+
+def _segment_bound(seed: int) -> tuple[int, list[str]]:
+    """|Int| * l1^2 / (len*len) <= 9, and <= l1^2/covolume."""
+    lats = _lattices(seed)
+    vs: list[str] = []
     for lat in lats:
         rep = torus_mod.segment_bound_check(
-            lat, cutoff_multiple * torus_mod.systole(lat))
-        if not rep.nine_bound_ok:
-            vs.append(f"segment bound 9 violated: max {rep.max_normalized!r} "
-                      f"at {rep.argmax_pair} on basis {lat.e1}, {lat.e2}")
-        if not rep.sine_bound_ok:
-            vs.append(f"angle bound violated: max {rep.max_normalized!r} > "
-                      f"{rep.sine_bound!r} on basis {lat.e1}, {lat.e2}")
-    checks.append(CheckOutcome("segment_bound", len(lats), len(vs)))
-    violations += vs
+            lat, 30.0 * torus_mod.systole(lat))
+        vs += [f"{v} at {rep.argmax_pair} on {_basis(lat)}"
+               for v in segment_violations(rep)]
+    return len(lats), vs
 
-    # two-sided norm comparison on random real classes
-    vs = []
+
+def _norm_comparison(seed: int) -> tuple[int, list[str]]:
+    """Two-sided stable-norm comparison on random real classes."""
+    lats = _lattices(seed)
+    rng = named_stream(seed, "torus.norm")
+    vs: list[str] = []
     cases = 0
-    while cases < norm_pairs:
+    while cases < 100:
         lat = lats[cases % len(lats)]
-        h = torus_mod.RealClass(rng_norm.uniform(-5.0, 5.0),
-                                rng_norm.uniform(-5.0, 5.0))
+        h = torus_mod.RealClass(rng.uniform(-5.0, 5.0),
+                                rng.uniform(-5.0, 5.0))
         if abs(h.x) + abs(h.y) < 1e-3:
             continue
         cases += 1
         rep = torus_mod.norm_comparison_report(lat, h)
         if not rep.two_sided_ok:
             vs.append(f"norm comparison failed for class {tuple(h)} on "
-                      f"basis {lat.e1}, {lat.e2}: stable={rep.stable!r}, "
+                      f"{_basis(lat)}: stable={rep.stable!r}, "
                       f"l2={rep.l2!r}")
-    checks.append(CheckOutcome("norm_comparison", cases, len(vs)))
-    violations += vs
+    return cases, vs
 
-    # the intersection form is antisymmetric and bilinear (exact integers)
-    vs = []
-    cases = 400
-    for _ in range(cases):
-        u, v, w = (torus_mod.IntegerClass(int(rng_alg.integers(-9, 10)),
-                                          int(rng_alg.integers(-9, 10)))
-                   for _ in range(3))
-        if (torus_mod.intersection_number(u, v)
-                != -torus_mod.intersection_number(v, u)):
-            vs.append(f"antisymmetry failed on {tuple(u)}, {tuple(v)}")
-        uv = torus_mod.IntegerClass(u.a + v.a, u.b + v.b)
-        if (torus_mod.intersection_number(uv, w)
-                != torus_mod.intersection_number(u, w)
-                + torus_mod.intersection_number(v, w)):
-            vs.append(f"bilinearity failed on {tuple(u)}, {tuple(v)}, "
-                      f"{tuple(w)}")
-    checks.append(CheckOutcome("intersection_algebra", cases, len(vs)))
-    violations += vs
 
-    # scaling the lattice by 2 scales lengths by 2 and ratios by 1/4
-    vs = []
-    for lat in lats[:3]:
+def _scale_equivariance(seed: int) -> tuple[int, list[str]]:
+    """Scaling the lattice by 2 scales lengths by 2 and ratios by 1/4."""
+    lats = _lattices(seed)[:3]
+    vs: list[str] = []
+    for lat in lats:
         big = torus_mod.Lattice((2.0 * lat.e1[0], 2.0 * lat.e1[1]),
                                 (2.0 * lat.e2[0], 2.0 * lat.e2[1]))
         sys_small = torus_mod.systole(lat)
         if abs(torus_mod.systole(big) - 2.0 * sys_small) > 1e-12 * sys_small:
-            vs.append(f"systole not doubled for basis {lat.e1}, {lat.e2}")
+            vs.append(f"systole not doubled for {_basis(lat)}")
         if (abs(torus_mod.torus_diameter(big)
                 - 2.0 * torus_mod.torus_diameter(lat))
                 > 1e-12 * torus_mod.torus_diameter(lat)):
-            vs.append(f"diameter not doubled for basis {lat.e1}, {lat.e2}")
+            vs.append(f"diameter not doubled for {_basis(lat)}")
         r_small = torus_mod.best_ratio_search(lat, 20.0 * sys_small).ratio
         r_big = torus_mod.best_ratio_search(big, 40.0 * sys_small).ratio
         if abs(r_big - 0.25 * r_small) > 1e-12 * r_small:
-            vs.append(f"ratio not quartered for basis {lat.e1}, {lat.e2}")
-    checks.append(CheckOutcome("scale_equivariance", 3, len(vs)))
-    violations += vs
+            vs.append(f"ratio not quartered for {_basis(lat)}")
+    return len(lats), vs
 
-    return SuiteReport(suite="torus", seed=seed, checks=tuple(checks),
-                       violations=_cap(violations))
+
+_TORUS_CHECKS = (
+    ("ratio_value", _ratio_value),
+    ("oracle_equivalence", _oracle_equivalence),
+    ("segment_bound", _segment_bound),
+    ("norm_comparison", _norm_comparison),
+    ("scale_equivariance", _scale_equivariance),
+)
+
+
+def torus_suite(seed: int) -> SuiteReport:
+    """All flat-torus invariants: exact ratio value, oracle equivalence,
+    segment bound, norm comparison, and scale equivariance."""
+    return _run_checks("torus", seed, _TORUS_CHECKS)
 
 
 # ---------------------------------------------------------------------------
 # cylinder
+
+
+def window_violations(rep: torus_mod.CrossingReport,
+                      wb: cyl_mod.WindingBounds,
+                      first_sign: int) -> list[str]:
+    """A crossing count lies in the winding window, and every crossing
+    carries the window's sign times the first arc's crossing sign."""
+    vs = []
+    if not wb.lo <= rep.count <= wb.hi:
+        vs.append(f"count {rep.count} outside window [{wb.lo}, {wb.hi}]")
+    expected = first_sign * wb.sign
+    if rep.count and expected and any(s != expected for s in rep.signs):
+        vs.append(f"signs {rep.signs} not uniformly {expected}")
+    return vs
 
 
 @dataclass(frozen=True)
@@ -284,33 +317,22 @@ def lemma_sweep(core_length: float, samples: int, rng, *,
         wb = cyl_mod.intersection_bounds(c_wind, d_wind, same_side)
         label = (f"(c={c_wind!r}, d={d_wind!r}, "
                  f"{'same' if same_side else 'opposite'}, eps1={eps1})")
-        ok = True
+        vs: list[str] = []
         try:
             rep = cyl_mod.count_crossings_cyl(cyl, arc1, arc2, rng)
         except RetrySignal as exc:
-            violations.append(f"oracle stuck at {label}: {exc}")
-            ok = False
+            vs.append(f"oracle stuck at {label}: {exc}")
             rep = None
         if rep is not None:
             max_count = max(max_count, rep.count)
-            if not wb.lo <= rep.count <= wb.hi:
-                violations.append(
-                    f"count {rep.count} outside [{wb.lo}, {wb.hi}] at {label}")
-                ok = False
-            expected = eps1 * wb.sign
-            if rep.count and expected != 0:
-                if any(s != expected for s in rep.signs):
-                    violations.append(
-                        f"signs {rep.signs} not uniformly {expected} "
-                        f"at {label}")
-                    ok = False
+            vs += [f"{v} at {label}" for v in window_violations(rep, wb, eps1)]
         for arc in (arc1, arc2):
             length = cyl_mod.arc_length(cyl, arc)
             lower = max(floor_len, abs(arc.winding) * core_length)
             if length < lower - 1e-9:
-                violations.append(
+                vs.append(
                     f"arc length {length!r} below floor {lower!r} at {label}")
-                ok = False
+        violations += vs
         if collect_records:
             records.append({
                 "c_wind": c_wind, "d_wind": d_wind,
@@ -321,164 +343,110 @@ def lemma_sweep(core_length: float, samples: int, rng, *,
                 "window": [wb.lo, wb.hi],
                 "expected_sign": eps1 * wb.sign,
                 "signs": None if rep is None else list(rep.signs),
-                "ok": ok,
+                "ok": not vs,
             })
     return SweepResult(core_length=core_length, samples=samples,
                        violations=tuple(violations), max_count=max_count,
                        records=tuple(records) if collect_records else None)
 
 
-def _sample_family(rng, m: int, count: int = 2) -> tuple[float, ...]:
-    """Windings whose minimal absolute value has floor m, with pairwise
-    gaps below 1; mixed signs are exercised when m = 0."""
+def _sample_family(rng, m: int) -> tuple[float, float]:
+    """Two windings whose minimal absolute value has floor m, less than 1
+    apart; mixed signs are exercised when m = 0."""
     if m == 0:
         center = rng.uniform(-0.5, 0.5)
-        return tuple(center + rng.uniform(-0.49, 0.49) for _ in range(count))
+        return tuple(center + rng.uniform(-0.49, 0.49) for _ in range(2))
     sigma = 1.0 if rng.random() < 0.5 else -1.0
     u_lo = rng.uniform(0.0, 0.01)
     return tuple(sigma * (m + u_lo + rng.uniform(0.0, 0.98))
-                 for _ in range(count))
+                 for _ in range(2))
 
 
-def cylinder_suite(seed: int, *, samples: int = 10_000,
-                   core_lengths: Sequence[float] = (0.05, 0.1, 0.2),
-                   flipped_samples: int = 1_000,
-                   twist_samples: int = 2_000,
-                   rewind_m_max: int = 12,
-                   rewind_per_cell: int = 50) -> SuiteReport:
-    """All cylinder invariants: the winding window and sign rule against
-    the crossing oracle (both crossing conventions), Dehn twist algebra,
-    the exhaustive rewind grid, and the collar-constant inequalities."""
-    rng_sweep = named_stream(seed, "cylinder.sweep")
-    rng_flip = named_stream(seed, "cylinder.flipped")
-    rng_twist = named_stream(seed, "cylinder.twist")
-    rng_rewind = named_stream(seed, "cylinder.rewind")
-
-    checks: list[CheckOutcome] = []
-    violations: list[str] = []
-
-    # main sweep, first arc crossing positively
+def _winding_window_and_sign(seed: int) -> tuple[int, list[str]]:
+    """The main sweep, first arc crossing positively, on three cores."""
+    rng = named_stream(seed, "cylinder.sweep")
     vs: list[str] = []
-    share = samples // len(core_lengths)
     cases = 0
-    for i, length in enumerate(core_lengths):
-        n = share if i < len(core_lengths) - 1 else samples - share * i
-        res = lemma_sweep(length, n, rng_sweep)
+    for length, n in ((0.05, 3333), (0.1, 3333), (0.2, 3334)):
+        res = lemma_sweep(length, n, rng)
         cases += n
-        vs.extend(f"[core {length}] {v}" for v in res.violations)
-    checks.append(CheckOutcome("winding_window_and_sign", cases, len(vs)))
-    violations += vs
+        vs += [f"[core {length}] {v}" for v in res.violations]
+    return cases, vs
 
-    # flipped convention: first arc crossing negatively
-    vs = []
-    res = lemma_sweep(0.1, flipped_samples, rng_flip, first_sign=-1)
-    vs.extend(f"[flipped] {v}" for v in res.violations)
-    checks.append(CheckOutcome("flipped_sign_convention",
-                               flipped_samples, len(vs)))
-    violations += vs
 
-    # Dehn twist algebra: exact inversion on dyadic inputs, and agreement
-    # of the winding formula with the coordinate map
-    vs = []
-    for _ in range(twist_samples):
-        c = int(rng_twist.integers(-8192, 8193)) / 1024.0
-        z = int(rng_twist.integers(-12288, 12289)) / 1024.0
-        eps = 1 if rng_twist.random() < 0.5 else -1
-        back = cyl_mod.dehn_twist_winding(
-            cyl_mod.dehn_twist_winding(c, eps, z), eps, -z)
-        if back != c:
-            vs.append(f"twist inversion not exact: {c} -> {back}")
-    for _ in range(500):
-        length = 0.2
-        tcyl = cyl_mod.make_collar(length, "shrunk")
-        w = tcyl.half_width
-        c = rng_twist.uniform(-6.0, 6.0)
-        z = rng_twist.uniform(-6.0, 6.0)
-        eps = 1 if rng_twist.random() < 0.5 else -1
-        t_in = rng_twist.uniform(0.0, length)
-        t_out = t_in + c * length
-        in2, _ = cyl_mod.dehn_twist_map(tcyl, z, t_in, -eps * w)
-        out2, _ = cyl_mod.dehn_twist_map(tcyl, z, t_out, eps * w)
-        direct = cyl_mod.dehn_twist_winding(c, eps, z)
-        if abs((out2 - in2) / length - direct) > 1e-9:
-            vs.append(
-                f"twist coordinate map disagrees with winding formula at "
-                f"(c={c!r}, z={z!r}, eps={eps})")
-    checks.append(CheckOutcome("dehn_twist_algebra",
-                               twist_samples + 500, len(vs)))
-    violations += vs
+def _flipped_sign_convention(seed: int) -> tuple[int, list[str]]:
+    """The sweep with the first arc crossing negatively."""
+    rng = named_stream(seed, "cylinder.flipped")
+    res = lemma_sweep(0.1, 1_000, rng, first_sign=-1)
+    return res.samples, [f"[flipped] {v}" for v in res.violations]
 
-    # exhaustive rewind grid over (m_gamma, m_delta) cells and both sides
-    vs = []
+
+def _rewind_grid(seed: int) -> tuple[int, list[str]]:
+    """The rewind move on 50 samples of every (m_gamma, m_delta) cell up
+    to 12, from both sides."""
+    rng = named_stream(seed, "cylinder.rewind")
+    vs: list[str] = []
     cases = 0
-    for m_g in range(rewind_m_max + 1):
-        for m_d in range(rewind_m_max + 1):
-            for same_side in (True, False):
-                for _ in range(rewind_per_cell):
-                    g = _sample_family(rng_rewind, m_g)
-                    d = _sample_family(rng_rewind, m_d)
-                    cases += 1
-                    try:
-                        rep = cyl_mod.rewind_suite_check(g, d, same_side)
-                    except RejectedInputError as exc:
-                        vs.append(f"sampler broke a precondition at cell "
-                                  f"({m_g}, {m_d}): {exc}")
-                        continue
-                    if not rep.ok:
-                        vs.extend(
-                            f"cell ({m_g}, {m_d}, "
-                            f"{'same' if same_side else 'opposite'}): {v}"
-                            for v in rep.violations)
-    checks.append(CheckOutcome("rewind_grid", cases, len(vs)))
-    violations += vs
+    for m_g, m_d, same_side in product(range(13), range(13), (True, False)):
+        for _ in range(50):
+            g = _sample_family(rng, m_g)
+            d = _sample_family(rng, m_d)
+            cases += 1
+            try:
+                rep = cyl_mod.rewind_suite_check(g, d, same_side)
+            except RejectedInputError as exc:
+                vs.append(f"sampler broke a precondition at cell "
+                          f"({m_g}, {m_d}): {exc}")
+                continue
+            vs += [f"cell ({m_g}, {m_d}, "
+                   f"{'same' if same_side else 'opposite'}): {v}"
+                   for v in rep.violations]
+    return cases, vs
 
-    # collar-constant inequalities on the cylinder's working range
-    grid = tuple(0.01 + (0.25 - 0.01) * i / 999.0 for i in range(1000))
-    rep = bounds_mod.collar_constants_check(grid)
-    checks.append(CheckOutcome("collar_constants",
-                               rep.points_checked + rep.mono_points_checked,
-                               len(rep.violations)))
-    violations += list(rep.violations)
 
-    return SuiteReport(suite="cylinder", seed=seed, checks=tuple(checks),
-                       violations=_cap(violations))
+_CYLINDER_CHECKS = (
+    ("winding_window_and_sign", _winding_window_and_sign),
+    ("flipped_sign_convention", _flipped_sign_convention),
+    ("rewind_grid", _rewind_grid),
+)
+
+
+def cylinder_suite(seed: int) -> SuiteReport:
+    """All cylinder invariants: the winding window and sign rule against
+    the crossing oracle (both crossing conventions) and the exhaustive
+    rewind grid."""
+    return _run_checks("cylinder", seed, _CYLINDER_CHECKS)
 
 
 # ---------------------------------------------------------------------------
 # bounds
 
 
-def bounds_suite(seed: int, *, genus_max: int = 20,
-                 grid_points: int = 50) -> SuiteReport:
-    """All bound-formula invariants: double-versus-extended agreement,
-    ordering across the (genus, l1) grid, the general-bound sandwich on
-    random parameters, profile monotonicity and limits, and the collar
-    constants on their full ranges."""
-    rng = named_stream(seed, "bounds.params")
-    checks: list[CheckOutcome] = []
-    violations: list[str] = []
-
-    # double vs extended evaluation
-    vs: list[str] = []
+def _extended_precision_agreement(seed: int) -> tuple[int, list[str]]:
+    """Double and extended evaluations of the hyperbolic bounds agree."""
     anchors = ((2, 0.1), (3, 0.1), (2, 1e-3), (5, 0.01), (20, 0.25))
+    fields = ("lower", "upper", "collar_rate")
+    vs: list[str] = []
     for s, l1 in anchors:
         db = bounds_mod.hyperbolic_bounds(s, l1)
         ex = bounds_mod.hyperbolic_bounds(s, l1, extended=True)
-        for field in ("lower", "upper", "collar_rate"):
+        for field in fields:
             d = getattr(db, field)
             e = getattr(ex, field)
             if abs(d - e) > 1e-6 * abs(e):
                 vs.append(f"{field}({s}, {l1}) drifts from extended "
                           f"precision: {d!r} vs {e!r}")
-    checks.append(CheckOutcome("extended_precision_agreement",
-                               len(anchors) * 3, len(vs)))
-    violations += vs
+    return len(anchors) * len(fields), vs
 
-    # ordering across the grid, and monotonicity in the genus
-    vs = []
-    grid = bounds_mod.parse_grid(f"1e-4:0.25:{grid_points}", geometric=True)
+
+def _bound_ordering(seed: int) -> tuple[int, list[str]]:
+    """The lower bound stays below the collar rate across the (genus, l1)
+    grid, and decreases strictly in the genus."""
+    genera = range(2, 21)
+    grid = bounds_mod.parse_grid("1e-4:0.25:50", geometric=True)
+    vs: list[str] = []
     cases = 0
-    for s in range(2, genus_max + 1):
+    for s in genera:
         for l1 in grid:
             hb = bounds_mod.hyperbolic_bounds(s, l1)
             cases += 1
@@ -486,18 +454,20 @@ def bounds_suite(seed: int, *, genus_max: int = 20,
                 vs.append(f"lower {hb.lower!r} not below the collar rate "
                           f"{hb.collar_rate!r} at (s={s}, l1={l1})")
     for l1 in (0.1, 0.01):
-        values = [bounds_mod.hyperbolic_bounds(s, l1).lower
-                  for s in range(2, genus_max + 1)]
+        values = [bounds_mod.hyperbolic_bounds(s, l1).lower for s in genera]
         cases += len(values)
         if any(a <= b for a, b in zip(values, values[1:])):
             vs.append(f"lower bound not strictly decreasing in the "
                       f"genus at l1={l1}")
-    checks.append(CheckOutcome("bound_ordering", cases, len(vs)))
-    violations += vs
+    return cases, vs
 
-    # general bounds on random admissible parameters
-    vs = []
+
+def _general_bounds_sandwich(seed: int) -> tuple[int, list[str]]:
+    """General bounds on random admissible parameters are positive and
+    ordered."""
+    rng = named_stream(seed, "bounds.params")
     cases = 100
+    vs: list[str] = []
     for _ in range(cases):
         genus = int(rng.integers(1, 6))
         l1 = math.exp(rng.uniform(-3.0, 0.5))
@@ -520,12 +490,13 @@ def bounds_suite(seed: int, *, genus_max: int = 20,
                       f"D={diameter!r}")
         if genus >= 2 and rep.hyp_lower is None:
             vs.append(f"hyperbolic fields missing at genus {genus}")
-    checks.append(CheckOutcome("general_bounds_sandwich", cases, len(vs)))
-    violations += vs
+    return cases, vs
 
-    # asymptotic profiles: tails monotone with the stated limits, full
-    # lower profile monotone, all anchored to extended precision
-    vs = []
+
+def _asymptotic_profiles(seed: int) -> tuple[int, list[str]]:
+    """Tail profiles monotone with the stated limits, the full lower
+    profile monotone, all anchored to extended precision."""
+    vs: list[str] = []
     profile_grid = bounds_mod.parse_grid("1e-2:1e-12:51", geometric=True)
     rows = bounds_mod.asymptotic_profile(2, profile_grid)
     for a, b in zip(rows, rows[1:]):
@@ -545,7 +516,8 @@ def bounds_suite(seed: int, *, genus_max: int = 20,
     if abs(last.upper_profile_tail - 18.0) > 0.05 * 18.0:
         vs.append(f"upper tail profile {last.upper_profile_tail!r} at "
                   f"l1=1e-12 not within 5% of 18")
-    for s, l1 in ((2, 1e-3), (3, 1e-4)):
+    anchors = ((2, 1e-3), (3, 1e-4))
+    for s, l1 in anchors:
         (row,) = bounds_mod.asymptotic_profile(s, (l1,))
         (ex,) = bounds_mod.asymptotic_profile(s, (l1,), extended=True)
         for field in ("lower_profile", "upper_profile",
@@ -554,19 +526,31 @@ def bounds_suite(seed: int, *, genus_max: int = 20,
             if abs(d - e) > 1e-9 * e:
                 vs.append(f"{field} at (s={s}, l1={l1}) drifts from "
                           "extended precision")
-    checks.append(CheckOutcome("asymptotic_profiles",
-                               len(rows) + 2, len(vs)))
-    violations += vs
+    return len(rows) + len(anchors), vs
 
-    # collar constants on the default full ranges
+
+def _collar_constants(seed: int) -> tuple[int, list[str]]:
+    """The collar-width inequalities on their default full ranges."""
     rep = bounds_mod.collar_constants_check()
-    checks.append(CheckOutcome("collar_constants",
-                               rep.points_checked + rep.mono_points_checked,
-                               len(rep.violations)))
-    violations += list(rep.violations)
+    return (rep.points_checked + rep.mono_points_checked,
+            list(rep.violations))
 
-    return SuiteReport(suite="bounds", seed=seed, checks=tuple(checks),
-                       violations=_cap(violations))
+
+_BOUNDS_CHECKS = (
+    ("extended_precision_agreement", _extended_precision_agreement),
+    ("bound_ordering", _bound_ordering),
+    ("general_bounds_sandwich", _general_bounds_sandwich),
+    ("asymptotic_profiles", _asymptotic_profiles),
+    ("collar_constants", _collar_constants),
+)
+
+
+def bounds_suite(seed: int) -> SuiteReport:
+    """All bound-formula invariants: double-versus-extended agreement,
+    ordering across the (genus, l1) grid, the general-bound sandwich on
+    random parameters, profile monotonicity and limits, and the collar
+    constants on their full ranges."""
+    return _run_checks("bounds", seed, _BOUNDS_CHECKS)
 
 
 # ---------------------------------------------------------------------------

@@ -14,6 +14,7 @@ import sys
 import pytest
 
 import intnorm
+import intnorm.cli
 from intnorm.cli import _PROFILE_COLUMNS, _RECORD_COLUMNS, main
 
 TOP_LEVEL_KEYS = {"command", "inputs", "results", "violations",
@@ -271,6 +272,71 @@ def test_verify_bounds_suite_reproducible(tmp_path):
     (suite,) = doc["results"]["suites"]
     assert suite["suite"] == "bounds"
     assert all(c["failures"] == 0 for c in suite["checks"])
+
+
+# The checks of each suite, in report order.
+VERIFY_CHECKS = {
+    "torus": ["ratio_value", "oracle_equivalence", "segment_bound",
+              "norm_comparison", "scale_equivariance"],
+    "cylinder": ["winding_window_and_sign", "flipped_sign_convention",
+                 "rewind_grid"],
+    "bounds": ["extended_precision_agreement", "bound_ordering",
+               "general_bounds_sandwich", "asymptotic_profiles",
+               "collar_constants"],
+}
+
+
+def test_verify_all_runs_the_pinned_checks(capsys):
+    code, doc = run_json(capsys, ["verify", "--suite", "all", "--seed", "1"])
+    assert code == 0
+    suites = doc["results"]["suites"]
+    assert {s["suite"]: [c["name"] for c in s["checks"]]
+            for s in suites} == VERIFY_CHECKS
+    assert all(c["cases"] > 0 and c["failures"] == 0
+               for s in suites for c in s["checks"])
+
+
+@pytest.fixture
+def shifted_windows(monkeypatch):
+    """Every winding window one too high, in the suites and the CLI."""
+    real = intnorm.cylinder.intersection_bounds
+
+    def shifted(c_wind, d_wind, same_side):
+        wb = real(c_wind, d_wind, same_side)
+        return wb._replace(lo=wb.lo + 1, hi=wb.hi + 1)
+
+    monkeypatch.setattr(intnorm.cylinder, "intersection_bounds", shifted)
+    monkeypatch.setattr(intnorm.cli, "intersection_bounds", shifted)
+
+
+def test_verify_reports_failing_checks_and_caps_violations(shifted_windows,
+                                                           tmp_path):
+    out = tmp_path / "cylinder.json"
+    assert main(["verify", "--suite", "cylinder", "--seed", "1",
+                 "--output", str(out)]) == 1
+    doc = json.loads(out.read_text())
+    (suite,) = doc["results"]["suites"]
+    failures = {c["name"]: c["failures"] for c in suite["checks"]}
+    assert failures["winding_window_and_sign"] > 0
+    assert failures["flipped_sign_convention"] > 0
+    assert failures["rewind_grid"] == 0
+    violations = suite["violations"]
+    assert len(violations) == 26
+    assert violations[-1] == (f"... and {sum(failures.values()) - 25} "
+                              "more")
+    assert doc["violations"] == [f"[cylinder] {v}" for v in violations]
+
+
+def test_cylinder_arc_pair_outside_its_window_is_a_violation(
+        shifted_windows, tmp_path, capsys):
+    path = tmp_path / "arcs.json"
+    path.write_text(json.dumps({"pairs": [{"arc1": [0.03, 0.0, 1],
+                                           "arc2": [0.11, 2.5, 1]}]}))
+    code, doc = run_json(capsys, ["cylinder", "--core-length", "0.2",
+                                  "--samples", "1",
+                                  "--arcs-json", str(path)])
+    assert code == 1
+    assert "pair #0: count 2 outside window [3, 4]" in doc["violations"]
 
 
 def test_verify_unknown_suite_is_a_usage_error():

@@ -8,7 +8,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from intnorm import (
@@ -20,7 +20,6 @@ from intnorm import (
     RejectedInputError,
     RetrySignal,
     RewindInput,
-    WidthError,
     arc_length,
     collar_width,
     count_crossings_cyl,
@@ -74,8 +73,6 @@ def test_make_collar_mode_errors():
 
 
 def test_make_collar_width_and_domain_errors():
-    with pytest.raises(WidthError):
-        make_collar(0.2, "shrunk", shrink=5.0)
     with pytest.raises(DomainError):
         make_collar(-1.0)
     with pytest.raises(DomainError):
@@ -334,6 +331,7 @@ def test_count_crossings_cyl_recovers_from_overlapping_lifts():
 # ------------------------------------------------------- half-plane charts
 
 @given(t=st.floats(-5, 5), s=st.floats(-4, 4))
+@example(t=0.3, s=1.06e-8)
 @settings(max_examples=150, deadline=None)
 def test_halfplane_roundtrip(t, s):
     x, y = fermi_to_halfplane(t, s)
