@@ -28,7 +28,6 @@ from .bounds import (
 from .cylinder import (
     ArcSpec,
     Cylinder,
-    RewindInput,
     RewindReport,
     WindingBounds,
     arc_length,
@@ -40,8 +39,8 @@ from .cylinder import (
     halfplane_to_fermi,
     intersection_bounds,
     make_collar,
+    rewind_shift,
     rewind_suite_check,
-    rewind_winding,
     winding_from_endpoints,
 )
 from .errors import (
@@ -97,7 +96,7 @@ __all__ = [
     "CutoffTooSmallError", "Cylinder", "DegenerateInputError",
     "DomainError", "EmptySearchError", "GeometryError", "HyperbolicBounds",
     "IntegerClass", "Lattice", "ModeError", "ProfileRow", "RealClass",
-    "RejectedInputError", "RetrySignal", "RewindInput", "RewindReport",
+    "RejectedInputError", "RetrySignal", "RewindReport",
     "SuiteReport", "SurfaceParams", "TWO_ARSINH_ONE",
     "WindingBounds", "arc_length", "asymptotic_profile",
     "best_ratio_search", "boundary_length", "bounds_suite", "class_length",
@@ -110,7 +109,7 @@ __all__ = [
     "halfplane_to_fermi", "hyperbolic_bounds", "intersection_bounds",
     "intersection_number", "k_real", "lemma_sweep", "make_collar",
     "min_length_product", "named_stream", "norm_comparison_report",
-    "parse_grid", "reduced_basis", "rewind_suite_check", "rewind_winding",
+    "parse_grid", "reduced_basis", "rewind_shift", "rewind_suite_check",
     "run_suites", "segment_bound_check", "systole", "torus_diameter",
     "torus_suite", "winding_from_endpoints",
 ]

@@ -355,56 +355,15 @@ def count_crossings_cyl(cyl: Cylinder, arc1: ArcSpec, arc2: ArcSpec,
 # rewinding
 
 
-@dataclass(frozen=True)
-class RewindInput:
-    """One arc's data for the rewinding move.
-
-    kind is 'gamma' or 'delta' (which of the two curve families the arc
-    belongs to), winding its winding number, and m_gamma / m_delta the
-    floors of the minimal absolute windings of the two families.
-    """
-
-    kind: str
-    winding: float
-    m_gamma: int
-    m_delta: int
-
-    def __post_init__(self):
-        if self.kind not in ("gamma", "delta"):
-            raise DomainError(f"kind must be 'gamma' or 'delta', "
-                              f"got {self.kind!r}")
-        if not math.isfinite(self.winding):
-            raise DomainError("winding must be finite")
-        for name in ("m_gamma", "m_delta"):
-            m = getattr(self, name)
-            if not isinstance(m, int) or m < 0:
-                raise DomainError(f"{name} must be a non-negative integer, "
-                                  f"got {m!r}")
-
-    @property
-    def orientation(self) -> int:
-        """Sign of the winding: +1, -1, or 0."""
-        return _sign(self.winding)
-
-
-def rewind_winding(inp: RewindInput, gamma_leads: bool) -> float:
-    """Rewound winding number of one arc.
-
-    When the gamma family leads (its minimal absolute winding is the
-    smaller), gamma arcs lose orientation * max(m_gamma - 1, 0) and delta
-    arcs additionally lose orientation * max(m_delta - m_gamma - 2, 0);
-    with the delta family leading the roles swap.
-    """
-    if gamma_leads:
-        m_lead, m_trail = inp.m_gamma, inp.m_delta
-        leads = inp.kind == "gamma"
-    else:
-        m_lead, m_trail = inp.m_delta, inp.m_gamma
-        leads = inp.kind == "delta"
+def rewind_shift(m_lead: int, m_trail: int, leads: bool) -> int:
+    """Whole turns the rewinding move takes off each winding of a family:
+    max(m_lead - 1, 0) for the leading family, plus max(m_trail - m_lead -
+    2, 0) for the trailing one.  m_lead <= m_trail are the floors of the
+    two families' minimal absolute windings."""
     shift = max(m_lead - 1, 0)
     if not leads:
         shift += max(m_trail - m_lead - 2, 0)
-    return inp.winding - inp.orientation * shift
+    return shift
 
 
 @dataclass(frozen=True)
@@ -434,18 +393,15 @@ def _check_family(name: str, winds: Sequence[float]) -> None:
     for v in winds:
         if not math.isfinite(v):
             raise RejectedInputError(f"{name} winding {v!r} is not finite")
-    for i, vi in enumerate(winds):
-        for vj in winds[i + 1:]:
-            if abs(vi - vj) >= 1.0:
-                raise RejectedInputError(
-                    f"{name} windings {vi} and {vj} differ by >= 1; arcs of "
-                    "one simple closed geodesic cannot do that")
-    if min(abs(v) for v in winds) >= 1.0:
-        signs = {_sign(v) for v in winds}
-        if len(signs) > 1:
-            raise RejectedInputError(
-                f"{name} windings of absolute value >= 1 must share one "
-                f"orientation, got {tuple(winds)}")
+    lo, hi = min(winds), max(winds)
+    if hi - lo >= 1.0:
+        raise RejectedInputError(
+            f"{name} windings {lo} and {hi} differ by >= 1; arcs of "
+            "one simple closed geodesic cannot do that")
+    if lo < 0.0 < hi and min(abs(v) for v in winds) >= 1.0:
+        raise RejectedInputError(
+            f"{name} windings of absolute value >= 1 must share one "
+            f"orientation, got {tuple(winds)}")
 
 
 # The reference collar of rewind_suite_check: the shrunk collar of core
@@ -466,10 +422,28 @@ def rewind_suite_check(gamma_winds: Sequence[float],
 
     Checks reported as violations: the leading family rewinds to absolute
     value below 3 and the trailing one below 5; for every cross pair the
-    sign of (delta - gamma) (same side) or (delta + gamma) (opposite
+    sign of x = (delta - gamma) (same side) or (delta + gamma) (opposite
     sides) is unchanged; and each rewound winding, traded for a loop along
     the boundary circle of the reference shrunk collar of core length
     0.2, is strictly shorter than the arc it replaces.
+
+    The family with the smaller minimal absolute winding leads (gamma on
+    a tie), and each winding v moves sign(v) * ``rewind_shift`` turns
+    toward zero.  The preconditions imply all three rules.  A family with
+    floor m >= 1 of its minimal absolute winding has one orientation
+    sigma and sigma*v in [m, m + 2); at m = 0 it lies in (-2, 2) and is
+    not shifted.  With g = m_trail - m_lead, the leading family lands
+    within 3 and the trailing one within 5 (in [3, 5) for m_lead >= 1
+    and g >= 3).  No shift exceeds its family's m, and x moves by a whole
+    number c that is 0 or has the sign of x with |c| < |x|.  Five
+    reference boundary circles (2.82) are shorter than the collar's width
+    2w (3.39), the shortest crossing arc.
+
+    ``rewind_cell_violations`` decides the rules on each cell, and
+    verify's ``rewind_grid`` runs it on every cell with m_trail <= 12.
+    That covers every shape: what a cell decides depends on (m_lead,
+    m_trail) only through min(m_lead, 2) and min(g, 3), except for the
+    length margin, which grows with m as the crossing arc lengthens.
     """
     gamma_winds = tuple(float(v) for v in gamma_winds)
     delta_winds = tuple(float(v) for v in delta_winds)
@@ -481,28 +455,26 @@ def rewind_suite_check(gamma_winds: Sequence[float],
     m_gamma = int(math.floor(min_g))
     m_delta = int(math.floor(min_d))
     gamma_leads = min_g <= min_d
-
-    def rewound(kind: str, v: float) -> float:
-        inp = RewindInput(kind=kind, winding=v, m_gamma=m_gamma,
-                          m_delta=m_delta)
-        return rewind_winding(inp, gamma_leads)
-
-    gamma_new = tuple(rewound("gamma", v) for v in gamma_winds)
-    delta_new = tuple(rewound("delta", v) for v in delta_winds)
+    m_lead, m_trail = sorted((m_gamma, m_delta))
 
     violations: list[str] = []
-    lead_name, lead_new = (("gamma", gamma_new) if gamma_leads
-                           else ("delta", delta_new))
-    trail_name, trail_new = (("delta", delta_new) if gamma_leads
-                             else ("gamma", gamma_new))
-    for v in lead_new:
-        if not abs(v) < 3.0:
-            violations.append(
-                f"leading {lead_name} arc rewound to {v}, |.| >= 3")
-    for v in trail_new:
-        if not abs(v) < 5.0:
-            violations.append(
-                f"trailing {trail_name} arc rewound to {v}, |.| >= 5")
+    rewound = []
+    w, l = _REWIND_COLLAR.half_width, _REWIND_COLLAR.core_length
+    for name, winds, leads in (("gamma", gamma_winds, gamma_leads),
+                               ("delta", delta_winds, not gamma_leads)):
+        shift = rewind_shift(m_lead, m_trail, leads)
+        role, bound = ("leading", 3) if leads else ("trailing", 5)
+        rewound.append(tuple(v - _sign(v) * shift for v in winds))
+        for v, v_new in zip(winds, rewound[-1]):
+            if not abs(v_new) < bound:
+                violations.append(
+                    f"{role} {name} arc rewound to {v_new}, |.| >= {bound}")
+            if not (abs(v_new) * _REWIND_CIRCLE
+                    < crossing_arc_length(w, abs(v) * l)):
+                violations.append(
+                    f"rewound {name} winding {v_new} as a boundary loop is "
+                    f"not shorter than the original arc of winding {v}")
+    gamma_new, delta_new = rewound
 
     for cg, cg_new in zip(gamma_winds, gamma_new):
         for dl, dl_new in zip(delta_winds, delta_new):
@@ -514,17 +486,61 @@ def rewind_suite_check(gamma_winds: Sequence[float],
                     f" flipped on pair ({cg}, {dl}): "
                     f"{_sign(before)} -> {_sign(after)}")
 
-    w, l = _REWIND_COLLAR.half_width, _REWIND_COLLAR.core_length
-    for name, winds, winds_new in (("gamma", gamma_winds, gamma_new),
-                                   ("delta", delta_winds, delta_new)):
-        for v, v_new in zip(winds, winds_new):
-            if not (abs(v_new) * _REWIND_CIRCLE
-                    < crossing_arc_length(w, abs(v) * l)):
-                violations.append(
-                    f"rewound {name} winding {v_new} as a boundary loop is "
-                    f"not shorter than the original arc of winding {v}")
-
     return RewindReport(same_side=same_side, gamma_leads=gamma_leads,
                         m_gamma=m_gamma, m_delta=m_delta,
                         gamma_rewound=gamma_new, delta_rewound=delta_new,
                         violations=tuple(violations))
+
+
+def rewind_cell_violations(m_lead: int, m_trail: int, sigma_lead: int,
+                           sigma_trail: int, same_side: bool) -> list[str]:
+    """Decide the three rules of ``rewind_suite_check`` for every input in
+    one cell: the floors m_lead <= m_trail of the two families' minimal
+    absolute windings, their orientations sigma, and the side.
+
+    A family spans sigma*[m, m + 2), or (-2, 2) at m = 0, and moves by
+    -sigma*s with s from ``rewind_shift``.  Spans are held in quarter
+    turns with each open end pulled a quarter inward, which decides every
+    comparison of a sum of two ends with whole turns as the open end
+    does.  The rewound spans must lie within 3 (leading) and 5
+    (trailing); a cross difference or sum x = trail -/+ lead moves by
+    c = sigma_trail*s_trail -/+ sigma_lead*s_lead and keeps its sign iff
+    c = 0 or its span misses [0, c]; and the largest rewound |v| times
+    the reference boundary circle must be below the family's shortest
+    arc, at winding m (a sufficient test).  The spans assume one
+    orientation, which a family with m = 0 need not have, so a shift
+    there is a violation too.
+    """
+    spans = []
+    violations: list[str] = []
+    for role, m, sigma, bound in (("leading", m_lead, sigma_lead, 3),
+                                  ("trailing", m_trail, sigma_trail, 5)):
+        s = rewind_shift(m_lead, m_trail, role == "leading")
+        if m == 0 and s:
+            violations.append(f"{role} family with m = 0 shifted by {s}; "
+                              "it may mix orientations")
+        lo, hi = (4 * m, 4 * m + 7) if m else (-7, 7)
+        lo, hi = (lo, hi) if sigma > 0 else (-hi, -lo)
+        spans.append((lo, hi, sigma * s))
+        new_lo, new_hi = lo - 4 * sigma * s, hi - 4 * sigma * s
+        if not -4 * bound < new_lo <= new_hi < 4 * bound:
+            violations.append(f"{role} windings shifted by {s} can "
+                              f"rewind to |.| >= {bound}")
+        sup = -(-max(-new_lo, new_hi) // 4)
+        shortest = crossing_arc_length(_REWIND_COLLAR.half_width,
+                                       m * _REWIND_COLLAR.core_length)
+        if not sup * _REWIND_CIRCLE < shortest:
+            violations.append(
+                f"{role} windings rewound up to |{sup}| as boundary loops "
+                f"are not certified shorter than the arc {shortest}")
+
+    (l_lo, l_hi, l_move), (t_lo, t_hi, t_move) = spans
+    if same_side:
+        x_lo, x_hi, c = t_lo - l_hi, t_hi - l_lo, t_move - l_move
+    else:
+        x_lo, x_hi, c = t_lo + l_lo, t_hi + l_hi, t_move + l_move
+    if c and x_lo <= 4 * max(c, 0) and x_hi >= 4 * min(c, 0):
+        violations.append(
+            f"the winding {'difference' if same_side else 'sum'} can "
+            f"change sign under the shift {c}")
+    return violations

@@ -9,7 +9,8 @@ into a ``SuiteReport``: a ``CheckOutcome`` per check and the violations of
 all checks, capped at 25 with a count of the rest.  An empty list means
 every check passed.  Sample sizes are fixed in the checks.  All randomness
 is drawn from named Philox streams keyed by the seed, one stream per
-check, so a fixed seed reproduces the identical report byte for byte.
+sampling check (``rewind_grid`` decides its 728 cells exactly and draws
+none), so a fixed seed reproduces the identical report byte for byte.
 
 The verdicts that the command line also reports on single inputs are
 written once here: ``ratio_violations`` and ``segment_violations`` for a
@@ -26,7 +27,7 @@ from typing import Callable, Optional, Sequence
 from . import bounds as bounds_mod
 from . import cylinder as cyl_mod
 from . import flat_torus as torus_mod
-from .errors import DomainError, GeometryError, RejectedInputError, RetrySignal
+from .errors import DomainError, GeometryError, RetrySignal
 from .seeding import named_stream
 
 
@@ -350,18 +351,6 @@ def lemma_sweep(core_length: float, samples: int, rng, *,
                        records=tuple(records) if collect_records else None)
 
 
-def _sample_family(rng, m: int) -> tuple[float, float]:
-    """Two windings whose minimal absolute value has floor m, less than 1
-    apart; mixed signs are exercised when m = 0."""
-    if m == 0:
-        center = rng.uniform(-0.5, 0.5)
-        return tuple(center + rng.uniform(-0.49, 0.49) for _ in range(2))
-    sigma = 1.0 if rng.random() < 0.5 else -1.0
-    u_lo = rng.uniform(0.0, 0.01)
-    return tuple(sigma * (m + u_lo + rng.uniform(0.0, 0.98))
-                 for _ in range(2))
-
-
 def _winding_window_and_sign(seed: int) -> tuple[int, list[str]]:
     """The main sweep, first arc crossing positively, on three cores."""
     rng = named_stream(seed, "cylinder.sweep")
@@ -382,25 +371,20 @@ def _flipped_sign_convention(seed: int) -> tuple[int, list[str]]:
 
 
 def _rewind_grid(seed: int) -> tuple[int, list[str]]:
-    """The rewind move on 50 samples of every (m_gamma, m_delta) cell up
-    to 12, from both sides."""
-    rng = named_stream(seed, "cylinder.rewind")
+    """The rewind move decided exactly on every cell m_lead <= m_trail <=
+    12, for each orientation of each family and both sides; it draws no
+    random numbers."""
     vs: list[str] = []
     cases = 0
-    for m_g, m_d, same_side in product(range(13), range(13), (True, False)):
-        for _ in range(50):
-            g = _sample_family(rng, m_g)
-            d = _sample_family(rng, m_d)
-            cases += 1
-            try:
-                rep = cyl_mod.rewind_suite_check(g, d, same_side)
-            except RejectedInputError as exc:
-                vs.append(f"sampler broke a precondition at cell "
-                          f"({m_g}, {m_d}): {exc}")
-                continue
-            vs += [f"cell ({m_g}, {m_d}, "
-                   f"{'same' if same_side else 'opposite'}): {v}"
-                   for v in rep.violations]
+    for m_lead, m_trail, s_lead, s_trail, same_side in product(
+            range(13), range(13), (1, -1), (1, -1), (True, False)):
+        if m_lead > m_trail:
+            continue
+        cases += 1
+        vs += [f"cell ({m_lead}, {m_trail}, {s_lead:+d}, {s_trail:+d}, "
+               f"{'same' if same_side else 'opposite'}): {v}"
+               for v in cyl_mod.rewind_cell_violations(
+                   m_lead, m_trail, s_lead, s_trail, same_side)]
     return cases, vs
 
 
@@ -413,8 +397,8 @@ _CYLINDER_CHECKS = (
 
 def cylinder_suite(seed: int) -> SuiteReport:
     """All cylinder invariants: the winding window and sign rule against
-    the crossing oracle (both crossing conventions) and the exhaustive
-    rewind grid."""
+    the crossing oracle (both crossing conventions), and the rewind move
+    decided exactly cell by cell."""
     return _run_checks("cylinder", seed, _CYLINDER_CHECKS)
 
 

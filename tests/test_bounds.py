@@ -215,6 +215,14 @@ def test_collar_constants_spot_values():
                                                    rel=1e-12)
 
 
+def test_collar_constants_count_points_of_an_iterator():
+    values = [x / 100 for x in range(1, 26)]
+    from_iter = collar_constants_check(iter(values), (0.1, 0.2))
+    from_tuple = collar_constants_check(tuple(values), (0.1, 0.2))
+    assert from_iter.points_checked == from_tuple.points_checked == 25
+    assert from_iter == from_tuple
+
+
 def test_collar_constants_reject_out_of_range_grids():
     with pytest.raises(DomainError):
         collar_constants_check([0.3], None)

@@ -339,6 +339,29 @@ def test_cylinder_arc_pair_outside_its_window_is_a_violation(
     assert "pair #0: count 2 outside window [3, 4]" in doc["violations"]
 
 
+def _shift_off_by_one(lead_offset, gap_offset):
+    def shift(m_lead, m_trail, leads):
+        s = max(m_lead - 1 + lead_offset, 0)
+        if not leads:
+            s += max(m_trail - m_lead - 2 + gap_offset, 0)
+        return s
+    return shift
+
+
+@pytest.mark.parametrize("lead_offset, gap_offset",
+                         [(1, 0), (-1, 0), (0, 1), (0, -1)])
+def test_verify_rewind_grid_catches_an_off_by_one_shift(
+        monkeypatch, tmp_path, lead_offset, gap_offset):
+    monkeypatch.setattr(intnorm.cylinder, "rewind_shift",
+                        _shift_off_by_one(lead_offset, gap_offset))
+    out = tmp_path / "cylinder.json"
+    assert main(["verify", "--suite", "cylinder", "--seed", "1",
+                 "--output", str(out)]) == 1
+    (suite,) = json.loads(out.read_text())["results"]["suites"]
+    failures = {c["name"]: c["failures"] for c in suite["checks"]}
+    assert failures["rewind_grid"] > 0
+
+
 def test_verify_unknown_suite_is_a_usage_error():
     with pytest.raises(SystemExit) as exc:
         main(["verify", "--suite", "nonsense"])

@@ -5,6 +5,7 @@ oracle in Fermi coordinates, Dehn twists, and the rewinding move.
 from __future__ import annotations
 
 import math
+from itertools import product
 
 import numpy as np
 import pytest
@@ -19,7 +20,6 @@ from intnorm import (
     ModeError,
     RejectedInputError,
     RetrySignal,
-    RewindInput,
     arc_length,
     collar_width,
     count_crossings_cyl,
@@ -30,11 +30,12 @@ from intnorm import (
     halfplane_to_fermi,
     intersection_bounds,
     make_collar,
+    rewind_shift,
     rewind_suite_check,
-    rewind_winding,
     winding_from_endpoints,
 )
-from intnorm.cylinder import MAX_ADVANCE, MAX_TRANSLATES, MIN_CORE_LENGTH
+from intnorm.cylinder import (MAX_ADVANCE, MAX_TRANSLATES, MIN_CORE_LENGTH,
+                              rewind_cell_violations)
 
 from halfplane_reference import crossing_count_oracle_halfplane
 
@@ -414,26 +415,33 @@ def test_dehn_twist_map_range_check():
 
 # ---------------------------------------------------------------- rewinding
 
-def test_rewind_winding_worked_example():
-    inp = RewindInput(kind="gamma", winding=3.4, m_gamma=3, m_delta=7)
-    assert rewind_winding(inp, True) == pytest.approx(1.4)
-    inp_d = RewindInput(kind="delta", winding=7.2, m_gamma=3, m_delta=7)
-    assert rewind_winding(inp_d, True) == pytest.approx(3.2)
+def test_rewind_shift_worked_examples():
+    # (m_lead, m_trail) = (3, 7): the leader loses 2 turns, the trailer
+    # 2 + (7 - 3 - 2) = 4
+    assert rewind_shift(3, 7, True) == 2
+    assert rewind_shift(3, 7, False) == 4
+    assert rewind_shift(2, 7, True) == 1
+    assert rewind_shift(2, 7, False) == 4
+    # m = 0: a family whose minimal winding is below 1 keeps it
+    assert rewind_shift(0, 0, True) == 0
+    assert rewind_shift(0, 0, False) == 0
+    assert rewind_shift(0, 3, False) == 1
 
 
-def test_rewind_winding_negative_orientation():
-    inp = RewindInput(kind="gamma", winding=-3.4, m_gamma=3, m_delta=7)
-    assert inp.orientation == -1
-    assert rewind_winding(inp, True) == pytest.approx(-1.4)
+def test_rewind_suite_negative_orientation():
+    rep = rewind_suite_check([-3.4, -3.9], [-7.2], True)
+    assert rep.ok
+    assert rep.gamma_rewound == pytest.approx((-1.4, -1.9))
+    assert rep.delta_rewound == pytest.approx((-3.2,))
 
 
-def test_rewind_input_validation():
-    with pytest.raises(DomainError):
-        RewindInput(kind="x", winding=1.0, m_gamma=1, m_delta=1)
-    with pytest.raises(DomainError):
-        RewindInput(kind="gamma", winding=1.0, m_gamma=-1, m_delta=1)
-    with pytest.raises(DomainError):
-        RewindInput(kind="gamma", winding=1.0, m_gamma=1.5, m_delta=1)
+def test_rewind_cells_pass_far_beyond_the_grid():
+    # the verify grid stops at 12; the cells repeat in shape beyond it
+    for m_lead, m_trail, s_lead, s_trail, same_side in product(
+            range(41), range(41), (1, -1), (1, -1), (True, False)):
+        if m_lead <= m_trail:
+            assert rewind_cell_violations(
+                m_lead, m_trail, s_lead, s_trail, same_side) == []
 
 
 def test_rewind_suite_worked_example():
