@@ -21,6 +21,15 @@ the pairs near perpendicular: O(N log N) time and O(N) memory.
 ``min_length_product`` finds the shortest partners of each class in its
 Bezout coset: O(N).  Each returns what the full table would, float bits
 and tie-broken pairs included.
+
+``crossing_count_oracle`` tries only the lattice translates in the
+crossing parallelogram, scanned by rows in lattice coordinates: about
+|a| + |c| + |Int(u, v)| of them, however skewed the basis.  Its domain is
+stated and enforced: that sum at most MAX_CROSSING_CANDIDATES, and
+crossings that double precision can place on the segments (a rounding
+bound on the segment parameters of at most 1), which rules out classes
+very long against their intersection number and offsets far from the
+origin.
 """
 
 from __future__ import annotations
@@ -50,6 +59,13 @@ _CUTOFF_SLACK = 1e-12
 # random base point, for at most MAX_TRIES tries in all.
 SEAM_TOLERANCE = 1e-9
 MAX_TRIES = 8
+
+# Domain of the crossing oracle: the most |a| + |c| + |Int(u, v)| of a
+# call, about the number of lattice translates it tries.  A crossing costs
+# about 0.6 us and 230 bytes, mostly its position tuple, so
+# MAX_CROSSING_CANDIDATES keeps one call under about half a second and
+# 200 MB (measured, see crossing_count_oracle).
+MAX_CROSSING_CANDIDATES = 800_000
 
 # Most cells an enumeration box may hold, and most candidate pairs a
 # search may evaluate: each costs tens of bytes of int64 and float64
@@ -688,20 +704,107 @@ def norm_comparison_report(lat: Lattice, h) -> NormComparison:
     return NormComparison(stable=stable, l2=l2, two_sided_ok=ok)
 
 
+def _slab(p: int, q: int, lo: float, hi: float,
+          x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Limits of y on each row x where p*x - q*y lies between lo and hi:
+    (-inf, inf) on the rows inside the slab and (inf, -inf) on the rows
+    outside it when q = 0."""
+    lo, hi = min(lo, hi), max(lo, hi)
+    if q == 0:
+        inside = (p * x >= lo) & (p * x <= hi)
+        return (np.where(inside, -np.inf, np.inf),
+                np.where(inside, np.inf, -np.inf))
+    first, second = (p * x - hi) / q, (p * x - lo) / q
+    return (first, second) if q > 0 else (second, first)
+
+
+def _crossing_translates(lat: Lattice, u: tuple[int, int],
+                         v: tuple[int, int], offset: tuple[float, float]
+                         ) -> tuple[np.ndarray, np.ndarray]:
+    """Coefficients (i, j), in lexicographic order, of the lattice
+    translates i*e1 + j*e2 of the v-segment that the crossing oracle
+    tries: every translate whose exact parameters t on the u-segment and
+    s on the v-segment both lie within a margin of [0, 1].
+
+    In lattice coordinates the two segments meet at t*u - s*v = (i, j) + o,
+    o the offset in the basis.  With n = a*d - b*c, x = i + o1 and
+    y = j + o2, that is t*n = d*x - c*y and s*n = b*x - a*y, so the
+    translates form a parallelogram of area |n| over about |a| + |c| rows
+    of i, each meeting it in one interval of j cut out by two slabs.  The
+    margin is SEAM_TOLERANCE plus a bound on the rounding of the t and s
+    that the oracle computes in the plane, and of the limits computed
+    here: 32 eps * k^2 / (|n| * covolume), where k bounds the lengths met
+    on the way, as ``_reach`` bounds the rounding of class lengths.  Rows
+    number at most (|a| + |c|) * (1 + 2 * margin) + 1.  Raises
+    DomainError, before allocating, when |a| + |c| + |n| exceeds
+    MAX_CROSSING_CANDIDATES, or when the rounding bound exceeds 1, past
+    which the computed t and s say nothing of where a crossing lies.
+    """
+    (a, b), (c, d) = u, v
+    ox, oy = offset
+    (e1x, e1y), (e2x, e2y) = lat.e1, lat.e2
+    o1 = (ox * e2y - oy * e2x) / lat.det
+    o2 = (-ox * e1y + oy * e1x) / lat.det
+    n = a * d - b * c
+    if abs(a) + abs(c) + abs(n) > MAX_CROSSING_CANDIDATES:
+        raise DomainError(
+            f"the crossing oracle would try about |a| + |c| + |Int| = "
+            f"{abs(a) + abs(c) + abs(n)} translates for {u} and {v}, "
+            f"beyond its bound of {MAX_CROSSING_CANDIDATES}; use shorter "
+            "classes")
+    try:
+        k = ((abs(a) + abs(c) + abs(o1) + 1.0) * math.hypot(e1x, e1y)
+             + (abs(b) + abs(d) + abs(o2) + 1.0) * math.hypot(e2x, e2y))
+    except OverflowError:  # a coefficient past the range of a double
+        k = math.inf
+    rounding = 32.0 * _EPS * k / lat.covolume * k / abs(n)
+    if not rounding <= 1.0:
+        raise DomainError(
+            f"crossings of {u} and {v} from the offset {offset} are known "
+            f"only to within {rounding:.3g} of the segments' length in "
+            "double precision; use shorter classes, a better-conditioned "
+            "basis or an offset nearer the origin")
+    lo = -(SEAM_TOLERANCE + rounding)
+    hi = 1.0 + SEAM_TOLERANCE + rounding
+    ilo = math.ceil(min(lo * a, hi * a) - max(lo * c, hi * c) - o1)
+    ihi = math.floor(max(lo * a, hi * a) - min(lo * c, hi * c) - o1)
+    i = np.arange(ilo, ihi + 1, dtype=np.int64)
+    x = i + o1
+    t_lo, t_hi = _slab(d, c, n * lo, n * hi, x)
+    s_lo, s_hi = _slab(b, a, n * lo, n * hi, x)
+    first = np.ceil(np.maximum(t_lo, s_lo) - o2)
+    sizes = np.floor(np.minimum(t_hi, s_hi) - o2) - first + 1.0
+    live = sizes > 0.0
+    sizes = sizes[live].astype(np.int64)
+    starts = first[live].astype(np.int64) - (np.cumsum(sizes) - sizes)
+    return (np.repeat(i[live], sizes),
+            np.repeat(starts, sizes) + np.arange(int(sizes.sum())))
+
+
 def crossing_count_oracle(lat: Lattice, u, v, offset) -> CrossingReport:
     """Count transversal crossings of straight closed geodesics in the
     classes u and v on the torus, by brute force in the universal cover.
 
     The u-geodesic is the segment from the origin to its embedded vector;
-    the v-geodesic starts at ``offset``.  The oracle intersects the
-    u-segment with every lattice translate of the v-segment inside a
-    certified window and reports count, signs and crossing positions.  It
-    never consults the intersection formula, which is the point: the
-    expected outcome is count = |a*d - b*c| with every sign equal to
-    sign(a*d - b*c).
+    the v-geodesic starts at ``offset``.  The oracle solves
+    t*U = offset + lambda + s*V for every lattice translate lambda of the
+    v-segment that can cross the u-segment and reports count, signs and
+    crossing positions.  It never consults the intersection formula, which
+    is the point: the expected outcome is count = |a*d - b*c| with every
+    sign equal to sign(a*d - b*c).
+
+    The translates tried are those of the crossing parallelogram
+    t*(a, b) - s*(c, d) - offset in lattice coordinates, row by row in i
+    (see ``_crossing_translates``), widened in t and s by SEAM_TOLERANCE
+    plus a bound on the rounding of the t and s computed here, so every
+    translate the seam and hit tests can accept is tried.  That is
+    |Int| + O(|a| + |c|) translates, and as much time and memory.
 
     Raises RetrySignal when a crossing falls within SEAM_TOLERANCE of a
-    base-point seam; the caller should re-randomize the offset.
+    base-point seam; the caller should re-randomize the offset.  Raises
+    DomainError, before allocating, when |a| + |c| + |Int| exceeds
+    MAX_CROSSING_CANDIDATES = 800,000 (about half a second per call), or
+    when the rounding bound on t and s exceeds 1.
     """
     a, b = (operator.index(u[0]), operator.index(u[1]))
     c, d = (operator.index(v[0]), operator.index(v[1]))
@@ -711,37 +814,18 @@ def crossing_count_oracle(lat: Lattice, u, v, offset) -> CrossingReport:
         raise DegenerateInputError(
             f"classes {(a, b)} and {(c, d)} are proportional")
     ox, oy = _as_float_pair("offset", offset)
+    i, j = _crossing_translates(lat, (a, b), (c, d), (ox, oy))
 
-    U = np.array(lat.embed((a, b)), dtype=float)
-    V = np.array(lat.embed((c, d)), dtype=float)
-    e1 = np.array(lat.e1)
-    e2 = np.array(lat.e2)
-
-    # certified lattice-translate window from bounding boxes
-    box_a = np.array([np.minimum(0.0, U), np.maximum(0.0, U)])
-    start_b = np.array([ox, oy])
-    box_b = np.array([start_b + np.minimum(0.0, V),
-                      start_b + np.maximum(0.0, V)])
-    diff_lo = box_a[0] - box_b[1]
-    diff_hi = box_a[1] - box_b[0]
-    corners = np.array([[diff_lo[0], diff_lo[1]], [diff_lo[0], diff_hi[1]],
-                        [diff_hi[0], diff_lo[1]], [diff_hi[0], diff_hi[1]]])
-    det = lat.det
-    ii = (corners[:, 0] * e2[1] - corners[:, 1] * e2[0]) / det
-    jj = (-corners[:, 0] * e1[1] + corners[:, 1] * e1[0]) / det
-    ilo, ihi = int(math.floor(ii.min() - 1e-9)), int(math.ceil(ii.max() + 1e-9))
-    jlo, jhi = int(math.floor(jj.min() - 1e-9)), int(math.ceil(jj.max() + 1e-9))
-    gi = np.arange(ilo, ihi + 1)
-    gj = np.arange(jlo, jhi + 1)
-    GI, GJ = np.meshgrid(gi, gj, indexing="ij")
-    lam = (GI.ravel()[:, None] * e1[None, :]
-           + GJ.ravel()[:, None] * e2[None, :])
-
-    rhs = start_b[None, :] + lam
-    cross_uv = U[0] * V[1] - U[1] * V[0]
+    (ux, uy), (vx, vy) = lat.embed((a, b)), lat.embed((c, d))
+    (e1x, e1y), (e2x, e2y) = lat.e1, lat.e2
+    # the translate of the v-segment by i*e1 + j*e2 meets the u-line at
+    # t*U = offset + i*e1 + j*e2 + s*V
+    rx = ox + (i * e1x + j * e2x)
+    ry = oy + (i * e1y + j * e2y)
+    cross_uv = ux * vy - uy * vx
     det_m = -cross_uv
-    t = (-V[1] * rhs[:, 0] + V[0] * rhs[:, 1]) / det_m
-    s = (-U[1] * rhs[:, 0] + U[0] * rhs[:, 1]) / det_m
+    t = (-vy * rx + vx * ry) / det_m
+    s = (-uy * rx + ux * ry) / det_m
 
     tol = SEAM_TOLERANCE
     near_t = (np.abs(t) <= tol) | (np.abs(t - 1.0) <= tol)
@@ -759,10 +843,10 @@ def crossing_count_oracle(lat: Lattice, u, v, offset) -> CrossingReport:
     # reduce t*U to the fundamental domain in basis coordinates
     fa = np.mod(th * a, 1.0)
     fb = np.mod(th * b, 1.0)
-    px = fa * e1[0] + fb * e2[0]
-    py = fa * e1[1] + fb * e2[1]
+    px = fa * e1x + fb * e2x
+    py = fa * e1y + fb * e2y
     order = np.argsort(th)
-    positions = tuple((float(px[k]), float(py[k])) for k in order)
+    positions = tuple(zip(px[order].tolist(), py[order].tolist()))
     return CrossingReport(count=count, signs=(sign,) * count,
                           positions=positions)
 

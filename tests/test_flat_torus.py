@@ -10,7 +10,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from intnorm import (
@@ -21,6 +21,7 @@ from intnorm import (
     EmptySearchError,
     IntegerClass,
     Lattice,
+    RetrySignal,
     best_ratio_search,
     class_length,
     count_crossings,
@@ -41,6 +42,14 @@ import torus_reference as dense
 
 SQUARE = Lattice(e1=(1.0, 0.0), e2=(0.0, 1.0))
 HEX = Lattice.from_string("1,0,1/2,0.8660254037844386")
+
+# the bases the fast searches and the crossing oracle are held to their
+# references on, exact and as floats
+BASES = [
+    "1,0,0,1", "1,0,1/2,0.8660254037844386", "2,0,1,3", "1,0,1/2,7/8",
+    # orientation reversed
+    "0,1,1,0", "1,0,0,-1", "1/2,0.8660254037844386,1,0", "1,3,2,0",
+    "1,0,93.3,0.98"]
 
 SMALL_INTS = st.integers(min_value=-50, max_value=50)
 CLASS_PAIRS = st.tuples(SMALL_INTS, SMALL_INTS)
@@ -340,11 +349,7 @@ def _same_results(lat, cutoff, products=(1, 2, 3, 5, 8)):
         assert fast == outcome(dense.min_length_product, n, cutoff), n
 
 
-@pytest.mark.parametrize("text", [
-    "1,0,0,1", "1,0,1/2,0.8660254037844386", "2,0,1,3", "1,0,1/2,7/8",
-    # orientation reversed
-    "0,1,1,0", "1,0,0,-1", "1/2,0.8660254037844386,1,0", "1,3,2,0",
-    "1,0,93.3,0.98"])
+@pytest.mark.parametrize("text", BASES)
 def test_fast_searches_match_dense_tables(text):
     for lat in (Lattice.from_string(text),
                 Lattice(Lattice.from_string(text).e1,
@@ -491,3 +496,157 @@ def test_crossing_report_uniform_sign_rejects_mixed():
         rep.uniform_sign()
     empty = CrossingReport(count=0, signs=(), positions=())
     assert empty.uniform_sign() == 0
+
+
+# ---------------------------------------- crossing oracle vs box reference
+
+def _crossing_outcome(oracle, lat, u, v, offset):
+    """The report's repr, which tells float bits apart, or RetrySignal."""
+    try:
+        return repr(oracle(lat, u, v, offset))
+    except RetrySignal:
+        return "RetrySignal"
+
+
+def _lattice_point(lat, frac):
+    return (frac[0] * lat.e1[0] + frac[1] * lat.e2[0],
+            frac[0] * lat.e1[1] + frac[1] * lat.e2[1])
+
+
+@pytest.mark.parametrize("text", BASES)
+def test_crossing_oracle_matches_box_reference(text):
+    rng = np.random.default_rng(17)
+    exact = Lattice.from_string(text)
+    for lat in (exact, Lattice(exact.e1, exact.e2)):
+        checked = 0
+        while checked < 60:
+            a, b, c, d = (int(x) for x in rng.integers(-12, 13, size=4))
+            if a * d - b * c == 0:
+                continue
+            # offsets in the fundamental domain, and some lattice steps out
+            offset = _lattice_point(lat, rng.uniform(-3.0, 4.0, size=2))
+            outcome = _crossing_outcome(crossing_count_oracle, lat, (a, b),
+                                        (c, d), offset)
+            assert outcome == _crossing_outcome(
+                dense.crossing_count_oracle_box, lat, (a, b), (c, d),
+                offset), ((a, b), (c, d), offset)
+            checked += 1
+        # crossings forced near a seam, at a lattice translate of the
+        # v-segment: within the seam tolerance both oracles must retry, and
+        # within rounding of its edge they must agree
+        shift = _lattice_point(lat, (2, -1))
+        tol = flat_torus.SEAM_TOLERANCE
+        for u, v in (((3, 1), (1, 2)), ((2, -5), (7, 3))):
+            (ux, uy), (vx, vy) = lat.embed(u), lat.embed(v)
+
+            def near(t, s):
+                return (t * ux - s * vx + shift[0], t * uy - s * vy + shift[1])
+            for t, s in ((5e-10, 0.5), (-5e-10, 0.5), (0.5, 1.0 - 5e-10)):
+                for oracle in (crossing_count_oracle,
+                               dense.crossing_count_oracle_box):
+                    assert _crossing_outcome(oracle, lat, u, v, near(t, s)) \
+                        == "RetrySignal", (oracle.__name__, u, v, t, s)
+            for k in range(-6, 7):
+                step = k * 3e-17
+                for t, s in ((-tol + step, 0.5), (1.0 + tol + step, 0.5),
+                             (0.5, -tol + step), (0.5, 1.0 + tol + step)):
+                    outcome = _crossing_outcome(crossing_count_oracle, lat, u,
+                                                v, near(t, s))
+                    assert outcome == _crossing_outcome(
+                        dense.crossing_count_oracle_box, lat, u, v,
+                        near(t, s)), (u, v, t, s)
+
+
+@given(m=st.lists(st.floats(-3.0, 3.0), min_size=4, max_size=4),
+       exact=st.booleans(), u=st.tuples(st.integers(-20, 20),
+                                         st.integers(-20, 20)),
+       v=st.tuples(st.integers(-20, 20), st.integers(-20, 20)),
+       frac=st.tuples(st.floats(-5.0, 5.0), st.floats(-5.0, 5.0)))
+@settings(max_examples=200, deadline=None)
+def test_crossing_oracle_matches_box_reference_on_random_bases(m, exact, u,
+                                                               v, frac):
+    assume(abs(m[0] * m[3] - m[1] * m[2])
+           >= 0.05 * (1 + sum(x * x for x in m)))
+    assume(intersection_number(u, v) != 0)
+    text = ",".join(repr(x) for x in m)
+    lat = Lattice.from_string(text) if exact else \
+        Lattice(e1=(m[0], m[1]), e2=(m[2], m[3]))
+    offset = _lattice_point(lat, frac)
+    assert _crossing_outcome(crossing_count_oracle, lat, u, v, offset) == \
+        _crossing_outcome(dense.crossing_count_oracle_box, lat, u, v, offset)
+
+
+def test_crossing_oracle_on_a_skewed_basis():
+    # the box window of this pair holds 69.6M translates: gigabytes of arrays
+    lat = Lattice.from_string("1,0,10000.5,1")
+    u, v = (40, -7), (13, 51)
+    tracemalloc.start()
+    try:
+        rep = crossing_count_oracle(lat, u, v,
+                                    _lattice_point(lat, (0.37, 0.41)))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert intersection_number(u, v) == 2131
+    assert rep.count == 2131
+    assert rep.uniform_sign() == 1
+    assert peak < 8e6
+
+
+def test_count_crossings_matches_formula_on_a_skewed_basis():
+    lat = Lattice.from_string("1,0,93.3,0.98")
+    rng = np.random.default_rng(23)
+    checked = 0
+    while checked < 50:
+        a, b, c, d = (int(x) for x in rng.integers(-30, 31, size=4))
+        n = a * d - b * c
+        if n == 0:
+            continue
+        rep = count_crossings(lat, (a, b), (c, d), rng)
+        assert rep.count == abs(n)
+        assert rep.uniform_sign() == (1 if n > 0 else -1)
+        checked += 1
+
+
+def test_crossing_oracle_refuses_past_its_candidate_bound():
+    bound = flat_torus.MAX_CROSSING_CANDIDATES
+    offset = (0.37, 0.41)
+
+    def size(u, v):
+        return abs(u[0]) + abs(v[0]) + abs(intersection_number(u, v))
+
+    # accepted at the bound and refused one past it, with the size in
+    # |Int| (a parallelogram of one row) ...
+    u, inside, past = (1, 0), (0, bound - 1), (0, bound)
+    assert (size(u, inside), size(u, past)) == (bound, bound + 1)
+    assert crossing_count_oracle(SQUARE, u, inside, offset).count == bound - 1
+    with pytest.raises(DomainError, match="translates"):
+        crossing_count_oracle(SQUARE, u, past, offset)
+    # ... and in the rows of thin parallelograms with |Int| = 1
+    p, q = bound // 2, (bound + 1) // 3
+    inside, past = ((p - 1, 1), (p, 1)), ((q, 1), (2 * q - 1, 2))
+    assert (size(*inside), size(*past)) == (bound, bound + 1)
+    assert crossing_count_oracle(SQUARE, *inside, offset).count == 1
+    with pytest.raises(DomainError, match="translates"):
+        crossing_count_oracle(SQUARE, *past, offset)
+    # refused before anything is allocated
+    tracemalloc.start()
+    try:
+        with pytest.raises(DomainError, match="translates"):
+            crossing_count_oracle(SQUARE, (10**6, 1), (1, 10**6), offset)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1e5
+
+
+def test_crossing_oracle_refuses_unresolvable_crossings():
+    # |Int| = 1 with classes of length 1e9 or 1e400, and an offset 1e12
+    # away: double precision cannot place the crossings on the segments
+    with pytest.raises(DomainError, match="known only to within"):
+        crossing_count_oracle(SQUARE, (1, 10**9), (1, 10**9 + 1), (0.5, 0.5))
+    with pytest.raises(DomainError, match="known only to within"):
+        crossing_count_oracle(SQUARE, (1, 10**400), (1, 10**400 + 1),
+                              (0.5, 0.5))
+    with pytest.raises(DomainError, match="known only to within"):
+        crossing_count_oracle(SQUARE, (3, 1), (1, 2), (1e12, 0.5))

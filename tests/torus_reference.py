@@ -7,6 +7,11 @@ Memory grows with the square of the class count, so this is for small
 cutoffs only.  The tests require the O(N) searches of
 ``intnorm.flat_torus`` to return exactly what these return, float bits
 and tie-broken pairs included.
+
+``crossing_count_oracle_box`` is the crossing oracle over the Cartesian
+bounding-box window of lattice translates, which holds far more
+translates than crossings and grows without bound on a skewed basis; the
+tests require the oracle's report, or its RetrySignal, to be the same.
 """
 
 from __future__ import annotations
@@ -18,16 +23,18 @@ from fractions import Fraction
 import numpy as np
 
 from intnorm import (
+    CrossingReport,
     CutoffTooSmallError,
     DegenerateInputError,
     DomainError,
     EmptySearchError,
     IntegerClass,
     Lattice,
+    RetrySignal,
     systole,
 )
-from intnorm.flat_torus import MinProductResult, RatioResult, \
-    SegmentBoundReport
+from intnorm.flat_torus import SEAM_TOLERANCE, MinProductResult, \
+    RatioResult, SegmentBoundReport, _as_float_pair
 
 _CUTOFF_SLACK = 1e-12
 _MAX_ENUM_CELLS = 8_000_000
@@ -176,3 +183,82 @@ def segment_bound_check(lat: Lattice, cutoff: float) -> SegmentBoundReport:
         sine_bound=sine_bound,
         sine_bound_ok=best <= sine_bound * (1.0 + 1e-12),
     )
+
+
+def crossing_count_oracle_box(lat: Lattice, u, v, offset) -> CrossingReport:
+    """Count transversal crossings of straight closed geodesics in the
+    classes u and v on the torus, by brute force in the universal cover.
+
+    The u-geodesic is the segment from the origin to its embedded vector;
+    the v-geodesic starts at ``offset``.  The oracle intersects the
+    u-segment with every lattice translate of the v-segment inside a
+    certified window and reports count, signs and crossing positions.  It
+    never consults the intersection formula, which is the point: the
+    expected outcome is count = |a*d - b*c| with every sign equal to
+    sign(a*d - b*c).
+
+    Raises RetrySignal when a crossing falls within SEAM_TOLERANCE of a
+    base-point seam; the caller should re-randomize the offset.
+    """
+    a, b = (operator.index(u[0]), operator.index(u[1]))
+    c, d = (operator.index(v[0]), operator.index(v[1]))
+    if (a, b) == (0, 0) or (c, d) == (0, 0):
+        raise DegenerateInputError("classes must be nonzero")
+    if a * d - b * c == 0:
+        raise DegenerateInputError(
+            f"classes {(a, b)} and {(c, d)} are proportional")
+    ox, oy = _as_float_pair("offset", offset)
+
+    U = np.array(lat.embed((a, b)), dtype=float)
+    V = np.array(lat.embed((c, d)), dtype=float)
+    e1 = np.array(lat.e1)
+    e2 = np.array(lat.e2)
+
+    # certified lattice-translate window from bounding boxes
+    box_a = np.array([np.minimum(0.0, U), np.maximum(0.0, U)])
+    start_b = np.array([ox, oy])
+    box_b = np.array([start_b + np.minimum(0.0, V),
+                      start_b + np.maximum(0.0, V)])
+    diff_lo = box_a[0] - box_b[1]
+    diff_hi = box_a[1] - box_b[0]
+    corners = np.array([[diff_lo[0], diff_lo[1]], [diff_lo[0], diff_hi[1]],
+                        [diff_hi[0], diff_lo[1]], [diff_hi[0], diff_hi[1]]])
+    det = lat.det
+    ii = (corners[:, 0] * e2[1] - corners[:, 1] * e2[0]) / det
+    jj = (-corners[:, 0] * e1[1] + corners[:, 1] * e1[0]) / det
+    ilo, ihi = int(math.floor(ii.min() - 1e-9)), int(math.ceil(ii.max() + 1e-9))
+    jlo, jhi = int(math.floor(jj.min() - 1e-9)), int(math.ceil(jj.max() + 1e-9))
+    gi = np.arange(ilo, ihi + 1)
+    gj = np.arange(jlo, jhi + 1)
+    GI, GJ = np.meshgrid(gi, gj, indexing="ij")
+    lam = (GI.ravel()[:, None] * e1[None, :]
+           + GJ.ravel()[:, None] * e2[None, :])
+
+    rhs = start_b[None, :] + lam
+    cross_uv = U[0] * V[1] - U[1] * V[0]
+    det_m = -cross_uv
+    t = (-V[1] * rhs[:, 0] + V[0] * rhs[:, 1]) / det_m
+    s = (-U[1] * rhs[:, 0] + U[0] * rhs[:, 1]) / det_m
+
+    tol = SEAM_TOLERANCE
+    near_t = (np.abs(t) <= tol) | (np.abs(t - 1.0) <= tol)
+    near_s = (np.abs(s) <= tol) | (np.abs(s - 1.0) <= tol)
+    in_t = (t > -tol) & (t < 1.0 + tol)
+    in_s = (s > -tol) & (s < 1.0 + tol)
+    if ((near_t & in_s) | (near_s & in_t)).any():
+        raise RetrySignal("crossing within tolerance of a base-point seam")
+
+    hit = (t > tol) & (t < 1.0 - tol) & (s > tol) & (s < 1.0 - tol)
+    count = int(hit.sum())
+    sign = lat.orientation * (1 if cross_uv > 0 else -1)
+
+    th = t[hit]
+    # reduce t*U to the fundamental domain in basis coordinates
+    fa = np.mod(th * a, 1.0)
+    fb = np.mod(th * b, 1.0)
+    px = fa * e1[0] + fb * e2[0]
+    py = fa * e1[1] + fb * e2[1]
+    order = np.argsort(th)
+    positions = tuple((float(px[k]), float(py[k])) for k in order)
+    return CrossingReport(count=count, signs=(sign,) * count,
+                          positions=positions)
