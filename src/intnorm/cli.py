@@ -165,11 +165,20 @@ def _load_arc(raw) -> ArcSpec:
     if not (isinstance(raw, (list, tuple)) and len(raw) == 3):
         raise DomainError(f"an arc must be [entry_t, winding, sign], "
                           f"got {raw!r}")
+    # JSON true and false load as bool, a subclass of int
+    if not all(isinstance(x, (int, float)) and not isinstance(x, bool)
+               for x in raw):
+        raise DomainError(f"an arc must hold three numbers, got {raw!r}")
+    if raw[2] not in (-1, 1):
+        raise DomainError(f"an arc's crossing sign must be 1 or -1, "
+                          f"got {raw[2]!r}")
     try:
-        return ArcSpec(entry_t=float(raw[0]), winding=float(raw[1]),
-                       crossing_sign=int(raw[2]))
-    except (TypeError, ValueError) as exc:
-        raise DomainError(f"unparseable arc {raw!r}: {exc}") from None
+        entry_t, winding = float(raw[0]), float(raw[1])
+    except OverflowError:
+        raise DomainError(f"an arc entry of {raw!r} is outside the range "
+                          "of double precision") from None
+    return ArcSpec(entry_t=entry_t, winding=winding,
+                   crossing_sign=int(raw[2]))
 
 
 def run_cylinder(args) -> tuple[dict, Optional[tuple]]:
@@ -191,6 +200,9 @@ def run_cylinder(args) -> tuple[dict, Optional[tuple]]:
             raise DomainError(
                 f"cannot read arc pairs from {args.arcs_json}: "
                 f"{exc}") from None
+        if not isinstance(pairs, list):
+            raise DomainError(f"\"pairs\" in {args.arcs_json} must be a "
+                              f"list, got {pairs!r}")
         for i, item in enumerate(pairs):
             try:
                 arc1 = _load_arc(item["arc1"])

@@ -263,8 +263,8 @@ def crossing_count_oracle_cyl(cyl: Cylinder, arc1: ArcSpec,
     A crossing lies inside both arcs exactly when |s| < w there.  Its sign
     compares the slopes, A1*B2*cosh(x - d) - A2*B1*cosh(x), negated to
     match the orientation of the half-plane model.  No winding arithmetic
-    enters.  Positions are reported in Fermi coordinates with the core
-    position reduced to [0, core_length).
+    enters.  The signs are reported in the order of the crossings along
+    the core.
 
     Domain, refused with DomainError: a core advance
     |winding| * core_length above MAX_ADVANCE = 400 on either arc, and a
@@ -301,7 +301,7 @@ def crossing_count_oracle_cyl(cyl: Cylinder, arc1: ArcSpec,
         raise DomainError(f"{last - first + 1} deck translates to try "
                           f"exceed the oracle's bound {MAX_TRANSLATES}")
     p, q = b2 * a1, b1 * a2
-    hits: list[tuple[float, tuple[float, float], int]] = []
+    hits: list[tuple[float, int]] = []
     for k in range(first, last + 1):
         d = m2 + k * l - m1
         if (abs(d) <= OVERLAP_TOLERANCE * l
@@ -323,12 +323,9 @@ def crossing_count_oracle_cyl(cyl: Cylinder, arc1: ArcSpec,
         if abs(s) > w:
             continue
         cross = a1 * b2 * math.cosh(x - d) - a2 * b1 * math.cosh(x)
-        t = m1 + x
-        hits.append((t, (t % l, s), 1 if cross < 0 else -1))
+        hits.append((m1 + x, 1 if cross < 0 else -1))
     hits.sort(key=lambda h: h[0])
-    return CrossingReport(count=len(hits),
-                          signs=tuple(h[2] for h in hits),
-                          positions=tuple(h[1] for h in hits))
+    return CrossingReport(count=len(hits), signs=tuple(h[1] for h in hits))
 
 
 def count_crossings_cyl(cyl: Cylinder, arc1: ArcSpec, arc2: ArcSpec,

@@ -62,10 +62,10 @@ MAX_TRIES = 8
 
 # Domain of the crossing oracle: the most |a| + |c| + |Int(u, v)| of a
 # call, about the number of lattice translates it tries.  A crossing costs
-# about 0.6 us and 230 bytes, mostly its position tuple, so
-# MAX_CROSSING_CANDIDATES keeps one call under about half a second and
-# 200 MB (measured, see crossing_count_oracle).
-MAX_CROSSING_CANDIDATES = 800_000
+# about 0.06 us and 66 bytes, and a row of the crossing parallelogram about
+# 0.05 us and 78 bytes, so MAX_CROSSING_CANDIDATES keeps one call under
+# about 0.15 s and 200 MB (measured, see crossing_count_oracle).
+MAX_CROSSING_CANDIDATES = 2_480_000
 
 # Most cells an enumeration box may hold, and most candidate pairs a
 # search may evaluate: each costs tens of bytes of int64 and float64
@@ -86,9 +86,6 @@ class IntegerClass(NamedTuple):
     a: int
     b: int
 
-    def is_primitive(self) -> bool:
-        return math.gcd(self.a, self.b) == 1
-
 
 class RealClass(NamedTuple):
     """Real homology class x*[e1] + y*[e2]."""
@@ -99,13 +96,11 @@ class RealClass(NamedTuple):
 
 @dataclass(frozen=True)
 class CrossingReport:
-    """Outcome of a crossing oracle run: transversal crossings of two
-    closed geodesics (or arcs), with per-crossing signs and positions in
-    a fundamental domain."""
+    """Outcome of a crossing oracle run: the number of transversal
+    crossings of two closed geodesics (or arcs), and the sign of each."""
 
     count: int
     signs: tuple[int, ...]
-    positions: tuple[tuple[float, float], ...]
 
     def uniform_sign(self) -> int:
         """The common sign of all crossings, 0 if there are none.
@@ -136,9 +131,9 @@ class Lattice:
     """Rank-2 lattice spanned by the column vectors e1 and e2.
 
     ``exact`` optionally carries the basis entries as Fractions
-    (populated by :meth:`from_string`); when present, squared lengths of
-    integer classes can be compared exactly, which the searches use to
-    break floating-point ties.
+    (populated by :meth:`from_string`); when present, the searches break
+    floating-point ties by comparing squared lengths exactly, in the
+    integer Gram form of the basis.
     """
 
     e1: tuple[float, float]
@@ -199,18 +194,6 @@ class Lattice:
         a, b = cls
         return (a * self.e1[0] + b * self.e2[0],
                 a * self.e1[1] + b * self.e2[1])
-
-    def length_sq_exact(self, cls) -> Optional[Fraction]:
-        """Exact squared length of an integer class, or None when the
-        basis was not given in exact form."""
-        if self.exact is None:
-            return None
-        a, b = (operator.index(cls[0]), operator.index(cls[1]))
-        e1x, e1y, e2x, e2y = self.exact
-        g11 = e1x * e1x + e1y * e1y
-        g12 = e1x * e2x + e1y * e2y
-        g22 = e2x * e2x + e2y * e2y
-        return g11 * a * a + 2 * g12 * a * b + g22 * b * b
 
 
 def intersection_number(u, v) -> int:
@@ -788,10 +771,10 @@ def crossing_count_oracle(lat: Lattice, u, v, offset) -> CrossingReport:
     The u-geodesic is the segment from the origin to its embedded vector;
     the v-geodesic starts at ``offset``.  The oracle solves
     t*U = offset + lambda + s*V for every lattice translate lambda of the
-    v-segment that can cross the u-segment and reports count, signs and
-    crossing positions.  It never consults the intersection formula, which
-    is the point: the expected outcome is count = |a*d - b*c| with every
-    sign equal to sign(a*d - b*c).
+    v-segment that can cross the u-segment and reports the number of
+    crossings and the sign of each.  It never consults the intersection
+    formula, which is the point: the expected outcome is
+    count = |a*d - b*c| with every sign equal to sign(a*d - b*c).
 
     The translates tried are those of the crossing parallelogram
     t*(a, b) - s*(c, d) - offset in lattice coordinates, row by row in i
@@ -803,8 +786,10 @@ def crossing_count_oracle(lat: Lattice, u, v, offset) -> CrossingReport:
     Raises RetrySignal when a crossing falls within SEAM_TOLERANCE of a
     base-point seam; the caller should re-randomize the offset.  Raises
     DomainError, before allocating, when |a| + |c| + |Int| exceeds
-    MAX_CROSSING_CANDIDATES = 800,000 (about half a second per call), or
-    when the rounding bound on t and s exceeds 1.
+    MAX_CROSSING_CANDIDATES = 2,480,000, or when the rounding bound on t
+    and s exceeds 1.  At that bound, on the square lattice, one row with
+    |Int| = 2,479,999 took 0.15 s and a tracemalloc peak of 164 MB, and
+    2,479,999 rows with |Int| = 1 took 0.13 s and 194 MB.
     """
     a, b = (operator.index(u[0]), operator.index(u[1]))
     c, d = (operator.index(v[0]), operator.index(v[1]))
@@ -838,17 +823,7 @@ def crossing_count_oracle(lat: Lattice, u, v, offset) -> CrossingReport:
     hit = (t > tol) & (t < 1.0 - tol) & (s > tol) & (s < 1.0 - tol)
     count = int(hit.sum())
     sign = lat.orientation * (1 if cross_uv > 0 else -1)
-
-    th = t[hit]
-    # reduce t*U to the fundamental domain in basis coordinates
-    fa = np.mod(th * a, 1.0)
-    fb = np.mod(th * b, 1.0)
-    px = fa * e1x + fb * e2x
-    py = fa * e1y + fb * e2y
-    order = np.argsort(th)
-    positions = tuple(zip(px[order].tolist(), py[order].tolist()))
-    return CrossingReport(count=count, signs=(sign,) * count,
-                          positions=positions)
+    return CrossingReport(count=count, signs=(sign,) * count)
 
 
 def count_crossings(lat: Lattice, u, v, rng) -> CrossingReport:

@@ -113,7 +113,7 @@ def crossing_count_oracle_halfplane(cyl: Cylinder, arc1: ArcSpec,
     g2 = _lift(cyl, arc2)
     window = (int(math.ceil(abs(arc1.winding) + abs(arc2.winding)))
               + window_pad)
-    hits: list[tuple[float, tuple[float, float], int]] = []
+    hits: list[tuple[float, int]] = []
     for k in range(-window, window + 1):
         g2k = g2.translated(k * cyl.core_length)
         pt = _circle_meet(g1, g2k)
@@ -131,9 +131,7 @@ def crossing_count_oracle_halfplane(cyl: Cylinder, arc1: ArcSpec,
         cross = t1x * t2y - t1y * t2x
         if abs(cross) <= 1e-12:
             raise RetrySignal("tangential crossing")
-        t, s = halfplane_to_fermi(x, y)
-        hits.append((t, (t % cyl.core_length, s), 1 if cross > 0 else -1))
+        t, _ = halfplane_to_fermi(x, y)
+        hits.append((t, 1 if cross > 0 else -1))
     hits.sort(key=lambda h: h[0])
-    return CrossingReport(count=len(hits),
-                          signs=tuple(h[2] for h in hits),
-                          positions=tuple(h[1] for h in hits))
+    return CrossingReport(count=len(hits), signs=tuple(h[1] for h in hits))

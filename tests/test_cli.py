@@ -190,6 +190,28 @@ def test_cylinder_malformed_arc_file(tmp_path, capsys):
                  "--arcs-json", str(tmp_path / "missing.json")]) == 2
 
 
+@pytest.mark.parametrize("spec", [
+    {"pairs": 5},
+    # a crossing sign that is not a JSON number equal to 1 or -1
+    {"pairs": [{"arc1": [0.03, 0.0, 1.9], "arc2": [0.11, 2.5, 1]}]},
+    {"pairs": [{"arc1": [0.03, 0.0, True], "arc2": [0.11, 2.5, 1]}]},
+    {"pairs": [{"arc1": [0.03, 0.0, 1], "arc2": [0.11, 2.5, "1"]}]},
+    # an entry or a winding that is not a JSON number
+    {"pairs": [{"arc1": [True, 0.0, 1], "arc2": [0.11, 2.5, 1]}]},
+    {"pairs": [{"arc1": [0.03, 0.0, 1], "arc2": [0.11, True, 1]}]},
+    {"pairs": [{"arc1": [0.03, "0.5", 1], "arc2": [0.11, 2.5, 1]}]},
+    {"pairs": [{"arc1": [0.03, 10 ** 400, 1], "arc2": [0.11, 2.5, 1]}]},
+])
+def test_cylinder_arc_file_with_wrong_types_exits_2(spec, tmp_path, capsys):
+    path = tmp_path / "arcs.json"
+    path.write_text(json.dumps(spec))
+    assert main(["cylinder", "--core-length", "0.2", "--samples", "1",
+                 "--arcs-json", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("intnorm: error:")
+    assert err.count("\n") == 1
+
+
 def test_cylinder_csv_table(capsys):
     code = main(["cylinder", "--core-length", "0.2", "--samples", "25",
                  "--seed", "7", "--format", "csv"])
@@ -292,8 +314,22 @@ def test_verify_all_runs_the_pinned_checks(capsys):
     suites = doc["results"]["suites"]
     assert {s["suite"]: [c["name"] for c in s["checks"]]
             for s in suites} == VERIFY_CHECKS
-    assert all(c["cases"] > 0 and c["failures"] == 0
-               for s in suites for c in s["checks"])
+    assert all(s["violations"] == [] for s in suites)
+    # the report holds names and integers only, so it is pinned exactly
+    assert {s["suite"]: {c["name"]: (c["cases"], c["failures"])
+                         for c in s["checks"]} for s in suites} == {
+        "torus": {"ratio_value": (24, 0), "oracle_equivalence": (485, 0),
+                  "segment_bound": (20, 0), "norm_comparison": (100, 0),
+                  "scale_equivariance": (3, 0)},
+        "cylinder": {"winding_window_and_sign": (10000, 0),
+                     "flipped_sign_convention": (1000, 0),
+                     "rewind_grid": (728, 0)},
+        "bounds": {"extended_precision_agreement": (15, 0),
+                   "bound_ordering": (988, 0),
+                   "general_bounds_sandwich": (100, 0),
+                   "asymptotic_profiles": (53, 0),
+                   "collar_constants": (2000, 0)},
+    }
 
 
 @pytest.fixture

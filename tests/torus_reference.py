@@ -19,6 +19,7 @@ from __future__ import annotations
 import math
 import operator
 from fractions import Fraction
+from typing import Optional
 
 import numpy as np
 
@@ -79,6 +80,19 @@ def enumerate_classes_box(lat: Lattice, cutoff: float, *,
     return classes, np.sqrt(lsq[order])
 
 
+def length_sq_exact(lat: Lattice, cls) -> Optional[Fraction]:
+    """Exact squared length of an integer class, or None when the basis
+    was not given in exact form."""
+    if lat.exact is None:
+        return None
+    a, b = (operator.index(cls[0]), operator.index(cls[1]))
+    e1x, e1y, e2x, e2y = lat.exact
+    g11 = e1x * e1x + e1y * e1y
+    g12 = e1x * e2x + e1y * e2y
+    g22 = e2x * e2x + e2y * e2y
+    return g11 * a * a + 2 * g12 * a * b + g22 * b * b
+
+
 def _pairwise_tables(classes: np.ndarray, lengths: np.ndarray):
     a = classes[:, 0]
     b = classes[:, 1]
@@ -97,8 +111,8 @@ def _refine_pair_choice(lat: Lattice, classes: np.ndarray,
     if lat.exact is not None and len(entries) > 1:
         def key_exact(ij):
             i, j = ij
-            lsq = (lat.length_sq_exact(classes[i]) *
-                   lat.length_sq_exact(classes[j]))
+            lsq = (length_sq_exact(lat, classes[i]) *
+                   length_sq_exact(lat, classes[j]))
             n = int(inter[i, j])
             # ratio^2 = n^2 / lsq ; product^2 = lsq
             return Fraction(n * n) / lsq if maximize_ratio else lsq
@@ -192,9 +206,9 @@ def crossing_count_oracle_box(lat: Lattice, u, v, offset) -> CrossingReport:
     The u-geodesic is the segment from the origin to its embedded vector;
     the v-geodesic starts at ``offset``.  The oracle intersects the
     u-segment with every lattice translate of the v-segment inside a
-    certified window and reports count, signs and crossing positions.  It
-    never consults the intersection formula, which is the point: the
-    expected outcome is count = |a*d - b*c| with every sign equal to
+    certified window and reports the number of crossings and the sign of
+    each.  It never consults the intersection formula, which is the point:
+    the expected outcome is count = |a*d - b*c| with every sign equal to
     sign(a*d - b*c).
 
     Raises RetrySignal when a crossing falls within SEAM_TOLERANCE of a
@@ -251,14 +265,4 @@ def crossing_count_oracle_box(lat: Lattice, u, v, offset) -> CrossingReport:
     hit = (t > tol) & (t < 1.0 - tol) & (s > tol) & (s < 1.0 - tol)
     count = int(hit.sum())
     sign = lat.orientation * (1 if cross_uv > 0 else -1)
-
-    th = t[hit]
-    # reduce t*U to the fundamental domain in basis coordinates
-    fa = np.mod(th * a, 1.0)
-    fb = np.mod(th * b, 1.0)
-    px = fa * e1[0] + fb * e2[0]
-    py = fa * e1[1] + fb * e2[1]
-    order = np.argsort(th)
-    positions = tuple((float(px[k]), float(py[k])) for k in order)
-    return CrossingReport(count=count, signs=(sign,) * count,
-                          positions=positions)
+    return CrossingReport(count=count, signs=(sign,) * count)
