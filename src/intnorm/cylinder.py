@@ -31,6 +31,8 @@ import math
 from dataclasses import dataclass, replace
 from typing import NamedTuple, Sequence
 
+import numpy as np
+
 from .errors import (
     DegenerateInputError,
     DomainError,
@@ -44,11 +46,17 @@ from .hyptrig import boundary_length, collar_width, crossing_arc_length
 # Domain of the crossing oracle: the core advance |winding| * core_length
 # of each arc, the core length (measured, see crossing_count_oracle_cyl),
 # and the number of deck translates tried, about |w1| + |w2|, which the
-# advance does not bound on a short core.  The oracle spends 2 to 5 us per
-# translate, so MAX_TRANSLATES keeps one call under about half a second.
+# advance does not bound on a short core.  One call at MAX_TRANSLATES
+# takes about 10 ms and peaks near 8 MB under tracemalloc, mostly the
+# crossings it returns (Intel Xeon, 2 vCPUs, numpy 2.4).
 MAX_ADVANCE = 400.0
 MIN_CORE_LENGTH = 1e-9
 MAX_TRANSLATES = 100_000
+
+# (pair, translate) rows that crossing_batch_cyl solves at once.  Their
+# temporaries take about 160 bytes a row, 2.6 MB a chunk, whatever the
+# number of translates.
+ROW_CHUNK = 16_384
 
 # Fermi distance from the collar boundary |s| = half_width within which a
 # crossing raises RetrySignal.
@@ -228,23 +236,60 @@ def halfplane_to_fermi(x: float, y: float) -> tuple[float, float]:
     return math.log(math.hypot(x, y)), math.asinh(x / y)
 
 
-def _fermi_arc(cyl: Cylinder,
-               arc: ArcSpec) -> tuple[float, float, float, float]:
-    """(A, B, m, |D|/2) for the core advance D = winding * core_length: the
-    arc is the part with |s| < w of the geodesic A*tanh(s) = B*sinh(t - m),
-    with A = sinh(D/2), B = crossing_sign*tanh(w) and m = entry_t + D/2,
-    and it spans t within |D|/2 of m."""
+def _fermi_arcs(cyl: Cylinder, entry_t: np.ndarray, winding: np.ndarray,
+                crossing_sign: np.ndarray):
+    """(A, B, m, |D|/2) of every arc, for the core advance
+    D = winding * core_length: the arc is the part with |s| < w of the
+    geodesic A*tanh(s) = B*sinh(t - m), with A = sinh(D/2),
+    B = crossing_sign*tanh(w) and m = entry_t + D/2, and it spans t
+    within |D|/2 of m.  Row 0 holds the first arcs, row 1 the second."""
     l = cyl.core_length
-    if not (0.0 <= arc.entry_t < l):
-        raise DomainError(
-            f"entry_t must lie in [0, {l}), got {arc.entry_t}")
-    half = arc.winding * l / 2.0
-    if abs(half) > MAX_ADVANCE / 2.0:
-        raise DomainError(
-            f"core advance {2.0 * abs(half)!r} of winding {arc.winding!r} "
-            f"exceeds the oracle's bound {MAX_ADVANCE}")
-    return (math.sinh(half), arc.crossing_sign * math.tanh(cyl.half_width),
-            arc.entry_t + half, abs(half))
+    half = winding * l / 2.0
+    h = np.abs(half)
+    if not ((0.0 <= entry_t) & (entry_t < l)
+            & (h <= MAX_ADVANCE / 2.0)).all():
+        for e, wind, hh in zip(entry_t, winding, h):
+            bad = np.flatnonzero(~((0.0 <= e) & (e < l)))
+            if bad.size:
+                raise DomainError(f"entry_t must lie in [0, {l}), "
+                                  f"got {e[bad[0]].item()}")
+            bad = np.flatnonzero(~(hh <= MAX_ADVANCE / 2.0))
+            if bad.size:
+                raise DomainError(
+                    f"core advance {2.0 * hh[bad[0]].item()!r} of winding "
+                    f"{wind[bad[0]].item()!r} exceeds the oracle's bound "
+                    f"{MAX_ADVANCE}")
+    return (np.sinh(half), crossing_sign * math.tanh(cyl.half_width),
+            entry_t + half, h)
+
+
+# Why a pair of a CrossingBatch needs a retry, with the RetrySignal
+# message of each reason.
+OVERLAP, GRAZE = 1, 2
+_RETRY_MESSAGES = {OVERLAP: "overlapping geodesic lifts",
+                   GRAZE: "crossing grazes the collar boundary"}
+
+
+class CrossingBatch(NamedTuple):
+    """Crossings of n arc pairs, as found by ``crossing_batch_cyl``.
+
+    Pair i crosses with the signs signs[offsets[i]:offsets[i + 1]], in
+    their order along the core.  retry[i] is 0, or OVERLAP or GRAZE where
+    the oracle raises RetrySignal on pair i; the crossings of such a pair
+    mean nothing.
+    """
+
+    offsets: np.ndarray
+    signs: np.ndarray
+    retry: np.ndarray
+
+    def report(self, i: int) -> CrossingReport:
+        """The crossings of pair i, or RetrySignal if it is flagged."""
+        if self.retry[i]:
+            raise RetrySignal(_RETRY_MESSAGES[int(self.retry[i])])
+        lo, hi = self.offsets[i], self.offsets[i + 1]
+        return CrossingReport(count=int(hi - lo),
+                              signs=tuple(self.signs[lo:hi].tolist()))
 
 
 def crossing_count_oracle_cyl(cyl: Cylinder, arc1: ArcSpec,
@@ -255,7 +300,7 @@ def crossing_count_oracle_cyl(cyl: Cylinder, arc1: ArcSpec,
 
     Arc i is the part with |s| < w of the geodesic A_i*tanh(s) =
     B_i*sinh(t - m_i) and spans t within |D_i|/2 of m_i (see
-    ``_fermi_arc``).  A deck translate k shifts t by k*l, so it can meet
+    ``_fermi_arcs``).  A deck translate k shifts t by k*l, so it can meet
     the first arc only if their t-intervals overlap,
     |m2 + k*l - m1| <= (|D1| + |D2|)/2; exactly those k are tried.  With
     x = t - m1, d = m2 + k*l - m1, P = B2*A1 and Q = B1*A2, translate k
@@ -264,7 +309,8 @@ def crossing_count_oracle_cyl(cyl: Cylinder, arc1: ArcSpec,
     compares the slopes, A1*B2*cosh(x - d) - A2*B1*cosh(x), negated to
     match the orientation of the half-plane model.  No winding arithmetic
     enters.  The signs are reported in the order of the crossings along
-    the core.
+    the core.  The translates are solved together as rows of arrays, see
+    ``crossing_batch_cyl``.
 
     Domain, refused with DomainError: a core advance
     |winding| * core_length above MAX_ADVANCE = 400 on either arc, and a
@@ -280,52 +326,109 @@ def crossing_count_oracle_cyl(cyl: Cylinder, arc1: ArcSpec,
       1e-14, 1 in 2000 at 1e-13 and at 1e-12, none in 1000 at 1e-9.
     On a short core the advance leaves the number of translates, about
     |w1| + |w2|, open, so more than MAX_TRANSLATES = 100,000 are refused
-    too; a call at that bound takes about 0.5 s.
+    too; a call at that bound takes about 10 ms.
 
     Raises RetrySignal when the two lifts overlap (the same core point and
     slope, where numerator and denominator both vanish) or a crossing lies
     within S_TOLERANCE of |s| = w; the caller should jitter an entry
-    position and retry (see ``count_crossings_cyl``).
+    position and retry (see ``count_crossings_cyl``).  Of several such
+    translates, the one with the least k names the reason.
     """
     if arc1 == arc2:
         raise DegenerateInputError("arcs are identical")
+    batch = crossing_batch_cyl(cyl, *np.array(
+        (arc1.entry_t, arc2.entry_t, arc1.winding, arc2.winding,
+         arc1.crossing_sign, arc2.crossing_sign),
+        dtype=float).reshape(3, 2, 1))
+    return batch.report(0)
+
+
+def crossing_batch_cyl(cyl: Cylinder, entry_t, winding,
+                       crossing_sign) -> CrossingBatch:
+    """The oracle of ``crossing_count_oracle_cyl`` on n arc pairs at once.
+    Each argument has shape (2, n): row 0 for the first arc of each pair,
+    row 1 for the second.
+
+    Each pair's run of translates first..last becomes rows of one numpy
+    solve, ROW_CHUNK rows at a time, and each test of the one-pair oracle
+    a mask over the rows.  The domain checks and their errors are those of
+    the one-pair oracle; the first arc that fails one names the error.
+    RetrySignal is not raised but flagged per pair; identical arcs are
+    flagged as overlapping.
+    """
     l, w = cyl.core_length, cyl.half_width
     if l < MIN_CORE_LENGTH:
         raise DomainError(f"core length {l!r} is below the oracle's bound "
                           f"{MIN_CORE_LENGTH}")
-    a1, b1, m1, h1 = _fermi_arc(cyl, arc1)
-    a2, b2, m2, h2 = _fermi_arc(cyl, arc2)
-    first = math.ceil((m1 - m2 - h1 - h2) / l)
-    last = math.floor((m1 - m2 + h1 + h2) / l)
-    if last - first + 1 > MAX_TRANSLATES:
-        raise DomainError(f"{last - first + 1} deck translates to try "
-                          f"exceed the oracle's bound {MAX_TRANSLATES}")
+    (a1, a2), (b1, b2), (m1, m2), (h1, h2) = _fermi_arcs(
+        cyl, *(np.asarray(v, dtype=float)
+               for v in (entry_t, winding, crossing_sign)))
+    base = m1 - m2
+    first = np.ceil((base - h1 - h2) / l)
+    runs = (np.floor((base + h1 + h2) / l) - first + 1).astype(np.int64)
+    if runs.max(initial=0) > MAX_TRANSLATES:
+        raise DomainError(f"{runs[runs > MAX_TRANSLATES][0]} deck "
+                          "translates to try exceed the oracle's bound "
+                          f"{MAX_TRANSLATES}")
     p, q = b2 * a1, b1 * a2
-    hits: list[tuple[float, int]] = []
-    for k in range(first, last + 1):
-        d = m2 + k * l - m1
-        if (abs(d) <= OVERLAP_TOLERANCE * l
-                and abs(p - q) <= OVERLAP_TOLERANCE * (abs(p) + abs(q))):
-            raise RetrySignal("overlapping geodesic lifts")
-        num = p * math.exp(d) - q
-        den = p * math.exp(-d) - q
-        if den == 0.0 or num / den <= 0.0:
-            continue
-        x = 0.5 * math.log(num / den)
-        # tanh(s) from the flatter of the two arcs
-        tau = (b1 * math.sinh(x) / a1 if abs(a1) >= abs(a2)
-               else b2 * math.sinh(x - d) / a2)
-        if abs(tau) >= 1.0:
-            continue
-        s = math.atanh(tau)
-        if abs(abs(s) - w) <= S_TOLERANCE:
-            raise RetrySignal("crossing grazes the collar boundary")
-        if abs(s) > w:
-            continue
-        cross = a1 * b2 * math.cosh(x - d) - a2 * b1 * math.cosh(x)
-        hits.append((m1 + x, 1 if cross < 0 else -1))
-    hits.sort(key=lambda h: h[0])
-    return CrossingReport(count=len(hits), signs=tuple(h[1] for h in hits))
+    # lifts can overlap only where their slopes agree
+    same_slope = (np.abs(p - q)
+                  <= OVERLAP_TOLERANCE * (np.abs(p) + np.abs(q)))
+    check_overlap = np.count_nonzero(same_slope) > 0
+    # tanh(s) comes from the equation of the flatter arc: its B and A, and
+    # whether it is the second arc, whose equation is in x - d
+    flat = np.abs(a1) >= np.abs(a2)
+    b, a, shift = np.where(flat, b1, b2), np.where(flat, a1, a2), ~flat
+    ends = runs.cumsum()
+    pair = np.arange(len(runs)).repeat(runs)
+    k = np.arange(len(pair)) + (first - (ends - runs)).repeat(runs)
+
+    retry = np.zeros(len(runs), dtype=np.int8)
+    hits = []
+    # at least one pass, so that an empty batch yields empty arrays
+    for lo in range(0, max(len(k), 1), ROW_CHUNK):
+        i = pair[lo:lo + ROW_CHUNK]
+        pi, qi = p[i], q[i]
+        # A ratio that is not positive and finite makes x, tau and s NaN
+        # or infinite.  Then |tau| < 1, the graze test and s <= w all
+        # fail, so no row needs masking before the tests; the NaNs and
+        # infinities are no errors.
+        with np.errstate(all="ignore"):
+            d = m2[i] + k[lo:lo + ROW_CHUNK] * l - m1[i]
+            num = pi * np.exp(d) - qi
+            den = pi * np.exp(-d) - qi
+            x = 0.5 * np.log(num / den)
+            s = np.abs(np.arctanh(b[i] * np.sinh(x - d * shift[i]) / a[i]))
+            graze = np.abs(s - w) <= S_TOLERANCE
+            hit = (s <= w).nonzero()[0]
+        overlap = check_overlap and \
+            (np.abs(d) <= OVERLAP_TOLERANCE * l) & same_slope[i]
+        if np.count_nonzero(graze) or np.count_nonzero(overlap):
+            _flag_first(retry, i, np.where(overlap, OVERLAP,
+                                           np.where(graze, GRAZE, 0)))
+        # a crossing is positive where A1*B2*cosh(x - d) < A2*B1*cosh(x)
+        i, x, d = i[hit], x[hit], d[hit]
+        hits.append((i, m1[i] + x,
+                     pi[hit] * np.cosh(x - d) < qi[hit] * np.cosh(x)))
+    pairs, t, negative = hits[0] if len(hits) == 1 else \
+        (np.concatenate(c) for c in zip(*hits))
+    offsets = np.zeros(len(runs) + 1, dtype=np.int64)
+    np.bincount(pairs, minlength=len(runs)).cumsum(out=offsets[1:])
+    order = np.lexsort((t, pairs))
+    return CrossingBatch(offsets=offsets,
+                         signs=np.where(negative[order], 1, -1),
+                         retry=retry)
+
+
+def _flag_first(retry: np.ndarray, pair: np.ndarray,
+                code: np.ndarray) -> None:
+    """Give each pair not flagged yet the code of its first flagged row;
+    the rows run in order of pair and translate."""
+    rows = np.flatnonzero(code)
+    p, lead = np.unique(pair[rows], return_index=True)
+    c = code[rows[lead]]
+    fresh = retry[p] == 0
+    retry[p[fresh]] = c[fresh]
 
 
 def count_crossings_cyl(cyl: Cylinder, arc1: ArcSpec, arc2: ArcSpec,

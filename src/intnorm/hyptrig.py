@@ -4,7 +4,8 @@ Each closed form is one private expression ``_f(m, ...)`` over a backend
 ``m``: ``math`` by default, or mpmath at ``EXTENDED_DPS`` significant
 digits with ``extended=True``, which returns an ``mpf``.  The tests back
 the frozen reference values with the extended mode; ``bounds`` reuses the
-expressions.
+expressions, and ``suites`` evaluates ``_crossing_arc_length`` over numpy
+arrays (``np.acosh`` needs numpy 2).
 """
 
 from __future__ import annotations

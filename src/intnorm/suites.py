@@ -24,10 +24,13 @@ from dataclasses import dataclass
 from itertools import product
 from typing import Callable, Optional, Sequence
 
+import numpy as np
+
 from . import bounds as bounds_mod
 from . import cylinder as cyl_mod
 from . import flat_torus as torus_mod
 from .errors import DomainError, GeometryError, RetrySignal
+from .hyptrig import _crossing_arc_length
 from .seeding import named_stream
 
 
@@ -288,6 +291,10 @@ class SweepResult:
     records: Optional[tuple[dict, ...]] = None
 
 
+# Samples that lemma_sweep draws and solves at once.
+_SWEEP_BLOCK = 1024
+
+
 def lemma_sweep(core_length: float, samples: int, rng, *,
                 mode: str = "shrunk", first_sign: int = 1,
                 collect_records: bool = False) -> SweepResult:
@@ -299,53 +306,99 @@ def lemma_sweep(core_length: float, samples: int, rng, *,
     enters from the same or the opposite side, alternating randomly.
     Each sample also checks the arc-length lower bounds
     max(2*half_width, |winding|*core_length).
+
+    Each sample draws five uniforms from ``rng``: the windings c and d in
+    [-8, 8), the side (the same one below 1/2) and the two entry positions
+    in [0, core_length).  Blocks of samples are drawn and solved at once
+    by ``cylinder.crossing_batch_cyl``.  A sample that needs a retry runs
+    through ``count_crossings_cyl`` right after its own draws, and the
+    rest of its block is drawn afresh after the retry, so the stream and
+    every result are those of a sweep that runs one sample at a time.
     """
     cyl = cyl_mod.make_collar(core_length, mode)
-    floor_len = 2.0 * cyl.half_width
     violations: list[str] = []
     records: list[dict] = []
     max_count = 0
-    for _ in range(samples):
-        c_wind = rng.uniform(-8.0, 8.0)
-        d_wind = rng.uniform(-8.0, 8.0)
-        same_side = bool(rng.random() < 0.5)
-        t1 = rng.uniform(0.0, core_length)
-        t2 = rng.uniform(0.0, core_length)
-        eps1 = first_sign
-        eps2 = eps1 if same_side else -eps1
-        arc1 = cyl_mod.ArcSpec(t1, c_wind, eps1)
-        arc2 = cyl_mod.ArcSpec(t2, d_wind, eps2)
-        wb = cyl_mod.intersection_bounds(c_wind, d_wind, same_side)
-        label = (f"(c={c_wind!r}, d={d_wind!r}, "
-                 f"{'same' if same_side else 'opposite'}, eps1={eps1})")
-        vs: list[str] = []
-        try:
-            rep = cyl_mod.count_crossings_cyl(cyl, arc1, arc2, rng)
-        except RetrySignal as exc:
-            vs.append(f"oracle stuck at {label}: {exc}")
-            rep = None
-        if rep is not None:
-            max_count = max(max_count, rep.count)
-            vs += [f"{v} at {label}" for v in window_violations(rep, wb, eps1)]
-        for arc in (arc1, arc2):
-            length = cyl_mod.arc_length(cyl, arc)
-            lower = max(floor_len, abs(arc.winding) * core_length)
-            if length < lower - 1e-9:
-                vs.append(
-                    f"arc length {length!r} below floor {lower!r} at {label}")
-        violations += vs
-        if collect_records:
-            records.append({
-                "c_wind": c_wind, "d_wind": d_wind,
-                "same_side": same_side,
-                "entry_1": t1, "entry_2": t2,
-                "first_sign": eps1,
-                "count": None if rep is None else rep.count,
-                "window": [wb.lo, wb.hi],
-                "expected_sign": eps1 * wb.sign,
-                "signs": None if rep is None else list(rep.signs),
-                "ok": not vs,
-            })
+    done = 0
+    while done < samples:
+        state = rng.bit_generator.state
+        u = rng.random((min(_SWEEP_BLOCK, samples - done), 5))
+        winds = -8.0 + 16.0 * u[:, :2].T
+        same_side = u[:, 2] < 0.5
+        entries = core_length * u[:, 3:].T
+        signs = np.array([np.full(len(u), first_sign),
+                          np.where(same_side, first_sign, -first_sign)])
+        batch = cyl_mod.crossing_batch_cyl(cyl, entries, winds, signs)
+        stuck = batch.retry.nonzero()[0]
+        solved = int(stuck[0]) if len(stuck) else len(u)
+        taken = min(solved + 1, len(u))
+        retried = None
+        if solved < len(u):
+            # replay the stream to the end of the stuck sample's draws
+            rng.bit_generator.state = state
+            rng.random((taken, 5))
+            arc1, arc2 = (cyl_mod.ArcSpec(*arc) for arc in zip(
+                entries[:, solved].tolist(), winds[:, solved].tolist(),
+                signs[:, solved].tolist()))
+            try:
+                retried = cyl_mod.count_crossings_cyl(cyl, arc1, arc2, rng)
+            except RetrySignal as exc:
+                retried = exc
+        done += taken
+
+        c_winds, d_winds = winds[:, :taken].tolist()
+        sides = same_side[:taken].tolist()
+        windows = [cyl_mod.intersection_bounds(c, d, same)
+                   for c, d, same in zip(c_winds, d_winds, sides)]
+        lo, hi, sign = np.array(list(zip(*windows)))
+        expected = first_sign * sign
+        counts = np.diff(batch.offsets[:taken + 1])
+        owner = np.arange(taken).repeat(counts)
+        wrong = batch.signs[:len(owner)] != expected[owner]
+        advance = np.abs(winds[:, :taken]) * core_length
+        length = _crossing_arc_length(np, cyl.half_width, advance)
+        lower = np.maximum(2.0 * cyl.half_width, advance)
+        short = length < lower - 1e-9
+        failed = ((counts < lo) | (counts > hi) | short.any(axis=0)
+                  | ((np.bincount(owner[wrong], minlength=taken) > 0)
+                     & (expected != 0)))
+        if solved < taken:
+            failed[solved] = True
+        max_count = max(max_count, int(counts[:solved].max(initial=0)))
+
+        t1s, t2s = entries[:, :taken].tolist()
+        for i in range(taken) if collect_records else failed.nonzero()[0]:
+            rep = retried if i == solved else batch.report(i)
+            vs: list[str] = []
+            if failed[i]:
+                label = (f"(c={c_winds[i]!r}, d={d_winds[i]!r}, "
+                         f"{'same' if sides[i] else 'opposite'}, "
+                         f"eps1={first_sign})")
+                if isinstance(rep, RetrySignal):
+                    vs.append(f"oracle stuck at {label}: {rep}")
+                else:
+                    vs += [f"{v} at {label}" for v in
+                           window_violations(rep, windows[i], first_sign)]
+                vs += [f"arc length {length[j, i].item()!r} below floor "
+                       f"{lower[j, i].item()!r} at {label}"
+                       for j in (0, 1) if short[j, i]]
+                violations += vs
+            if isinstance(rep, RetrySignal):
+                rep = None
+            elif i == solved:
+                max_count = max(max_count, rep.count)
+            if collect_records:
+                records.append({
+                    "c_wind": c_winds[i], "d_wind": d_winds[i],
+                    "same_side": sides[i],
+                    "entry_1": t1s[i], "entry_2": t2s[i],
+                    "first_sign": first_sign,
+                    "count": None if rep is None else rep.count,
+                    "window": [windows[i].lo, windows[i].hi],
+                    "expected_sign": first_sign * windows[i].sign,
+                    "signs": None if rep is None else list(rep.signs),
+                    "ok": not vs,
+                })
     return SweepResult(core_length=core_length, samples=samples,
                        violations=tuple(violations), max_count=max_count,
                        records=tuple(records) if collect_records else None)

@@ -1,11 +1,18 @@
-"""Reference cylinder crossing oracle in the upper half-plane model.
+"""Reference cylinder crossing oracles: one in the upper half-plane
+model, and the Fermi-coordinate oracle as a loop over deck translates.
 
-Both arcs are lifted to half-plane geodesic segments and the lift of the
-first is intersected, circle against circle, with every deck translate of
-the lift of the second.  The lift places arc endpoints at scale
-exp(core advance), so it loses its digits at large windings; at core 0.2
-it is right for |winding| <= 64.  The tests compare the Fermi-coordinate
-oracle of ``intnorm.cylinder`` against it in that range.
+In the half-plane oracle both arcs are lifted to half-plane geodesic
+segments and the lift of the first is intersected, circle against circle,
+with every deck translate of the lift of the second.  The lift places arc
+endpoints at scale exp(core advance), so it loses its digits at large
+windings; at core 0.2 it is right for |winding| <= 64.  The tests compare
+the Fermi-coordinate oracle of ``intnorm.cylinder`` against it in that
+range.
+
+The loop oracle solves the same equations as ``intnorm.cylinder``, one
+translate at a time in scalar floats.  It reads the oracle's bounds and
+tolerances from ``intnorm.cylinder`` at call time, so the tests hold the
+vectorised oracle to it on the whole domain, for one pair or for many.
 """
 
 from __future__ import annotations
@@ -14,6 +21,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
+from intnorm import cylinder as cyl_mod
 from intnorm import (
     ArcSpec,
     CrossingReport,
@@ -133,5 +141,67 @@ def crossing_count_oracle_halfplane(cyl: Cylinder, arc1: ArcSpec,
             raise RetrySignal("tangential crossing")
         t, _ = halfplane_to_fermi(x, y)
         hits.append((t, 1 if cross > 0 else -1))
+    hits.sort(key=lambda h: h[0])
+    return CrossingReport(count=len(hits), signs=tuple(h[1] for h in hits))
+
+
+def _fermi_arc(cyl: Cylinder,
+               arc: ArcSpec) -> tuple[float, float, float, float]:
+    """(A, B, m, |D|/2) of one arc, as in ``cylinder._fermi_arcs``."""
+    l = cyl.core_length
+    if not (0.0 <= arc.entry_t < l):
+        raise DomainError(
+            f"entry_t must lie in [0, {l}), got {arc.entry_t}")
+    half = arc.winding * l / 2.0
+    if abs(half) > cyl_mod.MAX_ADVANCE / 2.0:
+        raise DomainError(
+            f"core advance {2.0 * abs(half)!r} of winding {arc.winding!r} "
+            f"exceeds the oracle's bound {cyl_mod.MAX_ADVANCE}")
+    return (math.sinh(half), arc.crossing_sign * math.tanh(cyl.half_width),
+            arc.entry_t + half, abs(half))
+
+
+def crossing_count_oracle_loop(cyl: Cylinder, arc1: ArcSpec,
+                               arc2: ArcSpec) -> CrossingReport:
+    """``cylinder.crossing_count_oracle_cyl`` with one scalar solve per
+    deck translate: same domain, errors and RetrySignal reasons."""
+    if arc1 == arc2:
+        raise DegenerateInputError("arcs are identical")
+    l, w = cyl.core_length, cyl.half_width
+    if l < cyl_mod.MIN_CORE_LENGTH:
+        raise DomainError(f"core length {l!r} is below the oracle's bound "
+                          f"{cyl_mod.MIN_CORE_LENGTH}")
+    a1, b1, m1, h1 = _fermi_arc(cyl, arc1)
+    a2, b2, m2, h2 = _fermi_arc(cyl, arc2)
+    first = math.ceil((m1 - m2 - h1 - h2) / l)
+    last = math.floor((m1 - m2 + h1 + h2) / l)
+    if last - first + 1 > cyl_mod.MAX_TRANSLATES:
+        raise DomainError(f"{last - first + 1} deck translates to try "
+                          f"exceed the oracle's bound "
+                          f"{cyl_mod.MAX_TRANSLATES}")
+    p, q = b2 * a1, b1 * a2
+    tol = cyl_mod.OVERLAP_TOLERANCE
+    hits: list[tuple[float, int]] = []
+    for k in range(first, last + 1):
+        d = m2 + k * l - m1
+        if abs(d) <= tol * l and abs(p - q) <= tol * (abs(p) + abs(q)):
+            raise RetrySignal("overlapping geodesic lifts")
+        num = p * math.exp(d) - q
+        den = p * math.exp(-d) - q
+        if den == 0.0 or num / den <= 0.0:
+            continue
+        x = 0.5 * math.log(num / den)
+        # tanh(s) from the flatter of the two arcs
+        tau = (b1 * math.sinh(x) / a1 if abs(a1) >= abs(a2)
+               else b2 * math.sinh(x - d) / a2)
+        if abs(tau) >= 1.0:
+            continue
+        s = math.atanh(tau)
+        if abs(abs(s) - w) <= cyl_mod.S_TOLERANCE:
+            raise RetrySignal("crossing grazes the collar boundary")
+        if abs(s) > w:
+            continue
+        cross = a1 * b2 * math.cosh(x - d) - a2 * b1 * math.cosh(x)
+        hits.append((m1 + x, 1 if cross < 0 else -1))
     hits.sort(key=lambda h: h[0])
     return CrossingReport(count=len(hits), signs=tuple(h[1] for h in hits))

@@ -7,6 +7,7 @@ byte-reproducible for a fixed seed.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import subprocess
 import sys
@@ -130,6 +131,23 @@ def test_cylinder_small_sweep(capsys):
     for rec in res["records"]:
         assert rec["ok"] is True
         assert rec["window"][0] <= rec["count"] <= rec["window"][1]
+
+
+def test_cylinder_sweep_output_is_pinned(tmp_path, capsys):
+    """The results of a 1000-sample sweep, pinned by digest in JSON and
+    in CSV: a change in the stream, a count, a sign or the formatting of
+    a number changes them."""
+    argv = ["cylinder", "--core-length", "0.2", "--samples", "1000",
+            "--seed", "42"]
+    code, doc = run_json(capsys, argv)
+    assert code == 0
+    results = json.dumps(doc["results"], sort_keys=True).encode()
+    assert hashlib.sha256(results).hexdigest() == (
+        "619e6567dcd99486145d90fbe63e6dc62451bfd50984cf51c487d92a21306df4")
+    out = tmp_path / "sweep.csv"
+    assert main(argv + ["--format", "csv", "--output", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+        "3a1f3ead427a1aad1619c041e9ccf24a0351c989fe68f10a57b4ae4097d1493c")
 
 
 def test_cylinder_rejects_long_core_in_shrunk_mode(capsys):

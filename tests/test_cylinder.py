@@ -34,10 +34,15 @@ from intnorm import (
     rewind_suite_check,
     winding_from_endpoints,
 )
+import intnorm.cylinder
 from intnorm.cylinder import (MAX_ADVANCE, MAX_TRANSLATES, MIN_CORE_LENGTH,
+                              ROW_CHUNK, crossing_batch_cyl,
                               rewind_cell_violations)
+from intnorm.seeding import named_stream
+from intnorm.suites import lemma_sweep, window_violations
 
-from halfplane_reference import crossing_count_oracle_halfplane
+from halfplane_reference import (crossing_count_oracle_halfplane,
+                                 crossing_count_oracle_loop)
 
 CYL = make_collar(0.2, "shrunk")
 
@@ -302,6 +307,111 @@ def test_oracle_window_and_sign_up_to_the_advance_bound(core):
         assert set(rep.signs) <= {eps1 * sign}, (arc1, arc2)
 
 
+def _outcome(oracle, cyl, arc1, arc2):
+    """(count, signs) of an oracle call, or the kind and message of the
+    RetrySignal or DomainError that it raised."""
+    try:
+        rep = oracle(cyl, arc1, arc2)
+    except (RetrySignal, DomainError) as exc:
+        return type(exc).__name__, str(exc)
+    return rep.count, rep.signs
+
+
+@pytest.mark.parametrize("core", [1e-9, 1e-3, 0.05, 0.1, 0.2])
+def test_oracle_matches_the_loop_reference(core):
+    """The same counts and signs, or the same refusal, as the oracle that
+    solves one translate at a time, on seeded pairs whose windings spread
+    log-uniformly up to the advance bound, or on short cores up to the
+    translate bound.  Last come a pair at that bound and one past it."""
+    cyl = make_collar(core, "shrunk")
+    rng = np.random.default_rng(11 + int(core * 1000))
+    edge = min(MAX_ADVANCE / core, (MAX_TRANSLATES - 4) / 2.0)
+    winds = [tuple(np.exp(rng.uniform(-3.0, math.log(edge), 2))
+                   * rng.choice([-1.0, 1.0], 2)) for _ in range(60)]
+    winds += [(edge, -edge), (2.0 * edge + 10.0, 0.5)]
+    outcomes = []
+    for c, d in winds:
+        arc1 = ArcSpec(rng.uniform(0.0, core), float(c),
+                       int(rng.choice([-1, 1])))
+        arc2 = ArcSpec(rng.uniform(0.0, core), float(d),
+                       int(rng.choice([-1, 1])))
+        ref = _outcome(crossing_count_oracle_loop, cyl, arc1, arc2)
+        assert _outcome(crossing_count_oracle_cyl, cyl, arc1,
+                        arc2) == ref, (arc1, arc2)
+        outcomes.append(ref)
+    assert isinstance(outcomes[-2][0], int)
+    assert outcomes[-1][0] == "DomainError"
+
+
+def test_oracle_retry_reasons_match_the_loop_reference():
+    graze = (ArcSpec(0.1, 0.0, 1), ArcSpec(0.05, 0.25, 1))
+    overlap = (ArcSpec(0.1, 0.0, 1), ArcSpec(0.1, 0.0, -1))
+    for arc1, arc2 in (graze, overlap):
+        ref = _outcome(crossing_count_oracle_loop, CYL, arc1, arc2)
+        assert ref[0] == "RetrySignal"
+        assert _outcome(crossing_count_oracle_cyl, CYL, arc1, arc2) == ref
+
+
+def _batch_matches_loop(cyl, pairs):
+    """Solve the pairs as one batch and require each pair's outcome to be
+    the loop reference's; returns the outcomes."""
+    arrays = [[[getattr(arc, f) for arc in arcs] for arcs in zip(*pairs)]
+              for f in ("entry_t", "winding", "crossing_sign")]
+    batch = crossing_batch_cyl(cyl, *arrays)
+    outcomes = []
+    for i, (arc1, arc2) in enumerate(pairs):
+        ref = _outcome(crossing_count_oracle_loop, cyl, arc1, arc2)
+        got = _outcome(lambda *_: batch.report(i), cyl, arc1, arc2)
+        assert got == ref, (i, arc1, arc2)
+        outcomes.append(ref)
+    return outcomes
+
+
+def test_batch_of_mixed_runs_matches_the_loop_reference():
+    """Pairs with no translate, retries and thousands of short runs
+    around them, which span several row chunks."""
+    rng = np.random.default_rng(21)
+    pairs = []
+    for _ in range(5000):
+        c, d = rng.uniform(-8.0, 8.0, 2)
+        eps = int(rng.choice([-1, 1]))
+        pairs.append((ArcSpec(rng.uniform(0.0, 0.2), float(c), eps),
+                      ArcSpec(rng.uniform(0.0, 0.2), float(d),
+                              int(rng.choice([-1, 1])))))
+    # no translate to try: two perpendicular arcs far apart on the core
+    empty = (ArcSpec(0.03, 0.0, 1), ArcSpec(0.11, 0.0, 1))
+    graze = (ArcSpec(0.1, 0.0, 1), ArcSpec(0.05, 0.25, 1))
+    overlap = (ArcSpec(0.1, 0.0, 1), ArcSpec(0.1, 0.0, -1))
+    for at, pair in ((0, empty), (1500, empty), (1501, graze),
+                     (2500, overlap), (2501, empty)):
+        pairs.insert(at, pair)
+    pairs.append(empty)
+    assert sum(abs(a.winding) + abs(b.winding) for a, b in pairs) \
+        > 2 * ROW_CHUNK
+    outcomes = _batch_matches_loop(CYL, pairs)
+    assert outcomes[0] == outcomes[1500] == outcomes[2501] \
+        == outcomes[-1] == (0, ())
+    assert outcomes[1501][0] == outcomes[2500][0] == "RetrySignal"
+    assert max(o[0] for o in outcomes if o[0] != "RetrySignal") >= 12
+
+
+def test_batch_with_a_run_near_the_translate_bound():
+    """One pair of about 0.9 * MAX_TRANSLATES translates among short ones
+    on a short core: several row chunks for one pair, and pairs on both
+    sides of it."""
+    short = Cylinder(core_length=1e-4, half_width=3.0)
+    rng = np.random.default_rng(22)
+    pairs = [(ArcSpec(rng.uniform(0.0, 1e-4), float(c), 1),
+              ArcSpec(rng.uniform(0.0, 1e-4), float(d), -1))
+             for c, d in rng.uniform(-30.0, 30.0, (40, 2))]
+    pairs.insert(20, (ArcSpec(1.3e-5, 0.5, 1),
+                      ArcSpec(6.1e-5, 0.9 * MAX_TRANSLATES, -1)))
+    pairs.insert(0, (ArcSpec(1e-5, 0.0, 1), ArcSpec(8e-5, 0.0, 1)))
+    outcomes = _batch_matches_loop(short, pairs)
+    assert outcomes[0] == (0, ())
+    assert outcomes[21][0] == 0.9 * MAX_TRANSLATES + 1
+
+
 def test_oracle_retries_on_boundary_graze():
     # the perpendicular first arc passes through the second arc's exit
     # point on the boundary s = +w
@@ -321,6 +431,105 @@ def test_count_crossings_cyl_recovers_from_overlapping_lifts():
     rng = np.random.default_rng(2)
     rep = count_crossings_cyl(CYL, arc1, arc2, rng)
     assert rep.count == 0
+
+
+# ------------------------------------------------------------ the sweep
+
+def _reference_sweep(core_length, samples, rng, first_sign):
+    """``lemma_sweep`` one sample at a time: five scalar draws and one
+    ``count_crossings_cyl`` call per sample.  Returns its records and
+    violations, its largest count, and how many samples asked the oracle
+    for a retry."""
+    cyl = make_collar(core_length, "shrunk")
+    records, violations, max_count, retries = [], [], 0, 0
+    for _ in range(samples):
+        c_wind = rng.uniform(-8.0, 8.0)
+        d_wind = rng.uniform(-8.0, 8.0)
+        same_side = bool(rng.random() < 0.5)
+        t1 = rng.uniform(0.0, core_length)
+        t2 = rng.uniform(0.0, core_length)
+        arc1 = ArcSpec(t1, c_wind, first_sign)
+        arc2 = ArcSpec(t2, d_wind, first_sign if same_side else -first_sign)
+        wb = intersection_bounds(c_wind, d_wind, same_side)
+        label = (f"(c={c_wind!r}, d={d_wind!r}, "
+                 f"{'same' if same_side else 'opposite'}, "
+                 f"eps1={first_sign})")
+        vs = []
+        try:
+            crossing_count_oracle_cyl(cyl, arc1, arc2)
+        except RetrySignal:
+            retries += 1
+        try:
+            rep = count_crossings_cyl(cyl, arc1, arc2, rng)
+        except RetrySignal as exc:
+            vs.append(f"oracle stuck at {label}: {exc}")
+            rep = None
+        if rep is not None:
+            max_count = max(max_count, rep.count)
+            vs += [f"{v} at {label}"
+                   for v in window_violations(rep, wb, first_sign)]
+        for arc in (arc1, arc2):
+            length = arc_length(cyl, arc)
+            lower = max(2.0 * cyl.half_width,
+                        abs(arc.winding) * core_length)
+            if length < lower - 1e-9:
+                vs.append(f"arc length {length!r} below floor {lower!r} "
+                          f"at {label}")
+        violations += vs
+        records.append({
+            "c_wind": c_wind, "d_wind": d_wind, "same_side": same_side,
+            "entry_1": t1, "entry_2": t2, "first_sign": first_sign,
+            "count": None if rep is None else rep.count,
+            "window": [wb.lo, wb.hi],
+            "expected_sign": first_sign * wb.sign,
+            "signs": None if rep is None else list(rep.signs),
+            "ok": not vs,
+        })
+    return records, violations, max_count, retries
+
+
+def _sweeps_agree(seed, core, first_sign, samples):
+    """Run lemma_sweep and the reference on one named stream each; both
+    must give the same records and violations and leave their streams at
+    the same place.  Returns the reference's records and retry count."""
+    rng = named_stream(seed, "cylinder.sweep")
+    ref_rng = named_stream(seed, "cylinder.sweep")
+    res = lemma_sweep(core, samples, rng, first_sign=first_sign,
+                      collect_records=True)
+    records, violations, max_count, retries = _reference_sweep(
+        core, samples, ref_rng, first_sign)
+    assert list(res.records) == records
+    # plain Python values only, as JSON and the messages need them
+    assert {type(v) for r in res.records for v in r.values()} <= {
+        int, float, bool, list, type(None)}
+    assert {type(s) for r in res.records for s in r["signs"] or ()} \
+        <= {int}
+    assert list(res.violations) == violations
+    assert res.max_count == max_count
+    assert rng.random(8).tolist() == ref_rng.random(8).tolist()
+    return records, retries
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_sweep_matches_a_sample_by_sample_sweep(seed):
+    # 1500 samples span a block boundary
+    for core, first_sign in ((0.05, 1), (0.2, -1)):
+        records, _ = _sweeps_agree(seed, core, first_sign, 1500)
+        assert all(r["ok"] for r in records)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_sweep_keeps_the_stream_through_retries(seed, monkeypatch):
+    """A graze tolerance this wide flags some samples.  Their jittered
+    retries draw from the stream, and every later sample must still see
+    the draws that a sample-by-sample sweep gives it."""
+    monkeypatch.setattr(intnorm.cylinder, "S_TOLERANCE", 0.02)
+    monkeypatch.setattr(intnorm.cylinder, "JITTER_SCALE", 0.01)
+    records, retries = _sweeps_agree(seed, 0.2, 1, 1500)
+    assert retries > 5
+    # some retries succeed after a jitter, and some stay stuck
+    assert any(r["count"] is None for r in records)
+    assert sum(r["count"] is not None for r in records) > 1500 - retries
 
 
 # ------------------------------------------------------- half-plane charts
