@@ -127,13 +127,15 @@ def _hyperbolic(m, s: int, l1):
 
 def _hyperbolic_terms(s: int, l1: float, extended: bool) -> tuple:
     """``_hyperbolic`` as floats, with the bound ordering enforced."""
-    if extended:
-        terms = tuple(map(float, _extended(_hyperbolic, s, l1)))
-        if not all(map(math.isfinite, terms)):
-            raise DomainError(f"hyperbolic bounds at s={s}, l1={l1} leave "
-                              "the range of double precision")
-    else:
-        terms = _hyperbolic(math, s, l1)
+    try:
+        terms = (tuple(map(float, _extended(_hyperbolic, s, l1)))
+                 if extended else _hyperbolic(math, s, l1))
+        in_range = not extended or all(map(math.isfinite, terms))
+    except OverflowError:  # a genus too large for a float, in double
+        in_range = False
+    if not in_range:
+        raise DomainError(f"hyperbolic bounds at s={s}, l1={l1} leave "
+                          "the range of double precision")
     if not terms[0] < terms[1]:
         raise GeometryError(
             f"hyperbolic bound ordering failed at s={s}, l1={l1}: "

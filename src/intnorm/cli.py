@@ -25,9 +25,11 @@ import sys
 import time
 from typing import Optional
 
-from . import __version__
+import numpy as np
+
+from . import __version__, cylinder
 from .bounds import asymptotic_profile, parse_grid
-from .cylinder import ArcSpec, count_crossings_cyl, intersection_bounds, \
+from .cylinder import ArcSpec, count_crossings_cyl, crossing_batch_cyl, \
     make_collar
 from .errors import DomainError, GeometryError, RetrySignal
 from .flat_torus import Lattice, RealClass, best_ratio_search, k_real, \
@@ -203,28 +205,38 @@ def run_cylinder(args) -> tuple[dict, Optional[tuple]]:
         if not isinstance(pairs, list):
             raise DomainError(f"\"pairs\" in {args.arcs_json} must be a "
                               f"list, got {pairs!r}")
+        arcs = []
         for i, item in enumerate(pairs):
             try:
-                arc1 = _load_arc(item["arc1"])
-                arc2 = _load_arc(item["arc2"])
+                arcs.append((_load_arc(item["arc1"]),
+                             _load_arc(item["arc2"])))
             except (KeyError, TypeError) as exc:
                 raise DomainError(
                     f"malformed arc pair #{i}: {exc}") from None
-            same_side = arc1.crossing_sign == arc2.crossing_sign
-            wb = intersection_bounds(arc1.winding, arc2.winding, same_side)
-            rep = count_crossings_cyl(cyl, arc1, arc2, rng)
-            entry = {
+        # entry_t, winding and crossing sign, each of shape (2, pairs)
+        entry_t, winding, sign = np.array(
+            [[(a.entry_t, a.winding, a.crossing_sign) for a in pair]
+             for pair in arcs]).reshape(-1, 2, 3).T
+        first_sign = sign[0].astype(np.int64)
+        wb = cylinder.intersection_bounds(*winding, sign[0] == sign[1])
+        batch = crossing_batch_cyl(cyl, entry_t, winding, sign)
+        # in file order, so that the retries draw what they always drew
+        for i in batch.retry.nonzero()[0].tolist():
+            batch = batch.with_report(
+                i, count_crossings_cyl(cyl, *arcs[i], rng))
+        for i, vs in window_violations(batch, wb, first_sign).items():
+            violations += [f"pair #{i}: {v}" for v in vs]
+        for i, (arc1, arc2) in enumerate(arcs):
+            rep = batch.report(i)
+            pair_reports.append({
                 "arc1": [arc1.entry_t, arc1.winding, arc1.crossing_sign],
                 "arc2": [arc2.entry_t, arc2.winding, arc2.crossing_sign],
-                "same_side": same_side,
+                "same_side": arc1.crossing_sign == arc2.crossing_sign,
                 "count": rep.count,
                 "signs": list(rep.signs),
-                "window": [wb.lo, wb.hi],
-                "expected_sign": arc1.crossing_sign * wb.sign,
-            }
-            pair_reports.append(entry)
-            violations += [f"pair #{i}: {v}" for v in
-                           window_violations(rep, wb, arc1.crossing_sign)]
+                "window": [int(wb.lo[i]), int(wb.hi[i])],
+                "expected_sign": int(first_sign[i] * wb.sign[i]),
+            })
 
     records = [dict(r) for r in res.records]
     report = {
@@ -309,10 +321,6 @@ _RUNNERS = {
 
 def _emit(report: dict, csv_data, args) -> None:
     if args.fmt == "csv":
-        if csv_data is None:
-            raise DomainError(
-                f"csv output is only available for tabular sweeps "
-                f"(bounds, cylinder), not {report['command']!r}")
         header, rows = csv_data
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
@@ -337,6 +345,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     started = time.perf_counter()
     try:
+        if args.fmt == "csv" and args.command not in ("bounds", "cylinder"):
+            raise DomainError(
+                f"csv output is only available for tabular sweeps "
+                f"(bounds, cylinder), not {args.command!r}")
         report, csv_data = _RUNNERS[args.command](args)
         report["timing_ms"] = None
         report["version"] = __version__

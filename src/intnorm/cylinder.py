@@ -176,8 +176,9 @@ class WindingBounds(NamedTuple):
     sign: int
 
 
-def intersection_bounds(c_wind: float, d_wind: float,
-                        same_side: bool) -> WindingBounds:
+def intersection_bounds(c_wind: float | np.ndarray,
+                        d_wind: float | np.ndarray,
+                        same_side: bool | np.ndarray) -> WindingBounds:
     """Crossing-count window and common sign for two arcs with the given
     windings, entering from the same side or from opposite sides.
 
@@ -185,14 +186,22 @@ def intersection_bounds(c_wind: float, d_wind: float,
     the count lies in [floor|x|, floor|x| + 1] and every crossing carries
     sign(x).  The sign statement is for the convention in which the first
     arc crosses the core positively; reversing both crossing directions
-    flips it.
+    flips it.  The rule is written once in plain operators: floats give
+    Python ints, equal-shape numpy arrays give int64 arrays.  Windings
+    that are not finite or reach 2**62, where x could overflow or leave
+    int64, are refused with DomainError.
     """
-    for name, v in (("c_wind", c_wind), ("d_wind", d_wind)):
-        if not math.isfinite(v):
-            raise DomainError(f"{name} must be finite, got {v!r}")
-    x = d_wind - c_wind if same_side else d_wind + c_wind
-    lo = int(math.floor(abs(x)))
-    return WindingBounds(lo=lo, hi=lo + 1, sign=_sign(x))
+    arrays = isinstance(c_wind, np.ndarray)
+    inside = (abs(c_wind) < 2.0 ** 62) & (abs(d_wind) < 2.0 ** 62)
+    if not (inside.all() if arrays else inside):
+        c, d = (c_wind[~inside][0], d_wind[~inside][0]) if arrays else \
+            (c_wind, d_wind)
+        raise DomainError(f"windings {c!r} and {d!r} must be finite and "
+                          "below 2**62")
+    x = d_wind + (1 - 2 * same_side) * c_wind
+    lo = abs(x) // 1
+    lo = lo.astype(np.int64) if arrays else int(lo)
+    return WindingBounds(lo, lo + 1, (x > 0) * 1 - (x < 0) * 1)
 
 
 def dehn_twist_winding(c_wind: float, crossing_sign: int, z: float) -> float:
@@ -290,6 +299,21 @@ class CrossingBatch(NamedTuple):
         lo, hi = self.offsets[i], self.offsets[i + 1]
         return CrossingReport(count=int(hi - lo),
                               signs=tuple(self.signs[lo:hi].tolist()))
+
+    def take(self, n: int) -> CrossingBatch:
+        """The first n pairs."""
+        return CrossingBatch(self.offsets[:n + 1],
+                             self.signs[:self.offsets[n]], self.retry[:n])
+
+    def with_report(self, i: int, rep: CrossingReport) -> CrossingBatch:
+        """Pair i unflagged, with the crossings of rep, its retried count."""
+        lo, hi = self.offsets[i], self.offsets[i + 1]
+        offsets, retry = self.offsets.copy(), self.retry.copy()
+        offsets[i + 1:] += rep.count - (hi - lo)
+        retry[i] = 0
+        signs = np.array(rep.signs, dtype=self.signs.dtype)
+        return CrossingBatch(offsets, np.concatenate(
+            (self.signs[:lo], signs, self.signs[hi:])), retry)
 
 
 def crossing_count_oracle_cyl(cyl: Cylinder, arc1: ArcSpec,
@@ -578,13 +602,12 @@ def rewind_suite_check(gamma_winds: Sequence[float],
 
     for cg, cg_new in zip(gamma_winds, gamma_new):
         for dl, dl_new in zip(delta_winds, delta_new):
-            before = dl - cg if same_side else dl + cg
-            after = dl_new - cg_new if same_side else dl_new + cg_new
-            if _sign(before) != _sign(after):
+            before = intersection_bounds(cg, dl, same_side).sign
+            after = intersection_bounds(cg_new, dl_new, same_side).sign
+            if before != after:
                 violations.append(
                     f"sign of the winding {'difference' if same_side else 'sum'}"
-                    f" flipped on pair ({cg}, {dl}): "
-                    f"{_sign(before)} -> {_sign(after)}")
+                    f" flipped on pair ({cg}, {dl}): {before} -> {after}")
 
     return RewindReport(same_side=same_side, gamma_leads=gamma_leads,
                         m_gamma=m_gamma, m_delta=m_delta,

@@ -649,7 +649,7 @@ def segment_bound_check(lat: Lattice, cutoff: float) -> SegmentBoundReport:
     if classes.shape[0] == 0:
         raise EmptySearchError(
             f"no primitive classes of length <= {cutoff}")
-    l1 = systole(lat)
+    l1 = float(lengths.min())  # the systole: the shortest class is primitive
     i, j = _near_perpendicular_pairs(lat, classes, lengths)
     normalized = (_intersections(classes, i, j) * (l1 * l1)
                   / (lengths[i] * lengths[j]))

@@ -14,7 +14,9 @@ none), so a fixed seed reproduces the identical report byte for byte.
 
 The verdicts that the command line also reports on single inputs are
 written once here: ``ratio_violations`` and ``segment_violations`` for a
-torus search, ``window_violations`` for one crossing count.
+torus search, and ``window_violations`` for the crossing counts of a
+batch of arc pairs, which judges the window sweeps block by block and
+``cylinder --arcs-json`` in one call.
 """
 
 from __future__ import annotations
@@ -266,17 +268,30 @@ def torus_suite(seed: int) -> SuiteReport:
 # cylinder
 
 
-def window_violations(rep: torus_mod.CrossingReport,
+def window_violations(batch: cyl_mod.CrossingBatch,
                       wb: cyl_mod.WindingBounds,
-                      first_sign: int) -> list[str]:
-    """A crossing count lies in the winding window, and every crossing
-    carries the window's sign times the first arc's crossing sign."""
-    vs = []
-    if not wb.lo <= rep.count <= wb.hi:
-        vs.append(f"count {rep.count} outside window [{wb.lo}, {wb.hi}]")
+                      first_sign: int | np.ndarray
+                      ) -> dict[int, list[str]]:
+    """The one verdict of the winding rule, over the pairs of a batch and
+    their window arrays: each count lies in [lo, hi], and every crossing
+    carries the window's sign times the first arc's crossing sign (one,
+    or one per pair).  Returns the messages of the failing pairs, by pair
+    index; flagged pairs have no crossings to judge."""
+    counts = np.diff(batch.offsets)
     expected = first_sign * wb.sign
-    if rep.count and expected and any(s != expected for s in rep.signs):
-        vs.append(f"signs {rep.signs} not uniformly {expected}")
+    owner = np.arange(len(counts)).repeat(counts)
+    inside = (wb.lo <= counts) & (counts <= wb.hi)
+    mixed = (np.bincount(owner[batch.signs != expected[owner]],
+                         minlength=len(counts)) > 0) & (expected != 0)
+    vs: dict[int, list[str]] = {}
+    for i in ((~inside | mixed) & (batch.retry == 0)).nonzero()[0].tolist():
+        rep = batch.report(i)
+        vs[i] = []
+        if not inside[i]:
+            vs[i].append(f"count {rep.count} outside window "
+                         f"[{wb.lo[i]}, {wb.hi[i]}]")
+        if mixed[i]:
+            vs[i].append(f"signs {rep.signs} not uniformly {expected[i]}")
     return vs
 
 
@@ -310,10 +325,13 @@ def lemma_sweep(core_length: float, samples: int, rng, *,
     Each sample draws five uniforms from ``rng``: the windings c and d in
     [-8, 8), the side (the same one below 1/2) and the two entry positions
     in [0, core_length).  Blocks of samples are drawn and solved at once
-    by ``cylinder.crossing_batch_cyl``.  A sample that needs a retry runs
-    through ``count_crossings_cyl`` right after its own draws, and the
-    rest of its block is drawn afresh after the retry, so the stream and
-    every result are those of a sweep that runs one sample at a time.
+    by ``cylinder.crossing_batch_cyl``, and judged at once: one
+    ``cylinder.intersection_bounds`` call over the block's windings and
+    one ``window_violations`` call over its crossings.  A sample that
+    needs a retry runs through ``count_crossings_cyl`` right after its
+    own draws, and its count joins the block's batch; the rest of its
+    block is drawn afresh after the retry, so the stream and every result
+    are those of a sweep that runs one sample at a time.
     """
     cyl = cyl_mod.make_collar(core_length, mode)
     violations: list[str] = []
@@ -330,72 +348,64 @@ def lemma_sweep(core_length: float, samples: int, rng, *,
                           np.where(same_side, first_sign, -first_sign)])
         batch = cyl_mod.crossing_batch_cyl(cyl, entries, winds, signs)
         stuck = batch.retry.nonzero()[0]
-        solved = int(stuck[0]) if len(stuck) else len(u)
-        taken = min(solved + 1, len(u))
-        retried = None
-        if solved < len(u):
+        taken = int(stuck[0]) + 1 if len(stuck) else len(u)
+        batch = batch.take(taken)
+        winds, same_side = winds[:, :taken], same_side[:taken]
+        entries, signs = entries[:, :taken], signs[:, :taken]
+        if len(stuck):
             # replay the stream to the end of the stuck sample's draws
             rng.bit_generator.state = state
             rng.random((taken, 5))
             arc1, arc2 = (cyl_mod.ArcSpec(*arc) for arc in zip(
-                entries[:, solved].tolist(), winds[:, solved].tolist(),
-                signs[:, solved].tolist()))
+                entries[:, -1].tolist(), winds[:, -1].tolist(),
+                signs[:, -1].tolist()))
             try:
-                retried = cyl_mod.count_crossings_cyl(cyl, arc1, arc2, rng)
+                rep = cyl_mod.count_crossings_cyl(cyl, arc1, arc2, rng)
+                batch = batch.with_report(taken - 1, rep)
             except RetrySignal as exc:
-                retried = exc
+                retry_error = exc
         done += taken
 
-        c_winds, d_winds = winds[:, :taken].tolist()
-        sides = same_side[:taken].tolist()
-        windows = [cyl_mod.intersection_bounds(c, d, same)
-                   for c, d, same in zip(c_winds, d_winds, sides)]
-        lo, hi, sign = np.array(list(zip(*windows)))
-        expected = first_sign * sign
-        counts = np.diff(batch.offsets[:taken + 1])
-        owner = np.arange(taken).repeat(counts)
-        wrong = batch.signs[:len(owner)] != expected[owner]
-        advance = np.abs(winds[:, :taken]) * core_length
+        wb = cyl_mod.intersection_bounds(*winds, same_side)
+        window = window_violations(batch, wb, first_sign)
+        advance = np.abs(winds) * core_length
         length = _crossing_arc_length(np, cyl.half_width, advance)
         lower = np.maximum(2.0 * cyl.half_width, advance)
         short = length < lower - 1e-9
-        failed = ((counts < lo) | (counts > hi) | short.any(axis=0)
-                  | ((np.bincount(owner[wrong], minlength=taken) > 0)
-                     & (expected != 0)))
-        if solved < taken:
-            failed[solved] = True
-        max_count = max(max_count, int(counts[:solved].max(initial=0)))
+        failed = short.any(axis=0) | (batch.retry != 0)
+        failed[list(window)] = True
+        max_count = max(max_count, int(np.diff(batch.offsets)[
+            batch.retry == 0].max(initial=0)))
 
-        t1s, t2s = entries[:, :taken].tolist()
-        for i in range(taken) if collect_records else failed.nonzero()[0]:
-            rep = retried if i == solved else batch.report(i)
+        c_winds, d_winds = winds.tolist()
+        sides = same_side.tolist()
+        t1s, t2s = entries.tolist()
+        los, his = wb.lo.tolist(), wb.hi.tolist()
+        expected = (first_sign * wb.sign).tolist()
+        for i in range(taken) if collect_records else \
+                failed.nonzero()[0].tolist():
             vs: list[str] = []
             if failed[i]:
                 label = (f"(c={c_winds[i]!r}, d={d_winds[i]!r}, "
                          f"{'same' if sides[i] else 'opposite'}, "
                          f"eps1={first_sign})")
-                if isinstance(rep, RetrySignal):
-                    vs.append(f"oracle stuck at {label}: {rep}")
-                else:
-                    vs += [f"{v} at {label}" for v in
-                           window_violations(rep, windows[i], first_sign)]
+                if batch.retry[i]:
+                    vs.append(f"oracle stuck at {label}: {retry_error}")
+                vs += [f"{v} at {label}" for v in window.get(i, ())]
                 vs += [f"arc length {length[j, i].item()!r} below floor "
                        f"{lower[j, i].item()!r} at {label}"
                        for j in (0, 1) if short[j, i]]
                 violations += vs
-            if isinstance(rep, RetrySignal):
-                rep = None
-            elif i == solved:
-                max_count = max(max_count, rep.count)
             if collect_records:
+                rep = None if batch.retry[i] else batch.report(i)
                 records.append({
                     "c_wind": c_winds[i], "d_wind": d_winds[i],
                     "same_side": sides[i],
                     "entry_1": t1s[i], "entry_2": t2s[i],
                     "first_sign": first_sign,
                     "count": None if rep is None else rep.count,
-                    "window": [windows[i].lo, windows[i].hi],
-                    "expected_sign": first_sign * windows[i].sign,
+                    "window": [los[i], his[i]],
+                    "expected_sign": expected[i],
                     "signs": None if rep is None else list(rep.signs),
                     "ok": not vs,
                 })

@@ -106,6 +106,19 @@ def test_torus_has_no_csv_form(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("argv, work", [
+    (["verify", "--suite", "all"], "run_suites"),
+    (["torus", "--lattice", "1,0,0,1"], "best_ratio_search"),
+])
+def test_csv_is_refused_before_the_work(monkeypatch, capsys, argv, work):
+    def refuse(*args, **kwargs):
+        raise AssertionError(f"{work} ran before the csv refusal")
+
+    monkeypatch.setattr(intnorm.cli, work, refuse)
+    assert main(argv + ["--format", "csv"]) == 2
+    assert "csv output is only available" in capsys.readouterr().err
+
+
 def test_torus_output_file(tmp_path, capsys):
     target = tmp_path / "torus.json"
     code = main(["torus", "--lattice", "1,0,0,1",
@@ -186,6 +199,81 @@ def test_cylinder_explicit_arc_pairs(tmp_path, capsys):
     second = pairs[1]
     assert second["same_side"] is False
     assert second["window"] == [0, 1]
+
+
+# Arc pairs pinned by the digest of their results: both sides, both signs
+# of the first arc, counts at both ends of their windows, pairs that do
+# not cross, and windings near +-8.
+PINNED_PAIRS = [
+    {"arc1": [0.03, 0.0, 1], "arc2": [0.11, 2.5, 1]},
+    {"arc1": [0.05, 1.2, 1], "arc2": [0.03, -0.7, -1]},
+    {"arc1": [0.07, -7.9, -1], "arc2": [0.03, 7.6, -1]},
+    {"arc1": [0.12, 7.95, -1], "arc2": [0.02, 7.3, 1]},
+    {"arc1": [0.03, 0.0, 1], "arc2": [0.11, 0.0, 1]},
+    {"arc1": [0.19, -7.99, 1], "arc2": [0.01, 7.97, -1]},
+]
+
+# Two pairs that graze the collar boundary under the tolerances of
+# test_arc_pairs_keep_their_retries_pinned, between two that do not.
+RETRIED_PAIRS = [
+    {"arc1": [0.03, 0.0, 1], "arc2": [0.11, 2.5, 1]},
+    {"arc1": [0.179, -0.5, 1], "arc2": [0.194, -6.08, -1]},
+    {"arc1": [0.05, 1.2, 1], "arc2": [0.15, -0.7, -1]},
+    {"arc1": [0.195, -3.71, -1], "arc2": [0.159, -1.82, 1]},
+]
+
+
+def _pairs_digest(tmp_path, capsys, pairs):
+    path = tmp_path / "arcs.json"
+    path.write_text(json.dumps({"pairs": pairs}))
+    code, doc = run_json(capsys, ["cylinder", "--core-length", "0.2",
+                                  "--samples", "1", "--seed", "1",
+                                  "--arcs-json", str(path)])
+    assert code == 0
+    assert doc["violations"] == []
+    results = json.dumps(doc["results"]["pairs"], sort_keys=True).encode()
+    return doc["results"]["pairs"], hashlib.sha256(results).hexdigest()
+
+
+def test_arc_pairs_output_is_pinned(tmp_path, capsys):
+    pairs, digest = _pairs_digest(tmp_path, capsys, PINNED_PAIRS)
+    assert [(p["count"], p["window"]) for p in pairs] == [
+        (2, [2, 3]), (1, [0, 1]), (16, [15, 16]), (15, [15, 16]),
+        (0, [0, 1]), (0, [0, 1])]
+    assert digest == (
+        "4cde485ae2adbd6b63bdc1f2d523314e2108b6856a90b971ee11ebc3ce1c7b2e")
+
+
+def test_arc_pairs_keep_their_retries_pinned(monkeypatch, tmp_path, capsys):
+    """Pairs flagged for a retry are solved again in file order, each
+    drawing its jitter from the stream, and then judged with the rest."""
+    monkeypatch.setattr(intnorm.cylinder, "S_TOLERANCE", 0.02)
+    monkeypatch.setattr(intnorm.cylinder, "JITTER_SCALE", 0.01)
+    cyl = intnorm.make_collar(0.2, "shrunk")
+    retried = []
+    for item in RETRIED_PAIRS:
+        try:
+            intnorm.crossing_count_oracle_cyl(
+                cyl, *(intnorm.ArcSpec(*item[k]) for k in ("arc1", "arc2")))
+        except intnorm.RetrySignal:
+            retried.append(item)
+    assert retried == RETRIED_PAIRS[1::2]
+    pairs, digest = _pairs_digest(tmp_path, capsys, RETRIED_PAIRS)
+    assert [p["count"] for p in pairs] == [2, 6, 0, 5]
+    assert digest == (
+        "f8cc7512f4865687fbe163b72a4be0c14f3bebbee420a6b2dc587e910e52331f")
+
+
+def test_cylinder_arc_pair_whose_window_overflows_exits_2(tmp_path, capsys):
+    # finite windings whose sum is not
+    path = tmp_path / "arcs.json"
+    path.write_text(json.dumps({"pairs": [{"arc1": [0.03, 1e308, 1],
+                                           "arc2": [0.11, 1e308, -1]}]}))
+    assert main(["cylinder", "--core-length", "0.2", "--samples", "1",
+                 "--arcs-json", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("intnorm: error:")
+    assert err.count("\n") == 1
 
 
 def test_cylinder_arc_pair_past_the_translate_bound_exits_2(tmp_path,
@@ -350,6 +438,15 @@ def test_verify_all_runs_the_pinned_checks(capsys):
     }
 
 
+def test_verify_all_output_is_pinned(capsys):
+    """The whole report of verify --seed 1, byte for byte.  A change that
+    alters the report on purpose updates the digest and says why."""
+    assert main(["verify", "--suite", "all", "--seed", "1"]) == 0
+    out = capsys.readouterr().out.encode()
+    assert hashlib.sha256(out).hexdigest() == (
+        "8d6f77531f8b61ada38365e4c6f0c587771ca61cb61542eaa07a8810e2bbe4aa")
+
+
 @pytest.fixture
 def shifted_windows(monkeypatch):
     """Every winding window one too high, in the suites and the CLI."""
@@ -360,7 +457,6 @@ def shifted_windows(monkeypatch):
         return wb._replace(lo=wb.lo + 1, hi=wb.hi + 1)
 
     monkeypatch.setattr(intnorm.cylinder, "intersection_bounds", shifted)
-    monkeypatch.setattr(intnorm.cli, "intersection_bounds", shifted)
 
 
 def test_verify_reports_failing_checks_and_caps_violations(shifted_windows,
@@ -391,6 +487,43 @@ def test_cylinder_arc_pair_outside_its_window_is_a_violation(
                                   "--arcs-json", str(path)])
     assert code == 1
     assert "pair #0: count 2 outside window [3, 4]" in doc["violations"]
+
+
+@pytest.fixture
+def flipped_signs(monkeypatch):
+    """Every window's sign flipped, in the suites and the CLI."""
+    real = intnorm.cylinder.intersection_bounds
+
+    def flipped(c_wind, d_wind, same_side):
+        wb = real(c_wind, d_wind, same_side)
+        return wb._replace(sign=-wb.sign)
+
+    monkeypatch.setattr(intnorm.cylinder, "intersection_bounds", flipped)
+
+
+def test_verify_reports_crossings_of_the_wrong_sign(flipped_signs, tmp_path):
+    out = tmp_path / "cylinder.json"
+    assert main(["verify", "--suite", "cylinder", "--seed", "1",
+                 "--output", str(out)]) == 1
+    (suite,) = json.loads(out.read_text())["results"]["suites"]
+    failures = {c["name"]: c["failures"] for c in suite["checks"]}
+    assert failures["winding_window_and_sign"] > 0
+    assert failures["flipped_sign_convention"] > 0
+    assert all("not uniformly" in v for v in suite["violations"][:-1])
+
+
+def test_cylinder_arc_pair_of_the_wrong_sign_is_a_violation(
+        flipped_signs, tmp_path, capsys):
+    path = tmp_path / "arcs.json"
+    path.write_text(json.dumps({"pairs": PINNED_PAIRS}))
+    code, doc = run_json(capsys, ["cylinder", "--core-length", "0.2",
+                                  "--samples", "1",
+                                  "--arcs-json", str(path)])
+    assert code == 1
+    assert "pair #0: signs (1, 1) not uniformly -1" in doc["violations"]
+    # pairs without crossings carry no sign to get wrong
+    assert not any(v.startswith(("pair #4", "pair #5"))
+                   for v in doc["violations"])
 
 
 def _shift_off_by_one(lead_offset, gap_offset):
@@ -449,6 +582,10 @@ def test_version_flag(capsys):
     ["torus", "--lattice", "1e200,0,0,1e-200"],
     ["torus", "--lattice", "1e-160,0,1e150,1"],
     ["bounds", "--genus", "2", "--l1-grid", "1e-320:0.5:3",
+     "--precision", "extended"],
+    # a genus past the range of a float, in double and extended precision
+    ["bounds", "--genus", str(10 ** 400), "--l1-grid", "1e-4:0.25:3"],
+    ["bounds", "--genus", str(10 ** 400), "--l1-grid", "1e-4:0.25:3",
      "--precision", "extended"],
 ])
 def test_out_of_range_input_exits_2_without_traceback(argv):

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 from intnorm import (
     ArcSpec,
+    CrossingReport,
     Cylinder,
     DegenerateInputError,
     DomainError,
@@ -36,7 +37,7 @@ from intnorm import (
 )
 import intnorm.cylinder
 from intnorm.cylinder import (MAX_ADVANCE, MAX_TRANSLATES, MIN_CORE_LENGTH,
-                              ROW_CHUNK, crossing_batch_cyl,
+                              ROW_CHUNK, CrossingBatch, crossing_batch_cyl,
                               rewind_cell_violations)
 from intnorm.seeding import named_stream
 from intnorm.suites import lemma_sweep, window_violations
@@ -144,6 +145,38 @@ def test_intersection_bounds_examples():
 def test_intersection_bounds_rejects_nonfinite():
     with pytest.raises(DomainError):
         intersection_bounds(math.nan, 1.0, True)
+    # finite windings whose sum overflows to inf
+    with pytest.raises(DomainError, match="finite"):
+        intersection_bounds(1e308, 1e308, False)
+    with pytest.raises(DomainError, match="1e"):
+        intersection_bounds(np.array([0.5, 1e308]), np.array([2.0, 1e308]),
+                            np.array([True, False]))
+    with pytest.raises(DomainError, match="nan"):
+        intersection_bounds(np.array([math.nan]), np.array([1.0]),
+                            np.array([True]))
+    # past 2**62 a difference of windings could leave int64
+    for big in (2.0 ** 62, -2.0 ** 62):
+        with pytest.raises(DomainError):
+            intersection_bounds(np.array([0.0]), np.array([big]),
+                                np.array([True]))
+        with pytest.raises(DomainError):
+            intersection_bounds(big, 0.0, False)
+    assert intersection_bounds(0.0, math.nextafter(2.0 ** 62, 0), True).lo \
+        == 2 ** 62 - 512
+
+
+def test_intersection_bounds_over_arrays_is_the_scalar_rule():
+    rng = np.random.default_rng(11)
+    c, d = rng.uniform(-9.0, 9.0, (2, 500))
+    # whole and half windings, where floor and sign turn
+    c[:100], d[:100] = np.round(c[:100] * 2) / 2, np.round(d[:100] * 2) / 2
+    same = rng.random(500) < 0.5
+    wb = intersection_bounds(c, d, same)
+    assert all(v.dtype == np.int64 and v.shape == (500,) for v in wb)
+    for i in range(500):
+        one = intersection_bounds(float(c[i]), float(d[i]), bool(same[i]))
+        assert {type(v) for v in one} == {int}
+        assert one == (wb.lo[i], wb.hi[i], wb.sign[i])
 
 
 @given(c=WINDINGS, d=WINDINGS, same=st.booleans())
@@ -433,11 +466,52 @@ def test_count_crossings_cyl_recovers_from_overlapping_lifts():
     assert rep.count == 0
 
 
+def test_batch_with_a_retried_pair():
+    batch = crossing_batch_cyl(CYL, [[0.03, 0.03, 0.05], [0.11, 0.1, 0.15]],
+                               [[0.0, 1.0, 1.2], [2.5, 4.2, -0.7]],
+                               [[1, 1, 1], [1, -1, -1]])
+    reports = [batch.report(i) for i in range(3)]
+    for i, rep in enumerate((CrossingReport(0, ()),
+                             CrossingReport(3, (-1, 1, -1)))):
+        changed = batch.with_report(i, rep)
+        assert changed.signs.dtype == batch.signs.dtype
+        assert [changed.report(j) for j in range(3)] == \
+            reports[:i] + [rep] + reports[i + 1:]
+        head = changed.take(2)
+        assert len(head.retry) == 2 and head.offsets[-1] == len(head.signs)
+        assert [head.report(j) for j in range(2)] == \
+            [changed.report(j) for j in range(2)]
+    flagged = batch._replace(retry=np.array([0, 2, 0], dtype=np.int8))
+    with pytest.raises(RetrySignal):
+        flagged.report(1)
+    assert flagged.with_report(1, reports[1]).report(1) == reports[1]
+
+
+def test_window_violations_judges_each_pair_once():
+    """One pair at the top of its window passes; a count past it, a
+    crossing of the wrong sign and a flagged pair are told apart."""
+    batch = CrossingBatch(offsets=np.array([0, 3, 7, 9, 9]),
+                          signs=np.array([1, 1, 1, 1, 1, 1, 1, 1, -1]),
+                          retry=np.array([0, 0, 0, 1], dtype=np.int8))
+    wb = intersection_bounds(np.array([0.0, 0.0, 0.0, 0.0]),
+                             np.array([2.5, 6.2, 1.5, 7.0]),
+                             np.array([True, True, True, True]))
+    assert window_violations(batch, wb, 1) == {
+        1: ["count 4 outside window [6, 7]"],
+        2: ["signs (1, -1) not uniformly 1"],
+    }
+    # the first arc's sign may differ pair by pair
+    assert window_violations(batch, wb, np.array([-1, 1, 1, 1]))[0] == [
+        "signs (1, 1, 1) not uniformly -1"]
+
+
 # ------------------------------------------------------------ the sweep
 
 def _reference_sweep(core_length, samples, rng, first_sign):
     """``lemma_sweep`` one sample at a time: five scalar draws and one
-    ``count_crossings_cyl`` call per sample.  Returns its records and
+    ``count_crossings_cyl`` call per sample.  It judges each count with
+    its own scalar verdict, so that it stays independent of the
+    ``window_violations`` that it checks.  Returns its records and
     violations, its largest count, and how many samples asked the oracle
     for a retry."""
     cyl = make_collar(core_length, "shrunk")
@@ -466,8 +540,14 @@ def _reference_sweep(core_length, samples, rng, first_sign):
             rep = None
         if rep is not None:
             max_count = max(max_count, rep.count)
-            vs += [f"{v} at {label}"
-                   for v in window_violations(rep, wb, first_sign)]
+            if not wb.lo <= rep.count <= wb.hi:
+                vs.append(f"count {rep.count} outside window "
+                          f"[{wb.lo}, {wb.hi}] at {label}")
+            expected = first_sign * wb.sign
+            if rep.count and expected and any(s != expected
+                                              for s in rep.signs):
+                vs.append(f"signs {rep.signs} not uniformly {expected} "
+                          f"at {label}")
         for arc in (arc1, arc2):
             length = arc_length(cyl, arc)
             lower = max(2.0 * cyl.half_width,
