@@ -29,8 +29,7 @@ import numpy as np
 
 from . import __version__, cylinder
 from .bounds import asymptotic_profile, parse_grid
-from .cylinder import ArcSpec, count_crossings_cyl, crossing_batch_cyl, \
-    make_collar
+from .cylinder import ArcSpec, count_crossings_cyl_batch, make_collar
 from .errors import DomainError, GeometryError, RetrySignal
 from .flat_torus import Lattice, RealClass, best_ratio_search, k_real, \
     norm_comparison_report, segment_bound_check, systole, torus_diameter
@@ -219,11 +218,12 @@ def run_cylinder(args) -> tuple[dict, Optional[tuple]]:
              for pair in arcs]).reshape(-1, 2, 3).T
         first_sign = sign[0].astype(np.int64)
         wb = cylinder.intersection_bounds(*winding, sign[0] == sign[1])
-        batch = crossing_batch_cyl(cyl, entry_t, winding, sign)
-        # in file order, so that the retries draw what they always drew
-        for i in batch.retry.nonzero()[0].tolist():
-            batch = batch.with_report(
-                i, count_crossings_cyl(cyl, *arcs[i], rng))
+        # a pair that needs a retry is solved again on its own, in file
+        # order, its jitters drawn from a child stream of the sweep's
+        batch, stuck = count_crossings_cyl_batch(cyl, entry_t, winding, sign,
+                                                 rng.spawn(1)[0])
+        if stuck:
+            raise stuck[min(stuck)]
         for i, vs in window_violations(batch, wb, first_sign).items():
             violations += [f"pair #{i}: {v}" for v in vs]
         for i, (arc1, arc2) in enumerate(arcs):

@@ -28,7 +28,7 @@ form.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -38,9 +38,9 @@ from .errors import (
     DomainError,
     ModeError,
     RejectedInputError,
-    RetrySignal,
 )
-from .flat_torus import CrossingReport
+from .flat_torus import GRAZE, OVERLAP, CrossingBatch, CrossingReport, \
+    retry_flagged
 from .hyptrig import boundary_length, collar_width, crossing_arc_length
 
 # Domain of the crossing oracle: the core advance |winding| * core_length
@@ -272,50 +272,6 @@ def _fermi_arcs(cyl: Cylinder, entry_t: np.ndarray, winding: np.ndarray,
             entry_t + half, h)
 
 
-# Why a pair of a CrossingBatch needs a retry, with the RetrySignal
-# message of each reason.
-OVERLAP, GRAZE = 1, 2
-_RETRY_MESSAGES = {OVERLAP: "overlapping geodesic lifts",
-                   GRAZE: "crossing grazes the collar boundary"}
-
-
-class CrossingBatch(NamedTuple):
-    """Crossings of n arc pairs, as found by ``crossing_batch_cyl``.
-
-    Pair i crosses with the signs signs[offsets[i]:offsets[i + 1]], in
-    their order along the core.  retry[i] is 0, or OVERLAP or GRAZE where
-    the oracle raises RetrySignal on pair i; the crossings of such a pair
-    mean nothing.
-    """
-
-    offsets: np.ndarray
-    signs: np.ndarray
-    retry: np.ndarray
-
-    def report(self, i: int) -> CrossingReport:
-        """The crossings of pair i, or RetrySignal if it is flagged."""
-        if self.retry[i]:
-            raise RetrySignal(_RETRY_MESSAGES[int(self.retry[i])])
-        lo, hi = self.offsets[i], self.offsets[i + 1]
-        return CrossingReport(count=int(hi - lo),
-                              signs=tuple(self.signs[lo:hi].tolist()))
-
-    def take(self, n: int) -> CrossingBatch:
-        """The first n pairs."""
-        return CrossingBatch(self.offsets[:n + 1],
-                             self.signs[:self.offsets[n]], self.retry[:n])
-
-    def with_report(self, i: int, rep: CrossingReport) -> CrossingBatch:
-        """Pair i unflagged, with the crossings of rep, its retried count."""
-        lo, hi = self.offsets[i], self.offsets[i + 1]
-        offsets, retry = self.offsets.copy(), self.retry.copy()
-        offsets[i + 1:] += rep.count - (hi - lo)
-        retry[i] = 0
-        signs = np.array(rep.signs, dtype=self.signs.dtype)
-        return CrossingBatch(offsets, np.concatenate(
-            (self.signs[:lo], signs, self.signs[hi:])), retry)
-
-
 def crossing_count_oracle_cyl(cyl: Cylinder, arc1: ArcSpec,
                               arc2: ArcSpec) -> CrossingReport:
     """Count the crossings of two arcs inside the cylinder by intersecting,
@@ -358,13 +314,17 @@ def crossing_count_oracle_cyl(cyl: Cylinder, arc1: ArcSpec,
     position and retry (see ``count_crossings_cyl``).  Of several such
     translates, the one with the least k names the reason.
     """
+    return crossing_batch_cyl(cyl, *_one_pair(arc1, arc2)).report(0)
+
+
+def _one_pair(arc1: ArcSpec, arc2: ArcSpec) -> np.ndarray:
+    """The entry positions, windings and crossing signs of two arcs, as
+    the (3, 2, 1) arguments of a batch of one pair."""
     if arc1 == arc2:
         raise DegenerateInputError("arcs are identical")
-    batch = crossing_batch_cyl(cyl, *np.array(
-        (arc1.entry_t, arc2.entry_t, arc1.winding, arc2.winding,
-         arc1.crossing_sign, arc2.crossing_sign),
-        dtype=float).reshape(3, 2, 1))
-    return batch.report(0)
+    return np.array((arc1.entry_t, arc2.entry_t, arc1.winding, arc2.winding,
+                     arc1.crossing_sign, arc2.crossing_sign),
+                    dtype=float).reshape(3, 2, 1)
 
 
 def crossing_batch_cyl(cyl: Cylinder, entry_t, winding,
@@ -455,24 +415,41 @@ def _flag_first(retry: np.ndarray, pair: np.ndarray,
     retry[p[fresh]] = c[fresh]
 
 
+def count_crossings_cyl_batch(cyl: Cylinder, entry_t, winding, crossing_sign,
+                              rng) -> tuple[CrossingBatch, dict]:
+    """``crossing_batch_cyl`` with each flagged pair solved again on its
+    own, in pair order, its second entry position moved from its own value
+    by a uniform jitter in (0, core_length * JITTER_SCALE) drawn from rng,
+    at most MAX_RETRIES times; see ``retry_flagged``.  Identical arcs, which
+    the batch flags, raise DegenerateInputError when their turn comes."""
+    l = cyl.core_length
+
+    def jittered(i: int) -> CrossingBatch:
+        (t1, t2), (w1, w2), (s1, s2) = np.asarray(
+            (entry_t, winding, crossing_sign), dtype=float)[:, :, i].tolist()
+        if (t1, w1, s1) == (t2, w2, s2):
+            raise DegenerateInputError("arcs are identical")
+        t2 = (t2 + rng.uniform(0.0, l * JITTER_SCALE)) % l
+        return crossing_batch_cyl(cyl, [[t1], [t2]], [[w1], [w2]],
+                                  [[s1], [s2]])
+
+    return retry_flagged(
+        crossing_batch_cyl(cyl, entry_t, winding, crossing_sign), jittered,
+        MAX_RETRIES, f"still degenerate after {MAX_RETRIES} retries")
+
+
 def count_crossings_cyl(cyl: Cylinder, arc1: ArcSpec, arc2: ArcSpec,
                         rng) -> CrossingReport:
     """Run the cylinder crossing oracle, perturbing the second arc's entry
     position by a uniform jitter in (0, core_length * 1e-6) whenever a
     near-degenerate configuration raises RetrySignal, at most MAX_RETRIES
-    times."""
-    candidate = arc2
-    last = None
-    for _ in range(MAX_RETRIES + 1):
-        try:
-            return crossing_count_oracle_cyl(cyl, arc1, candidate)
-        except RetrySignal as exc:
-            last = exc
-            jitter = rng.uniform(0.0, cyl.core_length * JITTER_SCALE)
-            candidate = replace(
-                arc2, entry_t=(arc2.entry_t + jitter) % cyl.core_length)
-    raise RetrySignal(
-        f"still degenerate after {MAX_RETRIES} retries") from last
+    times: one uniform of rng per retry, each added to the original
+    entry."""
+    batch, stuck = count_crossings_cyl_batch(cyl, *_one_pair(arc1, arc2),
+                                             rng)
+    if stuck:
+        raise stuck[0]
+    return batch.report(0)
 
 
 # ---------------------------------------------------------------------------

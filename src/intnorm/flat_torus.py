@@ -38,7 +38,7 @@ import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import NamedTuple, Optional, Sequence
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -62,10 +62,15 @@ MAX_TRIES = 8
 
 # Domain of the crossing oracle: the most |a| + |c| + |Int(u, v)| of a
 # call, about the number of lattice translates it tries.  A crossing costs
-# about 0.06 us and 66 bytes, and a row of the crossing parallelogram about
-# 0.05 us and 78 bytes, so MAX_CROSSING_CANDIDATES keeps one call under
-# about 0.15 s and 200 MB (measured, see crossing_count_oracle).
+# about 0.04 us and 24 bytes, its coordinates and its slot in the report,
+# and a row of the crossing parallelogram about 0.03 us, so
+# MAX_CROSSING_CANDIDATES keeps one call under about 0.1 s and 60 MB
+# (measured, see crossing_count_oracle).
 MAX_CROSSING_CANDIDATES = 2_480_000
+
+# Parallelogram rows, and then translates, that crossing_batch solves at
+# once; their temporaries take about 6 MB a chunk.
+_ROW_CHUNK = 65_536
 
 # Most cells an enumeration box may hold, and most candidate pairs a
 # search may evaluate: each costs tens of bytes of int64 and float64
@@ -113,6 +118,69 @@ class CrossingReport:
         if any(s != first for s in self.signs):
             raise ValueError("mixed crossing signs")
         return first
+
+
+# Why a pair of a CrossingBatch needs a retry, with the RetrySignal
+# message of each reason.
+OVERLAP, GRAZE, SEAM = 1, 2, 3
+_RETRY_MESSAGES = {OVERLAP: "overlapping geodesic lifts",
+                   GRAZE: "crossing grazes the collar boundary",
+                   SEAM: "crossing within tolerance of a base-point seam"}
+
+
+class CrossingBatch(NamedTuple):
+    """Crossings of n pairs, as found by a batched crossing oracle:
+    ``crossing_batch`` for closed geodesics on a flat torus,
+    ``cylinder.crossing_batch_cyl`` for arcs across a collar.
+
+    Pair i crosses with the signs signs[offsets[i]:offsets[i + 1]]: on the
+    torus one sign for every crossing of the pair, on the collar the signs
+    in the order of the crossings along the core.  retry[i] is 0, or SEAM
+    (torus), OVERLAP or GRAZE (collar) where the one-pair oracle raises
+    RetrySignal on pair i; the crossings of such a pair mean nothing.
+    """
+
+    offsets: np.ndarray
+    signs: np.ndarray
+    retry: np.ndarray
+
+    def report(self, i: int) -> CrossingReport:
+        """The crossings of pair i, or RetrySignal if it is flagged."""
+        if self.retry[i]:
+            raise RetrySignal(_RETRY_MESSAGES[int(self.retry[i])])
+        lo, hi = self.offsets[i:i + 2].tolist()
+        n, signs = hi - lo, self.signs[lo:hi]
+        # one sign throughout, as on the torus, is repeated, not converted
+        if n and signs[:1].tobytes() * n == signs.tobytes():
+            return CrossingReport(n, tuple(signs[:1].tolist()) * n)
+        return CrossingReport(n, tuple(signs.tolist()))
+
+    def with_pair(self, i: int, one: CrossingBatch) -> CrossingBatch:
+        """Pair i replaced by the one pair of ``one``."""
+        lo, hi = self.offsets[i], self.offsets[i + 1]
+        offsets, retry = self.offsets.copy(), self.retry.copy()
+        offsets[i + 1:] += one.offsets[1] - (hi - lo)
+        retry[i] = one.retry[0]
+        return CrossingBatch(offsets, np.concatenate(
+            (self.signs[:lo], one.signs, self.signs[hi:])), retry)
+
+
+def retry_flagged(batch: CrossingBatch, resolve, tries: int,
+                  stuck: str) -> tuple[CrossingBatch, dict]:
+    """The retry driver of both crossing oracles: each flagged pair i of
+    the batch, in pair order, is replaced by resolve(i), its batch of one
+    under a fresh perturbation, until that is not flagged or ``tries`` are
+    spent.  Returns the batch and RetrySignal(stuck) by pair still
+    flagged."""
+    errors = {}
+    for i in batch.retry.nonzero()[0].tolist():
+        for _ in range(tries):
+            batch = batch.with_pair(i, resolve(i))
+            if not batch.retry[i]:
+                break
+        else:
+            errors[i] = RetrySignal(stuck)
+    return batch, errors
 
 
 def _as_float_pair(name: str, value) -> tuple[float, float]:
@@ -687,81 +755,75 @@ def norm_comparison_report(lat: Lattice, h) -> NormComparison:
     return NormComparison(stable=stable, l2=l2, two_sided_ok=ok)
 
 
-def _slab(p: int, q: int, lo: float, hi: float,
-          x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Limits of y on each row x where p*x - q*y lies between lo and hi:
-    (-inf, inf) on the rows inside the slab and (inf, -inf) on the rows
-    outside it when q = 0."""
-    lo, hi = min(lo, hi), max(lo, hi)
-    if q == 0:
-        inside = (p * x >= lo) & (p * x <= hi)
-        return (np.where(inside, -np.inf, np.inf),
-                np.where(inside, np.inf, -np.inf))
-    first, second = (p * x - hi) / q, (p * x - lo) / q
-    return (first, second) if q > 0 else (second, first)
-
-
-def _crossing_translates(lat: Lattice, u: tuple[int, int],
-                         v: tuple[int, int], offset: tuple[float, float]
-                         ) -> tuple[np.ndarray, np.ndarray]:
-    """Coefficients (i, j), in lexicographic order, of the lattice
-    translates i*e1 + j*e2 of the v-segment that the crossing oracle
-    tries: every translate whose exact parameters t on the u-segment and
-    s on the v-segment both lie within a margin of [0, 1].
+def _parallelogram(lat: Lattice, u, v, offset) -> tuple:
+    """Check one pair against the oracle's domain and return its constants
+    in one tuple: the first row i of its crossing parallelogram, the row
+    count, the sign of its crossings, o1, o2, its two slabs (p, q, A, B)
+    interleaved, and the coefficients of t and s.
 
     In lattice coordinates the two segments meet at t*u - s*v = (i, j) + o,
     o the offset in the basis.  With n = a*d - b*c, x = i + o1 and
     y = j + o2, that is t*n = d*x - c*y and s*n = b*x - a*y, so the
     translates form a parallelogram of area |n| over about |a| + |c| rows
-    of i, each meeting it in one interval of j cut out by two slabs.  The
-    margin is SEAM_TOLERANCE plus a bound on the rounding of the t and s
-    that the oracle computes in the plane, and of the limits computed
-    here: 32 eps * k^2 / (|n| * covolume), where k bounds the lengths met
-    on the way, as ``_reach`` bounds the rounding of class lengths.  Rows
-    number at most (|a| + |c|) * (1 + 2 * margin) + 1.  Raises
-    DomainError, before allocating, when |a| + |c| + |n| exceeds
+    of i.  Row x meets it where y runs from (p*x - A)/q to (p*x - B)/q in
+    both slabs (p, q) = (d, c) and (b, a), A and B being n*lo and n*hi in
+    the order that the sign of q gives.  A slab with q = 0 only repeats
+    the row range and is left out, with infinite limits.  The margin in
+    lo = -margin and hi = 1 + margin is SEAM_TOLERANCE plus a bound on the
+    rounding of the t and s that the oracle computes in the plane, and of
+    the limits computed here: 32 eps * k^2 / (|n| * covolume), where k
+    bounds the lengths met on the way, as ``_reach`` bounds the rounding
+    of class lengths.  Rows number at most (|a| + |c|) * (1 + 2 * margin)
+    + 1.  Raises DomainError when |a| + |c| + |n| exceeds
     MAX_CROSSING_CANDIDATES, or when the rounding bound exceeds 1, past
     which the computed t and s say nothing of where a crossing lies.
     """
-    (a, b), (c, d) = u, v
-    ox, oy = offset
-    (e1x, e1y), (e2x, e2y) = lat.e1, lat.e2
-    o1 = (ox * e2y - oy * e2x) / lat.det
-    o2 = (-ox * e1y + oy * e1x) / lat.det
+    a, b = (operator.index(u[0]), operator.index(u[1]))
+    c, d = (operator.index(v[0]), operator.index(v[1]))
+    if (a, b) == (0, 0) or (c, d) == (0, 0):
+        raise DegenerateInputError("classes must be nonzero")
     n = a * d - b * c
+    if n == 0:
+        raise DegenerateInputError(
+            f"classes {(a, b)} and {(c, d)} are proportional")
+    ox, oy = _as_float_pair("offset", offset)
+    (e1x, e1y), (e2x, e2y), det = lat.e1, lat.e2, lat.det
+    o1 = (ox * e2y - oy * e2x) / det
+    o2 = (-ox * e1y + oy * e1x) / det
     if abs(a) + abs(c) + abs(n) > MAX_CROSSING_CANDIDATES:
         raise DomainError(
             f"the crossing oracle would try about |a| + |c| + |Int| = "
-            f"{abs(a) + abs(c) + abs(n)} translates for {u} and {v}, "
-            f"beyond its bound of {MAX_CROSSING_CANDIDATES}; use shorter "
-            "classes")
+            f"{abs(a) + abs(c) + abs(n)} translates for {(a, b)} and "
+            f"{(c, d)}, beyond its bound of {MAX_CROSSING_CANDIDATES}; use "
+            "shorter classes")
     try:
         k = ((abs(a) + abs(c) + abs(o1) + 1.0) * math.hypot(e1x, e1y)
              + (abs(b) + abs(d) + abs(o2) + 1.0) * math.hypot(e2x, e2y))
     except OverflowError:  # a coefficient past the range of a double
         k = math.inf
-    rounding = 32.0 * _EPS * k / lat.covolume * k / abs(n)
+    rounding = 32.0 * _EPS * k / abs(det) * k / abs(n)
     if not rounding <= 1.0:
         raise DomainError(
-            f"crossings of {u} and {v} from the offset {offset} are known "
-            f"only to within {rounding:.3g} of the segments' length in "
-            "double precision; use shorter classes, a better-conditioned "
-            "basis or an offset nearer the origin")
+            f"crossings of {(a, b)} and {(c, d)} from the offset {(ox, oy)} "
+            f"are known only to within {rounding:.3g} of the segments' "
+            "length in double precision; use shorter classes, a "
+            "better-conditioned basis or an offset nearer the origin")
     lo = -(SEAM_TOLERANCE + rounding)
     hi = 1.0 + SEAM_TOLERANCE + rounding
     ilo = math.ceil(min(lo * a, hi * a) - max(lo * c, hi * c) - o1)
     ihi = math.floor(max(lo * a, hi * a) - min(lo * c, hi * c) - o1)
-    i = np.arange(ilo, ihi + 1, dtype=np.int64)
-    x = i + o1
-    t_lo, t_hi = _slab(d, c, n * lo, n * hi, x)
-    s_lo, s_hi = _slab(b, a, n * lo, n * hi, x)
-    first = np.ceil(np.maximum(t_lo, s_lo) - o2)
-    sizes = np.floor(np.minimum(t_hi, s_hi) - o2) - first + 1.0
-    live = sizes > 0.0
-    sizes = sizes[live].astype(np.int64)
-    starts = first[live].astype(np.int64) - (np.cumsum(sizes) - sizes)
-    return (np.repeat(i[live], sizes),
-            np.repeat(starts, sizes) + np.arange(int(sizes.sum())))
+    low, high = sorted((n * lo, n * hi))
+    (tp, tq, ta, tb), (sp, sq, sa, sb) = [
+        (p, q, *((low, high) if q < 0 else (high, low))) if q else
+        (0, 1, math.inf, -math.inf) for p, q in ((d, c), (b, a))]
+    # the translate of the v-segment by i*e1 + j*e2 meets the u-line at
+    # t*U = offset + i*e1 + j*e2 + s*V
+    ux, uy = a * e1x + b * e2x, a * e1y + b * e2y
+    vx, vy = c * e1x + d * e2x, c * e1y + d * e2y
+    cross_uv = ux * vy - uy * vx
+    return (ilo, max(ihi - ilo + 1, 0),
+            1 if (det > 0) == (cross_uv > 0) else -1, o1, o2, tp, sp, tq,
+            sq, ta, sa, tb, sb, ox, oy, -vy, -uy, vx, ux, -cross_uv)
 
 
 def crossing_count_oracle(lat: Lattice, u, v, offset) -> CrossingReport:
@@ -774,69 +836,117 @@ def crossing_count_oracle(lat: Lattice, u, v, offset) -> CrossingReport:
     v-segment that can cross the u-segment and reports the number of
     crossings and the sign of each.  It never consults the intersection
     formula, which is the point: the expected outcome is
-    count = |a*d - b*c| with every sign equal to sign(a*d - b*c).
-
-    The translates tried are those of the crossing parallelogram
-    t*(a, b) - s*(c, d) - offset in lattice coordinates, row by row in i
-    (see ``_crossing_translates``), widened in t and s by SEAM_TOLERANCE
-    plus a bound on the rounding of the t and s computed here, so every
-    translate the seam and hit tests can accept is tried.  That is
-    |Int| + O(|a| + |c|) translates, and as much time and memory.
+    count = |a*d - b*c| with every sign equal to sign(a*d - b*c).  The
+    translates tried are those of the crossing parallelogram, widened in
+    t and s by SEAM_TOLERANCE plus a rounding bound (see
+    ``_parallelogram``): |Int| + O(|a| + |c|) of them.  The call is
+    ``crossing_batch`` on one pair.
 
     Raises RetrySignal when a crossing falls within SEAM_TOLERANCE of a
     base-point seam; the caller should re-randomize the offset.  Raises
     DomainError, before allocating, when |a| + |c| + |Int| exceeds
     MAX_CROSSING_CANDIDATES = 2,480,000, or when the rounding bound on t
     and s exceeds 1.  At that bound, on the square lattice, one row with
-    |Int| = 2,479,999 took 0.15 s and a tracemalloc peak of 164 MB, and
-    2,479,999 rows with |Int| = 1 took 0.13 s and 194 MB.
+    |Int| = 2,479,999 took 0.09-0.11 s and a tracemalloc peak of 60 MB,
+    and 2,479,999 rows with |Int| = 1 took 0.06-0.08 s and 6 MB (Intel
+    Xeon, 2 vCPUs, numpy 2.4).
     """
-    a, b = (operator.index(u[0]), operator.index(u[1]))
-    c, d = (operator.index(v[0]), operator.index(v[1]))
-    if (a, b) == (0, 0) or (c, d) == (0, 0):
-        raise DegenerateInputError("classes must be nonzero")
-    if a * d - b * c == 0:
-        raise DegenerateInputError(
-            f"classes {(a, b)} and {(c, d)} are proportional")
-    ox, oy = _as_float_pair("offset", offset)
-    i, j = _crossing_translates(lat, (a, b), (c, d), (ox, oy))
+    return crossing_batch(lat, [u], [v], [offset]).report(0)
 
-    (ux, uy), (vx, vy) = lat.embed((a, b)), lat.embed((c, d))
+
+def crossing_batch(lat: Lattice, u, v, offsets) -> CrossingBatch:
+    """The oracle of ``crossing_count_oracle`` on n pairs at once, given
+    as n-long sequences of pairs such as (n, 2) arrays.  The rows of all
+    parallelograms, and then their translates, are solved _ROW_CHUNK at
+    a time with the one-pair oracle's float expressions, and its errors;
+    the first pair that fails a domain check names the error.  A seam is
+    flagged per pair as SEAM, not raised.
+    """
+    par = np.array([_parallelogram(lat, *pair)
+                    for pair in zip(u, v, offsets)], dtype=float)
+    par = par.reshape(-1, 20)
+    count, ends = len(par), par[:, 1].cumsum()
+    # the first row i of each pair, less the index of that row
+    base = par[:, 0] - ends + par[:, 1]
     (e1x, e1y), (e2x, e2y) = lat.e1, lat.e2
-    # the translate of the v-segment by i*e1 + j*e2 meets the u-line at
-    # t*U = offset + i*e1 + j*e2 + s*V
-    rx = ox + (i * e1x + j * e2x)
-    ry = oy + (i * e1y + j * e2y)
-    cross_uv = ux * vy - uy * vx
-    det_m = -cross_uv
-    t = (-vy * rx + vx * ry) / det_m
-    s = (-uy * rx + ux * ry) / det_m
-
     tol = SEAM_TOLERANCE
-    near_t = (np.abs(t) <= tol) | (np.abs(t - 1.0) <= tol)
-    near_s = (np.abs(s) <= tol) | (np.abs(s - 1.0) <= tol)
-    in_t = (t > -tol) & (t < 1.0 + tol)
-    in_s = (s > -tol) & (s < 1.0 + tol)
-    if ((near_t & in_s) | (near_s & in_t)).any():
-        raise RetrySignal("crossing within tolerance of a base-point seam")
 
-    hit = (t > tol) & (t < 1.0 - tol) & (s > tol) & (s < 1.0 - tol)
-    count = int(hit.sum())
-    sign = lat.orientation * (1 if cross_uv > 0 else -1)
-    return CrossingReport(count=count, signs=(sign,) * count)
+    def per_column(k: slice, pair):
+        # the constants k of each column's pair, as rows; a batch of one
+        # pair has no pair index and broadcasts its own
+        return par[0, k].tolist() if pair is None else par[pair, k].T
+
+    retry = np.zeros(count, dtype=np.int8)
+    counts = np.zeros(count, dtype=np.int64)
+    total = int(ends[-1]) if count else 0
+    for r0 in range(0, total, _ROW_CHUNK):
+        r = np.arange(r0, min(r0 + _ROW_CHUNK, total))
+        pair = np.searchsorted(ends, r, side="right") if count > 1 else None
+        i = r + (base[0] if pair is None else base[pair])
+        o1, o2, tp, sp, tq, sq, ta, sa, tb, sb = per_column(slice(3, 13),
+                                                             pair)
+        x = i + o1
+        tpx, spx = tp * x, sp * x
+        first = np.ceil(np.maximum((tpx - ta) / tq, (spx - sa) / sq) - o2)
+        sizes = np.floor(np.minimum((tpx - tb) / tq, (spx - sb) / sq)
+                         - o2) - first + 1.0
+        sizes = np.maximum(sizes, 0.0).astype(np.int64)
+        ti = i.repeat(sizes)
+        tpair = None if pair is None else pair.repeat(sizes)
+        starts = first - (sizes.cumsum() - sizes)
+        tj = starts.repeat(sizes) + np.arange(len(ti), dtype=float)
+        for lo in range(0, len(ti), _ROW_CHUNK):
+            p = None if tpair is None else tpair[lo:lo + _ROW_CHUNK]
+            ii, jj = ti[lo:lo + _ROW_CHUNK], tj[lo:lo + _ROW_CHUNK]
+            ox, oy, nvy, nuy, vx, ux, det_m = per_column(slice(13, 20), p)
+            rx = ox + (ii * e1x + jj * e2x)
+            ry = oy + (ii * e1y + jj * e2y)
+            ts = np.empty((2, len(ii)))  # t and s, tested as rows
+            np.divide(nvy * rx + vx * ry, det_m, out=ts[0])
+            np.divide(nuy * rx + ux * ry, det_m, out=ts[1])
+            hit = (ts > tol) & (ts < 1.0 - tol)
+            hit = hit[0] & hit[1]
+            counts += np.count_nonzero(hit) if p is None else \
+                np.bincount(p[hit], minlength=count)
+            # a parameter within tol of 0 or 1 is no hit, so only the
+            # misses can lie at a seam
+            miss = ~hit
+            ts = ts[:, miss]
+            near = (np.abs(ts) <= tol) | (np.abs(ts - 1.0) <= tol)
+            inside = (ts > -tol) & (ts < 1.0 + tol)
+            seam = (near[0] & inside[1]) | (near[1] & inside[0])
+            if np.count_nonzero(seam):
+                retry[0 if p is None else p[miss][seam]] = SEAM
+    edges = np.zeros(count + 1, dtype=np.int64)
+    counts.cumsum(out=edges[1:])
+    return CrossingBatch(edges, par[:, 2].astype(np.int8).repeat(counts),
+                         retry)
+
+
+def random_offset(lat: Lattice, rng) -> tuple[float, float]:
+    """frac1*e1 + frac2*e2 from two uniforms of rng."""
+    f1, f2 = rng.random(2).tolist()
+    return (f1 * lat.e1[0] + f2 * lat.e2[0], f1 * lat.e1[1] + f2 * lat.e2[1])
+
+
+def count_crossings_batch(lat: Lattice, u, v, offsets,
+                          rng) -> tuple[CrossingBatch, dict]:
+    """``crossing_batch`` with every pair flagged at a seam retried on
+    its own from a fresh ``random_offset`` of rng, for at most MAX_TRIES
+    tries in all; see ``retry_flagged``."""
+    return retry_flagged(
+        crossing_batch(lat, u, v, offsets),
+        lambda i: crossing_batch(lat, u[i:i + 1], v[i:i + 1],
+                                 [random_offset(lat, rng)]),
+        MAX_TRIES - 1, f"no seam-free offset found in {MAX_TRIES} tries")
 
 
 def count_crossings(lat: Lattice, u, v, rng) -> CrossingReport:
     """Run the torus crossing oracle with a random base-point offset,
-    re-randomizing on RetrySignal up to MAX_TRIES times in all."""
-    last = None
-    for _ in range(MAX_TRIES):
-        frac = rng.random(2)
-        offset = (frac[0] * lat.e1[0] + frac[1] * lat.e2[0],
-                  frac[0] * lat.e1[1] + frac[1] * lat.e2[1])
-        try:
-            return crossing_count_oracle(lat, u, v, offset)
-        except RetrySignal as exc:
-            last = exc
-    raise RetrySignal(
-        f"no seam-free offset found in {MAX_TRIES} tries") from last
+    re-randomizing on RetrySignal up to MAX_TRIES times in all: two
+    uniforms of rng per try, the first included."""
+    batch, stuck = count_crossings_batch(lat, [u], [v],
+                                         [random_offset(lat, rng)], rng)
+    if stuck:
+        raise stuck[0]
+    return batch.report(0)

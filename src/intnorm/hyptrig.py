@@ -42,10 +42,11 @@ def _extended(expr, *args):
 
 def _collar_width(m, length):
     # float64 runs out of range where 1/sinh(length/2) overflows (length
-    # below about 1e-308) or sinh itself overflows (length above 1420)
+    # below about 1e-308, or length/2 rounds to 0) or sinh itself
+    # overflows (length above 1420)
     try:
         width = m.asinh(1 / m.sinh(length / 2))
-    except OverflowError:
+    except (OverflowError, ZeroDivisionError):
         width = m.inf
     if not m.isfinite(width):
         raise DomainError(f"collar width of length {length!r} is outside "

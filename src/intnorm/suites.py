@@ -11,12 +11,18 @@ every check passed.  Sample sizes are fixed in the checks.  All randomness
 is drawn from named Philox streams keyed by the seed, one stream per
 sampling check (``rewind_grid`` decides its 728 cells exactly and draws
 none), so a fixed seed reproduces the identical report byte for byte.
+The oracle checks solve their pairs in batches; a pair that needs a
+retry is solved again on its own, in pair order, with its perturbations
+drawn from a child stream (``rng.spawn(1)[0]``), so the samples do not
+depend on the retries.  One-pair calls such as ``count_crossings`` draw
+from the generator they are given.
 
 The verdicts that the command line also reports on single inputs are
 written once here: ``ratio_violations`` and ``segment_violations`` for a
 torus search, and ``window_violations`` for the crossing counts of a
-batch of arc pairs, which judges the window sweeps block by block and
-``cylinder --arcs-json`` in one call.
+batch of pairs, which judges the window sweeps block by block,
+``cylinder --arcs-json`` in one call and the torus oracle lattice by
+lattice, with the window [|Int|, |Int|].
 """
 
 from __future__ import annotations
@@ -31,7 +37,7 @@ import numpy as np
 from . import bounds as bounds_mod
 from . import cylinder as cyl_mod
 from . import flat_torus as torus_mod
-from .errors import DomainError, GeometryError, RetrySignal
+from .errors import DomainError, GeometryError
 from .hyptrig import _crossing_arc_length
 from .seeding import named_stream
 
@@ -164,34 +170,40 @@ def _ratio_value(seed: int) -> tuple[int, list[str]]:
 
 
 def _oracle_equivalence(seed: int) -> tuple[int, list[str]]:
-    """Straight-line crossing counts match |a*d - b*c|, with its sign."""
+    """Straight-line crossing counts match |a*d - b*c|, with its sign.
+
+    Each pair draws its two classes and then, unless they are parallel,
+    its first offset from one stream, as ``count_crossings`` would.  The
+    pairs of a lattice are solved in one batch, with their retries drawn
+    from a child stream, and judged by ``window_violations`` with the
+    window [|Int|, |Int|] and the sign of Int."""
     rng = named_stream(seed, "torus.oracle")
+    retries = rng.spawn(1)[0]
     vs: list[str] = []
     cases = 0
     for lat in _lattices(seed):
+        pairs = []
         for _ in range(25):
             u = _random_primitive_class(lat, rng)
             v = _random_primitive_class(lat, rng)
             n = torus_mod.intersection_number(u, v)
-            if n == 0:
-                continue
-            cases += 1
-            try:
-                rep = torus_mod.count_crossings(lat, u, v, rng)
-            except RetrySignal as exc:
-                vs.append(f"oracle stuck on {tuple(u)} x {tuple(v)}: {exc}")
-                continue
-            if rep.count != abs(n):
-                vs.append(f"oracle count {rep.count} != |Int| = {abs(n)} "
-                          f"for {tuple(u)} x {tuple(v)} on {_basis(lat)}")
-                continue
-            # the oracle gives every crossing one sign, so only that sign
-            # is compared
-            expected = 1 if n > 0 else -1
-            sign = rep.uniform_sign()
-            if sign != expected:
-                vs.append(f"oracle sign {sign} != sign(Int) = {expected} "
-                          f"for {tuple(u)} x {tuple(v)}")
+            if n:
+                pairs.append((u, v, torus_mod.random_offset(lat, rng), n))
+        if not pairs:
+            continue
+        us, ws, offsets, n = (list(x) for x in zip(*pairs))
+        cases += len(pairs)
+        batch, stuck = torus_mod.count_crossings_batch(lat, us, ws, offsets,
+                                                       retries)
+        size = np.abs(n)
+        window = window_violations(
+            batch, cyl_mod.WindingBounds(size, size, np.sign(n)), 1)
+        for i in sorted({*stuck, *window}):
+            label = f"{tuple(us[i])} x {tuple(ws[i])}"
+            if i in stuck:
+                vs.append(f"oracle stuck on {label}: {stuck[i]}")
+            vs += [f"oracle {v} for {label} on {_basis(lat)}"
+                   for v in window.get(i, ())]
     return cases, vs
 
 
@@ -325,46 +337,30 @@ def lemma_sweep(core_length: float, samples: int, rng, *,
     Each sample draws five uniforms from ``rng``: the windings c and d in
     [-8, 8), the side (the same one below 1/2) and the two entry positions
     in [0, core_length).  Blocks of samples are drawn and solved at once
-    by ``cylinder.crossing_batch_cyl``, and judged at once: one
+    by ``cylinder.count_crossings_cyl_batch``, and judged at once: one
     ``cylinder.intersection_bounds`` call over the block's windings and
     one ``window_violations`` call over its crossings.  A sample that
-    needs a retry runs through ``count_crossings_cyl`` right after its
-    own draws, and its count joins the block's batch; the rest of its
-    block is drawn afresh after the retry, so the stream and every result
-    are those of a sweep that runs one sample at a time.
+    needs a retry is solved again on its own, in sample order, with the
+    jitters of ``count_crossings_cyl`` drawn from a child stream,
+    ``rng.spawn(1)[0]``, made once per call, so the samples that ``rng``
+    gives do not depend on the retries.
     """
     cyl = cyl_mod.make_collar(core_length, mode)
+    jitters = rng.spawn(1)[0]
     violations: list[str] = []
     records: list[dict] = []
     max_count = 0
     done = 0
     while done < samples:
-        state = rng.bit_generator.state
         u = rng.random((min(_SWEEP_BLOCK, samples - done), 5))
+        done += len(u)
         winds = -8.0 + 16.0 * u[:, :2].T
         same_side = u[:, 2] < 0.5
         entries = core_length * u[:, 3:].T
         signs = np.array([np.full(len(u), first_sign),
                           np.where(same_side, first_sign, -first_sign)])
-        batch = cyl_mod.crossing_batch_cyl(cyl, entries, winds, signs)
-        stuck = batch.retry.nonzero()[0]
-        taken = int(stuck[0]) + 1 if len(stuck) else len(u)
-        batch = batch.take(taken)
-        winds, same_side = winds[:, :taken], same_side[:taken]
-        entries, signs = entries[:, :taken], signs[:, :taken]
-        if len(stuck):
-            # replay the stream to the end of the stuck sample's draws
-            rng.bit_generator.state = state
-            rng.random((taken, 5))
-            arc1, arc2 = (cyl_mod.ArcSpec(*arc) for arc in zip(
-                entries[:, -1].tolist(), winds[:, -1].tolist(),
-                signs[:, -1].tolist()))
-            try:
-                rep = cyl_mod.count_crossings_cyl(cyl, arc1, arc2, rng)
-                batch = batch.with_report(taken - 1, rep)
-            except RetrySignal as exc:
-                retry_error = exc
-        done += taken
+        batch, stuck = cyl_mod.count_crossings_cyl_batch(
+            cyl, entries, winds, signs, jitters)
 
         wb = cyl_mod.intersection_bounds(*winds, same_side)
         window = window_violations(batch, wb, first_sign)
@@ -382,15 +378,15 @@ def lemma_sweep(core_length: float, samples: int, rng, *,
         t1s, t2s = entries.tolist()
         los, his = wb.lo.tolist(), wb.hi.tolist()
         expected = (first_sign * wb.sign).tolist()
-        for i in range(taken) if collect_records else \
+        for i in range(len(u)) if collect_records else \
                 failed.nonzero()[0].tolist():
             vs: list[str] = []
             if failed[i]:
                 label = (f"(c={c_winds[i]!r}, d={d_winds[i]!r}, "
                          f"{'same' if sides[i] else 'opposite'}, "
                          f"eps1={first_sign})")
-                if batch.retry[i]:
-                    vs.append(f"oracle stuck at {label}: {retry_error}")
+                if i in stuck:
+                    vs.append(f"oracle stuck at {label}: {stuck[i]}")
                 vs += [f"{v} at {label}" for v in window.get(i, ())]
                 vs += [f"arc length {length[j, i].item()!r} below floor "
                        f"{lower[j, i].item()!r} at {label}"

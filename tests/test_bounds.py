@@ -4,6 +4,7 @@ small-systole profiles, and the collar-constant inequality sweep."""
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import mpmath
 import pytest
@@ -22,6 +23,7 @@ from intnorm import (
     hyperbolic_bounds,
     parse_grid,
 )
+from intnorm.bounds import MAX_GRID_STEPS
 
 
 # ------------------------------------------------------------ general bounds
@@ -114,6 +116,15 @@ def test_hyperbolic_bounds_genus_validation():
         hyperbolic_bounds(True, 0.1)
     with pytest.raises(DomainError):
         hyperbolic_bounds(2.0, 0.1)
+
+
+@pytest.mark.parametrize("extended", [False, True])
+def test_hyperbolic_bounds_refuse_a_bound_past_double_precision(extended):
+    # the upper bound of genus 1e306 overflows to inf in double precision
+    with pytest.raises(DomainError, match="range of double precision"):
+        hyperbolic_bounds(10 ** 306, 1e-4, extended=extended)
+    with pytest.raises(DomainError, match="range of double precision"):
+        asymptotic_profile(10 ** 306, (1e-4,), extended=extended)
 
 
 def test_full_bound_report_populates_hyperbolic_fields():
@@ -270,3 +281,17 @@ def test_parse_grid_geometric_needs_positive_endpoints():
         parse_grid("0:2:3", geometric=True)
     with pytest.raises(DomainError):
         parse_grid("1:-2:3", geometric=True)
+
+
+def test_parse_grid_refuses_steps_past_its_bound():
+    assert len(parse_grid(f"0:1:{MAX_GRID_STEPS}")) == MAX_GRID_STEPS
+    for steps in (MAX_GRID_STEPS + 1, 10 ** 11):
+        tracemalloc.start()
+        try:
+            with pytest.raises(DomainError, match="steps"):
+                parse_grid(f"0:1:{steps}", geometric=True)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # refused before the grid is built
+        assert peak < 1e5

@@ -12,6 +12,7 @@ import json
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import intnorm
@@ -596,3 +597,73 @@ def test_out_of_range_input_exits_2_without_traceback(argv):
     assert proc.stderr.startswith("intnorm: error:")
     assert proc.stderr.count("\n") == 1
     assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("argv", [
+    # an upper bound that overflows to inf, which is not JSON
+    ["bounds", "--genus", str(10 ** 306), "--l1-grid", "1e-4:0.1:2"],
+    # a systole whose half rounds to 0
+    ["bounds", "--genus", "2", "--l1-grid", "5e-324:1e-300:2"],
+    # a grid past its step bound, refused before it is built
+    ["bounds", "--genus", "2", "--l1-grid", "1e-4:0.1:100000000000"],
+])
+def test_bounds_past_double_precision_exit_2_with_one_error_line(argv,
+                                                                 capsys):
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("intnorm: error:")
+    assert err.count("\n") == 1
+
+
+def _first_torus_batch_altered(monkeypatch, alter):
+    """Alter the first batch that the torus oracle solves, which is the
+    first lattice's batch of oracle_equivalence."""
+    real, calls = intnorm.flat_torus.crossing_batch, []
+
+    def altered(*args):
+        calls.append(args)
+        batch = real(*args)
+        return alter(batch) if len(calls) == 1 else batch
+    monkeypatch.setattr(intnorm.flat_torus, "crossing_batch", altered)
+
+
+def _one_extra_crossing(batch):
+    # the first pair crosses once more, with its own sign
+    return batch._replace(offsets=batch.offsets + (batch.offsets > 0),
+                          signs=np.insert(batch.signs, 0, batch.signs[0]))
+
+
+def _first_pair_flipped(batch):
+    signs = batch.signs.copy()
+    signs[:batch.offsets[1]] *= -1
+    return batch._replace(signs=signs)
+
+
+@pytest.mark.parametrize("alter, message", [
+    (_one_extra_crossing, "outside window"),
+    (_first_pair_flipped, "not uniformly"),
+])
+def test_verify_torus_oracle_equivalence_can_fail(monkeypatch, tmp_path,
+                                                  alter, message):
+    _first_torus_batch_altered(monkeypatch, alter)
+    out = tmp_path / "torus.json"
+    assert main(["verify", "--suite", "torus", "--seed", "1",
+                 "--output", str(out)]) == 1
+    (suite,) = json.loads(out.read_text())["results"]["suites"]
+    failures = {c["name"]: c["failures"] for c in suite["checks"]}
+    assert failures == {**dict.fromkeys(failures, 0),
+                        "oracle_equivalence": 1}
+    (violation,) = suite["violations"]
+    assert violation.startswith("oracle ") and message in violation
+
+
+def test_cylinder_identical_arcs_exit_2(tmp_path, capsys):
+    # the batch flags them as overlapping lifts; their retry refuses them
+    path = tmp_path / "arcs.json"
+    path.write_text(json.dumps({"pairs": [
+        {"arc1": [0.03, 0.0, 1], "arc2": [0.11, 2.5, 1]},
+        {"arc1": [0.05, 1.2, 1], "arc2": [0.05, 1.2, 1]}]}))
+    assert main(["cylinder", "--core-length", "0.2", "--samples", "1",
+                 "--arcs-json", str(path)]) == 2
+    assert capsys.readouterr().err == "intnorm: error: arcs are identical\n"

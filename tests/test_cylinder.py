@@ -466,25 +466,69 @@ def test_count_crossings_cyl_recovers_from_overlapping_lifts():
     assert rep.count == 0
 
 
+def test_count_crossings_cyl_draws_one_uniform_a_retry(monkeypatch):
+    """Under a graze tolerance this wide these pairs graze the collar
+    boundary.  The first try takes no draw; each retry takes the next
+    uniform of the stream and adds it to the second arc's own entry, and
+    a pair still grazing after MAX_RETRIES of them raises."""
+    monkeypatch.setattr(intnorm.cylinder, "S_TOLERANCE", 0.02)
+    monkeypatch.setattr(intnorm.cylinder, "JITTER_SCALE", 0.01)
+    real, calls = intnorm.cylinder.crossing_batch_cyl, []
+
+    def recorded(*args):
+        calls.append(np.asarray(args[1]).tolist())
+        return real(*args)
+    monkeypatch.setattr(intnorm.cylinder, "crossing_batch_cyl", recorded)
+    cyl = make_collar(0.2, "shrunk")
+    pairs = ((ArcSpec(0.179, -0.5, 1), ArcSpec(0.194, -6.08, -1)),
+             (ArcSpec(0.195, -3.71, -1), ArcSpec(0.159, -1.82, 1)))
+    rng, replay = np.random.default_rng(7), np.random.default_rng(7)
+    stuck = 0
+    for scale in (0.01, 1e-12):
+        monkeypatch.setattr(intnorm.cylinder, "JITTER_SCALE", scale)
+        for arc1, arc2 in pairs:
+            del calls[:]
+            try:
+                count_crossings_cyl(cyl, arc1, arc2, rng)
+                assert 1 < len(calls) <= 1 + intnorm.cylinder.MAX_RETRIES
+            except RetrySignal as exc:
+                # no jitter this small leaves the graze
+                assert scale == 1e-12
+                assert str(exc) == ("still degenerate after "
+                                    f"{intnorm.cylinder.MAX_RETRIES} retries")
+                assert len(calls) == 1 + intnorm.cylinder.MAX_RETRIES
+                stuck += 1
+            assert calls[0] == [[arc1.entry_t], [arc2.entry_t]]
+            for entry_t in calls[1:]:
+                jitter = replay.uniform(0.0, 0.2 * scale)
+                assert entry_t == [[arc1.entry_t],
+                                   [(arc2.entry_t + jitter) % 0.2]]
+    assert stuck
+    assert rng.random(4).tolist() == replay.random(4).tolist()
+
+
 def test_batch_with_a_retried_pair():
     batch = crossing_batch_cyl(CYL, [[0.03, 0.03, 0.05], [0.11, 0.1, 0.15]],
                                [[0.0, 1.0, 1.2], [2.5, 4.2, -0.7]],
                                [[1, 1, 1], [1, -1, -1]])
     reports = [batch.report(i) for i in range(3)]
-    for i, rep in enumerate((CrossingReport(0, ()),
-                             CrossingReport(3, (-1, 1, -1)))):
-        changed = batch.with_report(i, rep)
+    for i, one in enumerate((
+            CrossingBatch(np.array([0, 0]), np.zeros(0, np.int64),
+                          np.zeros(1, np.int8)),
+            CrossingBatch(np.array([0, 3]), np.array([-1, 1, -1]),
+                          np.zeros(1, np.int8)))):
+        changed = batch.with_pair(i, one)
         assert changed.signs.dtype == batch.signs.dtype
+        assert changed.offsets[-1] == len(changed.signs)
         assert [changed.report(j) for j in range(3)] == \
-            reports[:i] + [rep] + reports[i + 1:]
-        head = changed.take(2)
-        assert len(head.retry) == 2 and head.offsets[-1] == len(head.signs)
-        assert [head.report(j) for j in range(2)] == \
-            [changed.report(j) for j in range(2)]
+            reports[:i] + [one.report(0)] + reports[i + 1:]
     flagged = batch._replace(retry=np.array([0, 2, 0], dtype=np.int8))
     with pytest.raises(RetrySignal):
         flagged.report(1)
-    assert flagged.with_report(1, reports[1]).report(1) == reports[1]
+    one = CrossingBatch(batch.offsets[1:3] - batch.offsets[1],
+                        batch.signs[batch.offsets[1]:batch.offsets[2]],
+                        np.zeros(1, np.int8))
+    assert flagged.with_pair(1, one).report(1) == reports[1]
 
 
 def test_window_violations_judges_each_pair_once():
@@ -509,12 +553,14 @@ def test_window_violations_judges_each_pair_once():
 
 def _reference_sweep(core_length, samples, rng, first_sign):
     """``lemma_sweep`` one sample at a time: five scalar draws and one
-    ``count_crossings_cyl`` call per sample.  It judges each count with
-    its own scalar verdict, so that it stays independent of the
-    ``window_violations`` that it checks.  Returns its records and
-    violations, its largest count, and how many samples asked the oracle
-    for a retry."""
+    ``count_crossings_cyl`` call per sample, whose jitters come from a
+    child stream of rng made at the start, as lemma_sweep's do.  It
+    judges each count with its own scalar verdict, so that it stays
+    independent of the ``window_violations`` that it checks.  Returns its
+    records and violations, its largest count, and how many samples asked
+    the oracle for a retry."""
     cyl = make_collar(core_length, "shrunk")
+    jitters = rng.spawn(1)[0]
     records, violations, max_count, retries = [], [], 0, 0
     for _ in range(samples):
         c_wind = rng.uniform(-8.0, 8.0)
@@ -534,7 +580,7 @@ def _reference_sweep(core_length, samples, rng, first_sign):
         except RetrySignal:
             retries += 1
         try:
-            rep = count_crossings_cyl(cyl, arc1, arc2, rng)
+            rep = count_crossings_cyl(cyl, arc1, arc2, jitters)
         except RetrySignal as exc:
             vs.append(f"oracle stuck at {label}: {exc}")
             rep = None

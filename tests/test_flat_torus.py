@@ -641,3 +641,97 @@ def test_crossing_oracle_refuses_unresolvable_crossings():
                               (0.5, 0.5))
     with pytest.raises(DomainError, match="known only to within"):
         crossing_count_oracle(SQUARE, (3, 1), (1, 2), (1e12, 0.5))
+
+
+# ------------------------------------------- batches and the retry driver
+
+def _recording(monkeypatch, module, name):
+    """Wrap module.name so that the arguments of every call are kept."""
+    real, calls = getattr(module, name), []
+
+    def recorded(*args):
+        calls.append(args)
+        return real(*args)
+    monkeypatch.setattr(module, name, recorded)
+    return calls
+
+
+def test_count_crossings_draws_two_uniforms_a_try(monkeypatch):
+    """Under a seam tolerance this wide most offsets graze a seam: every
+    try, the first included, takes the next two uniforms of the stream as
+    its offset, and a pair still stuck after MAX_TRIES raises."""
+    monkeypatch.setattr(flat_torus, "SEAM_TOLERANCE", 0.06)
+    calls = _recording(monkeypatch, flat_torus, "crossing_batch")
+    lat = Lattice.from_string("1,0,1/2,7/8")
+    rng, replay = np.random.default_rng(5), np.random.default_rng(5)
+    tries, outcomes = [], set()
+    for u, v in (((3, 1), (1, 2)), ((2, -5), (7, 3)), ((1, 0), (0, 1)),
+                 ((4, 1), (-1, 3))) * 3:
+        del calls[:]
+        try:
+            rep = count_crossings(lat, u, v, rng)
+            assert rep.count == abs(intersection_number(u, v))
+            outcomes.add("counted")
+        except RetrySignal as exc:
+            assert str(exc) == (f"no seam-free offset found in "
+                                f"{flat_torus.MAX_TRIES} tries")
+            assert len(calls) == flat_torus.MAX_TRIES
+            outcomes.add("stuck")
+        tries.append(len(calls))
+        for _, _, _, offsets in calls:
+            f1, f2 = replay.random(2).tolist()
+            assert offsets == [(f1 * lat.e1[0] + f2 * lat.e2[0],
+                                f1 * lat.e1[1] + f2 * lat.e2[1])]
+    assert outcomes == {"counted", "stuck"}
+    assert 1 in tries and any(1 < t < flat_torus.MAX_TRIES for t in tries)
+    assert rng.random(4).tolist() == replay.random(4).tolist()
+
+
+def _one_pair_outcome(lat, u, v, offset):
+    try:
+        return repr(crossing_count_oracle(lat, u, v, offset))
+    except RetrySignal as exc:
+        return f"RetrySignal: {exc}"
+
+
+@pytest.mark.parametrize("text", BASES)
+def test_batch_matches_one_pair_calls(text, monkeypatch):
+    """A batch of mixed pairs, some of them flagged at a seam, gives each
+    pair the outcome of its own call, and the retry driver re-solves the
+    flagged ones alone, in pair order, from fresh offsets of its stream."""
+    monkeypatch.setattr(flat_torus, "SEAM_TOLERANCE", 0.01)
+    lat = Lattice.from_string(text)
+    rng = np.random.default_rng(29)
+    us, vs, offsets = [], [], []
+    while len(us) < 120:
+        a, b, c, d = (int(x) for x in rng.integers(-9, 10, size=4))
+        if a * d - b * c == 0:
+            continue
+        us.append((a, b))
+        vs.append((c, d))
+        offsets.append(_lattice_point(lat, rng.uniform(-1.0, 2.0, size=2)))
+    expected = [_one_pair_outcome(lat, *p) for p in zip(us, vs, offsets)]
+    assert sum(e.startswith("RetrySignal") for e in expected) > 5
+    batch = flat_torus.crossing_batch(lat, np.array(us), np.array(vs),
+                                      np.array(offsets))
+    outcomes = []
+    for i in range(len(us)):
+        try:
+            outcomes.append(repr(batch.report(i)))
+        except RetrySignal as exc:
+            outcomes.append(f"RetrySignal: {exc}")
+    assert outcomes == expected
+    # the driver against one-pair calls of the oracle, in pair order
+    batch, stuck = flat_torus.count_crossings_batch(
+        lat, us, vs, offsets, np.random.default_rng(31))
+    replay = np.random.default_rng(31)
+    for i, outcome in enumerate(expected):
+        for _ in range(flat_torus.MAX_TRIES - 1):
+            if not outcome.startswith("RetrySignal"):
+                break
+            outcome = _one_pair_outcome(
+                lat, us[i], vs[i], flat_torus.random_offset(lat, replay))
+        if outcome.startswith("RetrySignal"):
+            assert str(stuck[i]).startswith("no seam-free offset")
+        else:
+            assert i not in stuck and repr(batch.report(i)) == outcome

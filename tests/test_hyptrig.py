@@ -167,6 +167,13 @@ def test_collar_width_rejects_bad_lengths(bad):
         collar_width(bad)
 
 
+def test_collar_width_rejects_a_length_whose_half_is_zero():
+    # 5e-324 / 2 rounds to 0, where 1/sinh(length/2) divides by zero
+    with pytest.raises(DomainError, match="range of double precision"):
+        collar_width(5e-324)
+    assert collar_width(5e-324, extended=True) > 0
+
+
 @pytest.mark.parametrize("bad", [0.0, -0.5, math.nan])
 def test_boundary_length_rejects_bad_arguments(bad):
     with pytest.raises(DomainError):
