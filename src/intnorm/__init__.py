@@ -33,9 +33,7 @@ from .cylinder import (
     arc_length,
     count_crossings_cyl,
     crossing_count_oracle_cyl,
-    dehn_twist_map,
     dehn_twist_winding,
-    fermi_to_halfplane,
     halfplane_to_fermi,
     intersection_bounds,
     make_collar,
@@ -103,10 +101,10 @@ __all__ = [
     "collar_constants_check", "collar_width", "count_crossings",
     "count_crossings_cyl", "crossing_arc_length", "crossing_count_oracle",
     "crossing_count_oracle_cyl", "cylinder_suite",
-    "default_collar_grid", "default_monotonicity_grid", "dehn_twist_map",
+    "default_collar_grid", "default_monotonicity_grid",
     "dehn_twist_winding", "enumerate_classes", "fermi_distance",
-    "fermi_to_halfplane", "full_bound_report", "general_bounds",
-    "halfplane_to_fermi", "hyperbolic_bounds", "intersection_bounds",
+    "full_bound_report", "general_bounds", "halfplane_to_fermi",
+    "hyperbolic_bounds", "intersection_bounds",
     "intersection_number", "k_real", "lemma_sweep", "make_collar",
     "min_length_product", "named_stream", "norm_comparison_report",
     "parse_grid", "reduced_basis", "rewind_shift", "rewind_suite_check",

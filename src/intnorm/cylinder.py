@@ -53,6 +53,11 @@ MAX_ADVANCE = 400.0
 MIN_CORE_LENGTH = 1e-9
 MAX_TRANSLATES = 100_000
 
+# Most deck translates of a batch, which bound its rows and crossings.
+# Ten pairs at MAX_TRANSLATES, with a crossing at every translate, take
+# about 0.13 s and a tracemalloc peak near 57 MB (Intel Xeon, 2 vCPUs).
+MAX_BATCH_TRANSLATES = 1_000_000
+
 # (pair, translate) rows that crossing_batch_cyl solves at once.  Their
 # temporaries take about 160 bytes a row, 2.6 MB a chunk, whatever the
 # number of translates.
@@ -216,29 +221,13 @@ def dehn_twist_winding(c_wind: float, crossing_sign: int, z: float) -> float:
     return c_wind + crossing_sign * z
 
 
-def dehn_twist_map(cyl: Cylinder, z: float, t: float,
-                   s: float) -> tuple[float, float]:
-    """Coordinate action of the order-z Dehn twist on Fermi coordinates:
-    (t, s) |-> (t + z * core_length * (w + s) / (2w), s).  Fixes the s = -w
-    boundary pointwise and advances the s = +w boundary by z full turns."""
-    w = cyl.half_width
-    if abs(s) > w * (1.0 + 1e-12):
-        raise DomainError(f"|s| = {abs(s)} exceeds the half-width {w}")
-    return t + z * cyl.core_length * (w + s) / (2.0 * w), s
-
-
 # ---------------------------------------------------------------------------
 # universal-cover crossing oracle
 
 
-def fermi_to_halfplane(t: float, s: float) -> tuple[float, float]:
-    """Fermi coordinates to upper half-plane: exp(t) * (tanh s, sech s)."""
-    r = math.exp(t)
-    return r * math.tanh(s), r / math.cosh(s)
-
-
 def halfplane_to_fermi(x: float, y: float) -> tuple[float, float]:
-    """Inverse of fermi_to_halfplane on the open upper half-plane."""
+    """Fermi coordinates (t, s) of x + iy = exp(t) * (tanh s, sech s).
+    Kept only for the benchmark under bench/; suites must not call it."""
     if y <= 0.0:
         raise DomainError(f"point must lie in the upper half-plane, y={y}")
     # x/y = sinh s keeps s near 0, where r/y = cosh s rounds to 1
@@ -313,6 +302,8 @@ def crossing_count_oracle_cyl(cyl: Cylinder, arc1: ArcSpec,
     within S_TOLERANCE of |s| = w; the caller should jitter an entry
     position and retry (see ``count_crossings_cyl``).  Of several such
     translates, the one with the least k names the reason.
+
+    Kept only for the benchmark under bench/; suites must not call it.
     """
     return crossing_batch_cyl(cyl, *_one_pair(arc1, arc2)).report(0)
 
@@ -337,8 +328,9 @@ def crossing_batch_cyl(cyl: Cylinder, entry_t, winding,
     solve, ROW_CHUNK rows at a time, and each test of the one-pair oracle
     a mask over the rows.  The domain checks and their errors are those of
     the one-pair oracle; the first arc that fails one names the error.
-    RetrySignal is not raised but flagged per pair; identical arcs are
-    flagged as overlapping.
+    A batch of more than MAX_BATCH_TRANSLATES translates in all is refused
+    with DomainError before any row is built.  RetrySignal is not raised
+    but flagged per pair; identical arcs are flagged as overlapping.
     """
     l, w = cyl.core_length, cyl.half_width
     if l < MIN_CORE_LENGTH:
@@ -354,6 +346,9 @@ def crossing_batch_cyl(cyl: Cylinder, entry_t, winding,
         raise DomainError(f"{runs[runs > MAX_TRANSLATES][0]} deck "
                           "translates to try exceed the oracle's bound "
                           f"{MAX_TRANSLATES}")
+    if runs.sum() > MAX_BATCH_TRANSLATES:
+        raise DomainError(f"{runs.sum()} deck translates of a batch exceed "
+                          f"the bound {MAX_BATCH_TRANSLATES}")
     p, q = b2 * a1, b1 * a2
     # lifts can overlap only where their slopes agree
     same_slope = (np.abs(p - q)
@@ -400,7 +395,7 @@ def crossing_batch_cyl(cyl: Cylinder, entry_t, winding,
     np.bincount(pairs, minlength=len(runs)).cumsum(out=offsets[1:])
     order = np.lexsort((t, pairs))
     return CrossingBatch(offsets=offsets,
-                         signs=np.where(negative[order], 1, -1),
+                         signs=negative[order].astype(np.int8) * 2 - 1,
                          retry=retry)
 
 
@@ -545,6 +540,8 @@ def rewind_suite_check(gamma_winds: Sequence[float],
     That covers every shape: what a cell decides depends on (m_lead,
     m_trail) only through min(m_lead, 2) and min(g, 3), except for the
     length margin, which grows with m as the crossing arc lengthens.
+
+    Kept for test c05, the cylinder demo and bench/ only; no suite calls it.
     """
     gamma_winds = tuple(float(v) for v in gamma_winds)
     delta_winds = tuple(float(v) for v in delta_winds)

@@ -133,9 +133,9 @@ class CrossingBatch(NamedTuple):
     ``crossing_batch`` for closed geodesics on a flat torus,
     ``cylinder.crossing_batch_cyl`` for arcs across a collar.
 
-    Pair i crosses with the signs signs[offsets[i]:offsets[i + 1]]: on the
-    torus one sign for every crossing of the pair, on the collar the signs
-    in the order of the crossings along the core.  retry[i] is 0, or SEAM
+    Pair i crosses with the int8 signs signs[offsets[i]:offsets[i + 1]]:
+    on the torus one sign for every crossing, on the collar the signs in
+    the order of the crossings along the core.  retry[i] is 0, or SEAM
     (torus), OVERLAP or GRAZE (collar) where the one-pair oracle raises
     RetrySignal on pair i; the crossings of such a pair mean nothing.
     """
@@ -850,6 +850,8 @@ def crossing_count_oracle(lat: Lattice, u, v, offset) -> CrossingReport:
     |Int| = 2,479,999 took 0.09-0.11 s and a tracemalloc peak of 60 MB,
     and 2,479,999 rows with |Int| = 1 took 0.06-0.08 s and 6 MB (Intel
     Xeon, 2 vCPUs, numpy 2.4).
+
+    Kept only for the benchmark under bench/; suites must not call it.
     """
     return crossing_batch(lat, [u], [v], [offset]).report(0)
 

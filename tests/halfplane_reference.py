@@ -1,5 +1,7 @@
 """Reference cylinder crossing oracles: one in the upper half-plane
 model, and the Fermi-coordinate oracle as a loop over deck translates.
+The chart ``fermi_to_halfplane`` lifts Fermi coordinates to the
+half-plane for the first.
 
 In the half-plane oracle both arcs are lifted to half-plane geodesic
 segments and the lift of the first is intersected, circle against circle,
@@ -29,13 +31,18 @@ from intnorm import (
     DegenerateInputError,
     DomainError,
     RetrySignal,
-    fermi_to_halfplane,
     halfplane_to_fermi,
 )
 
 # Angular tolerance around lifted-segment endpoints; an intersection this
 # close to an endpoint (or a tangency) raises RetrySignal.
 ANGLE_TOLERANCE = 1e-9
+
+
+def fermi_to_halfplane(t: float, s: float) -> tuple[float, float]:
+    """Fermi coordinates to upper half-plane: exp(t) * (tanh s, sech s)."""
+    r = math.exp(t)
+    return r * math.tanh(s), r / math.cosh(s)
 
 
 class _Region(Enum):

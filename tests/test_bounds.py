@@ -24,6 +24,7 @@ from intnorm import (
     parse_grid,
 )
 from intnorm.bounds import MAX_GRID_STEPS
+from intnorm.seeding import named_stream
 
 
 # ------------------------------------------------------------ general bounds
@@ -58,6 +59,20 @@ def test_surface_params_validation():
         SurfaceParams(genus=1, l1=-1.0, diameter=1.0, volume=1.0)
     with pytest.raises(DomainError):
         SurfaceParams(genus=1, l1=1.0, diameter=1.0, volume=math.inf)
+
+
+def test_admissible_parameters_are_accepted():
+    # the 100 tuples that verify's general-bounds check drew at seed 1:
+    # l1 in (e^-3, e^0.5), l1 < 2*D and V in (e^-1, e^3), genus 1 to 5
+    rng = named_stream(1, "bounds.params")
+    for _ in range(100):
+        genus = int(rng.integers(1, 6))
+        l1 = math.exp(rng.uniform(-3.0, 0.5))
+        diameter = 0.5 * l1 * math.exp(rng.uniform(0.01, 2.0))
+        volume = math.exp(rng.uniform(-1.0, 3.0))
+        p = SurfaceParams(genus=genus, l1=l1, diameter=diameter,
+                          volume=volume)
+        assert full_bound_report(p).genus == genus
 
 
 # --------------------------------------------------------- hyperbolic bounds

@@ -7,10 +7,13 @@ byte-reproducible for a fixed seed.
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
+import re
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -179,6 +182,61 @@ def test_cylinder_full_mode_accepts_long_core(capsys):
 def test_cylinder_rejects_zero_samples(capsys):
     assert main(["cylinder", "--core-length", "0.2",
                  "--samples", "0"]) == 2
+
+
+def test_cylinder_samples_past_the_bound_are_refused_before_any_work(
+        monkeypatch, capsys):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the sweep began before the sample refusal")
+
+    for work in ("make_collar", "named_stream", "lemma_sweep"):
+        monkeypatch.setattr(intnorm.cli, work, refuse)
+    tracemalloc.start()
+    try:
+        code = main(["cylinder", "--core-length", "0.2", "--samples",
+                     str(intnorm.cli.MAX_SAMPLES + 1)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    assert peak < 1 << 20
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == (f"intnorm: error: need 1 to {intnorm.cli.MAX_SAMPLES} "
+                   f"samples, got {intnorm.cli.MAX_SAMPLES + 1}\n")
+
+
+def test_cylinder_samples_up_to_a_patched_bound(monkeypatch, capsys):
+    monkeypatch.setattr(intnorm.cli, "MAX_SAMPLES", 5)
+    argv = ["cylinder", "--core-length", "0.2", "--samples"]
+    code, doc = run_json(capsys, argv + ["5"])
+    assert code == 0
+    assert len(doc["results"]["records"]) == 5
+    assert main(argv + ["6"]) == 2
+    assert capsys.readouterr().err.startswith("intnorm: error:")
+
+
+def test_cylinder_arc_batch_past_its_translate_bound_exits_2(
+        monkeypatch, tmp_path, capsys):
+    """Perpendicular first arcs 0.4 core lengths past the second arcs'
+    entries try exactly n translates against a second winding n, so the
+    file holds 20 + 30 + 40 = 90; the one-sample sweep tries at most 17."""
+    path = tmp_path / "arcs.json"
+    path.write_text(json.dumps({"pairs": [
+        {"arc1": [0.11, 0.0, 1], "arc2": [0.03, float(n), 1]}
+        for n in (20, 30, 40)]}))
+    argv = ["cylinder", "--core-length", "0.2", "--samples", "1",
+            "--arcs-json", str(path)]
+    monkeypatch.setattr(intnorm.cylinder, "MAX_BATCH_TRANSLATES", 90)
+    code, doc = run_json(capsys, argv)
+    assert code == 0
+    assert [p["count"] for p in doc["results"]["pairs"]] == [20, 30, 40]
+    monkeypatch.setattr(intnorm.cylinder, "MAX_BATCH_TRANSLATES", 89)
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == ("intnorm: error: 90 deck translates of a batch exceed "
+                   "the bound 89\n")
 
 
 def test_cylinder_explicit_arc_pairs(tmp_path, capsys):
@@ -410,8 +468,7 @@ VERIFY_CHECKS = {
     "cylinder": ["winding_window_and_sign", "flipped_sign_convention",
                  "rewind_grid"],
     "bounds": ["extended_precision_agreement", "bound_ordering",
-               "general_bounds_sandwich", "asymptotic_profiles",
-               "collar_constants"],
+               "asymptotic_profiles", "collar_constants"],
 }
 
 
@@ -433,7 +490,6 @@ def test_verify_all_runs_the_pinned_checks(capsys):
                      "rewind_grid": (728, 0)},
         "bounds": {"extended_precision_agreement": (15, 0),
                    "bound_ordering": (988, 0),
-                   "general_bounds_sandwich": (100, 0),
                    "asymptotic_profiles": (53, 0),
                    "collar_constants": (2000, 0)},
     }
@@ -445,7 +501,7 @@ def test_verify_all_output_is_pinned(capsys):
     assert main(["verify", "--suite", "all", "--seed", "1"]) == 0
     out = capsys.readouterr().out.encode()
     assert hashlib.sha256(out).hexdigest() == (
-        "8d6f77531f8b61ada38365e4c6f0c587771ca61cb61542eaa07a8810e2bbe4aa")
+        "d8a7cf7df2ac34f0f481b323ebf0d30970d51a847f225857041588ff41dfabc0")
 
 
 @pytest.fixture
@@ -667,3 +723,91 @@ def test_cylinder_identical_arcs_exit_2(tmp_path, capsys):
     assert main(["cylinder", "--core-length", "0.2", "--samples", "1",
                  "--arcs-json", str(path)]) == 2
     assert capsys.readouterr().err == "intnorm: error: arcs are identical\n"
+
+
+def _ratio_above_k_real(monkeypatch):
+    real = intnorm.flat_torus.best_ratio_search
+
+    def above(*args):
+        res = real(*args)
+        return res._replace(ratio=res.ratio * 1.01)
+    for module in (intnorm.flat_torus, intnorm.cli):
+        monkeypatch.setattr(module, "best_ratio_search", above)
+
+
+def _segment_above_the_sine_bound(monkeypatch):
+    real = intnorm.flat_torus.segment_bound_check
+
+    def above(*args):
+        rep = real(*args)
+        # the report of a maximum 1% above the sine bound, and below 9
+        return dataclasses.replace(rep, max_normalized=1.01 * rep.sine_bound,
+                                   sine_bound_ok=False)
+    for module in (intnorm.flat_torus, intnorm.cli):
+        monkeypatch.setattr(module, "segment_bound_check", above)
+
+
+def _l2_one_percent_off(monkeypatch):
+    real = intnorm.flat_torus.norm_comparison_report
+
+    def off(*args):
+        rep = real(*args)
+        # both sides are equalities on a flat torus, so 1% breaks one
+        return rep._replace(l2=rep.l2 * 1.01, two_sided_ok=False)
+    for module in (intnorm.flat_torus, intnorm.cli):
+        monkeypatch.setattr(module, "norm_comparison_report", off)
+
+
+def _lower_above_the_collar_rate(monkeypatch):
+    real = intnorm.bounds._hyperbolic_terms
+
+    def above(s, l1, extended):
+        lower, upper, rate, *rest = real(s, l1, extended)
+        return (2.0 * rate, upper, rate, *rest)
+    monkeypatch.setattr(intnorm.bounds, "_hyperbolic_terms", above)
+
+
+_HEXAGONAL = "1,0,1/2,0.8660254037844386"
+
+
+# A fault, the suite and check it must fail, and a command on an input
+# that the check shares (its violations then start as the check's do) or
+# not (then only their words agree).
+@pytest.mark.parametrize("fault, suite, check, argv, shared", [
+    (_ratio_above_k_real, "torus", "ratio_value",
+     ["torus", "--lattice", _HEXAGONAL], True),
+    (_segment_above_the_sine_bound, "torus", "segment_bound",
+     ["torus", "--lattice", _HEXAGONAL], False),
+    (_l2_one_percent_off, "torus", "norm_comparison",
+     ["torus", "--lattice", _HEXAGONAL], False),
+    (_lower_above_the_collar_rate, "bounds", "bound_ordering",
+     ["bounds", "--genus", "2", "--l1-grid", "1e-4:0.25:50", "--geometric"],
+     True),
+])
+def test_verify_and_the_command_share_each_verdict(monkeypatch, tmp_path,
+                                                   capsys, fault, suite,
+                                                   check, argv, shared):
+    """One library call returns a faulty value: only the matching check
+    fails, and the command reports the violation in the suites' words."""
+    fault(monkeypatch)
+    out = tmp_path / "verify.json"
+    assert main(["verify", "--suite", suite, "--seed", "1",
+                 "--output", str(out)]) == 1
+    (report,) = json.loads(out.read_text())["results"]["suites"]
+    failures = {c["name"]: c["failures"] for c in report["checks"]}
+    assert failures[check] > 0
+    assert failures == {**dict.fromkeys(failures, 0), check: failures[check]}
+    code, doc = run_json(capsys, argv)
+    assert code == 1
+    assert doc["violations"]
+
+    # the words of a violation, with its numbers left out
+    def words(text):
+        return re.sub(r"-?\d+(\.\d+)?(e[+-]?\d+)?", "#", text)
+    suite_words = {words(v) for v in report["violations"]
+                   if not v.startswith("... and")}
+    assert all(any(s.startswith(words(v)) for s in suite_words)
+               for v in doc["violations"])
+    if shared:  # the suite reports its first 25
+        assert all(any(s.startswith(v) for s in report["violations"])
+                   for v in doc["violations"][:25])

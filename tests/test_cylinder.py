@@ -5,6 +5,7 @@ oracle in Fermi coordinates, Dehn twists, and the rewinding move.
 from __future__ import annotations
 
 import math
+import tracemalloc
 from itertools import product
 
 import numpy as np
@@ -25,9 +26,7 @@ from intnorm import (
     collar_width,
     count_crossings_cyl,
     crossing_count_oracle_cyl,
-    dehn_twist_map,
     dehn_twist_winding,
-    fermi_to_halfplane,
     halfplane_to_fermi,
     intersection_bounds,
     make_collar,
@@ -43,7 +42,8 @@ from intnorm.seeding import named_stream
 from intnorm.suites import lemma_sweep, window_violations
 
 from halfplane_reference import (crossing_count_oracle_halfplane,
-                                 crossing_count_oracle_loop)
+                                 crossing_count_oracle_loop,
+                                 fermi_to_halfplane)
 
 CYL = make_collar(0.2, "shrunk")
 
@@ -391,6 +391,7 @@ def _batch_matches_loop(cyl, pairs):
     arrays = [[[getattr(arc, f) for arc in arcs] for arcs in zip(*pairs)]
               for f in ("entry_t", "winding", "crossing_sign")]
     batch = crossing_batch_cyl(cyl, *arrays)
+    assert batch.signs.dtype == np.int8
     outcomes = []
     for i, (arc1, arc2) in enumerate(pairs):
         ref = _outcome(crossing_count_oracle_loop, cyl, arc1, arc2)
@@ -443,6 +444,40 @@ def test_batch_with_a_run_near_the_translate_bound():
     outcomes = _batch_matches_loop(short, pairs)
     assert outcomes[0] == (0, ())
     assert outcomes[21][0] == 0.9 * MAX_TRANSLATES + 1
+
+
+def test_batch_translates_are_bounded(monkeypatch):
+    """A perpendicular first arc 0.4 core lengths past the second arc's
+    entry tries exactly n translates against a second winding n; a batch
+    of such pairs is solved at MAX_BATCH_TRANSLATES and refused one
+    translate past it."""
+    windings = (3.0, 5.0, 4.0)
+    arrays = ([[0.11] * 3, [0.03] * 3], [[0.0] * 3, list(windings)],
+              [[1] * 3, [1] * 3])
+    monkeypatch.setattr(intnorm.cylinder, "MAX_BATCH_TRANSLATES", 12)
+    batch = crossing_batch_cyl(CYL, *arrays)
+    assert np.diff(batch.offsets).tolist() == [3, 5, 4]
+    monkeypatch.setattr(intnorm.cylinder, "MAX_BATCH_TRANSLATES", 11)
+    with pytest.raises(DomainError, match="^12 deck translates of a batch "
+                                          "exceed the bound 11$"):
+        crossing_batch_cyl(CYL, *arrays)
+
+
+def test_batch_past_its_translate_bound_is_refused_before_its_rows():
+    # 20 pairs of about 98,000 translates each, each within MAX_TRANSLATES
+    cyl = make_collar(1e-3, "full")
+    n = 20
+    entries = [[1e-4] * n, [9e-4] * n]
+    windings = [[49_000.0] * n, [-49_000.0] * n]
+    assert 98_000 * n > intnorm.cylinder.MAX_BATCH_TRANSLATES
+    tracemalloc.start()
+    try:
+        with pytest.raises(DomainError, match="translates of a batch"):
+            crossing_batch_cyl(cyl, entries, windings, [[1] * n, [1] * n])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_oracle_retries_on_boundary_graze():
@@ -513,12 +548,12 @@ def test_batch_with_a_retried_pair():
                                [[1, 1, 1], [1, -1, -1]])
     reports = [batch.report(i) for i in range(3)]
     for i, one in enumerate((
-            CrossingBatch(np.array([0, 0]), np.zeros(0, np.int64),
+            CrossingBatch(np.array([0, 0]), np.zeros(0, np.int8),
                           np.zeros(1, np.int8)),
-            CrossingBatch(np.array([0, 3]), np.array([-1, 1, -1]),
+            CrossingBatch(np.array([0, 3]), np.array([-1, 1, -1], np.int8),
                           np.zeros(1, np.int8)))):
         changed = batch.with_pair(i, one)
-        assert changed.signs.dtype == batch.signs.dtype
+        assert changed.signs.dtype == batch.signs.dtype == np.int8
         assert changed.offsets[-1] == len(changed.signs)
         assert [changed.report(j) for j in range(3)] == \
             reports[:i] + [one.report(0)] + reports[i + 1:]
@@ -707,6 +742,19 @@ def test_dehn_twist_inverts_exactly_on_dyadics():
             zz = z / 1024.0
             there = dehn_twist_winding(c, 1, zz)
             assert dehn_twist_winding(there, 1, -zz) == c
+
+
+def dehn_twist_map(cyl: Cylinder, z: float, t: float,
+                   s: float) -> tuple[float, float]:
+    """Coordinate action of the order-z Dehn twist on Fermi coordinates:
+    (t, s) |-> (t + z * core_length * (w + s) / (2w), s).  Fixes the s = -w
+    boundary pointwise and advances the s = +w boundary by z full turns.
+    The reference that the winding arithmetic of ``dehn_twist_winding`` is
+    held to."""
+    w = cyl.half_width
+    if abs(s) > w * (1.0 + 1e-12):
+        raise DomainError(f"|s| = {abs(s)} exceeds the half-width {w}")
+    return t + z * cyl.core_length * (w + s) / (2.0 * w), s
 
 
 def test_dehn_twist_map_boundary_action():

@@ -714,6 +714,7 @@ def test_batch_matches_one_pair_calls(text, monkeypatch):
     assert sum(e.startswith("RetrySignal") for e in expected) > 5
     batch = flat_torus.crossing_batch(lat, np.array(us), np.array(vs),
                                       np.array(offsets))
+    assert batch.signs.dtype == np.int8
     outcomes = []
     for i in range(len(us)):
         try:
