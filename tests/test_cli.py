@@ -429,6 +429,26 @@ def test_bounds_csv_table(capsys):
     assert len(lines) == 6
 
 
+@pytest.mark.parametrize("precision, fmt, digest", [
+    ("double", "json",
+     "4c70df990debe471a26d1d73c99af258b121ad3dac7392c6c30e6a0de05bac35"),
+    ("double", "csv",
+     "4973d68c47e78f0e67cf93a710165b931cc146b62c63fa3e819bd3ccc291fba6"),
+    ("extended", "json",
+     "bfd07d83c0ced3543d41eff8cb2af7c996fa832e27f69f1673c84638f72bfbba"),
+    ("extended", "csv",
+     "c82c69a09d2d781beb16ced08768c7d9febe81471f7119277a350b6ac7fbc42f"),
+])
+def test_bounds_table_is_pinned(capsys, precision, fmt, digest):
+    """A 500-row table from 1e-9 to 0.9, byte for byte in each precision
+    and format: a change in any bit of a bound or profile changes it."""
+    assert main(["bounds", "--genus", "3", "--l1-grid", "1e-9:0.9:500",
+                 "--geometric", "--precision", precision,
+                 "--format", fmt]) == 0
+    out = capsys.readouterr().out.encode()
+    assert hashlib.sha256(out).hexdigest() == digest
+
+
 def test_bounds_extended_precision_close_to_double(capsys):
     _, double = run_json(capsys, ["bounds", "--genus", "2",
                                   "--l1-grid", "1e-3:0.1:4",
