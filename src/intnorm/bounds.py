@@ -29,13 +29,15 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Optional, Sequence
+
+import numpy as np
 
 from .cylinder import SHRINK_MARGIN
 from .errors import DomainError
-from .hyptrig import TWO_ARSINH_ONE, _boundary_length, _collar_width, \
-    _extended
+from .hyptrig import ARRAYS, TWO_ARSINH_ONE, _boundary_length, \
+    _collar_width, _extended, _over_array
 
 
 def _require_positive(name: str, value: float) -> float:
@@ -102,18 +104,22 @@ class BoundReport:
     collar_rate: Optional[float] = None
 
 
+def _bound_report(p: SurfaceParams, hyperbolic=(None, None, None)
+                  ) -> BoundReport:
+    """The general bounds of p beside the given (lower, upper,
+    collar_rate) hyperbolic fields."""
+    return BoundReport(p.genus, p.l1, p.diameter, p.volume, 1.0 / p.volume,
+                       1.0 / (2.0 * p.l1 * p.diameter), 9.0 / (p.l1 * p.l1),
+                       *hyperbolic)
+
+
 def general_bounds(p: SurfaceParams) -> BoundReport:
     """Evaluate the any-curvature bounds 1/V, 1/(2*l1*D), 9/l1**2.
 
     The sandwich 1/(2*l1*D) <= 9/l1**2 follows from l1 <= 2D, which
     SurfaceParams enforces.
     """
-    inv_vol = 1.0 / p.volume
-    lower_l1d = 1.0 / (2.0 * p.l1 * p.diameter)
-    upper_l1sq = 9.0 / (p.l1 * p.l1)
-    return BoundReport(genus=p.genus, l1=p.l1, diameter=p.diameter,
-                       volume=p.volume, inv_vol=inv_vol,
-                       lower_l1d=lower_l1d, upper_l1sq=upper_l1sq)
+    return _bound_report(p)
 
 
 def _hyperbolic(m, s: int, l1):
@@ -125,13 +131,24 @@ def _hyperbolic(m, s: int, l1):
     return lower, upper, 1 / (2 * l1 * cl), cl, asinh_term
 
 
-def _hyperbolic_terms(s: int, l1: float, extended: bool) -> tuple:
-    """``_hyperbolic`` as finite floats, in either precision.
+def _hyperbolic_terms(s: int, l1, extended: bool) -> tuple:
+    """``_hyperbolic`` as finite floats, in either precision, at one l1
+    or over a float64 array of them.
+
+    An array is evaluated at once in double precision, through
+    ``hyptrig.ARRAYS``, and value by value in extended precision or where
+    a value leaves double range, so that the refusal names the first.
 
     lower < upper needs no check: lower < 1/(210*l1) and
     upper > 18/(l1*cl(l1)), and cl < 750 on every l1 that collar_width
     accepts, far below the 3,780 that the reverse order needs.
     """
+    if isinstance(l1, np.ndarray):
+        terms = None if extended else _over_array(_hyperbolic, s, l1)
+        if terms is None:
+            terms = np.array([_hyperbolic_terms(s, x, extended)
+                              for x in l1.tolist()]).reshape(-1, 5).T
+        return tuple(terms)
     try:
         terms = (tuple(map(float, _extended(_hyperbolic, s, l1)))
                  if extended else _hyperbolic(math, s, l1))
@@ -167,12 +184,10 @@ def hyperbolic_bounds(s: int, l1: float, *,
 def full_bound_report(p: SurfaceParams, *,
                       extended: bool = False) -> BoundReport:
     """General bounds plus, for genus >= 2, the hyperbolic bounds."""
-    report = general_bounds(p)
     if p.genus < 2:
-        return report
-    hb = hyperbolic_bounds(p.genus, p.l1, extended=extended)
-    return replace(report, hyp_lower=hb.lower, hyp_upper=hb.upper,
-                   collar_rate=hb.collar_rate)
+        return general_bounds(p)
+    return _bound_report(p, hyperbolic_bounds(p.genus, p.l1,
+                                              extended=extended))
 
 
 class ProfileRow(NamedTuple):
@@ -195,36 +210,69 @@ class ProfileRow(NamedTuple):
     upper_profile_tail: float
 
 
+def _float_grid(grid: Iterable, check, accepted) -> np.ndarray:
+    """A grid as a float64 array, checked as a whole before any of it is
+    evaluated.
+
+    ``check(value)`` checks one value and returns it as a float;
+    ``accepted(x)`` marks the float64 values that it passes.  A grid of
+    Python floats is checked at once, any other value by value: either
+    way the first value refused in grid order is refused by ``check``.
+    """
+    values = list(grid)
+    if set(map(type, values)) <= {float}:
+        x = np.array(values, dtype=np.float64)
+        refused = np.flatnonzero(~accepted(x))
+        if refused.size:
+            check(values[refused[0]])
+        return x
+    return np.array([check(v) for v in values], dtype=np.float64)
+
+
+def _profile_value(raw) -> float:
+    l1 = _require_positive("l1 grid value", raw)
+    if l1 >= 1.0:
+        raise DomainError(
+            f"profile grid values must lie in (0, 1), got {l1}")
+    return l1
+
+
 def asymptotic_profile(s: int, l1_grid: Sequence[float], *,
                        extended: bool = False) -> tuple[ProfileRow, ...]:
     """Evaluate the hyperbolic bounds and their normalized profiles over a
     grid of systole lengths in (0, 1).
 
     Values >= 1 are rejected: |log l1| changes sign there and the
-    normalization becomes meaningless.
+    normalization becomes meaningless.  The grid is evaluated at once,
+    over float64 arrays, bit for bit as one value at a time.
     """
     _require_genus(s, 2)
-    rows = []
-    for raw in l1_grid:
-        l1 = _require_positive("l1 grid value", raw)
-        if l1 >= 1.0:
-            raise DomainError(
-                f"profile grid values must lie in (0, 1), got {l1}")
-        lower, upper, rate, cl, asinh_term = _hyperbolic_terms(s, l1,
-                                                               extended)
-        log_abs = -math.log(l1)
-        scale = l1 * log_abs
-        rows.append(ProfileRow(
-            l1=l1,
-            lower=lower,
-            upper=upper,
-            collar_rate=rate,
-            lower_profile=lower * scale,
-            upper_profile=upper * scale,
-            lower_profile_tail=log_abs / (4.0 * (s - 1) * asinh_term),
-            upper_profile_tail=18.0 * (s - 1) * log_abs / cl,
-        ))
-    return tuple(rows)
+    l1 = _float_grid(l1_grid, _profile_value, lambda x: (x > 0) & (x < 1.0))
+    lower, upper, rate, cl, asinh_term = _hyperbolic_terms(s, l1, extended)
+    log_abs = -ARRAYS.log(l1)
+    scale = l1 * log_abs
+    columns = (l1, lower, upper, rate, lower * scale, upper * scale,
+               log_abs / (4.0 * (s - 1) * asinh_term),
+               18.0 * (s - 1) * log_abs / cl)
+    return tuple(map(ProfileRow._make,
+                     zip(*(column.tolist() for column in columns))))
+
+
+def _collar_value(raw) -> float:
+    x = _require_positive("collar grid value", raw)
+    if x > 0.25:
+        raise DomainError(
+            f"collar grid values must lie in (0, 0.25], got {x}")
+    return x
+
+
+def _collar_widths(x: np.ndarray) -> np.ndarray:
+    """cl over a float64 array; value by value where one leaves double
+    range, so that the refusal names the first."""
+    cl = _over_array(_collar_width, x)
+    if cl is None:
+        cl = np.array([_collar_width(math, v) for v in x.tolist()])
+    return cl
 
 
 @dataclass(frozen=True)
@@ -268,72 +316,69 @@ def collar_constants_check(
 
     and, on a second grid in (0, 2*arsinh(1)], that 1/(x*cl(x)) is
     strictly decreasing, i.e. x*cl(x) is increasing.
+
+    Each grid is evaluated at once, over float64 arrays, bit for bit as
+    one point at a time.  The violations come point by point, three tests
+    to a point, then pair by pair along the sorted second grid.
     """
     if l_grid is None:
         l_grid = default_collar_grid()
     if monotonicity_grid is None:
         monotonicity_grid = default_monotonicity_grid()
 
+    x = _float_grid(l_grid, _collar_value, lambda x: (x > 0) & (x <= 0.25))
+    cl = _collar_widths(x)
+    w = cl - SHRINK_MARGIN
+    circle = _boundary_length(ARRAYS, x, w)
+    # the three tests of each point, in their order, point by point
+    failed = ~np.stack([2.0 * w > 5.0 * circle, circle > 0.5, cl > 1.95],
+                       axis=1)
     violations: list[str] = []
-    points = 0
-    width_margin = math.inf
-    boundary_margin = math.inf
-    for raw in l_grid:
-        points += 1
-        x = _require_positive("collar grid value", raw)
-        if x > 0.25:
-            raise DomainError(
-                f"collar grid values must lie in (0, 0.25], got {x}")
-        cl = _collar_width(math, x)
-        w = cl - SHRINK_MARGIN
-        circle = _boundary_length(math, x, w)
-        width_margin = min(width_margin, 2.0 * w - 5.0 * circle)
-        boundary_margin = min(boundary_margin, circle - 0.5)
-        if not 2.0 * w > 5.0 * circle:
-            violations.append(
-                f"2*(cl({x}) - 1.3) = {2 * w} fails to exceed five "
-                f"boundary circles {5 * circle}")
-        if not circle > 0.5:
-            violations.append(
-                f"boundary circle {circle} at core length {x} is not "
-                "longer than 1/2")
-        if not cl > 1.95:
-            violations.append(
-                f"collar half-width {cl} at core length {x} "
-                "is not above 1.95")
+    for i, test in np.argwhere(failed).tolist():
+        xi, wi, ci, cli = (x[i].item(), w[i].item(), circle[i].item(),
+                           cl[i].item())
+        violations.append((
+            f"2*(cl({xi}) - 1.3) = {2 * wi} fails to exceed five "
+            f"boundary circles {5 * ci}",
+            f"boundary circle {ci} at core length {xi} is not "
+            "longer than 1/2",
+            f"collar half-width {cli} at core length {xi} "
+            "is not above 1.95")[test])
 
-    mono = sorted(_require_positive("monotonicity grid value", v)
-                  for v in monotonicity_grid)
-    for v in mono:
-        if v > TWO_ARSINH_ONE * (1.0 + 1e-12):
-            raise DomainError(
-                "monotonicity grid values must lie in (0, 2*arsinh(1)], "
-                f"got {v}")
-    mono_decrement = math.inf
-    values = [1.0 / (x * _collar_width(math, x)) for x in mono]
-    for x_prev, x_next, f_prev, f_next in zip(mono, mono[1:],
-                                              values, values[1:]):
-        if x_next == x_prev:
-            continue
-        mono_decrement = min(mono_decrement, f_prev - f_next)
-        if not f_prev > f_next:
-            violations.append(
-                f"1/(x*cl(x)) failed to decrease between {x_prev} and "
-                f"{x_next}: {f_prev} -> {f_next}")
+    mono = np.sort(_float_grid(
+        monotonicity_grid,
+        lambda v: _require_positive("monotonicity grid value", v),
+        lambda x: (x > 0) & (x < math.inf)))
+    beyond = np.flatnonzero(mono > TWO_ARSINH_ONE * (1.0 + 1e-12))
+    if beyond.size:
+        raise DomainError(
+            "monotonicity grid values must lie in (0, 2*arsinh(1)], "
+            f"got {mono[beyond[0]].item()}")
+    values = 1.0 / (mono * _collar_widths(mono))
+    distinct = mono[1:] != mono[:-1]
+    decrement = values[:-1] - values[1:]
+    for i in np.flatnonzero(distinct & ~(values[:-1] > values[1:])).tolist():
+        violations.append(
+            f"1/(x*cl(x)) failed to decrease between {mono[i].item()} and "
+            f"{mono[i + 1].item()}: {values[i].item()} -> "
+            f"{values[i + 1].item()}")
 
+    def least(a):
+        return a.min(initial=math.inf).item()
     return CollarCheckReport(
-        points_checked=points,
-        mono_points_checked=len(mono),
-        min_width_margin=width_margin,
-        min_boundary_margin=boundary_margin,
-        min_mono_decrement=mono_decrement,
+        points_checked=x.size,
+        mono_points_checked=mono.size,
+        min_width_margin=least(2.0 * w - 5.0 * circle),
+        min_boundary_margin=least(circle - 0.5),
+        min_mono_decrement=least(decrement[distinct]),
         violations=tuple(violations))
 
 
-# Most steps of a grid.  A step costs about 1.4 us and 33 bytes to parse,
-# and a row of the bounds table about 5 us in double precision (120 us in
-# extended) and 200 bytes of JSON, so a bounds run at the bound takes
-# about 3 s and writes about 20 MB (12 s in extended precision).
+# Most steps of a grid.  A step costs about 0.2 us and 33 bytes to parse,
+# and a row of the bounds table about 2 us to evaluate in double precision
+# (140 us in extended) and 240 bytes of JSON, so a bounds run at the bound
+# takes about 3 s and 105 MB and writes 24 MB (17 s in extended
+# precision), most of it in the JSON encoder (Intel Xeon, 2 vCPUs).
 MAX_GRID_STEPS = 100_000
 
 

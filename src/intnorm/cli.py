@@ -18,9 +18,11 @@ is therefore printed to stderr only and serialized as null.  Exit status:
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
-import io
+import itertools
 import json
+import os
 import sys
 import time
 from typing import Optional
@@ -47,9 +49,9 @@ _RECORD_COLUMNS = ("c_wind", "d_wind", "same_side", "entry_1", "entry_2",
                    "expected_sign", "signs", "ok")
 
 
-# Most samples of one cylinder sweep.  A sample costs about 55 us, 3.8 KB
+# Most samples of one cylinder sweep.  A sample costs about 55 us, 1 KB
 # of peak RSS and 450 bytes of JSON, so a sweep at the bound takes about
-# 1.1 s and 120 MB and writes 9 MB (Intel Xeon, 2 vCPUs).
+# 1.2 s and 62 MB and writes 9 MB (Intel Xeon, 2 vCPUs).
 MAX_SAMPLES = 20_000
 
 
@@ -243,7 +245,7 @@ def run_cylinder(args) -> tuple[dict, Optional[tuple]]:
                 "expected_sign": int(first_sign[i] * wb.sign[i]),
             })
 
-    records = [dict(r) for r in res.records]
+    records = res.records
     report = {
         "command": "cylinder",
         "inputs": {**_common_inputs(args),
@@ -320,25 +322,48 @@ _RUNNERS = {
 }
 
 
-def _emit(report: dict, csv_data, args) -> None:
-    if args.fmt == "csv":
+def _write(report: dict, csv_data, fmt: str, fh) -> None:
+    if fmt == "csv":
         header, rows = csv_data
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
+        writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
         writer.writerows(rows)
-        text = buf.getvalue()
     else:
-        text = json.dumps(report, indent=2, sort_keys=True) + "\n"
-    if args.output:
-        try:
-            with open(args.output, "w", encoding="utf-8") as fh:
-                fh.write(text)
-        except OSError as exc:
+        pieces = json.JSONEncoder(indent=2, sort_keys=True).iterencode(report)
+        # joined in blocks: a write per piece, as json.dump makes, costs
+        # more than the encoding when stdout is a pipe
+        while block := "".join(itertools.islice(pieces, 1 << 12)):
+            fh.write(block)
+        fh.write("\n")
+
+
+def _emit(report: dict, csv_data, args) -> None:
+    """Write the report piece by piece to stdout or to --output, without
+    ever holding its whole text.
+
+    A report holds only dicts with str keys, lists, tuples, str, int,
+    float, bool and None (the tests walk every command's report), so its
+    encoding cannot fail once writing has begun.  A file whose writing
+    fails all the same is removed, so that no partial report is left.
+    """
+    if not args.output:
+        _write(report, csv_data, args.fmt, sys.stdout)
+        return
+    try:
+        fh = open(args.output, "w", encoding="utf-8")
+    except OSError as exc:
+        raise DomainError(f"cannot write the report to {args.output}: "
+                          f"{exc}") from None
+    try:
+        with fh:
+            _write(report, csv_data, args.fmt, fh)
+    except BaseException as exc:
+        with contextlib.suppress(OSError):
+            os.remove(args.output)
+        if isinstance(exc, OSError):
             raise DomainError(f"cannot write the report to {args.output}: "
                               f"{exc}") from None
-    else:
-        sys.stdout.write(text)
+        raise
 
 
 def main(argv=None) -> int:

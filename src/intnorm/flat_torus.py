@@ -459,7 +459,10 @@ def _distinct_pairs(count: int, i: np.ndarray,
     """The distinct pairs (min, max) of two index arrays, without i == j,
     in lexicographic order."""
     keep = i != j
-    key = np.unique(np.minimum(i, j)[keep] * count + np.maximum(i, j)[keep])
+    key = np.sort(np.minimum(i, j)[keep] * count + np.maximum(i, j)[keep])
+    first = np.ones(key.size, bool)  # the first key of each run of equals
+    first[1:] = key[1:] != key[:-1]
+    key = key[first]
     return key // count, key % count
 
 

@@ -6,13 +6,23 @@ digits with ``extended=True``, which returns an ``mpf``.  The tests back
 the frozen reference values with the extended mode; ``bounds`` reuses the
 expressions, and ``suites`` evaluates ``_crossing_arc_length`` over numpy
 arrays (``np.acosh`` needs numpy 2).
+
+A third backend, ``ARRAYS``, evaluates an expression once over float64
+arrays, bit for bit as ``math`` evaluates it on each element: ``bounds``
+runs its grids through it with ``_over_array``.  Its arithmetic is
+numpy's, whose +, -, * and / round as Python floats do.  Its functions
+apply ``math``'s to each element, not numpy's ufuncs: on x86-64 with
+AVX-512, numpy's SIMD sinh, asinh, cosh and acosh differ from libm in the
+last bits on 15-30% of 200,000 arguments.
 """
 
 from __future__ import annotations
 
 import math
+from types import SimpleNamespace
 
 import mpmath
+import numpy as np
 
 from .errors import DomainError
 
@@ -38,6 +48,35 @@ def _extended(expr, *args):
     """Evaluate ``expr`` over mpmath at EXTENDED_DPS digits."""
     with mpmath.workdps(EXTENDED_DPS):
         return expr(mpmath, *(mpmath.mpf(a) for a in args))
+
+
+def _per_element(f):
+    """math's ``f`` applied to each element of a 1-d float64 array."""
+    def apply(a):
+        return np.fromiter(map(f, a.tolist()), np.float64, a.size)
+    return apply
+
+
+ARRAYS = SimpleNamespace(
+    sinh=_per_element(math.sinh), asinh=_per_element(math.asinh),
+    cosh=_per_element(math.cosh), log=_per_element(math.log), inf=math.inf,
+    isfinite=lambda a: bool(np.isfinite(a).all()))
+
+
+def _over_array(expr, *args):
+    """``expr`` over float64 arrays through ``ARRAYS``, or None where a
+    value leaves the range of double precision.  The caller then evaluates
+    each value alone, so that the scalar path's refusal names the first.
+
+    numpy's overflow and division by zero give inf here without a
+    warning; an inf anywhere in the result counts as out of range.
+    """
+    try:
+        with np.errstate(divide="ignore", over="ignore"):
+            out = expr(ARRAYS, *args)
+    except (OverflowError, DomainError):
+        return None
+    return out if np.isfinite(out).all() else None
 
 
 def _collar_width(m, length):

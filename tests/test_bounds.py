@@ -1,13 +1,23 @@
 """Closed-form bound evaluation: general bounds, hyperbolic bounds, the
-small-systole profiles, and the collar-constant inequality sweep."""
+small-systole profiles, and the collar-constant inequality sweep.
+
+The profile and the collar sweep evaluate whole grids over float64
+arrays; ``bounds_reference`` keeps the one-point-at-a-time loops, and the
+tests below require the same values, bit for bit, and the same refusals.
+"""
 
 from __future__ import annotations
 
 import math
 import tracemalloc
+import warnings
 
 import mpmath
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import bounds_reference as reference
 
 from intnorm import (
     BoundReport,
@@ -23,6 +33,7 @@ from intnorm import (
     hyperbolic_bounds,
     parse_grid,
 )
+from intnorm import bounds as bounds_module
 from intnorm.bounds import MAX_GRID_STEPS
 from intnorm.seeding import named_stream
 
@@ -310,3 +321,127 @@ def test_parse_grid_refuses_steps_past_its_bound():
             tracemalloc.stop()
         # refused before the grid is built
         assert peak < 1e5
+
+
+# ------------------------------------------- arrays against the scalar loops
+
+_REFUSAL_CASES = [
+    # a systole whose half rounds to 0
+    ("profile", 2, [0.1, 5e-324]),
+    ("collar", [0.1, 5e-324], None),
+    ("mono", None, [0.1, 5e-324]),
+    # a genus whose upper bound overflows, or that is no float at all
+    ("profile", 10 ** 306, [0.1, 1e-4]),
+    ("profile", 10 ** 400, [0.1, 1e-4]),
+    # values that the checks refuse
+    ("profile", 2, [0.1, math.nan]),
+    ("collar", [0.1, math.nan], None),
+    ("mono", None, [0.1, math.inf]),
+    ("profile", 2, [0.1, True]),
+    ("collar", [0.1, True], None),
+    ("profile", 2, [0.1, "0.1"]),
+    ("mono", None, [0.1, "0.1"]),
+    ("profile", 2, [0.1, 1.0]),
+    ("profile", 2, [0.1, 1]),
+    ("profile", 2, [0.1, 10 ** 400]),
+    ("collar", [0.1, 0.25000000000000006], None),
+    ("collar", [0.1, 0.3, -1.0], None),
+    ("mono", None, [0.1, 3.0, 2.0]),
+    # iterators, read once: each call makes its own
+    ("profile", 2, lambda: iter([0.1, 0.2, 1.5])),
+    ("collar", lambda: iter([0.1, 0.26]), None),
+    ("mono", None, lambda: iter([1.0, -1.0])),
+]
+
+
+def _outcome(module, case, extended=False):
+    kind, a, b = (g() if callable(g) else g for g in case)
+    try:
+        if kind == "profile":
+            return module.asymptotic_profile(a, b, extended=extended)
+        return module.collar_constants_check(a, b)
+    except (DomainError, OverflowError) as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("case", _REFUSAL_CASES)
+def test_arrays_refuse_as_the_scalar_loops_do(case):
+    for extended in (False, True) if case[0] == "profile" else (False,):
+        got = _outcome(bounds_module, case, extended)
+        assert isinstance(got, tuple) and isinstance(got[0], type)
+        assert got == _outcome(reference, case, extended)
+
+
+def test_arrays_equal_the_scalar_profile_on_a_deep_grid():
+    grid = parse_grid("1e-300:0.999:2000", geometric=True)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for s in (2, 3, 7, 10 ** 6):
+            assert (asymptotic_profile(s, grid)
+                    == reference.asymptotic_profile(s, grid))
+        assert (asymptotic_profile(3, grid[::40], extended=True)
+                == reference.asymptotic_profile(3, grid[::40], extended=True))
+        # an iterator reads as the list of its values
+        assert (asymptotic_profile(2, iter(grid[:5]))
+                == reference.asymptotic_profile(2, list(grid[:5])))
+        assert asymptotic_profile(2, ()) == ()
+
+
+def test_arrays_equal_the_scalar_collar_check():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert collar_constants_check() == reference.collar_constants_check()
+        deep = parse_grid("1e-300:0.25:3000", geometric=True)
+        mono = parse_grid("1e-300:1.7:3000", geometric=True)
+        assert (collar_constants_check(deep, mono)
+                == reference.collar_constants_check(deep, mono))
+        # ints, repeated and unsorted values, and empty grids
+        odd = ([0.2, 0.1, 0.1], [1, 0.2, 0.2, 0.05])
+        assert (collar_constants_check(*odd)
+                == reference.collar_constants_check(*odd))
+        assert (collar_constants_check((), ())
+                == reference.collar_constants_check((), ()))
+
+
+@pytest.mark.parametrize("width, grid, count", [
+    # every point fails two or three tests
+    (lambda m, x: 1.9 + 0 * x, [0.25, 0.01, 0.2], 7),
+    # x*cl(x) constant: the one point fails its first test, and each
+    # distinct monotone pair fails
+    (lambda m, x: 1 / x, [0.1], 3),
+])
+def test_collar_violations_keep_their_order(monkeypatch, width, grid, count):
+    """The violations come point by point, three tests to a point, then
+    pair by pair along the sorted monotone grid."""
+    for module in (bounds_module, reference):
+        monkeypatch.setattr(module, "_collar_width", width)
+    mono = [0.5, 0.5, 0.1, 0.25]
+    rep = collar_constants_check(grid, mono)
+    assert len(rep.violations) == count
+    assert rep == reference.collar_constants_check(grid, mono)
+
+
+def test_a_grid_is_checked_whole_before_it_is_evaluated():
+    """The one departure from the scalar loops: a value that the checks
+    refuse is refused before any value is evaluated, where the loops
+    first met a value, 5e-324, whose evaluation leaves double range."""
+    for call in (lambda m: m.asymptotic_profile(2, [5e-324, 2.0]),
+                 lambda m: m.collar_constants_check([5e-324, 0.3])):
+        with pytest.raises(DomainError, match="must lie in"):
+            call(bounds_module)
+        with pytest.raises(DomainError, match="range of double precision"):
+            call(reference)
+
+
+@given(grid=st.lists(st.floats(5e-324, 1.0, exclude_max=True), max_size=40),
+       collar=st.lists(st.floats(5e-324, 0.25), max_size=40),
+       mono=st.lists(st.floats(5e-324, 1.76), max_size=40),
+       s=st.integers(2, 10 ** 9))
+@settings(max_examples=100, deadline=None)
+def test_arrays_equal_the_scalar_loops_on_drawn_grids(grid, collar, mono, s):
+    def outcomes(module):
+        return (_outcome(module, ("profile", s, grid)),
+                _outcome(module, ("collar", collar, mono)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert outcomes(bounds_module) == outcomes(reference)

@@ -692,6 +692,84 @@ def test_bounds_past_double_precision_exit_2_with_one_error_line(argv,
     assert err.count("\n") == 1
 
 
+# ------------------------------------------------------------------ writing
+
+def _json_native(value) -> bool:
+    """Whether json's encoder takes value as it stands, as it takes a
+    subclass of float such as numpy.float64, but not numpy's integers."""
+    if isinstance(value, dict):
+        return all(isinstance(k, str) and _json_native(v)
+                   for k, v in value.items())
+    if isinstance(value, (list, tuple)):
+        return all(map(_json_native, value))
+    return value is None or isinstance(value, (str, int, float))
+
+
+@pytest.mark.parametrize("argv", [
+    ["torus", "--lattice", "1,0,1/2,0.8660254037844386"],
+    ["cylinder", "--core-length", "0.2", "--samples", "300"],
+    ["cylinder", "--core-length", "0.2", "--samples", "300", "--format",
+     "csv"],
+    ["bounds", "--genus", "3", "--l1-grid", "1e-9:0.9:20", "--geometric"],
+    ["bounds", "--genus", "3", "--l1-grid", "1e-9:0.9:20", "--precision",
+     "extended", "--format", "csv"],
+    ["verify", "--suite", "all", "--seed", "1"],
+])
+def test_reports_hold_only_json_types(monkeypatch, tmp_path, argv):
+    """A report is encoded while it is written, so nothing in it may be
+    a type the encoder refuses (a numpy integer, say) once it has begun."""
+    arcs = tmp_path / "arcs.json"
+    arcs.write_text(json.dumps({"pairs": PINNED_PAIRS + RETRIED_PAIRS}))
+    if argv[0] == "cylinder":
+        argv = argv + ["--arcs-json", str(arcs)]
+    emitted = []
+    monkeypatch.setattr(intnorm.cli, "_emit",
+                        lambda *args: emitted.append(args[:2]))
+    assert main(argv) == 0
+    ((report, csv_data),) = emitted
+    assert _json_native(report)
+    assert csv_data is None or _json_native(csv_data)
+
+
+def test_a_failed_write_leaves_no_partial_report(monkeypatch, tmp_path,
+                                                 capsys):
+    def disk_full(report, csv_data, fmt, fh):
+        fh.write('{\n  "command": "bounds"')
+        fh.flush()
+        raise OSError(28, "No space left on device")
+    monkeypatch.setattr(intnorm.cli, "_write", disk_full)
+    out = tmp_path / "bounds.json"
+    out.write_text("an earlier report")
+    assert main(["bounds", "--genus", "2", "--l1-grid", "1e-3:0.1:3",
+                 "--output", str(out)]) == 2
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert err.startswith("intnorm: error: cannot write the report")
+    assert err.count("\n") == 1
+
+
+def test_a_report_is_written_without_its_whole_text(tmp_path):
+    """The report is encoded and written in blocks: the memory it takes
+    stays a fraction of its text, where one json.dumps string took three
+    times the text."""
+    record = {"c_wind": -3.25, "d_wind": 7.5, "same_side": True,
+              "entry_1": 0.125, "entry_2": 0.0625, "first_sign": 1,
+              "count": 9, "window": [8, 10], "expected_sign": -1,
+              "signs": [1, -1, 1], "ok": True}
+    report = {"results": {"records": [dict(record) for _ in range(5000)]}}
+    args = intnorm.cli.build_parser().parse_args(
+        ["verify", "--output", str(tmp_path / "r.json")])
+    tracemalloc.start()
+    try:
+        intnorm.cli._emit(report, None, args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    text = (tmp_path / "r.json").read_text()
+    assert text == json.dumps(report, indent=2, sort_keys=True) + "\n"
+    assert peak < len(text) / 4
+
+
 def _first_torus_batch_altered(monkeypatch, alter):
     """Alter the first batch that the torus oracle solves, which is the
     first lattice's batch of oracle_equivalence."""

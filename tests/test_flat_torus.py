@@ -5,6 +5,8 @@ enumeration, extremal-ratio searches, and the geodesic crossing oracle.
 from __future__ import annotations
 
 import math
+import subprocess
+import sys
 import tracemalloc
 from fractions import Fraction
 
@@ -370,6 +372,32 @@ def test_fast_searches_match_dense_tables_on_random_bases(m, exact,
     lat = Lattice.from_string(text) if exact else \
         Lattice(e1=(m[0], m[1]), e2=(m[2], m[3]))
     _same_results(lat, multiple * systole(lat), products=(1, 4))
+
+
+@given(i=st.lists(st.integers(0, 30), max_size=60), data=st.data())
+@settings(max_examples=100, deadline=None)
+def test_distinct_pairs_are_the_unique_keys(i, data):
+    j = data.draw(st.lists(st.integers(0, 30), min_size=len(i),
+                           max_size=len(i)))
+    i, j = np.array(i, np.int64), np.array(j, np.int64)
+    got = flat_torus._distinct_pairs(31, i, j)
+    keep = i != j
+    key = np.unique(np.minimum(i, j)[keep] * 31 + np.maximum(i, j)[keep])
+    assert all(np.array_equal(a, b) and a.dtype == b.dtype
+               for a, b in zip(got, (key // 31, key % 31)))
+
+
+def test_torus_and_verify_do_not_import_numpy_ma():
+    """numpy.ma costs about 13 ms of start-up; np.unique's hash path
+    imported it in every run."""
+    code = ("import io, sys, contextlib\n"
+            "from intnorm.cli import main\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    main(['torus', '--lattice', '1,0,1/2,0.8660254037844386'])\n"
+            "    main(['verify', '--suite', 'torus', '--seed', '1'])\n"
+            "assert 'numpy.ma' not in sys.modules\n")
+    subprocess.run([sys.executable, "-c", code], check=True,
+                   capture_output=True)
 
 
 def test_searches_build_no_pair_tables():
