@@ -98,6 +98,22 @@ def test_torus_hexagonal_decimal_basis(capsys):
     assert doc["inputs"]["cutoff"] == 10.0
 
 
+@pytest.mark.parametrize("argv, digest", [
+    # an exact hexagonal basis: many pairs tie, and the tie-break decides
+    (["--lattice", "1,0,1/2,0.8660254037844386", "--cutoff", "20"],
+     "a2910e77ebfde05a8a9202d35d181c978bf17116defb94a57f4a520620401539"),
+    # a skewed basis at the default cutoff
+    (["--lattice", "1,0,1/3,1"],
+     "e2e5a7fa20f3e618bf70ba1381609e84d965f886e015c9e593993643a27504e3"),
+])
+def test_torus_report_is_pinned(capsys, argv, digest):
+    """The whole torus report, byte for byte: a change in a ratio bit, a
+    tie-broken pair, a norm or a segment bound changes it."""
+    assert main(["torus"] + argv) == 0
+    out = capsys.readouterr().out.encode()
+    assert hashlib.sha256(out).hexdigest() == digest
+
+
 def test_torus_rejects_degenerate_lattice(capsys):
     code = main(["torus", "--lattice", "1,0,2,0"])
     assert code == 2
