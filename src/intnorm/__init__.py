@@ -18,8 +18,6 @@ from .bounds import (
     SurfaceParams,
     asymptotic_profile,
     collar_constants_check,
-    default_collar_grid,
-    default_monotonicity_grid,
     full_bound_report,
     general_bounds,
     hyperbolic_bounds,
@@ -32,9 +30,7 @@ from .cylinder import (
     WindingBounds,
     arc_length,
     count_crossings_cyl,
-    crossing_count_oracle_cyl,
     dehn_twist_winding,
-    halfplane_to_fermi,
     intersection_bounds,
     make_collar,
     rewind_shift,
@@ -59,7 +55,6 @@ from .flat_torus import (
     best_ratio_search,
     class_length,
     count_crossings,
-    crossing_count_oracle,
     enumerate_classes,
     intersection_number,
     k_real,
@@ -75,7 +70,6 @@ from .hyptrig import (
     boundary_length,
     collar_width,
     crossing_arc_length,
-    fermi_distance,
 )
 from .seeding import named_stream
 from .suites import (
@@ -92,22 +86,20 @@ __version__ = "0.1.0"
 __all__ = [
     "ArcSpec", "BoundReport", "CollarCheckReport", "CrossingReport",
     "CutoffTooSmallError", "Cylinder", "DegenerateInputError",
-    "DomainError", "EmptySearchError", "GeometryError", "HyperbolicBounds",
-    "IntegerClass", "Lattice", "ModeError", "ProfileRow", "RealClass",
-    "RejectedInputError", "RetrySignal", "RewindReport",
-    "SuiteReport", "SurfaceParams", "TWO_ARSINH_ONE",
+    "DomainError", "EmptySearchError", "GeometryError",
+    "HyperbolicBounds", "IntegerClass", "Lattice", "ModeError",
+    "ProfileRow", "RealClass", "RejectedInputError", "RetrySignal",
+    "RewindReport", "SuiteReport", "SurfaceParams", "TWO_ARSINH_ONE",
     "WindingBounds", "arc_length", "asymptotic_profile",
-    "best_ratio_search", "boundary_length", "bounds_suite", "class_length",
-    "collar_constants_check", "collar_width", "count_crossings",
-    "count_crossings_cyl", "crossing_arc_length", "crossing_count_oracle",
-    "crossing_count_oracle_cyl", "cylinder_suite",
-    "default_collar_grid", "default_monotonicity_grid",
-    "dehn_twist_winding", "enumerate_classes", "fermi_distance",
-    "full_bound_report", "general_bounds", "halfplane_to_fermi",
-    "hyperbolic_bounds", "intersection_bounds",
-    "intersection_number", "k_real", "lemma_sweep", "make_collar",
-    "min_length_product", "named_stream", "norm_comparison_report",
-    "parse_grid", "reduced_basis", "rewind_shift", "rewind_suite_check",
-    "run_suites", "segment_bound_check", "systole", "torus_diameter",
-    "torus_suite", "winding_from_endpoints",
+    "best_ratio_search", "boundary_length", "bounds_suite",
+    "class_length", "collar_constants_check", "collar_width",
+    "count_crossings", "count_crossings_cyl", "crossing_arc_length",
+    "cylinder_suite", "dehn_twist_winding", "enumerate_classes",
+    "full_bound_report", "general_bounds", "hyperbolic_bounds",
+    "intersection_bounds", "intersection_number", "k_real",
+    "lemma_sweep", "make_collar", "min_length_product", "named_stream",
+    "norm_comparison_report", "parse_grid", "reduced_basis",
+    "rewind_shift", "rewind_suite_check", "run_suites",
+    "segment_bound_check", "systole", "torus_diameter", "torus_suite",
+    "winding_from_endpoints",
 ]

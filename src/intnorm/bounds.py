@@ -181,13 +181,11 @@ def hyperbolic_bounds(s: int, l1: float, *,
     return HyperbolicBounds(*_hyperbolic_terms(s, l1, extended)[:3])
 
 
-def full_bound_report(p: SurfaceParams, *,
-                      extended: bool = False) -> BoundReport:
+def full_bound_report(p: SurfaceParams) -> BoundReport:
     """General bounds plus, for genus >= 2, the hyperbolic bounds."""
     if p.genus < 2:
         return general_bounds(p)
-    return _bound_report(p, hyperbolic_bounds(p.genus, p.l1,
-                                              extended=extended))
+    return _bound_report(p, hyperbolic_bounds(p.genus, p.l1))
 
 
 class ProfileRow(NamedTuple):
@@ -291,14 +289,14 @@ class CollarCheckReport:
         return not self.violations
 
 
-def default_collar_grid(n: int = 1000) -> tuple[float, ...]:
-    """n evenly spaced points in (0, 0.25], endpoint included."""
-    return tuple(0.25 * (i + 1) / n for i in range(n))
+def _default_collar_grid() -> tuple[float, ...]:
+    """1000 evenly spaced points in (0, 0.25], endpoint included."""
+    return tuple(0.25 * (i + 1) / 1000 for i in range(1000))
 
 
-def default_monotonicity_grid(n: int = 1000) -> tuple[float, ...]:
-    """n evenly spaced points in (0, 2*arsinh(1)], endpoint included."""
-    return tuple(TWO_ARSINH_ONE * (i + 1) / n for i in range(n))
+def _default_monotonicity_grid() -> tuple[float, ...]:
+    """1000 evenly spaced points in (0, 2*arsinh(1)], endpoint included."""
+    return tuple(TWO_ARSINH_ONE * (i + 1) / 1000 for i in range(1000))
 
 
 def collar_constants_check(
@@ -322,9 +320,9 @@ def collar_constants_check(
     to a point, then pair by pair along the sorted second grid.
     """
     if l_grid is None:
-        l_grid = default_collar_grid()
+        l_grid = _default_collar_grid()
     if monotonicity_grid is None:
-        monotonicity_grid = default_monotonicity_grid()
+        monotonicity_grid = _default_monotonicity_grid()
 
     x = _float_grid(l_grid, _collar_value, lambda x: (x > 0) & (x <= 0.25))
     cl = _collar_widths(x)

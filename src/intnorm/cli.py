@@ -263,16 +263,16 @@ def run_cylinder(args) -> tuple[dict, Optional[tuple]]:
         },
         "violations": violations,
     }
-    csv_rows = [
+    if args.fmt != "csv":  # the rows are built for csv output only
+        return report, None
+    return report, (_RECORD_COLUMNS, [
         (r["c_wind"], r["d_wind"], r["same_side"], r["entry_1"],
          r["entry_2"], r["first_sign"],
          "" if r["count"] is None else r["count"],
          r["window"][0], r["window"][1], r["expected_sign"],
          "" if r["signs"] is None else "|".join(str(s) for s in r["signs"]),
          r["ok"])
-        for r in records
-    ]
-    return report, (_RECORD_COLUMNS, csv_rows)
+        for r in records])
 
 
 def run_bounds(args) -> tuple[dict, Optional[tuple]]:

@@ -148,11 +148,6 @@ class ArcSpec:
         if not math.isfinite(self.entry_t):
             raise DomainError(f"entry_t must be finite, got {self.entry_t!r}")
 
-    @property
-    def orientation(self) -> int:
-        """Sign of the winding: +1, -1, or 0 for a perpendicular arc."""
-        return _sign(self.winding)
-
 
 def winding_from_endpoints(cyl: Cylinder, t_in: float,
                            t_out_unwrapped: float) -> float:
@@ -227,7 +222,7 @@ def dehn_twist_winding(c_wind: float, crossing_sign: int, z: float) -> float:
 
 def halfplane_to_fermi(x: float, y: float) -> tuple[float, float]:
     """Fermi coordinates (t, s) of x + iy = exp(t) * (tanh s, sech s).
-    Kept only for the benchmark under bench/; suites must not call it."""
+    Not exported: only the benchmark under bench/ calls it."""
     if y <= 0.0:
         raise DomainError(f"point must lie in the upper half-plane, y={y}")
     # x/y = sinh s keeps s near 0, where r/y = cosh s rounds to 1
@@ -303,7 +298,7 @@ def crossing_count_oracle_cyl(cyl: Cylinder, arc1: ArcSpec,
     position and retry (see ``count_crossings_cyl``).  Of several such
     translates, the one with the least k names the reason.
 
-    Kept only for the benchmark under bench/; suites must not call it.
+    Not exported: only the benchmark under bench/ calls it.
     """
     return crossing_batch_cyl(cyl, *_one_pair(arc1, arc2)).report(0)
 

@@ -247,18 +247,9 @@ class Lattice:
     def covolume(self) -> float:
         return abs(self.det)
 
-    @property
-    def orientation(self) -> int:
-        """+1 if (e1, e2) is positively oriented in the plane, else -1."""
-        return 1 if self.det > 0 else -1
-
-    def basis_matrix(self) -> np.ndarray:
-        """2x2 matrix with e1 and e2 as columns."""
-        return np.array([[self.e1[0], self.e2[0]],
-                         [self.e1[1], self.e2[1]]], dtype=float)
-
     def embed(self, cls) -> tuple[float, float]:
-        """Plane vector of the class (a, b) |-> a*e1 + b*e2."""
+        """Plane vector of the class (a, b) |-> a*e1 + b*e2.  In plain
+        operators, so that equal-shape arrays a and b give arrays."""
         a, b = cls
         return (a * self.e1[0] + b * self.e2[0],
                 a * self.e1[1] + b * self.e2[1])
@@ -387,10 +378,7 @@ def enumerate_classes(lat: Lattice, cutoff: float, *,
                        indexing="ij")
     A = (P * a1 + Q * a2).ravel()
     B = (P * b1 + Q * b2).ravel()
-    e1x, e1y = lat.e1
-    e2x, e2y = lat.e2
-    vx = A * e1x + B * e2x
-    vy = A * e1y + B * e2y
+    vx, vy = lat.embed((A, B))
     lsq = vx * vx + vy * vy
     keep = (lsq > 0.0) & (lsq <= (cutoff * (1.0 + _CUTOFF_SLACK)) ** 2)
     if canonical:
@@ -489,8 +477,8 @@ def _near_perpendicular_pairs(lat: Lattice, classes: np.ndarray,
         # the one class paired with itself, as the full table has it
         return np.zeros(1, np.int64), np.zeros(1, np.int64)
     a, b = classes[:, 0], classes[:, 1]
-    (e1x, e1y), (e2x, e2y) = lat.e1, lat.e2
-    angle = np.arctan2(a * e1y + b * e2y, a * e1x + b * e2x) % np.pi
+    x, y = lat.embed((a, b))
+    angle = np.arctan2(y, x) % np.pi
     order = np.argsort(angle)
     ring = np.concatenate((angle[order] - np.pi, angle[order],
                            angle[order] + np.pi))
@@ -501,7 +489,7 @@ def _near_perpendicular_pairs(lat: Lattice, classes: np.ndarray,
     j = order[np.concatenate((at - 1, at)) % count]
     best = float((_intersections(classes, i, j)
                   / (lengths[i] * lengths[j])).max())
-    e1, e2 = math.hypot(e1x, e1y), math.hypot(e2x, e2y)
+    e1, e2 = math.hypot(*lat.e1), math.hypot(*lat.e2)
     kappa = float(((np.abs(a) * e1 + np.abs(b) * e2) / lengths).max())
     err = 32.0 * _EPS * (kappa + e1 / lat.covolume * e2 + 2.0)
     sine = best * lat.covolume * (1.0 - 1e-14 - err)
@@ -517,6 +505,19 @@ def _near_perpendicular_pairs(lat: Lattice, classes: np.ndarray,
     owner = np.repeat(every, sizes)
     step = np.arange(total) - np.repeat(np.cumsum(sizes) - sizes, sizes)
     return _distinct_pairs(count, owner, order[(lo[owner] + step) % count])
+
+
+def _perpendicular_search(lat: Lattice, cutoff: float, empty: str) -> tuple:
+    """The shared pass of the ratio and segment searches: the canonical
+    primitive classes of length <= cutoff, their lengths, and the index
+    pairs i, j near perpendicular with their |Int|.  Raises
+    EmptySearchError(empty) when there is no such class."""
+    classes, lengths = enumerate_classes(lat, cutoff, primitive_only=True,
+                                         canonical=True)
+    if classes.shape[0] == 0:
+        raise EmptySearchError(empty)
+    i, j = _near_perpendicular_pairs(lat, classes, lengths)
+    return classes, lengths, i, j, _intersections(classes, i, j)
 
 
 def _inverse_mod(x: np.ndarray, m: np.ndarray) -> np.ndarray:
@@ -641,14 +642,9 @@ def best_ratio_search(lat: Lattice, cutoff: float) -> RatioResult:
     number N of classes.  The ratio, its 1e-14 tie band and the tie-break
     are those of the full N x N table.
     """
-    classes, lengths = enumerate_classes(lat, cutoff, primitive_only=True,
-                                         canonical=True)
-    if classes.shape[0] == 0:
-        raise EmptySearchError(
-            f"no primitive classes of length <= {cutoff}; "
-            "the cutoff sits below the systole")
-    i, j = _near_perpendicular_pairs(lat, classes, lengths)
-    inter = _intersections(classes, i, j)
+    classes, lengths, i, j, inter = _perpendicular_search(
+        lat, cutoff, f"no primitive classes of length <= {cutoff}; "
+        "the cutoff sits below the systole")
     ratio = inter / (lengths[i] * lengths[j])
     best = float(ratio.max())
     tied = ratio >= best * (1.0 - 1e-14)
@@ -715,15 +711,10 @@ def segment_bound_check(lat: Lattice, cutoff: float) -> SegmentBoundReport:
     covers, N * (N - 1) / 2, and ``argmax_pair`` is the first maximum in
     lexicographic order, as in the full N x N table.
     """
-    classes, lengths = enumerate_classes(lat, cutoff, primitive_only=True,
-                                         canonical=True)
-    if classes.shape[0] == 0:
-        raise EmptySearchError(
-            f"no primitive classes of length <= {cutoff}")
+    classes, lengths, i, j, inter = _perpendicular_search(
+        lat, cutoff, f"no primitive classes of length <= {cutoff}")
     l1 = float(lengths.min())  # the systole: the shortest class is primitive
-    i, j = _near_perpendicular_pairs(lat, classes, lengths)
-    normalized = (_intersections(classes, i, j) * (l1 * l1)
-                  / (lengths[i] * lengths[j]))
+    normalized = inter * (l1 * l1) / (lengths[i] * lengths[j])
     k = int(np.argmax(normalized))
     best = float(normalized[k])
     count = classes.shape[0]
@@ -749,7 +740,7 @@ def norm_comparison_report(lat: Lattice, h) -> NormComparison:
     x, y = _as_float_pair("h", h)
     v = lat.covolume
     stable = class_length(lat, (x, y))
-    alpha = np.linalg.solve(lat.basis_matrix().T, (-y, x))
+    alpha = np.linalg.solve(np.array([lat.e1, lat.e2]), (-y, x))
     l2 = math.hypot(*alpha) * math.sqrt(v)
     lower = stable / math.sqrt(v)
     upper = k_real(lat) * math.sqrt(v) * stable
@@ -821,8 +812,8 @@ def _parallelogram(lat: Lattice, u, v, offset) -> tuple:
         (0, 1, math.inf, -math.inf) for p, q in ((d, c), (b, a))]
     # the translate of the v-segment by i*e1 + j*e2 meets the u-line at
     # t*U = offset + i*e1 + j*e2 + s*V
-    ux, uy = a * e1x + b * e2x, a * e1y + b * e2y
-    vx, vy = c * e1x + d * e2x, c * e1y + d * e2y
+    ux, uy = lat.embed((a, b))
+    vx, vy = lat.embed((c, d))
     cross_uv = ux * vy - uy * vx
     return (ilo, max(ihi - ilo + 1, 0),
             1 if (det > 0) == (cross_uv > 0) else -1, o1, o2, tp, sp, tq,
@@ -854,7 +845,7 @@ def crossing_count_oracle(lat: Lattice, u, v, offset) -> CrossingReport:
     and 2,479,999 rows with |Int| = 1 took 0.06-0.08 s and 6 MB (Intel
     Xeon, 2 vCPUs, numpy 2.4).
 
-    Kept only for the benchmark under bench/; suites must not call it.
+    Not exported: only the benchmark under bench/ calls it.
     """
     return crossing_batch(lat, [u], [v], [offset]).report(0)
 
@@ -873,7 +864,6 @@ def crossing_batch(lat: Lattice, u, v, offsets) -> CrossingBatch:
     count, ends = len(par), par[:, 1].cumsum()
     # the first row i of each pair, less the index of that row
     base = par[:, 0] - ends + par[:, 1]
-    (e1x, e1y), (e2x, e2y) = lat.e1, lat.e2
     tol = SEAM_TOLERANCE
 
     def per_column(k: slice, pair):
@@ -904,8 +894,9 @@ def crossing_batch(lat: Lattice, u, v, offsets) -> CrossingBatch:
             p = None if tpair is None else tpair[lo:lo + _ROW_CHUNK]
             ii, jj = ti[lo:lo + _ROW_CHUNK], tj[lo:lo + _ROW_CHUNK]
             ox, oy, nvy, nuy, vx, ux, det_m = per_column(slice(13, 20), p)
-            rx = ox + (ii * e1x + jj * e2x)
-            ry = oy + (ii * e1y + jj * e2y)
+            rx, ry = lat.embed((ii, jj))
+            rx += ox
+            ry += oy
             ts = np.empty((2, len(ii)))  # t and s, tested as rows
             np.divide(nvy * rx + vx * ry, det_m, out=ts[0])
             np.divide(nuy * rx + ux * ry, det_m, out=ts[1])
@@ -930,8 +921,7 @@ def crossing_batch(lat: Lattice, u, v, offsets) -> CrossingBatch:
 
 def random_offset(lat: Lattice, rng) -> tuple[float, float]:
     """frac1*e1 + frac2*e2 from two uniforms of rng."""
-    f1, f2 = rng.random(2).tolist()
-    return (f1 * lat.e1[0] + f2 * lat.e2[0], f1 * lat.e1[1] + f2 * lat.e2[1])
+    return lat.embed(rng.random(2).tolist())
 
 
 def count_crossings_batch(lat: Lattice, u, v, offsets,

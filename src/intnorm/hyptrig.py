@@ -126,7 +126,7 @@ def fermi_distance(p1, p2, *, extended: bool = False):
 
     t is arc length along the core geodesic, s the signed perpendicular
     distance from it.  cosh d = cosh s1 cosh s2 cosh(t2 - t1) - sinh s1 sinh s2.
-    Kept only for the benchmark under bench/; suites must not call it.
+    Not exported: only the benchmark under bench/ calls it.
     """
     t1, s1 = p1
     t2, s2 = p2

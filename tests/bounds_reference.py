@@ -16,8 +16,8 @@ from typing import Iterable, Optional, Sequence
 
 from intnorm import DomainError, TWO_ARSINH_ONE
 from intnorm.bounds import CollarCheckReport, ProfileRow, \
-    _hyperbolic_terms, _require_genus, _require_positive, \
-    default_collar_grid, default_monotonicity_grid
+    _default_collar_grid, _default_monotonicity_grid, _hyperbolic_terms, \
+    _require_genus, _require_positive
 from intnorm.cylinder import SHRINK_MARGIN
 from intnorm.hyptrig import _boundary_length, _collar_width
 
@@ -53,9 +53,9 @@ def collar_constants_check(
         monotonicity_grid: Optional[Iterable[float]] = None,
 ) -> CollarCheckReport:
     if l_grid is None:
-        l_grid = default_collar_grid()
+        l_grid = _default_collar_grid()
     if monotonicity_grid is None:
-        monotonicity_grid = default_monotonicity_grid()
+        monotonicity_grid = _default_monotonicity_grid()
 
     violations: list[str] = []
     points = 0

@@ -31,8 +31,8 @@ from intnorm import (
     DegenerateInputError,
     DomainError,
     RetrySignal,
-    halfplane_to_fermi,
 )
+from intnorm.cylinder import halfplane_to_fermi
 
 # Angular tolerance around lifted-segment endpoints; an intersection this
 # close to an endpoint (or a tangency) raises RetrySignal.

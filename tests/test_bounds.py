@@ -26,15 +26,14 @@ from intnorm import (
     TWO_ARSINH_ONE,
     asymptotic_profile,
     collar_constants_check,
-    default_collar_grid,
-    default_monotonicity_grid,
     full_bound_report,
     general_bounds,
     hyperbolic_bounds,
     parse_grid,
 )
 from intnorm import bounds as bounds_module
-from intnorm.bounds import MAX_GRID_STEPS
+from intnorm.bounds import MAX_GRID_STEPS, _default_collar_grid, \
+    _default_monotonicity_grid
 from intnorm.seeding import named_stream
 
 
@@ -270,10 +269,12 @@ def test_collar_constants_reject_out_of_range_grids():
 
 
 def test_default_grids_cover_their_intervals():
-    cg = default_collar_grid(10)
-    assert cg[0] == pytest.approx(0.025)
+    cg = _default_collar_grid()
+    assert len(cg) == 1000
+    assert cg[0] == pytest.approx(2.5e-4)
     assert cg[-1] == pytest.approx(0.25)
-    mg = default_monotonicity_grid(10)
+    mg = _default_monotonicity_grid()
+    assert len(mg) == 1000
     assert mg[-1] == pytest.approx(TWO_ARSINH_ONE, rel=1e-15)
     assert all(v > 0 for v in cg + mg)
 

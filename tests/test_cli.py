@@ -328,7 +328,7 @@ def test_arc_pairs_keep_their_retries_pinned(monkeypatch, tmp_path, capsys):
     retried = []
     for item in RETRIED_PAIRS:
         try:
-            intnorm.crossing_count_oracle_cyl(
+            intnorm.cylinder.crossing_count_oracle_cyl(
                 cyl, *(intnorm.ArcSpec(*item[k]) for k in ("arc1", "arc2")))
         except intnorm.RetrySignal:
             retried.append(item)

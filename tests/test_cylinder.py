@@ -25,9 +25,7 @@ from intnorm import (
     arc_length,
     collar_width,
     count_crossings_cyl,
-    crossing_count_oracle_cyl,
     dehn_twist_winding,
-    halfplane_to_fermi,
     intersection_bounds,
     make_collar,
     rewind_shift,
@@ -37,6 +35,7 @@ from intnorm import (
 import intnorm.cylinder
 from intnorm.cylinder import (MAX_ADVANCE, MAX_TRANSLATES, MIN_CORE_LENGTH,
                               ROW_CHUNK, CrossingBatch, crossing_batch_cyl,
+                              crossing_count_oracle_cyl, halfplane_to_fermi,
                               rewind_cell_violations)
 from intnorm.seeding import named_stream
 from intnorm.suites import lemma_sweep, window_violations
@@ -112,9 +111,6 @@ def test_arc_spec_validation():
         ArcSpec(entry_t=0.1, winding=math.inf, crossing_sign=1)
     with pytest.raises(DomainError):
         ArcSpec(entry_t=math.nan, winding=1.0, crossing_sign=1)
-    assert ArcSpec(0.1, 2.5, 1).orientation == 1
-    assert ArcSpec(0.1, -2.5, 1).orientation == -1
-    assert ArcSpec(0.1, 0.0, -1).orientation == 0
 
 
 def test_arc_length_frozen_value():

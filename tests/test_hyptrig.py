@@ -21,8 +21,8 @@ from intnorm import (
     boundary_length,
     collar_width,
     crossing_arc_length,
-    fermi_distance,
 )
+from intnorm.hyptrig import fermi_distance
 
 # 20-digit values from the extended-precision derivation run.
 COLLAR_WIDTH_REFERENCE = {

@@ -264,5 +264,5 @@ def crossing_count_oracle_box(lat: Lattice, u, v, offset) -> CrossingReport:
 
     hit = (t > tol) & (t < 1.0 - tol) & (s > tol) & (s < 1.0 - tol)
     count = int(hit.sum())
-    sign = lat.orientation * (1 if cross_uv > 0 else -1)
+    sign = (1 if lat.det > 0 else -1) * (1 if cross_uv > 0 else -1)
     return CrossingReport(count=count, signs=(sign,) * count)
