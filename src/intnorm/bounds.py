@@ -35,25 +35,9 @@ from typing import Iterable, NamedTuple, Optional, Sequence
 import numpy as np
 
 from .cylinder import SHRINK_MARGIN
-from .errors import DomainError
+from .errors import DomainError, integer, real
 from .hyptrig import ARRAYS, TWO_ARSINH_ONE, _boundary_length, \
     _collar_width, _extended, _over_array
-
-
-def _require_positive(name: str, value: float) -> float:
-    if not (isinstance(value, (int, float)) and not isinstance(value, bool)
-            and math.isfinite(value) and value > 0):
-        raise DomainError(f"{name} must be a positive finite real, "
-                          f"got {value!r}")
-    return float(value)
-
-
-def _require_genus(value, minimum: int) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise DomainError(f"genus must be an integer, got {value!r}")
-    if value < minimum:
-        raise DomainError(f"genus must be >= {minimum}, got {value}")
-    return value
 
 
 @dataclass(frozen=True)
@@ -68,12 +52,10 @@ class SurfaceParams:
     volume: float
 
     def __post_init__(self):
-        _require_genus(self.genus, 1)
-        object.__setattr__(self, "l1", _require_positive("l1", self.l1))
-        object.__setattr__(self, "diameter",
-                           _require_positive("diameter", self.diameter))
-        object.__setattr__(self, "volume",
-                           _require_positive("volume", self.volume))
+        object.__setattr__(self, "genus", integer("genus", self.genus, 1))
+        for name in ("l1", "diameter", "volume"):
+            object.__setattr__(self, name, real(name, getattr(self, name),
+                                                positive=True))
         if self.l1 > 2.0 * self.diameter:
             raise DomainError(
                 f"l1 = {self.l1} exceeds twice the diameter "
@@ -171,8 +153,8 @@ def hyperbolic_bounds(s: int, l1: float, *,
     systole is not short, and the collar-based estimates carry no content
     there.
     """
-    _require_genus(s, 2)
-    l1 = _require_positive("l1", l1)
+    s = integer("genus", s, 2)
+    l1 = real("l1", l1, positive=True)
     if l1 >= TWO_ARSINH_ONE:
         warnings.warn(
             f"l1 = {l1} is not a short systole (>= 2*arsinh(1) = "
@@ -228,7 +210,7 @@ def _float_grid(grid: Iterable, check, accepted) -> np.ndarray:
 
 
 def _profile_value(raw) -> float:
-    l1 = _require_positive("l1 grid value", raw)
+    l1 = real("l1 grid value", raw, positive=True)
     if l1 >= 1.0:
         raise DomainError(
             f"profile grid values must lie in (0, 1), got {l1}")
@@ -244,7 +226,7 @@ def asymptotic_profile(s: int, l1_grid: Sequence[float], *,
     normalization becomes meaningless.  The grid is evaluated at once,
     over float64 arrays, bit for bit as one value at a time.
     """
-    _require_genus(s, 2)
+    s = integer("genus", s, 2)
     l1 = _float_grid(l1_grid, _profile_value, lambda x: (x > 0) & (x < 1.0))
     lower, upper, rate, cl, asinh_term = _hyperbolic_terms(s, l1, extended)
     log_abs = -ARRAYS.log(l1)
@@ -257,7 +239,7 @@ def asymptotic_profile(s: int, l1_grid: Sequence[float], *,
 
 
 def _collar_value(raw) -> float:
-    x = _require_positive("collar grid value", raw)
+    x = real("collar grid value", raw, positive=True)
     if x > 0.25:
         raise DomainError(
             f"collar grid values must lie in (0, 0.25], got {x}")
@@ -345,7 +327,7 @@ def collar_constants_check(
 
     mono = np.sort(_float_grid(
         monotonicity_grid,
-        lambda v: _require_positive("monotonicity grid value", v),
+        lambda v: real("monotonicity grid value", v, positive=True),
         lambda x: (x > 0) & (x < math.inf)))
     beyond = np.flatnonzero(mono > TWO_ARSINH_ONE * (1.0 + 1e-12))
     if beyond.size:
@@ -395,10 +377,8 @@ def parse_grid(text: str, *, geometric: bool = False) -> tuple[float, ...]:
         steps = int(parts[2])
     except ValueError as exc:
         raise DomainError(f"unparseable grid {text!r}: {exc}") from None
-    if not (math.isfinite(lo) and math.isfinite(hi)):
-        raise DomainError("grid endpoints must be finite")
-    if steps < 1:
-        raise DomainError(f"grid needs at least one step, got {steps}")
+    lo, hi = real("grid endpoint", lo), real("grid endpoint", hi)
+    steps = integer("grid steps", steps, 1)
     if steps > MAX_GRID_STEPS:
         raise DomainError(f"grid of {steps} steps is beyond the bound of "
                           f"{MAX_GRID_STEPS}")

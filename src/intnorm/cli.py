@@ -36,7 +36,7 @@ from .errors import DomainError, GeometryError, RetrySignal
 from .flat_torus import Lattice, RealClass, best_ratio_search, k_real, \
     norm_comparison_report, segment_bound_check, systole, torus_diameter
 from .hyptrig import EXTENDED_DPS
-from .seeding import named_stream
+from .seeding import check_seed, named_stream
 from .suites import lemma_sweep, norm_violations, ordering_violations, \
     ratio_violations, run_suites, segment_violations, window_violations
 
@@ -168,26 +168,6 @@ def run_torus(args) -> tuple[dict, Optional[tuple]]:
     return report, None
 
 
-def _load_arc(raw) -> ArcSpec:
-    if not (isinstance(raw, (list, tuple)) and len(raw) == 3):
-        raise DomainError(f"an arc must be [entry_t, winding, sign], "
-                          f"got {raw!r}")
-    # JSON true and false load as bool, a subclass of int
-    if not all(isinstance(x, (int, float)) and not isinstance(x, bool)
-               for x in raw):
-        raise DomainError(f"an arc must hold three numbers, got {raw!r}")
-    if raw[2] not in (-1, 1):
-        raise DomainError(f"an arc's crossing sign must be 1 or -1, "
-                          f"got {raw[2]!r}")
-    try:
-        entry_t, winding = float(raw[0]), float(raw[1])
-    except OverflowError:
-        raise DomainError(f"an arc entry of {raw!r} is outside the range "
-                          "of double precision") from None
-    return ArcSpec(entry_t=entry_t, winding=winding,
-                   crossing_sign=int(raw[2]))
-
-
 def run_cylinder(args) -> tuple[dict, Optional[tuple]]:
     if not 1 <= args.samples <= MAX_SAMPLES:
         raise DomainError(f"need 1 to {MAX_SAMPLES} samples, "
@@ -208,17 +188,12 @@ def run_cylinder(args) -> tuple[dict, Optional[tuple]]:
             raise DomainError(
                 f"cannot read arc pairs from {args.arcs_json}: "
                 f"{exc}") from None
-        if not isinstance(pairs, list):
-            raise DomainError(f"\"pairs\" in {args.arcs_json} must be a "
-                              f"list, got {pairs!r}")
         arcs = []
-        for i, item in enumerate(pairs):
-            try:
-                arcs.append((_load_arc(item["arc1"]),
-                             _load_arc(item["arc2"])))
-            except (KeyError, TypeError) as exc:
-                raise DomainError(
-                    f"malformed arc pair #{i}: {exc}") from None
+        try:  # ArcSpec checks the numbers of each arc
+            for item in pairs:
+                arcs.append((ArcSpec(*item["arc1"]), ArcSpec(*item["arc2"])))
+        except (KeyError, TypeError, DomainError) as exc:
+            raise DomainError(f"arc pair #{len(arcs)}: {exc}") from None
         # entry_t, winding and crossing sign, each of shape (2, pairs)
         entry_t, winding, sign = np.array(
             [[(a.entry_t, a.winding, a.crossing_sign) for a in pair]
@@ -347,7 +322,13 @@ def _emit(report: dict, csv_data, args) -> None:
     fails all the same is removed, so that no partial report is left.
     """
     if not args.output:
-        _write(report, csv_data, args.fmt, sys.stdout)
+        try:
+            _write(report, csv_data, args.fmt, sys.stdout)
+            sys.stdout.flush()
+        except BrokenPipeError:
+            # the rest, and the interpreter's last flush, go nowhere
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            raise DomainError("standard output was closed") from None
         return
     try:
         fh = open(args.output, "w", encoding="utf-8")
@@ -371,6 +352,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     started = time.perf_counter()
     try:
+        check_seed(args.seed)
         if args.fmt == "csv" and args.command not in ("bounds", "cylinder"):
             raise DomainError(
                 f"csv output is only available for tabular sweeps "

@@ -38,6 +38,8 @@ from .errors import (
     DomainError,
     ModeError,
     RejectedInputError,
+    integer,
+    real,
 )
 from .flat_torus import GRAZE, OVERLAP, CrossingBatch, CrossingReport, \
     retry_flagged
@@ -94,11 +96,8 @@ class Cylinder:
 
     def __post_init__(self):
         for name in ("core_length", "half_width"):
-            v = getattr(self, name)
-            if not (isinstance(v, (int, float)) and math.isfinite(v)) or v <= 0:
-                raise DomainError(f"{name} must be positive, got {v!r}")
-        object.__setattr__(self, "core_length", float(self.core_length))
-        object.__setattr__(self, "half_width", float(self.half_width))
+            object.__setattr__(self, name, real(name, getattr(self, name),
+                                                positive=True))
 
     def boundary_circle_length(self) -> float:
         return boundary_length(self.core_length, self.half_width)
@@ -140,13 +139,16 @@ class ArcSpec:
     crossing_sign: int
 
     def __post_init__(self):
-        if self.crossing_sign not in (-1, 1):
-            raise DomainError(
-                f"crossing_sign must be +1 or -1, got {self.crossing_sign!r}")
-        if not math.isfinite(self.winding):
-            raise DomainError(f"winding must be finite, got {self.winding!r}")
-        if not math.isfinite(self.entry_t):
-            raise DomainError(f"entry_t must be finite, got {self.entry_t!r}")
+        for name, check in (("crossing_sign", _crossing_sign),
+                            ("winding", real), ("entry_t", real)):
+            object.__setattr__(self, name, check(name, getattr(self, name)))
+
+
+def _crossing_sign(name: str, value) -> int:
+    sign = integer(name, value)
+    if sign not in (-1, 1):
+        raise DomainError(f"{name} must be +1 or -1, got {sign}")
+    return sign
 
 
 def winding_from_endpoints(cyl: Cylinder, t_in: float,
@@ -154,11 +156,11 @@ def winding_from_endpoints(cyl: Cylinder, t_in: float,
     """Winding number (t_out_unwrapped - t_in) / core_length of an arc
     whose endpoints sit at core positions t_in and, after unwrapping the
     covering, t_out_unwrapped."""
+    t_in = real("t_in", t_in)
+    t_out_unwrapped = real("t_out_unwrapped", t_out_unwrapped)
     if not (0.0 <= t_in < cyl.core_length):
         raise DomainError(
             f"t_in must lie in [0, {cyl.core_length}), got {t_in}")
-    if not math.isfinite(t_out_unwrapped):
-        raise DomainError("t_out_unwrapped must be finite")
     return (t_out_unwrapped - t_in) / cyl.core_length
 
 
@@ -192,6 +194,8 @@ def intersection_bounds(c_wind: float | np.ndarray,
     int64, are refused with DomainError.
     """
     arrays = isinstance(c_wind, np.ndarray)
+    if not arrays:
+        c_wind, d_wind = real("c_wind", c_wind), real("d_wind", d_wind)
     inside = (abs(c_wind) < 2.0 ** 62) & (abs(d_wind) < 2.0 ** 62)
     if not (inside.all() if arrays else inside):
         c, d = (c_wind[~inside][0], d_wind[~inside][0]) if arrays else \
@@ -208,12 +212,8 @@ def dehn_twist_winding(c_wind: float, crossing_sign: int, z: float) -> float:
     """Winding number after a Dehn twist of order z around the core:
     c_wind + crossing_sign * z.  In particular z = -crossing_sign * c_wind
     kills the winding."""
-    if crossing_sign not in (-1, 1):
-        raise DomainError(
-            f"crossing_sign must be +1 or -1, got {crossing_sign!r}")
-    if not (math.isfinite(c_wind) and math.isfinite(z)):
-        raise DomainError("c_wind and z must be finite")
-    return c_wind + crossing_sign * z
+    return (real("c_wind", c_wind)
+            + _crossing_sign("crossing_sign", crossing_sign) * real("z", z))
 
 
 # ---------------------------------------------------------------------------
@@ -451,6 +451,8 @@ def rewind_shift(m_lead: int, m_trail: int, leads: bool) -> int:
     max(m_lead - 1, 0) for the leading family, plus max(m_trail - m_lead -
     2, 0) for the trailing one.  m_lead <= m_trail are the floors of the
     two families' minimal absolute windings."""
+    m_lead = integer("m_lead", m_lead, 0)
+    m_trail = integer("m_trail", m_trail, 0)
     shift = max(m_lead - 1, 0)
     if not leads:
         shift += max(m_trail - m_lead - 2, 0)
@@ -478,12 +480,13 @@ def _sign(x: float) -> int:
     return 1 if x > 0 else (-1 if x < 0 else 0)
 
 
-def _check_family(name: str, winds: Sequence[float]) -> None:
+def _check_family(name: str, winds: Sequence[float]) -> tuple[float, ...]:
+    try:
+        winds = tuple(real(f"{name} winding", v) for v in winds)
+    except DomainError as exc:
+        raise RejectedInputError(str(exc)) from None
     if len(winds) == 0:
         raise RejectedInputError(f"{name} winding list is empty")
-    for v in winds:
-        if not math.isfinite(v):
-            raise RejectedInputError(f"{name} winding {v!r} is not finite")
     lo, hi = min(winds), max(winds)
     if hi - lo >= 1.0:
         raise RejectedInputError(
@@ -492,7 +495,8 @@ def _check_family(name: str, winds: Sequence[float]) -> None:
     if lo < 0.0 < hi and min(abs(v) for v in winds) >= 1.0:
         raise RejectedInputError(
             f"{name} windings of absolute value >= 1 must share one "
-            f"orientation, got {tuple(winds)}")
+            f"orientation, got {winds}")
+    return winds
 
 
 # The reference collar of rewind_suite_check: the shrunk collar of core
@@ -538,10 +542,8 @@ def rewind_suite_check(gamma_winds: Sequence[float],
 
     Kept for test c05, the cylinder demo and bench/ only; no suite calls it.
     """
-    gamma_winds = tuple(float(v) for v in gamma_winds)
-    delta_winds = tuple(float(v) for v in delta_winds)
-    _check_family("gamma", gamma_winds)
-    _check_family("delta", delta_winds)
+    gamma_winds = _check_family("gamma", gamma_winds)
+    delta_winds = _check_family("delta", delta_winds)
 
     min_g = min(abs(v) for v in gamma_winds)
     min_d = min(abs(v) for v in delta_winds)

@@ -1,4 +1,9 @@
-"""Exception types shared by the geometry modules."""
+"""Exception types shared by the geometry modules, and the two checks
+through which every numeric argument of the library passes."""
+
+import math
+import numbers
+import reprlib
 
 
 class GeometryError(ValueError):
@@ -7,6 +12,10 @@ class GeometryError(ValueError):
 
 class DomainError(GeometryError):
     """Numeric argument outside a function's domain."""
+
+
+class NumberTypeError(DomainError, TypeError):
+    """Numeric argument of the wrong type, a TypeError as well."""
 
 
 class DegenerateInputError(GeometryError):
@@ -36,3 +45,34 @@ class RetrySignal(RuntimeError):
     Not an input error: the caller is expected to re-randomize the free
     parameter (base-point offset, entry position) and try again.
     """
+
+
+def real(name: str, value, positive: bool = False) -> float:
+    """``value`` as a float, or DomainError unless it is a real number,
+    not a bool, finite in double precision and, if ``positive``, > 0."""
+    x, error = value, DomainError
+    if type(x) is not float:  # the common case skips the ABC test
+        if isinstance(x, bool) or not isinstance(x, numbers.Real):
+            x, error = math.nan, NumberTypeError
+        else:
+            try:
+                x = float(x)
+            except OverflowError:
+                x = math.inf
+    if math.isfinite(x) and (not positive or x > 0.0):
+        return x
+    raise error(f"{name} must be a {'positive ' if positive else ''}finite "
+                f"real, got {reprlib.repr(value)}")
+
+
+def integer(name: str, value, minimum=None) -> int:
+    """``value`` as an int, or DomainError unless it is an integer, not a
+    bool, and at least ``minimum`` where one is given."""
+    if type(value) is not int:  # the common case skips the ABC test
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+            raise NumberTypeError(f"{name} must be an integer, "
+                                  f"got {reprlib.repr(value)}")
+        value = int(value)
+    if minimum is not None and value < minimum:
+        raise DomainError(f"{name} must be >= {minimum}, got {value}")
+    return value

@@ -35,7 +35,6 @@ origin.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple, Optional
@@ -48,6 +47,8 @@ from .errors import (
     DomainError,
     EmptySearchError,
     RetrySignal,
+    integer,
+    real,
 )
 
 # Relative slack when comparing squared lengths against an enumeration
@@ -183,15 +184,14 @@ def retry_flagged(batch: CrossingBatch, resolve, tries: int,
     return batch, errors
 
 
-def _as_float_pair(name: str, value) -> tuple[float, float]:
+def _pair(name: str, value, check=real) -> tuple:
+    """The two entries of ``value``, each through ``check``."""
     try:
         x, y = value
-    except (TypeError, ValueError) as exc:
-        raise DomainError(f"{name} must be a pair of numbers") from exc
-    x, y = float(x), float(y)
-    if not (math.isfinite(x) and math.isfinite(y)):
-        raise DomainError(f"{name} must be finite, got {value!r}")
-    return x, y
+    except (TypeError, ValueError):
+        raise DomainError(f"{name} must be a pair of numbers, "
+                          f"got {value!r}") from None
+    return check(name, x), check(name, y)
 
 
 @dataclass(frozen=True)
@@ -209,8 +209,8 @@ class Lattice:
     exact: Optional[tuple[Fraction, Fraction, Fraction, Fraction]] = None
 
     def __post_init__(self):
-        object.__setattr__(self, "e1", _as_float_pair("e1", self.e1))
-        object.__setattr__(self, "e2", _as_float_pair("e2", self.e2))
+        object.__setattr__(self, "e1", _pair("e1", self.e1))
+        object.__setattr__(self, "e2", _pair("e2", self.e2))
         det = self.det
         if det == 0.0 or not math.isfinite(det):
             # floats are exact rationals, so this tells a dependent basis
@@ -235,9 +235,7 @@ class Lattice:
             vals = tuple(Fraction(p) for p in parts)
         except (ValueError, ZeroDivisionError) as exc:
             raise DomainError(f"unparsable lattice entry in {text!r}") from exc
-        return cls(e1=(float(vals[0]), float(vals[1])),
-                   e2=(float(vals[2]), float(vals[3])),
-                   exact=vals)
+        return cls(e1=vals[:2], e2=vals[2:], exact=vals)
 
     @property
     def det(self) -> float:
@@ -258,15 +256,14 @@ class Lattice:
 def intersection_number(u, v) -> int:
     """Algebraic intersection number a*d - b*c of (a, b) and (c, d),
     computed in exact integer arithmetic."""
-    a, b = (operator.index(u[0]), operator.index(u[1]))
-    c, d = (operator.index(v[0]), operator.index(v[1]))
+    (a, b), (c, d) = _pair("u", u, integer), _pair("v", v, integer)
     return a * d - b * c
 
 
 def class_length(lat: Lattice, cls) -> float:
     """Stable norm of a homology class: the Euclidean length of its
     embedded vector.  Accepts integer or real classes."""
-    x, y = lat.embed(cls)
+    x, y = lat.embed(_pair("class", cls))
     return math.hypot(x, y)
 
 
@@ -352,9 +349,7 @@ def enumerate_classes(lat: Lattice, cutoff: float, *,
     coefficient in the given basis could exceed 2**31, past which
     intersection numbers would overflow int64.
     """
-    cutoff = float(cutoff)
-    if not math.isfinite(cutoff) or cutoff <= 0.0:
-        raise DomainError(f"cutoff must be positive and finite, got {cutoff!r}")
+    cutoff = real("cutoff", cutoff, positive=True)
     c1, c2 = reduced_basis(lat)
     reach = _reach(lat, cutoff) / lat.covolume
     # clipped so that an infinite reach still gives an integer, and a refusal
@@ -403,12 +398,17 @@ def systole(lat: Lattice) -> float:
 def torus_diameter(lat: Lattice) -> float:
     """Diameter of the flat torus: the circumradius of the Voronoi cell
     of the lattice, read off the two Delaunay triangles spanned by a
-    reduced basis and its short diagonal."""
+    reduced basis and its short diagonal.  Raises DomainError where the
+    circumradius overflows."""
     c1, c2 = reduced_basis(lat)
     b1 = np.array(lat.embed(c1))
     b2 = np.array(lat.embed(c2))
     diag = b1 + b2
-    return max(_circumradius(b1, diag), _circumradius(b2, diag))
+    diameter = max(_circumradius(b1, diag), _circumradius(b2, diag))
+    if not math.isfinite(diameter):
+        raise DomainError(f"diameter of the basis {lat.e1}, {lat.e2} is "
+                          "outside the range of double precision")
+    return diameter
 
 
 def _circumradius(p: np.ndarray, q: np.ndarray) -> float:
@@ -662,12 +662,10 @@ def min_length_product(lat: Lattice, n: int, cutoff: float) -> MinProductResult:
     in the number N of classes.  The product, its 1e-14 tie band and the
     tie-break are those of the full N x N table.
     """
-    n = operator.index(n)
+    n = integer("n", n, 0)
     if n == 0:
         raise DegenerateInputError(
             "n = 0 is degenerate: parallel classes realize it trivially")
-    if n < 0:
-        raise DomainError(f"n must be positive, got {n}")
     classes, lengths = enumerate_classes(lat, cutoff, canonical=True)
     if classes.shape[0] == 0:
         raise EmptySearchError(
@@ -737,7 +735,7 @@ def norm_comparison_report(lat: Lattice, h) -> NormComparison:
     checking stable/sqrt(V) <= l2 <= k_real * sqrt(V) * stable.  Both
     inequalities are equalities here, which is what makes the flat torus
     the extremal case."""
-    x, y = _as_float_pair("h", h)
+    x, y = _pair("h", h)
     v = lat.covolume
     stable = class_length(lat, (x, y))
     alpha = np.linalg.solve(np.array([lat.e1, lat.e2]), (-y, x))
@@ -772,15 +770,14 @@ def _parallelogram(lat: Lattice, u, v, offset) -> tuple:
     MAX_CROSSING_CANDIDATES, or when the rounding bound exceeds 1, past
     which the computed t and s say nothing of where a crossing lies.
     """
-    a, b = (operator.index(u[0]), operator.index(u[1]))
-    c, d = (operator.index(v[0]), operator.index(v[1]))
+    (a, b), (c, d) = _pair("u", u, integer), _pair("v", v, integer)
     if (a, b) == (0, 0) or (c, d) == (0, 0):
         raise DegenerateInputError("classes must be nonzero")
     n = a * d - b * c
     if n == 0:
         raise DegenerateInputError(
             f"classes {(a, b)} and {(c, d)} are proportional")
-    ox, oy = _as_float_pair("offset", offset)
+    ox, oy = _pair("offset", offset)
     (e1x, e1y), (e2x, e2y), det = lat.e1, lat.e2, lat.det
     o1 = (ox * e2y - oy * e2x) / det
     o2 = (-ox * e1y + oy * e1x) / det

@@ -24,7 +24,7 @@ from types import SimpleNamespace
 import mpmath
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, real
 
 # Digits used by the extended-precision mode.
 EXTENDED_DPS = 50
@@ -32,16 +32,6 @@ EXTENDED_DPS = 50
 # Width threshold of the collar lemma: a primitive closed geodesic shorter
 # than 2*arsinh(1) has an embedded collar of half-width collar_width(l).
 TWO_ARSINH_ONE = 2.0 * math.asinh(1.0)
-
-
-def _require_positive(name: str, value: float) -> None:
-    if not math.isfinite(value) or value <= 0.0:
-        raise DomainError(f"{name} must be positive and finite, got {value!r}")
-
-
-def _require_finite(name: str, value: float) -> None:
-    if not math.isfinite(value):
-        raise DomainError(f"{name} must be finite, got {value!r}")
 
 
 def _extended(expr, *args):
@@ -115,7 +105,7 @@ def collar_width(length: float, *, extended: bool = False):
     geodesic shrinks.  Raises DomainError where the float64 value is not
     finite.
     """
-    _require_positive("length", float(length))
+    length = real("length", length, positive=True)
     if extended:
         return _extended(_collar_width, length)
     return _collar_width(math, length)
@@ -128,10 +118,9 @@ def fermi_distance(p1, p2, *, extended: bool = False):
     distance from it.  cosh d = cosh s1 cosh s2 cosh(t2 - t1) - sinh s1 sinh s2.
     Not exported: only the benchmark under bench/ calls it.
     """
-    t1, s1 = p1
-    t2, s2 = p2
-    for name, v in (("t1", t1), ("s1", s1), ("t2", t2), ("s2", s2)):
-        _require_finite(name, float(v))
+    (t1, s1), (t2, s2) = p1, p2
+    t1, s1, t2, s2 = (real(name, v) for name, v in (
+        ("t1", t1), ("s1", s1), ("t2", t2), ("s2", s2)))
     if extended:
         return _extended(_fermi_distance, t1, s1, t2, s2)
     return _fermi_distance(math, t1, s1, t2, s2)
@@ -146,8 +135,8 @@ def crossing_arc_length(half_width: float, delta_t: float, *,
     Equals fermi_distance((0, -half_width), (delta_t, half_width)); always
     at least max(2*half_width, |delta_t|).
     """
-    _require_positive("half_width", float(half_width))
-    _require_finite("delta_t", float(delta_t))
+    half_width = real("half_width", half_width, positive=True)
+    delta_t = real("delta_t", delta_t)
     if extended:
         return _extended(_crossing_arc_length, half_width, delta_t)
     return _crossing_arc_length(math, half_width, delta_t)
@@ -157,8 +146,8 @@ def boundary_length(core_length: float, half_width: float, *,
                     extended: bool = False):
     """Length core_length * cosh(half_width) of one boundary circle of the
     collar of the given half-width around a core geodesic."""
-    _require_positive("core_length", float(core_length))
-    _require_positive("half_width", float(half_width))
+    core_length = real("core_length", core_length, positive=True)
+    half_width = real("half_width", half_width, positive=True)
     if extended:
         return _extended(_boundary_length, core_length, half_width)
     return _boundary_length(math, core_length, half_width)

@@ -14,7 +14,7 @@ import hashlib
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, integer
 
 _MAX_SEED = 2 ** 64
 
@@ -25,11 +25,16 @@ def stream_key(name: str) -> int:
     return int.from_bytes(digest[:8], "big")
 
 
-def named_stream(seed: int, name: str) -> np.random.Generator:
-    """Generator for the (seed, name) stream."""
-    if isinstance(seed, bool) or not isinstance(seed, int):
-        raise DomainError(f"seed must be an integer, got {seed!r}")
+def check_seed(seed) -> int:
+    """The seed as an int that fits in 64 unsigned bits, or DomainError."""
+    seed = integer("seed", seed)
     if not 0 <= seed < _MAX_SEED:
         raise DomainError(f"seed must fit in 64 unsigned bits, got {seed}")
-    ss = np.random.SeedSequence(entropy=seed, spawn_key=(stream_key(name),))
+    return seed
+
+
+def named_stream(seed: int, name: str) -> np.random.Generator:
+    """Generator for the (seed, name) stream."""
+    ss = np.random.SeedSequence(entropy=check_seed(seed),
+                                spawn_key=(stream_key(name),))
     return np.random.Generator(np.random.Philox(ss))

@@ -36,9 +36,9 @@ import numpy as np
 from . import bounds as bounds_mod
 from . import cylinder as cyl_mod
 from . import flat_torus as torus_mod
-from .errors import DomainError, GeometryError
+from .errors import DomainError, GeometryError, integer
 from .hyptrig import _crossing_arc_length
-from .seeding import named_stream
+from .seeding import check_seed, named_stream
 
 
 @dataclass(frozen=True)
@@ -67,6 +67,7 @@ def _run_checks(suite: str, seed: int,
                 checks: Sequence[tuple[str, Check]]) -> SuiteReport:
     """Run the named checks in order and collect their outcomes; each
     violation counts as one failure of the check that reported it."""
+    seed = check_seed(seed)
     outcomes: list[CheckOutcome] = []
     violations: list[str] = []
     for name, check in checks:
@@ -349,7 +350,10 @@ def lemma_sweep(core_length: float, samples: int, rng, *,
     ``rng.spawn(1)[0]``, made once per call, so the samples that ``rng``
     gives do not depend on the retries.
     """
+    samples = integer("samples", samples, 0)
+    first_sign = cyl_mod._crossing_sign("first_sign", first_sign)
     cyl = cyl_mod.make_collar(core_length, mode)
+    core_length = cyl.core_length
     jitters = rng.spawn(1)[0]
     violations: list[str] = []
     records: list[dict] = []

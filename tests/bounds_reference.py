@@ -16,18 +16,18 @@ from typing import Iterable, Optional, Sequence
 
 from intnorm import DomainError, TWO_ARSINH_ONE
 from intnorm.bounds import CollarCheckReport, ProfileRow, \
-    _default_collar_grid, _default_monotonicity_grid, _hyperbolic_terms, \
-    _require_genus, _require_positive
+    _default_collar_grid, _default_monotonicity_grid, _hyperbolic_terms
 from intnorm.cylinder import SHRINK_MARGIN
+from intnorm.errors import integer, real
 from intnorm.hyptrig import _boundary_length, _collar_width
 
 
 def asymptotic_profile(s: int, l1_grid: Sequence[float], *,
                        extended: bool = False) -> tuple[ProfileRow, ...]:
-    _require_genus(s, 2)
+    integer("genus", s, 2)
     rows = []
     for raw in l1_grid:
-        l1 = _require_positive("l1 grid value", raw)
+        l1 = real("l1 grid value", raw, positive=True)
         if l1 >= 1.0:
             raise DomainError(
                 f"profile grid values must lie in (0, 1), got {l1}")
@@ -63,7 +63,7 @@ def collar_constants_check(
     boundary_margin = math.inf
     for raw in l_grid:
         points += 1
-        x = _require_positive("collar grid value", raw)
+        x = real("collar grid value", raw, positive=True)
         if x > 0.25:
             raise DomainError(
                 f"collar grid values must lie in (0, 0.25], got {x}")
@@ -85,7 +85,7 @@ def collar_constants_check(
                 f"collar half-width {cl} at core length {x} "
                 "is not above 1.95")
 
-    mono = sorted(_require_positive("monotonicity grid value", v)
+    mono = sorted(real("monotonicity grid value", v, positive=True)
                   for v in monotonicity_grid)
     for v in mono:
         if v > TWO_ARSINH_ONE * (1.0 + 1e-12):

@@ -708,6 +708,59 @@ def test_bounds_past_double_precision_exit_2_with_one_error_line(argv,
     assert err.count("\n") == 1
 
 
+@pytest.mark.parametrize("argv", [
+    # a basis entry past the range of double precision
+    ["torus", "--lattice", "1e400,0,0,1"],
+    # a diameter whose circumradius overflows while it forms a*b*c
+    ["torus", "--lattice", "1e150,0,0,1e150"],
+])
+def test_torus_past_double_precision_exits_2_with_one_error_line(argv,
+                                                                 capsys):
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("intnorm: error:")
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("seed", ["-1", str(2 ** 64)])
+@pytest.mark.parametrize("argv", [
+    ["torus", "--lattice", "1,0,0,1"],
+    ["cylinder", "--core-length", "0.2", "--samples", "1"],
+    ["bounds", "--genus", "2", "--l1-grid", "0.1:0.5:3"],
+    ["verify", "--suite", "bounds"],
+])
+def test_a_seed_past_64_unsigned_bits_is_refused_before_the_work(
+        monkeypatch, capsys, argv, seed):
+    def refuse(args):
+        raise AssertionError(f"{argv[0]} ran before the seed was checked")
+
+    monkeypatch.setitem(intnorm.cli._RUNNERS, argv[0], refuse)
+    assert main(argv + ["--seed", seed]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == ("intnorm: error: seed must fit in 64 unsigned bits, "
+                   f"got {seed}\n")
+
+
+@pytest.mark.parametrize("argv, keep", [
+    # the reader takes 10 bytes of a report of about 450 KB and goes
+    (["cylinder", "--core-length", "0.2", "--samples", "1000"], 10),
+    # the reader is gone before the report is written: it fits the
+    # buffer of stdout, so only the last flush meets the closed pipe
+    (["torus", "--lattice", "1,0,0,1"], 0),
+])
+def test_a_closed_stdout_exits_2_with_one_error_line(argv, keep):
+    proc = subprocess.Popen([sys.executable, "-m", "intnorm", *argv],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    proc.stdout.read(keep)
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait() == 2
+    assert err == "intnorm: error: standard output was closed\n"
+
+
 # ------------------------------------------------------------------ writing
 
 def _json_native(value) -> bool:

@@ -35,7 +35,7 @@ from intnorm import (
     systole,
 )
 from intnorm.flat_torus import SEAM_TOLERANCE, MinProductResult, \
-    RatioResult, SegmentBoundReport, _as_float_pair
+    RatioResult, SegmentBoundReport, _pair
 
 _CUTOFF_SLACK = 1e-12
 _MAX_ENUM_CELLS = 8_000_000
@@ -221,7 +221,7 @@ def crossing_count_oracle_box(lat: Lattice, u, v, offset) -> CrossingReport:
     if a * d - b * c == 0:
         raise DegenerateInputError(
             f"classes {(a, b)} and {(c, d)} are proportional")
-    ox, oy = _as_float_pair("offset", offset)
+    ox, oy = _pair("offset", offset)
 
     U = np.array(lat.embed((a, b)), dtype=float)
     V = np.array(lat.embed((c, d)), dtype=float)
