@@ -61,7 +61,7 @@ print("on the hexagonal lattice the value is 2/sqrt(3) =",
 # -- certified enumeration ----------------------------------------------------
 
 show("Certified class enumeration (square lattice, cutoff 2.5)")
-classes, lengths = enumerate_classes(square, 2.5, canonical=True)
+classes, lengths = enumerate_classes(square, 2.5)
 print(f"{classes.shape[0]} canonical classes; shortest few:")
 order = np.argsort(lengths)[:6]
 for i in order:

@@ -19,7 +19,6 @@ from .bounds import (
     asymptotic_profile,
     collar_constants_check,
     full_bound_report,
-    general_bounds,
     hyperbolic_bounds,
     parse_grid,
 )
@@ -33,7 +32,6 @@ from .cylinder import (
     dehn_twist_winding,
     intersection_bounds,
     make_collar,
-    rewind_shift,
     rewind_suite_check,
     winding_from_endpoints,
 )
@@ -60,7 +58,6 @@ from .flat_torus import (
     k_real,
     min_length_product,
     norm_comparison_report,
-    reduced_basis,
     segment_bound_check,
     systole,
     torus_diameter,
@@ -74,11 +71,8 @@ from .hyptrig import (
 from .seeding import named_stream
 from .suites import (
     SuiteReport,
-    bounds_suite,
-    cylinder_suite,
     lemma_sweep,
     run_suites,
-    torus_suite,
 )
 
 __version__ = "0.1.0"
@@ -86,20 +80,17 @@ __version__ = "0.1.0"
 __all__ = [
     "ArcSpec", "BoundReport", "CollarCheckReport", "CrossingReport",
     "CutoffTooSmallError", "Cylinder", "DegenerateInputError",
-    "DomainError", "EmptySearchError", "GeometryError",
-    "HyperbolicBounds", "IntegerClass", "Lattice", "ModeError",
-    "ProfileRow", "RealClass", "RejectedInputError", "RetrySignal",
-    "RewindReport", "SuiteReport", "SurfaceParams", "TWO_ARSINH_ONE",
-    "WindingBounds", "arc_length", "asymptotic_profile",
-    "best_ratio_search", "boundary_length", "bounds_suite",
+    "DomainError", "EmptySearchError", "GeometryError", "HyperbolicBounds",
+    "IntegerClass", "Lattice", "ModeError", "ProfileRow", "RealClass",
+    "RejectedInputError", "RetrySignal", "RewindReport", "SuiteReport",
+    "SurfaceParams", "TWO_ARSINH_ONE", "WindingBounds", "arc_length",
+    "asymptotic_profile", "best_ratio_search", "boundary_length",
     "class_length", "collar_constants_check", "collar_width",
     "count_crossings", "count_crossings_cyl", "crossing_arc_length",
-    "cylinder_suite", "dehn_twist_winding", "enumerate_classes",
-    "full_bound_report", "general_bounds", "hyperbolic_bounds",
-    "intersection_bounds", "intersection_number", "k_real",
-    "lemma_sweep", "make_collar", "min_length_product", "named_stream",
-    "norm_comparison_report", "parse_grid", "reduced_basis",
-    "rewind_shift", "rewind_suite_check", "run_suites",
-    "segment_bound_check", "systole", "torus_diameter", "torus_suite",
-    "winding_from_endpoints",
+    "dehn_twist_winding", "enumerate_classes", "full_bound_report",
+    "hyperbolic_bounds", "intersection_bounds", "intersection_number",
+    "k_real", "lemma_sweep", "make_collar", "min_length_product",
+    "named_stream", "norm_comparison_report", "parse_grid",
+    "rewind_suite_check", "run_suites", "segment_bound_check", "systole",
+    "torus_diameter", "winding_from_endpoints",
 ]

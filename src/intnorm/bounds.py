@@ -86,24 +86,6 @@ class BoundReport:
     collar_rate: Optional[float] = None
 
 
-def _bound_report(p: SurfaceParams, hyperbolic=(None, None, None)
-                  ) -> BoundReport:
-    """The general bounds of p beside the given (lower, upper,
-    collar_rate) hyperbolic fields."""
-    return BoundReport(p.genus, p.l1, p.diameter, p.volume, 1.0 / p.volume,
-                       1.0 / (2.0 * p.l1 * p.diameter), 9.0 / (p.l1 * p.l1),
-                       *hyperbolic)
-
-
-def general_bounds(p: SurfaceParams) -> BoundReport:
-    """Evaluate the any-curvature bounds 1/V, 1/(2*l1*D), 9/l1**2.
-
-    The sandwich 1/(2*l1*D) <= 9/l1**2 follows from l1 <= 2D, which
-    SurfaceParams enforces.
-    """
-    return _bound_report(p)
-
-
 def _hyperbolic(m, s: int, l1):
     """(lower, upper, collar_rate, cl(l1), arsinh(4/l1)) over backend m."""
     cl = _collar_width(m, l1)
@@ -164,10 +146,16 @@ def hyperbolic_bounds(s: int, l1: float, *,
 
 
 def full_bound_report(p: SurfaceParams) -> BoundReport:
-    """General bounds plus, for genus >= 2, the hyperbolic bounds."""
-    if p.genus < 2:
-        return general_bounds(p)
-    return _bound_report(p, hyperbolic_bounds(p.genus, p.l1))
+    """The any-curvature bounds 1/V, 1/(2*l1*D) and 9/l1**2, plus, for
+    genus >= 2, the hyperbolic bounds.
+
+    The sandwich 1/(2*l1*D) <= 9/l1**2 follows from l1 <= 2D, which
+    SurfaceParams enforces.
+    """
+    hyperbolic = () if p.genus < 2 else hyperbolic_bounds(p.genus, p.l1)
+    return BoundReport(p.genus, p.l1, p.diameter, p.volume, 1.0 / p.volume,
+                       1.0 / (2.0 * p.l1 * p.diameter), 9.0 / (p.l1 * p.l1),
+                       *hyperbolic)
 
 
 class ProfileRow(NamedTuple):

@@ -12,7 +12,8 @@ Reports are JSON (or CSV for the tabular sweeps) with the fixed top-level
 shape {command, inputs, results, violations, timing_ms, version}.  A
 fixed seed makes the report byte-identical across runs: wall-clock timing
 is therefore printed to stderr only and serialized as null.  Exit status:
-0 on success, 1 when any violation was found, 2 on usage or input errors.
+0 on success, 1 when any violation was found, 2 on usage or input errors,
+which print one ``intnorm: error:`` line to stderr.
 """
 
 from __future__ import annotations
@@ -55,6 +56,11 @@ _RECORD_COLUMNS = ("c_wind", "d_wind", "same_side", "entry_1", "entry_2",
 MAX_SAMPLES = 20_000
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # the one error line of every bad input
+        raise DomainError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int, default=0,
@@ -67,7 +73,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="write the report to this path instead of "
                              "stdout")
 
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="intnorm",
         description="Intersection-to-length ratios: exact flat-torus "
                     "searches, hyperbolic cylinder crossing oracles, and "
@@ -348,10 +354,9 @@ def _emit(report: dict, csv_data, args) -> None:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    started = time.perf_counter()
     try:
+        args = build_parser().parse_args(argv)
+        started = time.perf_counter()
         check_seed(args.seed)
         if args.fmt == "csv" and args.command not in ("bounds", "cylinder"):
             raise DomainError(

@@ -84,6 +84,7 @@ _MAX_SEARCH_PAIRS = 4_000_000
 _MAX_COEFFICIENT = 2 ** 31
 
 _EPS = 2.0 ** -52
+_TINY = 2.0 ** -1022  # the smallest normal double; below it 1/x overflows
 
 
 class IntegerClass(NamedTuple):
@@ -211,17 +212,20 @@ class Lattice:
     def __post_init__(self):
         object.__setattr__(self, "e1", _pair("e1", self.e1))
         object.__setattr__(self, "e2", _pair("e2", self.e2))
-        det = self.det
-        if det == 0.0 or not math.isfinite(det):
-            # floats are exact rationals, so this tells a dependent basis
-            # from a determinant that underflows or overflows
-            (e1x, e1y), (e2x, e2y) = self.e1, self.e2
-            if Fraction(e1x) * Fraction(e2y) == Fraction(e1y) * Fraction(e2x):
+        normal = _TINY <= abs(self.det) < math.inf
+        if self.exact is not None or not normal:
+            # in exact rationals, those given or the floats, this tells a
+            # dependent basis from a determinant out of range; given
+            # entries can round to a dependent (1/3) or zero (1e-400) float
+            e1x, e1y, e2x, e2y = map(Fraction,
+                                     self.exact or (*self.e1, *self.e2))
+            if e1x * e2y == e1y * e2x:
                 raise DegenerateInputError(
                     "basis vectors are linearly dependent")
+        if not normal:
             raise DomainError(f"determinant of the basis {self.e1}, "
-                              f"{self.e2} is outside the range of double "
-                              "precision")
+                              f"{self.e2} is outside the normal range of "
+                              "double precision")
 
     @classmethod
     def from_string(cls, text: str) -> "Lattice":
@@ -275,14 +279,14 @@ def k_real(lat: Lattice) -> float:
 
 def _check_squared_length(cls: tuple[int, int], v: np.ndarray) -> None:
     """Refuse the vector of a class when its squared length leaves the
-    range of double precision, checked in Python floats, which overflow
-    to inf without a warning."""
+    normal range of double precision, checked in Python floats, which
+    overflow to inf without a warning."""
     x, y = float(v[0]), float(v[1])
     sq = x * x + y * y
-    if not 0.0 < sq < math.inf:
+    if not _TINY <= sq < math.inf:
         name = {(1, 0): "e1", (0, 1): "e2"}.get(cls, f"the class {cls}")
         raise DomainError(f"squared length {sq!r} of {name} = ({x!r}, {y!r}) "
-                          "is outside the range of double precision")
+                          "is outside the normal range of double precision")
 
 
 def reduced_basis(lat: Lattice) -> tuple[IntegerClass, IntegerClass]:
@@ -291,8 +295,8 @@ def reduced_basis(lat: Lattice) -> tuple[IntegerClass, IntegerClass]:
     satisfy |v1| <= |v2| and <v1, v2> <= 0.
 
     Raises DomainError when the squared length of a basis vector, or of a
-    vector met on the way, leaves the range of double precision, or when
-    a reduction step overflows it."""
+    vector met on the way, leaves the normal range of double precision.
+    Inside it |mu| <= |v2| / |v1| < 2**1024 stays finite."""
     v1 = np.array(lat.e1, dtype=float)
     v2 = np.array(lat.e2, dtype=float)
     c1, c2 = (1, 0), (0, 1)
@@ -301,11 +305,7 @@ def reduced_basis(lat: Lattice) -> tuple[IntegerClass, IntegerClass]:
     if v1 @ v1 > v2 @ v2:
         v1, v2, c1, c2 = v2, v1, c2, c1
     for _ in range(64):
-        mu = float(v1 @ v2) / float(v1 @ v1)
-        if not math.isfinite(mu):
-            raise DomainError(f"the basis {lat.e1}, {lat.e2} is too skewed "
-                              "to reduce in double precision")
-        mu = round(mu)
+        mu = round(float(v1 @ v2) / float(v1 @ v1))
         if mu:
             v2 = v2 - mu * v1
             c2 = (c2[0] - mu * c1[0], c2[1] - mu * c1[1])
@@ -329,10 +329,11 @@ def _reach(lat: Lattice, cutoff: float) -> float:
 
 
 def enumerate_classes(lat: Lattice, cutoff: float, *,
-                      primitive_only: bool = False,
-                      canonical: bool = False
+                      primitive_only: bool = False
                       ) -> tuple[np.ndarray, np.ndarray]:
-    """All nonzero integer classes of length <= cutoff, with their lengths.
+    """The canonical nonzero integer classes of length <= cutoff, with their
+    lengths: one class of each {v, -v} pair, the one with a > 0, or a == 0
+    and b > 0.
 
     Exhaustive by construction.  The coefficient box is taken in the
     Lagrange-reduced basis (r1, r2): a class p*r1 + q*r2 of length |v| has
@@ -341,9 +342,9 @@ def enumerate_classes(lat: Lattice, cutoff: float, *,
     the cutoff can fall outside the box, and the box holds a bounded
     multiple of the class count however skewed the given basis is.  The
     classes are mapped back to coefficients (a, b) in the given basis, and
-    their lengths are computed from a*e1 + b*e2.  ``canonical`` keeps one
-    representative of each {v, -v} pair (a > 0, or a == 0 and b > 0).
-    Classes come back sorted lexicographically by (a, b).
+    their lengths are computed from a*e1 + b*e2, where v and -v have the
+    same length bit for bit.  Classes come back sorted lexicographically
+    by (a, b).
 
     Raises DomainError when the box holds more than 8M cells, or when a
     coefficient in the given basis could exceed 2**31, past which
@@ -375,9 +376,8 @@ def enumerate_classes(lat: Lattice, cutoff: float, *,
     B = (P * b1 + Q * b2).ravel()
     vx, vy = lat.embed((A, B))
     lsq = vx * vx + vy * vy
-    keep = (lsq > 0.0) & (lsq <= (cutoff * (1.0 + _CUTOFF_SLACK)) ** 2)
-    if canonical:
-        keep &= (A > 0) | ((A == 0) & (B > 0))
+    keep = ((lsq > 0.0) & (lsq <= (cutoff * (1.0 + _CUTOFF_SLACK)) ** 2)
+            & ((A > 0) | ((A == 0) & (B > 0))))
     if primitive_only:
         keep &= np.gcd(np.abs(A), np.abs(B)) == 1
     A, B, lsq = A[keep], B[keep], lsq[keep]
@@ -512,8 +512,7 @@ def _perpendicular_search(lat: Lattice, cutoff: float, empty: str) -> tuple:
     primitive classes of length <= cutoff, their lengths, and the index
     pairs i, j near perpendicular with their |Int|.  Raises
     EmptySearchError(empty) when there is no such class."""
-    classes, lengths = enumerate_classes(lat, cutoff, primitive_only=True,
-                                         canonical=True)
+    classes, lengths = enumerate_classes(lat, cutoff, primitive_only=True)
     if classes.shape[0] == 0:
         raise EmptySearchError(empty)
     i, j = _near_perpendicular_pairs(lat, classes, lengths)
@@ -666,7 +665,7 @@ def min_length_product(lat: Lattice, n: int, cutoff: float) -> MinProductResult:
     if n == 0:
         raise DegenerateInputError(
             "n = 0 is degenerate: parallel classes realize it trivially")
-    classes, lengths = enumerate_classes(lat, cutoff, canonical=True)
+    classes, lengths = enumerate_classes(lat, cutoff)
     if classes.shape[0] == 0:
         raise EmptySearchError(
             f"no classes of length <= {cutoff}; cutoff below the systole")

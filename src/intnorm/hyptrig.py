@@ -83,6 +83,23 @@ def _collar_width(m, length):
     return width
 
 
+def _evaluate(expr, names: str, extended: bool, *args):
+    """``expr`` at ``args`` over mpmath with ``extended``, else over
+    ``math``, refused with DomainError where that value is not finite:
+    math's cosh raises OverflowError, a product rounds to inf, or
+    cosh*cosh - sinh*sinh to inf - inf."""
+    if extended:
+        return _extended(expr, *args)
+    try:
+        value = expr(math, *args)
+    except OverflowError:
+        value = math.inf
+    if math.isfinite(value):
+        return value
+    raise DomainError(f"{expr.__name__[1:].replace('_', ' ')} at ({names}) = "
+                      f"{args!r} is outside the range of double precision")
+
+
 def _fermi_distance(m, t1, s1, t2, s2):
     arg = m.cosh(s1) * m.cosh(s2) * m.cosh(t2 - t1) - m.sinh(s1) * m.sinh(s2)
     # rounding can push the argument a hair below 1 for coincident points
@@ -106,9 +123,7 @@ def collar_width(length: float, *, extended: bool = False):
     finite.
     """
     length = real("length", length, positive=True)
-    if extended:
-        return _extended(_collar_width, length)
-    return _collar_width(math, length)
+    return _evaluate(_collar_width, "length", extended, length)
 
 
 def fermi_distance(p1, p2, *, extended: bool = False):
@@ -121,9 +136,8 @@ def fermi_distance(p1, p2, *, extended: bool = False):
     (t1, s1), (t2, s2) = p1, p2
     t1, s1, t2, s2 = (real(name, v) for name, v in (
         ("t1", t1), ("s1", s1), ("t2", t2), ("s2", s2)))
-    if extended:
-        return _extended(_fermi_distance, t1, s1, t2, s2)
-    return _fermi_distance(math, t1, s1, t2, s2)
+    return _evaluate(_fermi_distance, "t1, s1, t2, s2", extended,
+                     t1, s1, t2, s2)
 
 
 def crossing_arc_length(half_width: float, delta_t: float, *,
@@ -133,13 +147,13 @@ def crossing_arc_length(half_width: float, delta_t: float, *,
     whose core positions differ by delta_t.
 
     Equals fermi_distance((0, -half_width), (delta_t, half_width)); always
-    at least max(2*half_width, |delta_t|).
+    at least max(2*half_width, |delta_t|).  Raises DomainError where the
+    float64 value is not finite, as do fermi_distance and boundary_length.
     """
     half_width = real("half_width", half_width, positive=True)
     delta_t = real("delta_t", delta_t)
-    if extended:
-        return _extended(_crossing_arc_length, half_width, delta_t)
-    return _crossing_arc_length(math, half_width, delta_t)
+    return _evaluate(_crossing_arc_length, "half_width, delta_t", extended,
+                     half_width, delta_t)
 
 
 def boundary_length(core_length: float, half_width: float, *,
@@ -148,6 +162,5 @@ def boundary_length(core_length: float, half_width: float, *,
     collar of the given half-width around a core geodesic."""
     core_length = real("core_length", core_length, positive=True)
     half_width = real("half_width", half_width, positive=True)
-    if extended:
-        return _extended(_boundary_length, core_length, half_width)
-    return _boundary_length(math, core_length, half_width)
+    return _evaluate(_boundary_length, "core_length, half_width", extended,
+                     core_length, half_width)

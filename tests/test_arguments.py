@@ -41,12 +41,12 @@ from intnorm import (
     min_length_product,
     named_stream,
     norm_comparison_report,
-    rewind_shift,
     rewind_suite_check,
     run_suites,
     segment_bound_check,
     winding_from_endpoints,
 )
+from intnorm.cylinder import rewind_shift
 from intnorm.errors import integer, real
 from intnorm.hyptrig import fermi_distance
 

@@ -27,7 +27,6 @@ from intnorm import (
     asymptotic_profile,
     collar_constants_check,
     full_bound_report,
-    general_bounds,
     hyperbolic_bounds,
     parse_grid,
 )
@@ -41,7 +40,7 @@ from intnorm.seeding import named_stream
 
 def test_general_bounds_square_torus():
     p = SurfaceParams(genus=1, l1=1.0, diameter=math.sqrt(2) / 2, volume=1.0)
-    rep = general_bounds(p)
+    rep = full_bound_report(p)
     assert rep.inv_vol == pytest.approx(1.0)
     assert rep.lower_l1d == pytest.approx(1 / math.sqrt(2), rel=1e-15)
     assert rep.upper_l1sq == pytest.approx(9.0)
@@ -49,12 +48,12 @@ def test_general_bounds_square_torus():
 
 
 def test_general_bounds_scale_like_inverse_area():
-    base = general_bounds(SurfaceParams(genus=1, l1=1.0,
-                                        diameter=math.sqrt(2) / 2,
-                                        volume=1.0))
-    doubled = general_bounds(SurfaceParams(genus=1, l1=2.0,
-                                           diameter=math.sqrt(2),
-                                           volume=4.0))
+    base = full_bound_report(SurfaceParams(genus=1, l1=1.0,
+                                           diameter=math.sqrt(2) / 2,
+                                           volume=1.0))
+    doubled = full_bound_report(SurfaceParams(genus=1, l1=2.0,
+                                              diameter=math.sqrt(2),
+                                              volume=4.0))
     assert doubled.inv_vol == pytest.approx(base.inv_vol / 4)
     assert doubled.lower_l1d == pytest.approx(base.lower_l1d / 4)
     assert doubled.upper_l1sq == pytest.approx(base.upper_l1sq / 4)

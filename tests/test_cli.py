@@ -32,6 +32,16 @@ def run_json(capsys, argv):
     return code, json.loads(out)
 
 
+def refusal(capsys, argv) -> str:
+    """The one error line of a command line that main refuses with 2."""
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("intnorm: error: ")
+    assert err.count("\n") == 1
+    return err
+
+
 # -------------------------------------------------------------------- torus
 
 def test_torus_unit_square(capsys):
@@ -84,9 +94,9 @@ def test_torus_at_cutoff_150_stays_small(tmp_path):
 def test_precision_flag_belongs_to_bounds_only(capsys):
     _, doc = run_json(capsys, ["torus", "--lattice", "1,0,0,1"])
     assert "precision" not in doc["inputs"]
-    with pytest.raises(SystemExit) as exc:
-        main(["torus", "--lattice", "1,0,0,1", "--precision", "extended"])
-    assert exc.value.code == 2
+    err = refusal(capsys, ["torus", "--lattice", "1,0,0,1",
+                           "--precision", "extended"])
+    assert "unrecognized arguments: --precision extended" in err
 
 
 def test_torus_hexagonal_decimal_basis(capsys):
@@ -344,11 +354,8 @@ def test_cylinder_arc_pair_whose_window_overflows_exits_2(tmp_path, capsys):
     path = tmp_path / "arcs.json"
     path.write_text(json.dumps({"pairs": [{"arc1": [0.03, 1e308, 1],
                                            "arc2": [0.11, 1e308, -1]}]}))
-    assert main(["cylinder", "--core-length", "0.2", "--samples", "1",
-                 "--arcs-json", str(path)]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("intnorm: error:")
-    assert err.count("\n") == 1
+    refusal(capsys, ["cylinder", "--core-length", "0.2", "--samples", "1",
+                     "--arcs-json", str(path)])
 
 
 def test_cylinder_arc_pair_past_the_translate_bound_exits_2(tmp_path,
@@ -386,11 +393,8 @@ def test_cylinder_malformed_arc_file(tmp_path, capsys):
 def test_cylinder_arc_file_with_wrong_types_exits_2(spec, tmp_path, capsys):
     path = tmp_path / "arcs.json"
     path.write_text(json.dumps(spec))
-    assert main(["cylinder", "--core-length", "0.2", "--samples", "1",
-                 "--arcs-json", str(path)]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("intnorm: error:")
-    assert err.count("\n") == 1
+    refusal(capsys, ["cylinder", "--core-length", "0.2", "--samples", "1",
+                     "--arcs-json", str(path)])
 
 
 def test_cylinder_csv_table(capsys):
@@ -642,16 +646,32 @@ def test_verify_rewind_grid_catches_an_off_by_one_shift(
     assert failures["rewind_grid"] > 0
 
 
-def test_verify_unknown_suite_is_a_usage_error():
-    with pytest.raises(SystemExit) as exc:
-        main(["verify", "--suite", "nonsense"])
-    assert exc.value.code == 2
+def test_verify_unknown_suite_is_a_usage_error(capsys):
+    err = refusal(capsys, ["verify", "--suite", "nonsense"])
+    assert "argument --suite: invalid choice: 'nonsense'" in err
 
 
-def test_missing_subcommand_is_a_usage_error():
-    with pytest.raises(SystemExit) as exc:
-        main([])
-    assert exc.value.code == 2
+def test_missing_subcommand_is_a_usage_error(capsys):
+    err = refusal(capsys, [])
+    assert "the following arguments are required: command" in err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["torus", "--lattice", "1,0,0,1", "--cutoff", "1/3"],
+     "argument --cutoff: invalid float value: '1/3'"),
+    (["bounds", "--genus", "2.5", "--l1-grid", "0.1:0.5:3"],
+     "argument --genus: invalid int value: '2.5'"),
+    (["torus"], "the following arguments are required: --lattice"),
+    (["cylinder", "--core-length", "0.2", "--mode", "half"],
+     "argument --mode: invalid choice: 'half'"),
+    (["frob"], "argument command: invalid choice: 'frob'"),
+    (["verify", "--frob"], "unrecognized arguments: --frob"),
+])
+def test_parser_errors_are_one_error_line(argv, message, capsys):
+    # no usage block, and main returns 2 rather than raising SystemExit
+    err = refusal(capsys, argv)
+    assert message in err
+    assert "usage:" not in err
 
 
 def test_version_flag(capsys):
@@ -674,6 +694,11 @@ def test_version_flag(capsys):
     ["torus", "--lattice", "1e200,0,0,1e200"],
     ["torus", "--lattice", "1e200,0,0,1e-200"],
     ["torus", "--lattice", "1e-160,0,1e150,1"],
+    # a subnormal determinant, whose inverse overflows
+    ["torus", "--lattice", "1e-160,0,0,1e-160"],
+    ["torus", "--lattice", "1e-155,0,0,1e-155"],
+    # independent entries, one of which underflows to 0.0 as a float
+    ["torus", "--lattice", "1,0,0,1e-400"],
     ["bounds", "--genus", "2", "--l1-grid", "1e-320:0.5:3",
      "--precision", "extended"],
     # a genus past the range of a float, in double and extended precision
@@ -701,11 +726,7 @@ def test_out_of_range_input_exits_2_without_traceback(argv):
 ])
 def test_bounds_past_double_precision_exit_2_with_one_error_line(argv,
                                                                  capsys):
-    assert main(argv) == 2
-    out, err = capsys.readouterr()
-    assert out == ""
-    assert err.startswith("intnorm: error:")
-    assert err.count("\n") == 1
+    refusal(capsys, argv)
 
 
 @pytest.mark.parametrize("argv", [
@@ -716,11 +737,7 @@ def test_bounds_past_double_precision_exit_2_with_one_error_line(argv,
 ])
 def test_torus_past_double_precision_exits_2_with_one_error_line(argv,
                                                                  capsys):
-    assert main(argv) == 2
-    out, err = capsys.readouterr()
-    assert out == ""
-    assert err.startswith("intnorm: error:")
-    assert err.count("\n") == 1
+    refusal(capsys, argv)
 
 
 @pytest.mark.parametrize("seed", ["-1", str(2 ** 64)])

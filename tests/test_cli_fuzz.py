@@ -6,9 +6,9 @@ rationals, skewed bases, malformed grids and arc files) and runs it
 through ``cli.main`` in process.  Sizes stay below the guards: at most
 50 samples, at most 200 grid steps, and the default or a small cutoff.
 
-Every command line must end in exit 0, 1 or 2 with no exception; argparse
-ends its own refusals with SystemExit(2).  Exit 2 prints exactly one error
-line.  A report on stdout is strict JSON: no NaN, no Infinity.
+Every command line must end in exit 0, 1 or 2 with no exception, argparse's
+refusals included.  Exit 2 prints exactly one error line and nothing else.
+A report on stdout is strict JSON: no NaN, no Infinity.
 """
 
 from __future__ import annotations
@@ -31,12 +31,14 @@ EXTREMES = ["nan", "-nan", "inf", "-inf", "0", "-0", "0.0", "-0.0",
             "1e150", str(2 ** 63), str(-2 ** 63), str(10 ** 400), "1/3",
             "1/0", "-3/7", "", "x"]
 PLAIN = ["1", "-1", "0.5", "2", "0.2", "0.9", "1e-9", "0.8660254037844386"]
-# bases: square, hexagonal, skewed, dependent and out of range
+# bases: square, hexagonal, skewed, dependent and out of range, among them
+# subnormal determinants and an entry whose float underflows
 LATTICES = ["1,0,0,1", "1,0,1/2,0.8660254037844386", "1,0,10000.5,1",
             "1,0,1e8,1", "1,0,1/3,1", "1e-3,0,0,1", "-3/7,1,2,1e-9",
             "1e150,0,0,1", "1e-150,0,0,1e-150", "1,2,2,4", "1,0,0",
             "1e150,0,0,1e150", "1e400,0,0,1", "1e-170,0,0,1e-170",
-            "1,1e-300,1,0"]
+            "1,1e-300,1,0", "1e-160,0,0,1e-160", "1e-155,0,0,1e-155",
+            "1,0,0,1e-400"]
 CORES = ["0.2", "0.1", "0.01", "0.24", "0.3", "1", "1e-9", "1e-10", "2000"]
 CUTOFFS = ["0", "-1", "nan", "inf", "-inf", "1e-320", "1e400", "0.5", "1",
            "3", "1/3"]
@@ -51,7 +53,7 @@ def real(plain=PLAIN):
     return st.one_of(st.sampled_from(plain), st.sampled_from(EXTREMES))
 
 
-ERROR = re.compile(r"intnorm( (torus|cylinder|bounds|verify))?: error: ")
+ERROR = re.compile(r"intnorm: error: ")
 
 
 def _refuse_constant(name):
@@ -122,10 +124,7 @@ def argv(draw):
 def _run(args) -> tuple[int, str, str]:
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        try:
-            code = main(args)
-        except SystemExit as exc:  # argparse's own refusals
-            code = exc.code
+        code = main(args)
     return code, out.getvalue(), err.getvalue()
 
 
@@ -148,9 +147,6 @@ def test_every_command_line_exits_0_1_or_2_with_one_error_line(args, pairs):
     assert "Traceback" not in err
     if code == 2:
         assert out == ""
-        errors = [line for line in err.splitlines() if ERROR.match(line)]
-        assert len(errors) == 1, (args, err)
-        if not err.startswith("usage:"):  # not argparse's: one line only
-            assert err == errors[0] + "\n", (args, err)
+        assert ERROR.match(err) and err.count("\n") == 1, (args, err)
     elif "--format" not in args:
         json.loads(out, parse_constant=_refuse_constant)

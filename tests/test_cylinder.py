@@ -28,7 +28,6 @@ from intnorm import (
     dehn_twist_winding,
     intersection_bounds,
     make_collar,
-    rewind_shift,
     rewind_suite_check,
     winding_from_endpoints,
 )
@@ -36,7 +35,7 @@ import intnorm.cylinder
 from intnorm.cylinder import (MAX_ADVANCE, MAX_TRANSLATES, MIN_CORE_LENGTH,
                               ROW_CHUNK, CrossingBatch, crossing_batch_cyl,
                               crossing_count_oracle_cyl, halfplane_to_fermi,
-                              rewind_cell_violations)
+                              rewind_cell_violations, rewind_shift)
 from intnorm.seeding import named_stream
 from intnorm.suites import lemma_sweep, window_violations
 

@@ -32,13 +32,12 @@ from intnorm import (
     k_real,
     min_length_product,
     norm_comparison_report,
-    reduced_basis,
     segment_bound_check,
     systole,
     torus_diameter,
 )
 from intnorm import flat_torus
-from intnorm.flat_torus import crossing_count_oracle
+from intnorm.flat_torus import crossing_count_oracle, reduced_basis
 
 import torus_reference as dense
 
@@ -74,10 +73,12 @@ def test_lattice_rejects_degenerate_basis():
         Lattice(e1=(1e-170, 3e-170), e2=(2e-170, 6e-170))
     with pytest.raises(DomainError):
         Lattice(e1=(math.nan, 0.0), e2=(0.0, 1.0))
-    # independent bases whose determinant underflows or overflows
-    for scale in (1e-170, 1e200):
+    # independent bases whose determinant underflows, is subnormal (1e-320
+    # and 1e-310, whose inverses overflow) or overflows
+    for scale in (1e-170, 1e-160, 1e-155, 1e200):
         with pytest.raises(DomainError, match="double precision"):
             Lattice(e1=(scale, 0.0), e2=(0.0, scale))
+    assert Lattice(e1=(1e-150, 0.0), e2=(0.0, 1e-150)).covolume == 1e-300
 
 
 def test_from_string_decimal_and_rational():
@@ -97,6 +98,13 @@ def test_from_string_rejects_malformed_input(text):
 def test_from_string_rejects_dependent_columns():
     with pytest.raises(DegenerateInputError):
         Lattice.from_string("1,0,2,0")
+    # dependence is decided on the given entries: these are dependent,
+    # though their floats give a determinant of 2.2e-16
+    with pytest.raises(DegenerateInputError, match="linearly dependent"):
+        Lattice.from_string("1,1/3,5,5/3")
+    # and these independent, though the float of 1e-400 is 0.0
+    with pytest.raises(DomainError, match="normal range"):
+        Lattice.from_string("1,0,0,1e-400")
 
 
 def test_length_sq_exact_rational_gram():
@@ -157,7 +165,8 @@ def test_reduced_basis_unskews():
 def test_reduced_basis_names_the_vector_out_of_range():
     with pytest.raises(DomainError, match=r"squared length inf of e1"):
         reduced_basis(Lattice(e1=(1e200, 0.0), e2=(0.0, 1e-200)))
-    with pytest.raises(DomainError, match="too skewed"):
+    # a subnormal squared length, whose inverse would overflow
+    with pytest.raises(DomainError, match=r"squared length 1e-320 of e1"):
         reduced_basis(Lattice(e1=(1e-160, 0.0), e2=(1e150, 1.0)))
 
 
@@ -183,15 +192,15 @@ def test_class_length_accepts_real_classes():
 # ------------------------------------------------------------- enumeration
 
 def test_enumerate_classes_square_counts():
+    # one class of each of the 10 pairs {v, -v} of nonzero classes
     classes, lengths = enumerate_classes(SQUARE, 2.5)
-    assert classes.shape[0] == 20
+    assert classes.shape[0] == 10
     assert np.all(lengths <= 2.5 + 1e-9)
     assert np.all(lengths > 0)
+    as_set = {tuple(row) for row in classes}
+    assert not as_set & {(-a, -b) for a, b in as_set}
 
-    canon, _ = enumerate_classes(SQUARE, 2.5, canonical=True)
-    assert canon.shape[0] == 10
-    prim, _ = enumerate_classes(SQUARE, 2.5, canonical=True,
-                                primitive_only=True)
+    prim, _ = enumerate_classes(SQUARE, 2.5, primitive_only=True)
     assert prim.shape[0] == 8
     as_set = {tuple(row) for row in prim}
     assert (0, 2) not in as_set and (2, 0) not in as_set
@@ -236,7 +245,7 @@ def test_enumeration_box_is_taken_in_the_reduced_basis():
     classes, lengths = enumerate_classes(skewed, 16.0)
     # the same lattice in its reduced basis has as many classes
     assert classes.shape[0] == enumerate_classes(
-        Lattice.from_string("1,0,1/2,1"), 16.0)[0].shape[0] == 796
+        Lattice.from_string("1,0,1/2,1"), 16.0)[0].shape[0] == 398
     assert np.all(lengths <= 16.0 * (1 + 1e-12))
     with pytest.raises(DomainError, match="too large"):
         dense.enumerate_classes_box(skewed, 16.0)
@@ -249,14 +258,19 @@ def test_enumeration_keeps_the_class_set_of_the_given_basis_box(text):
     lat = Lattice.from_string(text)
     for cutoff in (0.9, 2.0, 7.5, 20.0):
         for primitive_only in (False, True):
-            for canonical in (False, True):
-                new = enumerate_classes(lat, cutoff, canonical=canonical,
-                                        primitive_only=primitive_only)
-                old = dense.enumerate_classes_box(
-                    lat, cutoff, canonical=canonical,
-                    primitive_only=primitive_only)
-                assert np.array_equal(new[0], old[0])
-                assert new[1].tobytes() == old[1].tobytes()
+            new = enumerate_classes(lat, cutoff,
+                                    primitive_only=primitive_only)
+            old = dense.enumerate_classes_box(
+                lat, cutoff, canonical=True, primitive_only=primitive_only)
+            assert np.array_equal(new[0], old[0])
+            assert new[1].tobytes() == old[1].tobytes()
+            # v and -v have the same length, bit for bit
+            both = dense.enumerate_classes_box(
+                lat, cutoff, primitive_only=primitive_only)[1]
+            assert (np.sort(both).tobytes()
+                    == np.sort(np.repeat(new[1], 2)).tobytes())
+    l1 = systole(lat)
+    assert l1 == dense.enumerate_classes_box(lat, 1.5 * l1)[1].min()
 
 
 # ----------------------------------------------------------------- searches
@@ -309,7 +323,7 @@ def test_min_length_product_square():
 def test_min_length_product_matches_exhaustive_recount():
     lat = Lattice(e1=(1.0, 0.2), e2=(-0.3, 1.4))
     res = min_length_product(lat, 3, 8.0)
-    classes, lengths = enumerate_classes(lat, 8.0, canonical=True)
+    classes, lengths = enumerate_classes(lat, 8.0)
     best = math.inf
     for i in range(classes.shape[0]):
         for j in range(classes.shape[0]):

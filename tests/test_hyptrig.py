@@ -198,3 +198,29 @@ def test_crossing_arc_length_even_in_core_advance():
 def test_fermi_distance_rejects_nonfinite_points():
     with pytest.raises(DomainError):
         fermi_distance((math.nan, 0.0), (1.0, 1.0))
+
+
+# results past the range of double precision: math's cosh raises
+# OverflowError, or a product rounds to inf; finite results keep their bits
+
+def test_crossing_arc_length_refuses_a_value_past_double_range():
+    for args in ((1.0, 2000.0), (400.0, 900.0)):
+        with pytest.raises(DomainError, match="range of double precision"):
+            crossing_arc_length(*args)
+    assert crossing_arc_length(1.0, 1400.0) == 2 * math.acosh(
+        math.cosh(1.0) * math.cosh(700.0))
+
+
+def test_boundary_length_refuses_a_value_past_double_range():
+    for args in ((0.2, 1000.0), (1e10, 700.0)):
+        with pytest.raises(DomainError, match="range of double precision"):
+            boundary_length(*args)
+    assert boundary_length(0.2, 700.0) == 0.2 * math.cosh(700.0)
+
+
+def test_fermi_distance_refuses_a_value_past_double_range():
+    # cosh(2000) overflows; cosh(400)**2 - sinh(400)**2 is inf - inf
+    for p1, p2 in (((0, 0), (2000, 0)), ((0, 400), (0, 400))):
+        with pytest.raises(DomainError, match="range of double precision"):
+            fermi_distance(p1, p2)
+    assert fermi_distance((0, 0), (700, 0)) == math.acosh(math.cosh(700.0))

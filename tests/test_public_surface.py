@@ -5,17 +5,21 @@ A function in ``intnorm.__all__`` that only the benchmark or the tests
 call belongs in its module, not in the package's exports; a keyword that
 no caller passes is a mode nobody runs.  A name that ``bench/tracing.py``
 traces and the library drops would break ``bench/run.py --trace 1``
-without a failing test.
+without a failing test, and one that it wraps but no longer reaches
+would read 0 in every run.
 """
 
 from __future__ import annotations
 
 import ast
 import importlib
+import importlib.util
 import inspect
+import sys
 from pathlib import Path
 
 import intnorm
+from intnorm import suites
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -24,30 +28,39 @@ def _tree(path: Path) -> ast.Module:
     return ast.parse(path.read_text(encoding="utf-8"))
 
 
-def _nodes(*dirs: str):
+def _paths(*dirs: str):
     for d in dirs:
-        for path in (ROOT / d).rglob("*.py"):
-            yield from ast.walk(_tree(path))
+        yield from (ROOT / d).rglob("*.py")
+
+
+def _nodes(*dirs: str):
+    for path in _paths(*dirs):
+        yield from ast.walk(_tree(path))
 
 
 def _public_functions() -> list[str]:
     functions = [name for name in intnorm.__all__
                  if inspect.isfunction(getattr(intnorm, name))]
-    assert len(functions) > 30
+    assert {"run_suites", "best_ratio_search"} <= set(functions)
     return functions
 
 
 def test_every_public_function_is_used_outside_the_tests():
-    # a use is a name or attribute read in the library or the demos: a
-    # call, or a table such as suites.SUITES that callers go through;
-    # imports and strings are not, and the benchmark alone is not
-    used = set()
-    for node in _nodes("src", "demos"):
-        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-            used.add(node.id)
-        elif isinstance(node, ast.Attribute):
-            used.add(node.attr)
-    assert [name for name in _public_functions() if name not in used] == []
+    # a use is a name or attribute read in the library or the demos,
+    # outside the module that defines the function: a call, or a table
+    # that callers go through; imports and strings are not, and the
+    # benchmark alone is not
+    used = {}  # name -> the files that read it
+    for path in _paths("src", "demos"):
+        for node in ast.walk(_tree(path)):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                used.setdefault(node.id, set()).add(path)
+            elif isinstance(node, ast.Attribute):
+                used.setdefault(node.attr, set()).add(path)
+    home = {name: Path(inspect.getsourcefile(getattr(intnorm, name))).resolve()
+            for name in _public_functions()}
+    assert [name for name in home
+            if not used.get(name, set()) - {home[name]}] == []
 
 
 def test_every_public_keyword_is_passed():
@@ -75,3 +88,31 @@ def test_every_traced_name_resolves():
         mod = importlib.import_module(f"intnorm.{module}")
         for name in names:
             assert callable(getattr(mod, name, None)), f"{module}.{name}"
+
+
+def test_the_tracer_times_the_suites_and_puts_every_original_back():
+    spec = importlib.util.spec_from_file_location(
+        "bench_tracing", ROOT / "bench" / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    modules = {name: mod for name, mod in sys.modules.items()
+               if name == "intnorm" or name.startswith("intnorm.")}
+    originals = {(name, attr): value for name, mod in modules.items()
+                 for attr, value in vars(mod).items() if callable(value)}
+    tables = dict(suites.SUITES)
+    plain = suites.run_suites("bounds", 1) + suites.run_suites("torus", 1)
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        traced = (suites.run_suites("bounds", 1)
+                  + suites.run_suites("torus", 1))
+        seen = {span[0] for span in tracer.take()}
+    finally:
+        tracer.uninstall()
+    assert traced == plain
+    assert {"suites.bounds_suite", "suites.torus_suite",
+            "bounds.asymptotic_profile",
+            "flat_torus.enumerate_classes"} <= seen
+    assert suites.SUITES == tables
+    assert all(getattr(modules[name], attr) is value
+               for (name, attr), value in originals.items())
