@@ -208,11 +208,11 @@ def run_cylinder(args) -> tuple[dict, Optional[tuple]]:
         wb = cylinder.intersection_bounds(*winding, sign[0] == sign[1])
         # a pair that needs a retry is solved again on its own, in file
         # order, its jitters drawn from a child stream of the sweep's
-        batch, stuck = count_crossings_cyl_batch(cyl, entry_t, winding, sign,
-                                                 rng.spawn(1)[0])
-        if stuck:
-            raise stuck[min(stuck)]
+        batch = count_crossings_cyl_batch(cyl, entry_t, winding, sign,
+                                          rng.spawn(1)[0])
         for i, vs in window_violations(batch, wb, first_sign).items():
+            if batch.retry[i]:  # the first pair still stuck is refused
+                raise RetrySignal(f"arc pair #{i}: oracle {vs[0]}")
             violations += [f"pair #{i}: {v}" for v in vs]
         for i, (arc1, arc2) in enumerate(arcs):
             rep = batch.report(i)

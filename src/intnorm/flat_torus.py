@@ -25,11 +25,13 @@ and tie-broken pairs included.
 ``crossing_count_oracle`` tries only the lattice translates in the
 crossing parallelogram, scanned by rows in lattice coordinates: about
 |a| + |c| + |Int(u, v)| of them, however skewed the basis.  Its domain is
-stated and enforced: that sum at most MAX_CROSSING_CANDIDATES, and
-crossings that double precision can place on the segments (a rounding
-bound on the segment parameters of at most 1), which rules out classes
-very long against their intersection number and offsets far from the
-origin.
+stated and enforced: that sum at most MAX_CROSSING_CANDIDATES, over a
+call or a batch, and crossings that double precision can place on the
+segments (a rounding bound on the segment parameters of at most 1),
+which rules out classes very long against their intersection number and
+offsets far from the origin.  A pair with a crossing at a seam is
+flagged in its ``CrossingBatch``; ``retry_flagged``, the retry driver of
+both oracles, retries it up to MAX_RETRIES times and leaves it flagged.
 """
 
 from __future__ import annotations
@@ -57,20 +59,20 @@ _CUTOFF_SLACK = 1e-12
 
 # Parameter-space tolerance around the base-point seam of a closed
 # geodesic; crossings this close to the seam trigger a retry, with a new
-# random base point, for at most MAX_TRIES tries in all.
+# random base point (see retry_flagged).
 SEAM_TOLERANCE = 1e-9
-MAX_TRIES = 8
 
 # Domain of the crossing oracle: the most |a| + |c| + |Int(u, v)| of a
-# call, about the number of lattice translates it tries.  A crossing costs
-# about 0.04 us and 24 bytes, its coordinates and its slot in the report,
-# and a row of the crossing parallelogram about 0.03 us, so
-# MAX_CROSSING_CANDIDATES keeps one call under about 0.1 s and 60 MB
-# (measured, see crossing_count_oracle).
+# call, or of a batch summed, about the number of translates it tries.  A
+# crossing costs about 0.04 us and 24 bytes, and a row of the crossing
+# parallelogram about 0.03 us, so MAX_CROSSING_CANDIDATES keeps one call
+# under about 0.1 s and 60 MB (measured, see crossing_count_oracle).
 MAX_CROSSING_CANDIDATES = 2_480_000
 
-# Parallelogram rows, and then translates, that crossing_batch solves at
-# once; their temporaries take about 6 MB a chunk.
+# Rows that crossing_batch expands at once, and translates that it solves
+# at once, with 6 MB of temporaries.  The translates of a row chunk take
+# 24-32 bytes each: a tracemalloc peak of 79 MB for a batch of 2 or 4
+# pairs at MAX_CROSSING_CANDIDATES (Intel Xeon, 2 vCPUs, numpy 2.4).
 _ROW_CHUNK = 65_536
 
 # Most cells an enumeration box may hold, and most candidate pairs a
@@ -167,22 +169,22 @@ class CrossingBatch(NamedTuple):
             (self.signs[:lo], one.signs, self.signs[hi:])), retry)
 
 
-def retry_flagged(batch: CrossingBatch, resolve, tries: int,
-                  stuck: str) -> tuple[CrossingBatch, dict]:
+# Retries of a flagged pair after its first try, for both oracles.
+MAX_RETRIES = 8
+
+
+def retry_flagged(batch: CrossingBatch, resolve) -> CrossingBatch:
     """The retry driver of both crossing oracles: each flagged pair i of
     the batch, in pair order, is replaced by resolve(i), its batch of one
-    under a fresh perturbation, until that is not flagged or ``tries`` are
-    spent.  Returns the batch and RetrySignal(stuck) by pair still
-    flagged."""
-    errors = {}
+    under a fresh perturbation, until that is not flagged or MAX_RETRIES
+    are spent.  A pair still flagged then keeps the flag of its last try,
+    so that ``report`` raises RetrySignal for it."""
     for i in batch.retry.nonzero()[0].tolist():
-        for _ in range(tries):
+        for _ in range(MAX_RETRIES):
             batch = batch.with_pair(i, resolve(i))
             if not batch.retry[i]:
                 break
-        else:
-            errors[i] = RetrySignal(stuck)
-    return batch, errors
+    return batch
 
 
 def _pair(name: str, value, check=real) -> tuple:
@@ -750,7 +752,7 @@ def _parallelogram(lat: Lattice, u, v, offset) -> tuple:
     """Check one pair against the oracle's domain and return its constants
     in one tuple: the first row i of its crossing parallelogram, the row
     count, the sign of its crossings, o1, o2, its two slabs (p, q, A, B)
-    interleaved, and the coefficients of t and s.
+    interleaved, the coefficients of t and s, and |a| + |c| + |n|.
 
     In lattice coordinates the two segments meet at t*u - s*v = (i, j) + o,
     o the offset in the basis.  With n = a*d - b*c, x = i + o1 and
@@ -813,7 +815,8 @@ def _parallelogram(lat: Lattice, u, v, offset) -> tuple:
     cross_uv = ux * vy - uy * vx
     return (ilo, max(ihi - ilo + 1, 0),
             1 if (det > 0) == (cross_uv > 0) else -1, o1, o2, tp, sp, tq,
-            sq, ta, sa, tb, sb, ox, oy, -vy, -uy, vx, ux, -cross_uv)
+            sq, ta, sa, tb, sb, ox, oy, -vy, -uy, vx, ux, -cross_uv,
+            abs(a) + abs(c) + abs(n))
 
 
 def crossing_count_oracle(lat: Lattice, u, v, offset) -> CrossingReport:
@@ -851,13 +854,17 @@ def crossing_batch(lat: Lattice, u, v, offsets) -> CrossingBatch:
     as n-long sequences of pairs such as (n, 2) arrays.  The rows of all
     parallelograms, and then their translates, are solved _ROW_CHUNK at
     a time with the one-pair oracle's float expressions, and its errors;
-    the first pair that fails a domain check names the error.  A seam is
-    flagged per pair as SEAM, not raised.
+    the first pair that fails a domain check names the error, and then a
+    sum of |a| + |c| + |Int| past MAX_CROSSING_CANDIDATES, before any row
+    is built.  A seam is flagged per pair as SEAM, not raised.
     """
     par = np.array([_parallelogram(lat, *pair)
                     for pair in zip(u, v, offsets)], dtype=float)
-    par = par.reshape(-1, 20)
+    par = par.reshape(-1, 21)
     count, ends = len(par), par[:, 1].cumsum()
+    if par[:, 20].sum() > MAX_CROSSING_CANDIDATES:
+        raise DomainError(f"{int(par[:, 20].sum())} candidate translates of "
+                          f"a batch exceed the bound {MAX_CROSSING_CANDIDATES}")
     # the first row i of each pair, less the index of that row
     base = par[:, 0] - ends + par[:, 1]
     tol = SEAM_TOLERANCE
@@ -921,23 +928,18 @@ def random_offset(lat: Lattice, rng) -> tuple[float, float]:
 
 
 def count_crossings_batch(lat: Lattice, u, v, offsets,
-                          rng) -> tuple[CrossingBatch, dict]:
-    """``crossing_batch`` with every pair flagged at a seam retried on
-    its own from a fresh ``random_offset`` of rng, for at most MAX_TRIES
-    tries in all; see ``retry_flagged``."""
+                          rng) -> CrossingBatch:
+    """``crossing_batch`` with every pair flagged at a seam retried from a
+    fresh ``random_offset`` of rng by ``retry_flagged``."""
     return retry_flagged(
         crossing_batch(lat, u, v, offsets),
         lambda i: crossing_batch(lat, u[i:i + 1], v[i:i + 1],
-                                 [random_offset(lat, rng)]),
-        MAX_TRIES - 1, f"no seam-free offset found in {MAX_TRIES} tries")
+                                 [random_offset(lat, rng)]))
 
 
 def count_crossings(lat: Lattice, u, v, rng) -> CrossingReport:
     """Run the torus crossing oracle with a random base-point offset,
-    re-randomizing on RetrySignal up to MAX_TRIES times in all: two
-    uniforms of rng per try, the first included."""
-    batch, stuck = count_crossings_batch(lat, [u], [v],
-                                         [random_offset(lat, rng)], rng)
-    if stuck:
-        raise stuck[0]
-    return batch.report(0)
+    re-randomized at a seam up to MAX_RETRIES times, and then RetrySignal:
+    two uniforms of rng per try, the first included."""
+    return count_crossings_batch(lat, [u], [v], [random_offset(lat, rng)],
+                                 rng).report(0)

@@ -21,7 +21,8 @@ The verdicts that the command line also reports are written once here:
 ``ratio_violations``, ``segment_violations``, ``norm_violations``,
 ``ordering_violations``, and ``window_violations`` for a batch of pairs,
 which judges the window sweeps block by block, ``cylinder --arcs-json``
-in one call and the torus oracle lattice by lattice, window [|Int|, |Int|].
+in one call and the torus oracle lattice by lattice, window [|Int|, |Int|];
+a pair still flagged after its retries fails it as stuck.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ import numpy as np
 from . import bounds as bounds_mod
 from . import cylinder as cyl_mod
 from . import flat_torus as torus_mod
-from .errors import DomainError, GeometryError, integer
+from .errors import DomainError, GeometryError, RetrySignal, integer
 from .hyptrig import _crossing_arc_length
 from .seeding import check_seed, named_stream
 
@@ -201,17 +202,12 @@ def _oracle_equivalence(seed: int) -> tuple[int, list[str]]:
             continue
         us, ws, offsets, n = (list(x) for x in zip(*pairs))
         cases += len(pairs)
-        batch, stuck = torus_mod.count_crossings_batch(lat, us, ws, offsets,
-                                                       retries)
+        batch = torus_mod.count_crossings_batch(lat, us, ws, offsets, retries)
         size = np.abs(n)
-        window = window_violations(
-            batch, cyl_mod.WindingBounds(size, size, np.sign(n)), 1)
-        for i in sorted({*stuck, *window}):
-            label = f"{tuple(us[i])} x {tuple(ws[i])}"
-            if i in stuck:
-                vs.append(f"oracle stuck on {label}: {stuck[i]}")
-            vs += [f"oracle {v} for {label} on {_basis(lat)}"
-                   for v in window.get(i, ())]
+        for i, window in window_violations(batch, cyl_mod.WindingBounds(
+                size, size, np.sign(n)), 1).items():
+            vs += [f"oracle {v} for {tuple(us[i])} x {tuple(ws[i])} on "
+                   f"{_basis(lat)}" for v in window]
     return cases, vs
 
 
@@ -292,8 +288,9 @@ def window_violations(batch: cyl_mod.CrossingBatch,
     """The one verdict of the winding rule, over the pairs of a batch and
     their window arrays: each count lies in [lo, hi], and every crossing
     carries the window's sign times the first arc's crossing sign (one,
-    or one per pair).  Returns the messages of the failing pairs, by pair
-    index; flagged pairs have no crossings to judge."""
+    or one per pair).  A pair still flagged, which has no crossings to
+    judge, fails as stuck, with the reason of its flag.  Returns the
+    messages of the failing pairs, by pair index in increasing order."""
     counts = np.diff(batch.offsets)
     expected = first_sign * wb.sign
     owner = np.arange(len(counts)).repeat(counts)
@@ -301,8 +298,12 @@ def window_violations(batch: cyl_mod.CrossingBatch,
     mixed = (np.bincount(owner[batch.signs != expected[owner]],
                          minlength=len(counts)) > 0) & (expected != 0)
     vs: dict[int, list[str]] = {}
-    for i in ((~inside | mixed) & (batch.retry == 0)).nonzero()[0].tolist():
-        rep = batch.report(i)
+    for i in (~inside | mixed | (batch.retry != 0)).nonzero()[0].tolist():
+        try:
+            rep = batch.report(i)
+        except RetrySignal as exc:
+            vs[i] = [f"stuck ({exc})"]
+            continue
         vs[i] = []
         if not inside[i]:
             vs[i].append(f"count {rep.count} outside window "
@@ -367,8 +368,8 @@ def lemma_sweep(core_length: float, samples: int, rng, *,
         entries = core_length * u[:, 3:].T
         signs = np.array([np.full(len(u), first_sign),
                           np.where(same_side, first_sign, -first_sign)])
-        batch, stuck = cyl_mod.count_crossings_cyl_batch(
-            cyl, entries, winds, signs, jitters)
+        batch = cyl_mod.count_crossings_cyl_batch(cyl, entries, winds, signs,
+                                                  jitters)
 
         wb = cyl_mod.intersection_bounds(*winds, same_side)
         window = window_violations(batch, wb, first_sign)
@@ -376,7 +377,7 @@ def lemma_sweep(core_length: float, samples: int, rng, *,
         length = _crossing_arc_length(np, cyl.half_width, advance)
         lower = np.maximum(2.0 * cyl.half_width, advance)
         short = length < lower - 1e-9
-        failed = short.any(axis=0) | (batch.retry != 0)
+        failed = short.any(axis=0)
         failed[list(window)] = True
         max_count = max(max_count, int(np.diff(batch.offsets)[
             batch.retry == 0].max(initial=0)))
@@ -393,8 +394,6 @@ def lemma_sweep(core_length: float, samples: int, rng, *,
                 label = (f"(c={c_winds[i]!r}, d={d_winds[i]!r}, "
                          f"{'same' if sides[i] else 'opposite'}, "
                          f"eps1={first_sign})")
-                if i in stuck:
-                    vs.append(f"oracle stuck at {label}: {stuck[i]}")
                 vs += [f"{v} at {label}" for v in window.get(i, ())]
                 vs += [f"arc length {length[j, i].item()!r} below floor "
                        f"{lower[j, i].item()!r} at {label}"

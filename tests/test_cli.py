@@ -349,13 +349,34 @@ def test_arc_pairs_keep_their_retries_pinned(monkeypatch, tmp_path, capsys):
         "f8cc7512f4865687fbe163b72a4be0c14f3bebbee420a6b2dc587e910e52331f")
 
 
-def test_cylinder_arc_pair_whose_window_overflows_exits_2(tmp_path, capsys):
+@pytest.mark.parametrize("arc1,arc2,windings", [
     # finite windings whose sum is not
+    ([0.03, 1e308, 1], [0.11, 1e308, -1], "1e+308 and 1e+308"),
+    ([0.01, 1e300, 1], [0.02, 1.5, 1], "1e+300 and 1.5"),
+])
+def test_cylinder_arc_pair_whose_window_overflows_exits_2(
+        arc1, arc2, windings, tmp_path, capsys):
     path = tmp_path / "arcs.json"
-    path.write_text(json.dumps({"pairs": [{"arc1": [0.03, 1e308, 1],
-                                           "arc2": [0.11, 1e308, -1]}]}))
-    refusal(capsys, ["cylinder", "--core-length", "0.2", "--samples", "1",
-                     "--arcs-json", str(path)])
+    path.write_text(json.dumps({"pairs": [{"arc1": arc1, "arc2": arc2}]}))
+    assert refusal(capsys, ["cylinder", "--core-length", "0.2",
+                            "--samples", "1", "--arcs-json", str(path)]) \
+        == (f"intnorm: error: windings {windings} must be finite and below "
+            "2**62\n")
+
+
+def test_cylinder_arc_pair_still_stuck_exits_2(monkeypatch, tmp_path,
+                                               capsys):
+    """Under a graze tolerance this wide and a jitter this small the
+    second pair grazes the collar boundary on every retry; the error line
+    names it and the reason of its flag."""
+    monkeypatch.setattr(intnorm.cylinder, "S_TOLERANCE", 0.02)
+    monkeypatch.setattr(intnorm.cylinder, "JITTER_SCALE", 1e-12)
+    path = tmp_path / "arcs.json"
+    path.write_text(json.dumps({"pairs": RETRIED_PAIRS[:2]}))
+    assert refusal(capsys, ["cylinder", "--core-length", "0.2",
+                            "--samples", "1", "--arcs-json", str(path)]) \
+        == ("intnorm: error: arc pair #1: oracle stuck (crossing grazes the "
+            "collar boundary)\n")
 
 
 def test_cylinder_arc_pair_past_the_translate_bound_exits_2(tmp_path,

@@ -148,5 +148,6 @@ def test_every_command_line_exits_0_1_or_2_with_one_error_line(args, pairs):
     if code == 2:
         assert out == ""
         assert ERROR.match(err) and err.count("\n") == 1, (args, err)
+        assert "np." not in err, (args, err)
     elif "--format" not in args:
         json.loads(out, parse_constant=_refuse_constant)

@@ -36,6 +36,7 @@ from intnorm.cylinder import (MAX_ADVANCE, MAX_TRANSLATES, MIN_CORE_LENGTH,
                               ROW_CHUNK, CrossingBatch, crossing_batch_cyl,
                               crossing_count_oracle_cyl, halfplane_to_fermi,
                               rewind_cell_violations, rewind_shift)
+from intnorm.flat_torus import MAX_RETRIES
 from intnorm.seeding import named_stream
 from intnorm.suites import lemma_sweep, window_violations
 
@@ -500,7 +501,8 @@ def test_count_crossings_cyl_draws_one_uniform_a_retry(monkeypatch):
     """Under a graze tolerance this wide these pairs graze the collar
     boundary.  The first try takes no draw; each retry takes the next
     uniform of the stream and adds it to the second arc's own entry, and
-    a pair still grazing after MAX_RETRIES of them raises."""
+    a pair still grazing after MAX_RETRIES of them raises with the reason
+    of its flag."""
     monkeypatch.setattr(intnorm.cylinder, "S_TOLERANCE", 0.02)
     monkeypatch.setattr(intnorm.cylinder, "JITTER_SCALE", 0.01)
     real, calls = intnorm.cylinder.crossing_batch_cyl, []
@@ -520,13 +522,12 @@ def test_count_crossings_cyl_draws_one_uniform_a_retry(monkeypatch):
             del calls[:]
             try:
                 count_crossings_cyl(cyl, arc1, arc2, rng)
-                assert 1 < len(calls) <= 1 + intnorm.cylinder.MAX_RETRIES
+                assert 1 < len(calls) <= 1 + MAX_RETRIES
             except RetrySignal as exc:
                 # no jitter this small leaves the graze
                 assert scale == 1e-12
-                assert str(exc) == ("still degenerate after "
-                                    f"{intnorm.cylinder.MAX_RETRIES} retries")
-                assert len(calls) == 1 + intnorm.cylinder.MAX_RETRIES
+                assert str(exc) == "crossing grazes the collar boundary"
+                assert len(calls) == 1 + MAX_RETRIES
                 stuck += 1
             assert calls[0] == [[arc1.entry_t], [arc2.entry_t]]
             for entry_t in calls[1:]:
@@ -563,7 +564,8 @@ def test_batch_with_a_retried_pair():
 
 def test_window_violations_judges_each_pair_once():
     """One pair at the top of its window passes; a count past it, a
-    crossing of the wrong sign and a flagged pair are told apart."""
+    crossing of the wrong sign and a flagged pair, judged stuck with the
+    reason of its flag, are told apart."""
     batch = CrossingBatch(offsets=np.array([0, 3, 7, 9, 9]),
                           signs=np.array([1, 1, 1, 1, 1, 1, 1, 1, -1]),
                           retry=np.array([0, 0, 0, 1], dtype=np.int8))
@@ -573,6 +575,7 @@ def test_window_violations_judges_each_pair_once():
     assert window_violations(batch, wb, 1) == {
         1: ["count 4 outside window [6, 7]"],
         2: ["signs (1, -1) not uniformly 1"],
+        3: ["stuck (overlapping geodesic lifts)"],
     }
     # the first arc's sign may differ pair by pair
     assert window_violations(batch, wb, np.array([-1, 1, 1, 1]))[0] == [
@@ -612,7 +615,7 @@ def _reference_sweep(core_length, samples, rng, first_sign):
         try:
             rep = count_crossings_cyl(cyl, arc1, arc2, jitters)
         except RetrySignal as exc:
-            vs.append(f"oracle stuck at {label}: {exc}")
+            vs.append(f"stuck ({exc}) at {label}")
             rep = None
         if rep is not None:
             max_count = max(max_count, rep.count)

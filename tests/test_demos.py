@@ -1,9 +1,10 @@
 """The demo scripts run to completion: each exits 0 and writes nothing to
-standard error."""
+standard error.  The README's library quick start runs as written."""
 
 from __future__ import annotations
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -27,3 +28,12 @@ def test_demo_runs_cleanly(script):
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stderr == ""
+
+
+def test_readme_quick_start_runs():
+    """The one Python block under "Library quick start" runs, with its
+    assertions, against the library as it is."""
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Library quick start", 1)[1].split("\n## ")[0]
+    (code,) = re.findall(r"```python\n(.*?)```", section, re.DOTALL)
+    exec(compile(code, "README.md", "exec"), {})

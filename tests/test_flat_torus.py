@@ -671,6 +671,33 @@ def test_crossing_oracle_refuses_past_its_candidate_bound():
     assert peak < 1e5
 
 
+def test_crossing_batch_refuses_past_its_candidate_bound_before_its_rows(
+        monkeypatch):
+    """|a| + |c| + |Int| is bounded over a whole batch, not pair by pair:
+    two pairs of 1,300,000 candidates each are refused before any row is
+    built, and a small bound is met exactly and refused one past it."""
+    u, v, offset = (1, 0), (0, 1_299_999), (0.37, 0.41)
+    tracemalloc.start()
+    try:
+        with pytest.raises(DomainError, match="^2600000 candidate translates "
+                                              "of a batch exceed the bound "
+                                              "2480000$"):
+            flat_torus.crossing_batch(SQUARE, [u, u], [v, v],
+                                      [offset, offset])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    # 1 + 0 + 5 and 1 + 0 + 6 candidates
+    monkeypatch.setattr(flat_torus, "MAX_CROSSING_CANDIDATES", 12)
+    batch = flat_torus.crossing_batch(SQUARE, [u, u], [(0, 5), (0, 5)],
+                                      [offset, offset])
+    assert np.diff(batch.offsets).tolist() == [5, 5]
+    with pytest.raises(DomainError, match="^13 candidate translates"):
+        flat_torus.crossing_batch(SQUARE, [u, u], [(0, 5), (0, 6)],
+                                  [offset, offset])
+
+
 def test_crossing_oracle_refuses_unresolvable_crossings():
     # |Int| = 1 with classes of length 1e9 or 1e400, and an offset 1e12
     # away: double precision cannot place the crossings on the segments
@@ -699,7 +726,8 @@ def _recording(monkeypatch, module, name):
 def test_count_crossings_draws_two_uniforms_a_try(monkeypatch):
     """Under a seam tolerance this wide most offsets graze a seam: every
     try, the first included, takes the next two uniforms of the stream as
-    its offset, and a pair still stuck after MAX_TRIES raises."""
+    its offset, and a pair still stuck after MAX_RETRIES retries raises
+    with the reason of its flag."""
     monkeypatch.setattr(flat_torus, "SEAM_TOLERANCE", 0.06)
     calls = _recording(monkeypatch, flat_torus, "crossing_batch")
     lat = Lattice.from_string("1,0,1/2,7/8")
@@ -713,9 +741,8 @@ def test_count_crossings_draws_two_uniforms_a_try(monkeypatch):
             assert rep.count == abs(intersection_number(u, v))
             outcomes.add("counted")
         except RetrySignal as exc:
-            assert str(exc) == (f"no seam-free offset found in "
-                                f"{flat_torus.MAX_TRIES} tries")
-            assert len(calls) == flat_torus.MAX_TRIES
+            assert str(exc) == "crossing within tolerance of a base-point seam"
+            assert len(calls) == 1 + flat_torus.MAX_RETRIES
             outcomes.add("stuck")
         tries.append(len(calls))
         for _, _, _, offsets in calls:
@@ -723,22 +750,30 @@ def test_count_crossings_draws_two_uniforms_a_try(monkeypatch):
             assert offsets == [(f1 * lat.e1[0] + f2 * lat.e2[0],
                                 f1 * lat.e1[1] + f2 * lat.e2[1])]
     assert outcomes == {"counted", "stuck"}
-    assert 1 in tries and any(1 < t < flat_torus.MAX_TRIES for t in tries)
+    assert 1 in tries and any(1 < t < 1 + flat_torus.MAX_RETRIES
+                              for t in tries)
     assert rng.random(4).tolist() == replay.random(4).tolist()
 
 
-def _one_pair_outcome(lat, u, v, offset):
+def _outcome(report):
+    """The repr of report(), or the RetrySignal that it raised."""
     try:
-        return repr(crossing_count_oracle(lat, u, v, offset))
+        return repr(report())
     except RetrySignal as exc:
         return f"RetrySignal: {exc}"
+
+
+def _one_pair_outcome(lat, u, v, offset):
+    return _outcome(lambda: crossing_count_oracle(lat, u, v, offset))
 
 
 @pytest.mark.parametrize("text", BASES)
 def test_batch_matches_one_pair_calls(text, monkeypatch):
     """A batch of mixed pairs, some of them flagged at a seam, gives each
     pair the outcome of its own call, and the retry driver re-solves the
-    flagged ones alone, in pair order, from fresh offsets of its stream."""
+    flagged ones alone, in pair order, from fresh offsets of its stream;
+    a pair still flagged after MAX_RETRIES keeps the outcome of its last
+    try."""
     monkeypatch.setattr(flat_torus, "SEAM_TOLERANCE", 0.01)
     lat = Lattice.from_string(text)
     rng = np.random.default_rng(29)
@@ -755,24 +790,19 @@ def test_batch_matches_one_pair_calls(text, monkeypatch):
     batch = flat_torus.crossing_batch(lat, np.array(us), np.array(vs),
                                       np.array(offsets))
     assert batch.signs.dtype == np.int8
-    outcomes = []
-    for i in range(len(us)):
-        try:
-            outcomes.append(repr(batch.report(i)))
-        except RetrySignal as exc:
-            outcomes.append(f"RetrySignal: {exc}")
-    assert outcomes == expected
+    assert [_outcome(lambda: batch.report(i))
+            for i in range(len(us))] == expected
     # the driver against one-pair calls of the oracle, in pair order
-    batch, stuck = flat_torus.count_crossings_batch(
-        lat, us, vs, offsets, np.random.default_rng(31))
+    batch = flat_torus.count_crossings_batch(lat, us, vs, offsets,
+                                             np.random.default_rng(31))
     replay = np.random.default_rng(31)
+    retried = []
     for i, outcome in enumerate(expected):
-        for _ in range(flat_torus.MAX_TRIES - 1):
+        for _ in range(flat_torus.MAX_RETRIES):
             if not outcome.startswith("RetrySignal"):
                 break
             outcome = _one_pair_outcome(
                 lat, us[i], vs[i], flat_torus.random_offset(lat, replay))
-        if outcome.startswith("RetrySignal"):
-            assert str(stuck[i]).startswith("no seam-free offset")
-        else:
-            assert i not in stuck and repr(batch.report(i)) == outcome
+        retried.append(outcome)
+        assert _outcome(lambda: batch.report(i)) == outcome
+    assert any(o.startswith("RetrySignal") for o in retried)

@@ -56,7 +56,9 @@ def test_collar_width_extended_agrees_with_double():
     for args in ((0.2, 1.5), (1e-3, 7.0)):
         wide = float(boundary_length(*args, extended=True))
         assert boundary_length(*args) == pytest.approx(wide, rel=1e-13)
-    for p1, p2 in (((0.0, -1.0), (2.0, 1.0)), ((0.3, 0.5), (-1.2, -0.4))):
+    # the last two, 0.5 and 2.048 apart, round to 0 in the cosh d form
+    for p1, p2 in (((0.0, -1.0), (2.0, 1.0)), ((0.3, 0.5), (-1.2, -0.4)),
+                   ((0.0, 20.0), (0.0, 20.5)), ((0.0, 20.0), (1e-8, 20.0))):
         wide = float(fermi_distance(p1, p2, extended=True))
         assert fermi_distance(p1, p2) == pytest.approx(wide, rel=1e-13)
 
@@ -133,8 +135,7 @@ def test_fermi_distance_symmetry_and_positivity(t1, s1, t2, s2):
     assert d12 == pytest.approx(d21, abs=1e-12)
     assert d12 >= 0.0
     if (t1, s1) == (t2, s2):
-        # acosh near 1 amplifies rounding to sqrt(ulp) scale
-        assert d12 == pytest.approx(0.0, abs=1e-6)
+        assert d12 == 0.0
 
 
 def test_fermi_distance_core_segment():
@@ -219,8 +220,9 @@ def test_boundary_length_refuses_a_value_past_double_range():
 
 
 def test_fermi_distance_refuses_a_value_past_double_range():
-    # cosh(2000) overflows; cosh(400)**2 - sinh(400)**2 is inf - inf
-    for p1, p2 in (((0, 0), (2000, 0)), ((0, 400), (0, 400))):
-        with pytest.raises(DomainError, match="range of double precision"):
-            fermi_distance(p1, p2)
+    # sinh(1000) overflows
+    with pytest.raises(DomainError, match="range of double precision"):
+        fermi_distance((0, 0), (2000, 0))
     assert fermi_distance((0, 0), (700, 0)) == math.acosh(math.cosh(700.0))
+    # cosh(400)**2 - sinh(400)**2 would be inf - inf; the distance is 0
+    assert fermi_distance((0, 400), (0, 400)) == 0.0
