@@ -132,11 +132,10 @@ def run_torus(args) -> tuple[dict, Optional[tuple]]:
     lat = Lattice.from_string(args.lattice)
     sys_len = systole(lat)
     cutoff = args.cutoff if args.cutoff is not None else 30.0 * sys_len
-    k = k_real(lat)
     best = best_ratio_search(lat, cutoff)
     seg = segment_bound_check(lat, cutoff)
 
-    violations = ratio_violations(best.ratio, k) + segment_violations(seg)
+    violations = ratio_violations(lat, best.ratio) + segment_violations(seg)
     norms = []
     for cls in best.pair:
         h = RealClass(float(cls.a), float(cls.b))
@@ -151,7 +150,7 @@ def run_torus(args) -> tuple[dict, Optional[tuple]]:
                    "cutoff": args.cutoff},
         "results": {
             "covolume": lat.covolume,
-            "k_real": k,
+            "k_real": k_real(lat),
             "systole": sys_len,
             "diameter": torus_diameter(lat),
             "cutoff_used": cutoff,

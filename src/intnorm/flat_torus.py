@@ -322,12 +322,20 @@ def reduced_basis(lat: Lattice) -> tuple[IntegerClass, IntegerClass]:
     return IntegerClass(*c1), IntegerClass(*c2)
 
 
+def _skew(lat: Lattice) -> float:
+    """|e1| |e2| / covolume: computed lengths are off by a few eps times it."""
+    return math.hypot(*lat.e1) / lat.covolume * math.hypot(*lat.e2)
+
+
+def within_rounding(lat: Lattice, value: float, bound: float) -> bool:
+    """value <= bound up to the rounding of lengths, ratios and norms
+    computed in the basis of lat: the one tolerance of their verdicts."""
+    return value <= bound * (1.0 + (1e-12 + 64.0 * _EPS * _skew(lat)))
+
+
 def _reach(lat: Lattice, cutoff: float) -> float:
-    """A radius holding every class whose computed length passes the
-    cutoff.  Lengths are computed in the given basis, with a relative
-    rounding error up to a few eps * |e1| * |e2| / covolume."""
-    skew = math.hypot(*lat.e1) / lat.covolume * math.hypot(*lat.e2)
-    return cutoff * (1.0 + 1e-9 + 16.0 * _EPS * skew)
+    """A radius holding every class whose computed length passes cutoff."""
+    return cutoff * (1.0 + 1e-9 + 16.0 * _EPS * _skew(lat))
 
 
 def enumerate_classes(lat: Lattice, cutoff: float, *,
@@ -466,10 +474,11 @@ def _near_perpendicular_pairs(lat: Lattice, classes: np.ndarray,
     |Int(u, v)| / (|u| |v|) = |sin(angle(u, v))| / covolume, so the pairs
     near the maximum are the pairs nearest to perpendicular.  The
     directions are sorted by angle mod pi.  The two classes on either side
-    of each class's perpendicular give a lower bound on the maximum; every
-    pair within the angle from perpendicular that this bound leaves open
-    is kept, widened for the tie band and for the rounding of the lengths
-    and angles, which grows with the skew of the given basis.  O(N log N)
+    of each class's perpendicular give a lower bound on the maximum; the
+    pair that sets it, and every pair within the angle from perpendicular
+    that it leaves open, are kept, widened for the tie band and for the
+    rounding of the lengths and angles, which grows with the skew of the
+    given basis (a bound past 1/covolume leaves only that).  O(N log N)
     time and O(N) memory, with a few pairs per class.  Raises DomainError
     past 4M candidate pairs, which only a badly skewed given basis with a
     large cutoff reaches.
@@ -489,11 +498,12 @@ def _near_perpendicular_pairs(lat: Lattice, classes: np.ndarray,
     at = np.searchsorted(ring, normal)
     i = np.concatenate((every, every))
     j = order[np.concatenate((at - 1, at)) % count]
-    best = float((_intersections(classes, i, j)
-                  / (lengths[i] * lengths[j])).max())
+    ratios = _intersections(classes, i, j) / (lengths[i] * lengths[j])
+    k = int(ratios.argmax())
+    best = float(ratios[k])
     e1, e2 = math.hypot(*lat.e1), math.hypot(*lat.e2)
     kappa = float(((np.abs(a) * e1 + np.abs(b) * e2) / lengths).max())
-    err = 32.0 * _EPS * (kappa + e1 / lat.covolume * e2 + 2.0)
+    err = 32.0 * _EPS * (kappa + _skew(lat) + 2.0)
     sine = best * lat.covolume * (1.0 - 1e-14 - err)
     cosine = math.sqrt(max(0.0, (1.0 - sine) * (1.0 + sine)))
     width = min(math.asin(min(cosine, 1.0)) + err, math.pi / 2)
@@ -506,7 +516,8 @@ def _near_perpendicular_pairs(lat: Lattice, classes: np.ndarray,
             "the cutoff or use a better-conditioned basis")
     owner = np.repeat(every, sizes)
     step = np.arange(total) - np.repeat(np.cumsum(sizes) - sizes, sizes)
-    return _distinct_pairs(count, owner, order[(lo[owner] + step) % count])
+    return _distinct_pairs(count, np.append(owner, i[k]), np.append(
+        order[(lo[owner] + step) % count], j[k]))
 
 
 def _perpendicular_search(lat: Lattice, cutoff: float, empty: str) -> tuple:
@@ -723,9 +734,9 @@ def segment_bound_check(lat: Lattice, cutoff: float) -> SegmentBoundReport:
         pairs_checked=count * (count - 1) // 2,
         max_normalized=best,
         argmax_pair=_class_pair(classes, int(i[k]), int(j[k])),
-        nine_bound_ok=best <= 9.0 * (1.0 + 1e-12),
+        nine_bound_ok=within_rounding(lat, best, 9.0),
         sine_bound=sine_bound,
-        sine_bound_ok=best <= sine_bound * (1.0 + 1e-12),
+        sine_bound_ok=within_rounding(lat, best, sine_bound),
     )
 
 
@@ -743,8 +754,7 @@ def norm_comparison_report(lat: Lattice, h) -> NormComparison:
     l2 = math.hypot(*alpha) * math.sqrt(v)
     lower = stable / math.sqrt(v)
     upper = k_real(lat) * math.sqrt(v) * stable
-    tol = 1e-12
-    ok = (lower <= l2 * (1.0 + tol)) and (l2 <= upper * (1.0 + tol))
+    ok = within_rounding(lat, lower, l2) and within_rounding(lat, l2, upper)
     return NormComparison(stable=stable, l2=l2, two_sided_ok=ok)
 
 

@@ -18,11 +18,12 @@ depend on the retries.  One-pair calls such as ``count_crossings`` draw
 from the generator they are given.
 
 The verdicts that the command line also reports are written once here:
-``ratio_violations``, ``segment_violations``, ``norm_violations``,
-``ordering_violations``, and ``window_violations`` for a batch of pairs,
-which judges the window sweeps block by block, ``cylinder --arcs-json``
-in one call and the torus oracle lattice by lattice, window [|Int|, |Int|];
-a pair still flagged after its retries fails it as stuck.
+``ratio_violations``, ``norm_violations``, ``ordering_violations``, and
+``window_violations`` for a batch of pairs, which judges the window
+sweeps block by block, ``cylinder --arcs-json`` in one call and the torus
+oracle lattice by lattice, window [|Int|, |Int|]; a pair still flagged
+after its retries fails it as stuck.  ``intnorm torus`` alone judges
+``segment_violations``, which ``ratio_violations`` implies.
 """
 
 from __future__ import annotations
@@ -86,16 +87,19 @@ def _run_checks(suite: str, seed: int,
 # flat torus
 
 
-def ratio_violations(ratio: float, k: float) -> list[str]:
-    """A searched ratio may not exceed k_real beyond rounding."""
-    if ratio > k * (1.0 + 1e-12):
+def ratio_violations(lat: torus_mod.Lattice, ratio: float) -> list[str]:
+    """A ratio searched on the lattice may not exceed k_real beyond the
+    rounding of its basis; passing it implies ``segment_violations``."""
+    k = torus_mod.k_real(lat)
+    if not torus_mod.within_rounding(lat, ratio, k):
         return [f"best ratio {ratio!r} exceeds k_real = {k!r}"]
     return []
 
 
 def segment_violations(seg: torus_mod.SegmentBoundReport) -> list[str]:
     """The normalized products stay at most 9 and at most the sine bound
-    l1^2/covolume."""
+    l1^2/covolume.  Implied by ``ratio_violations``: the largest product
+    is l1^2 times the best ratio, and l1^2/covolume <= 2/sqrt(3) < 9."""
     vs = []
     if not seg.nine_bound_ok:
         vs.append(f"segment bound 9 violated: max {seg.max_normalized!r}")
@@ -165,13 +169,13 @@ def _ratio_value(seed: int) -> tuple[int, list[str]]:
     vs: list[str] = []
     cases = 0
     for name, lat in named:
-        k = torus_mod.k_real(lat)
         ratio = torus_mod.best_ratio_search(
             lat, 30.0 * torus_mod.systole(lat)).ratio
         cases += 1
-        vs += [f"{v} for {_basis(lat)}" for v in ratio_violations(ratio, k)]
+        vs += [f"{v} for {_basis(lat)}" for v in ratio_violations(lat, ratio)]
         if name is not None:
             cases += 1
+            k = torus_mod.k_real(lat)
             if abs(ratio - k) > 1e-12 * k:
                 vs.append(f"search ratio {ratio!r} misses k_real {k!r} "
                           f"on the {name} lattice")
@@ -209,18 +213,6 @@ def _oracle_equivalence(seed: int) -> tuple[int, list[str]]:
             vs += [f"oracle {v} for {tuple(us[i])} x {tuple(ws[i])} on "
                    f"{_basis(lat)}" for v in window]
     return cases, vs
-
-
-def _segment_bound(seed: int) -> tuple[int, list[str]]:
-    """|Int| * l1^2 / (len*len) <= 9, and <= l1^2/covolume."""
-    lats = _lattices(seed)
-    vs: list[str] = []
-    for lat in lats:
-        rep = torus_mod.segment_bound_check(
-            lat, 30.0 * torus_mod.systole(lat))
-        vs += [f"{v} at {rep.argmax_pair} on {_basis(lat)}"
-               for v in segment_violations(rep)]
-    return len(lats), vs
 
 
 def _norm_comparison(seed: int) -> tuple[int, list[str]]:
@@ -265,7 +257,6 @@ def _scale_equivariance(seed: int) -> tuple[int, list[str]]:
 _TORUS_CHECKS = (
     ("ratio_value", _ratio_value),
     ("oracle_equivalence", _oracle_equivalence),
-    ("segment_bound", _segment_bound),
     ("norm_comparison", _norm_comparison),
     ("scale_equivariance", _scale_equivariance),
 )
@@ -273,7 +264,7 @@ _TORUS_CHECKS = (
 
 def torus_suite(seed: int) -> SuiteReport:
     """All flat-torus invariants: exact ratio value, oracle equivalence,
-    segment bound, norm comparison, and scale equivariance."""
+    norm comparison, and scale equivariance."""
     return _run_checks("torus", seed, _TORUS_CHECKS)
 
 
