@@ -13,20 +13,29 @@ shape {command, inputs, results, violations, timing_ms, version}.  A
 fixed seed makes the report byte-identical across runs: wall-clock timing
 is therefore printed to stderr only and serialized as null.  Exit status:
 0 on success, 1 when any violation was found, 2 on usage or input errors,
-which print one ``intnorm: error:`` line to stderr.
+which print one ``intnorm: error:`` line to stderr.  The lines on stderr
+are best-effort: a closed stderr changes neither stdout nor the exit
+status.
+
+``main(argv)`` runs one command and returns its exit status; it never
+ends the process, so the tests call it in process.  ``run(argv)`` is the
+process entry of ``python -m intnorm`` and of the ``intnorm`` console
+script: it ends the process through ``os._exit`` once the report is
+written, which skips the interpreter's teardown.  A module that only some
+commands need (``csv`` here, ``fractions`` and mpmath in the library) is
+imported where it is used.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
-import csv
 import itertools
 import json
 import os
 import sys
 import time
-from typing import Optional
+from typing import NoReturn, Optional
 
 import numpy as np
 
@@ -304,6 +313,8 @@ _RUNNERS = {
 
 def _write(report: dict, csv_data, fmt: str, fh) -> None:
     if fmt == "csv":
+        import csv
+
         header, rows = csv_data
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
@@ -327,6 +338,8 @@ def _emit(report: dict, csv_data, args) -> None:
     fails all the same is removed, so that no partial report is left.
     """
     if not args.output:
+        if sys.stdout is None:  # closed before the start
+            raise DomainError("standard output was closed")
         try:
             _write(report, csv_data, args.fmt, sys.stdout)
             sys.stdout.flush()
@@ -352,6 +365,16 @@ def _emit(report: dict, csv_data, args) -> None:
         raise
 
 
+def _note(line: str) -> None:
+    """Print one line to stderr, best-effort.  A stderr closed before the
+    start is None (and ``print`` would write to stdout instead), and one
+    closed later fails its writes: either way the line is dropped, so
+    that it changes neither stdout nor the exit status."""
+    if sys.stderr is not None:
+        with contextlib.suppress(OSError):
+            print(line, file=sys.stderr)
+
+
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
@@ -366,13 +389,25 @@ def main(argv=None) -> int:
         report["version"] = __version__
         _emit(report, csv_data, args)
     except (GeometryError, RetrySignal) as exc:
-        print(f"intnorm: error: {exc}", file=sys.stderr)
+        _note(f"intnorm: error: {exc}")
         return 2
     elapsed_ms = (time.perf_counter() - started) * 1000.0
-    print(f"# intnorm {args.command}: {elapsed_ms:.1f} ms",
-          file=sys.stderr)
+    _note(f"# intnorm {args.command}: {elapsed_ms:.1f} ms")
     return 1 if report["violations"] else 0
 
 
+def run(argv=None) -> NoReturn:
+    """``main(argv)``, then the process ends with its status through
+    ``os._exit``, once stdout and stderr are flushed.  argparse's
+    ``SystemExit`` (``--help``, ``--version``) and Ctrl-C leave as they
+    would from ``main``."""
+    status = main(argv)
+    for stream in (sys.stdout, sys.stderr):
+        if stream is not None:
+            with contextlib.suppress(OSError):
+                stream.flush()
+    os._exit(status)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

@@ -38,8 +38,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
-from typing import NamedTuple, Optional
+from typing import TYPE_CHECKING, NamedTuple, Optional
 
 import numpy as np
 
@@ -52,6 +51,9 @@ from .errors import (
     integer,
     real,
 )
+
+if TYPE_CHECKING:  # fractions is imported where an exact basis needs it
+    from fractions import Fraction
 
 # Relative slack when comparing squared lengths against an enumeration
 # cutoff, so classes sitting exactly on the boundary are kept.
@@ -219,6 +221,8 @@ class Lattice:
             # in exact rationals, those given or the floats, this tells a
             # dependent basis from a determinant out of range; given
             # entries can round to a dependent (1/3) or zero (1e-400) float
+            from fractions import Fraction
+
             e1x, e1y, e2x, e2y = map(Fraction,
                                      self.exact or (*self.e1, *self.e2))
             if e1x * e2y == e1y * e2x:
@@ -237,6 +241,8 @@ class Lattice:
         if len(parts) != 4:
             raise DomainError(
                 f"expected four comma-separated entries, got {text!r}")
+        from fractions import Fraction
+
         try:
             vals = tuple(Fraction(p) for p in parts)
         except (ValueError, ZeroDivisionError) as exc:
@@ -614,6 +620,8 @@ def _refine_pair_choice(lat: Lattice, classes: np.ndarray,
     of classes."""
     entries = list(zip(first.tolist(), second.tolist(), inter.tolist()))
     if lat.exact is not None and len(entries) > 1:
+        from fractions import Fraction
+
         # squared lengths in integers, over the common denominator of the
         # Gram matrix; one scale for every pair keeps the order and ties
         e1x, e1y, e2x, e2y = lat.exact

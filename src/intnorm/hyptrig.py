@@ -1,11 +1,15 @@
 """Hyperbolic trigonometry for collars around short closed geodesics.
 
 Each closed form is one private expression ``_f(m, ...)`` over a backend
-``m``: ``math`` by default, or mpmath at ``EXTENDED_DPS`` significant
-digits with ``extended=True``, which returns an ``mpf``.  The tests back
-the frozen reference values with the extended mode; ``bounds`` reuses the
-expressions, and ``suites`` evaluates ``_crossing_arc_length`` over numpy
-arrays (``np.acosh`` needs numpy 2).
+``m``: ``math`` by default, or with ``extended=True`` a private mpmath
+context at ``EXTENDED_DPS`` significant digits, which returns an ``mpf``
+of mpmath's global context.  The private context is built on the first
+extended call, so a process that never asks for one does not import
+mpmath, and its precision is its own: ``mpmath.mp`` never changes, in
+this thread or in any other.  The tests back the frozen reference values
+with the extended mode; ``bounds`` reuses the expressions, and ``suites``
+evaluates ``_crossing_arc_length`` over numpy arrays (``np.acosh`` needs
+numpy 2).
 
 A third backend, ``ARRAYS``, evaluates an expression once over float64
 arrays, bit for bit as ``math`` evaluates it on each element: ``bounds``
@@ -18,10 +22,10 @@ last bits on 15-30% of 200,000 arguments.
 
 from __future__ import annotations
 
+import functools
 import math
 from types import SimpleNamespace
 
-import mpmath
 import numpy as np
 
 from .errors import DomainError, real
@@ -34,10 +38,26 @@ EXTENDED_DPS = 50
 TWO_ARSINH_ONE = 2.0 * math.asinh(1.0)
 
 
+@functools.cache
+def _extended_backend():
+    """The mpmath context at EXTENDED_DPS digits, and the constructor of
+    global-context ``mpf``s from a value's ``_mpf_``."""
+    import mpmath
+
+    ctx = mpmath.MPContext()
+    ctx.dps = EXTENDED_DPS
+    return ctx, mpmath.mp.make_mpf
+
+
 def _extended(expr, *args):
-    """Evaluate ``expr`` over mpmath at EXTENDED_DPS digits."""
-    with mpmath.workdps(EXTENDED_DPS):
-        return expr(mpmath, *(mpmath.mpf(a) for a in args))
+    """Evaluate ``expr`` at EXTENDED_DPS digits: an ``mpf``, or a tuple of
+    them, of mpmath's global context, bit for bit the value that the
+    global context would give at EXTENDED_DPS digits."""
+    ctx, make_mpf = _extended_backend()
+    value = expr(ctx, *map(ctx.mpf, args))
+    if isinstance(value, tuple):
+        return tuple(make_mpf(v._mpf_) for v in value)
+    return make_mpf(value._mpf_)
 
 
 def _per_element(f):

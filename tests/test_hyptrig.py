@@ -9,6 +9,10 @@ well past double rounding.
 from __future__ import annotations
 
 import math
+import random
+import sys
+import threading
+import time
 
 import mpmath
 import pytest
@@ -22,7 +26,8 @@ from intnorm import (
     collar_width,
     crossing_arc_length,
 )
-from intnorm.hyptrig import fermi_distance
+from intnorm import hyptrig
+from intnorm.hyptrig import EXTENDED_DPS, fermi_distance
 
 # 20-digit values from the extended-precision derivation run.
 COLLAR_WIDTH_REFERENCE = {
@@ -70,6 +75,72 @@ def test_extended_mode_returns_50_digit_values():
         value = crossing_arc_length(1.0, 2.0, extended=True)
         assert abs(value - reference) < mpmath.mpf(10) ** -45
         assert fermi_distance((0.0, 0.0), (0.0, 0.0), extended=True) == 0
+
+
+def _fermi(t1, s1, t2, s2, **kwargs):
+    return fermi_distance((t1, s1), (t2, s2), **kwargs)
+
+
+# Each form of the extended mode: the public function, its expression and
+# the draw of one input.
+EXTENDED_FORMS = (
+    (collar_width, hyptrig._collar_width,
+     lambda r: (10 ** r.uniform(-12, 0.2),)),
+    (crossing_arc_length, hyptrig._crossing_arc_length,
+     lambda r: (10 ** r.uniform(-3, 1.5), r.uniform(-30, 30))),
+    (boundary_length, hyptrig._boundary_length,
+     lambda r: (10 ** r.uniform(-12, 0.2), 10 ** r.uniform(-3, 1.5))),
+    (_fermi, hyptrig._fermi_distance,
+     lambda r: tuple(r.uniform(-5, 5) for _ in range(4))),
+)
+
+
+def test_extended_values_are_those_of_the_global_context():
+    """The private context gives, bit for bit and type for type, the
+    value that mpmath's global context gives at EXTENDED_DPS digits."""
+    rng = random.Random(3)
+    for func, expr, draw in EXTENDED_FORMS:
+        for _ in range(100):
+            args = draw(rng)
+            value = func(*args, extended=True)
+            with mpmath.workdps(EXTENDED_DPS):
+                reference = expr(mpmath, *map(mpmath.mpf, args))
+            assert type(value) is type(reference) is mpmath.mpf
+            assert value._mpf_ == reference._mpf_, (func.__name__, args)
+    assert mpmath.mp.dps == 15
+
+
+def test_extended_calls_leave_every_thread_at_its_own_precision():
+    """Four threads evaluate in extended precision at once, switching as
+    often as the interpreter lets them.  No thread may see mpmath.mp away
+    from its 15 default digits, and each value must be its single-thread
+    value bit for bit."""
+    rng = random.Random(4)
+    calls = [(func, draw(rng)) for func, _, draw in EXTENDED_FORMS]
+    expected = [func(*args, extended=True)._mpf_ for func, args in calls]
+    seen_dps, wrong = set(), []
+    deadline = time.monotonic() + 0.5
+
+    def work():
+        while time.monotonic() < deadline:
+            for (func, args), want in zip(calls, expected):
+                seen_dps.add(mpmath.mp.dps)
+                if func(*args, extended=True)._mpf_ != want:
+                    wrong.append(func.__name__)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work) for _ in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert seen_dps == {15}
+    assert wrong == []
 
 
 def test_collar_width_small_length_asymptotics():
