@@ -34,10 +34,9 @@ from typing import Iterable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .cylinder import SHRINK_MARGIN
 from .errors import DomainError, integer, real
-from .hyptrig import ARRAYS, TWO_ARSINH_ONE, _boundary_length, \
-    _collar_width, _extended, _over_array
+from .hyptrig import ARRAYS, SHRINK_MARGIN, TWO_ARSINH_ONE, \
+    _boundary_length, _collar_width, _extended, _over_array
 
 
 @dataclass(frozen=True)
@@ -354,7 +353,8 @@ def parse_grid(text: str, *, geometric: bool = False) -> tuple[float, ...]:
     """Parse a grid specification "lo:hi:steps" into a tuple of floats,
     evenly spaced either arithmetically or (with geometric=True)
     geometrically.  steps = 1 yields just lo; more than MAX_GRID_STEPS
-    are refused before anything is built."""
+    steps, or points beyond the range of positive (geometric) or finite
+    doubles, are refused before anything is built."""
     parts = text.split(":")
     if len(parts) != 3:
         raise DomainError(
@@ -377,7 +377,19 @@ def parse_grid(text: str, *, geometric: bool = False) -> tuple[float, ...]:
             raise DomainError(
                 "geometric grids need positive endpoints, got "
                 f"{lo} and {hi}")
-        ratio = math.log(hi / lo) / (steps - 1)
-        return tuple(lo * math.exp(ratio * i) for i in range(steps))
-    step = (hi - lo) / (steps - 1)
-    return tuple(lo + step * i for i in range(steps))
+        span = hi / lo  # 0 or inf beyond double range
+        ratio = math.log(span) / (steps - 1) if 0.0 < span < math.inf \
+            else math.nan
+
+        def point(i):
+            return lo * math.exp(ratio * i)
+    else:
+        step = (hi - lo) / (steps - 1)
+
+        def point(i):
+            return lo + step * i
+    # the points run monotonically from lo to the last one
+    last = point(steps - 1)
+    if not math.isfinite(last) or (geometric and last == 0.0):
+        raise DomainError(f"grid {text!r} leaves the range of doubles")
+    return tuple(map(point, range(steps)))

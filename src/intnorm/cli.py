@@ -33,6 +33,7 @@ import contextlib
 import itertools
 import json
 import os
+import stat
 import sys
 import time
 from typing import NoReturn, Optional
@@ -205,7 +206,10 @@ def run_cylinder(args) -> tuple[dict, Optional[tuple]]:
         arcs = []
         try:  # ArcSpec checks the numbers of each arc
             for item in pairs:
-                arcs.append((ArcSpec(*item["arc1"]), ArcSpec(*item["arc2"])))
+                pair = ArcSpec(*item["arc1"]), ArcSpec(*item["arc2"])
+                if pair[0] == pair[1]:
+                    raise DomainError("arcs are identical")
+                arcs.append(pair)
         except (KeyError, TypeError, DomainError) as exc:
             raise DomainError(f"arc pair #{len(arcs)}: {exc}") from None
         # entry_t, winding and crossing sign, each of shape (2, pairs)
@@ -334,8 +338,9 @@ def _emit(report: dict, csv_data, args) -> None:
 
     A report holds only dicts with str keys, lists, tuples, str, int,
     float, bool and None (the tests walk every command's report), so its
-    encoding cannot fail once writing has begun.  A file whose writing
-    fails all the same is removed, so that no partial report is left.
+    encoding cannot fail once writing has begun.  A regular file whose
+    writing fails all the same is removed, so that no partial report is
+    left; a symlink, a device or a pipe that --output names is kept.
     """
     if not args.output:
         if sys.stdout is None:  # closed before the start
@@ -353,12 +358,18 @@ def _emit(report: dict, csv_data, args) -> None:
     except OSError as exc:
         raise DomainError(f"cannot write the report to {args.output}: "
                           f"{exc}") from None
+    written = None
     try:
         with fh:
+            written = os.fstat(fh.fileno())
             _write(report, csv_data, args.fmt, fh)
     except BaseException as exc:
+        # only the regular file just written, named by the path itself:
+        # never a symlink, nor the device or pipe one names
         with contextlib.suppress(OSError):
-            os.remove(args.output)
+            if written is not None and stat.S_ISREG(written.st_mode) \
+                    and os.path.samestat(os.lstat(args.output), written):
+                os.remove(args.output)
         if isinstance(exc, OSError):
             raise DomainError(f"cannot write the report to {args.output}: "
                               f"{exc}") from None

@@ -44,7 +44,8 @@ from .errors import (
 )
 from .flat_torus import GRAZE, OVERLAP, CrossingBatch, CrossingReport, \
     retry_flagged
-from .hyptrig import boundary_length, collar_width, crossing_arc_length
+from .hyptrig import SHORT_CORE_THRESHOLD, SHRINK_MARGIN, boundary_length, \
+    collar_width, crossing_arc_length
 
 # Domain of the crossing oracle: the core advance |winding| * core_length
 # of each arc, the core length (measured, see crossing_count_oracle_cyl),
@@ -78,13 +79,6 @@ OVERLAP_TOLERANCE = 1e-13
 # Jitter scale for retry perturbations of entry positions, as a fraction
 # of the core length.
 JITTER_SCALE = 1e-6
-
-# Collar-shrinking parameters: trimming the full half-width by
-# SHRINK_MARGIN keeps the boundary circles short relative to the width
-# for every core length below SHORT_CORE_THRESHOLD
-# (bounds.collar_constants_check).
-SHRINK_MARGIN = 1.3
-SHORT_CORE_THRESHOLD = 0.25
 
 
 @dataclass(frozen=True)

@@ -37,6 +37,13 @@ EXTENDED_DPS = 50
 # than 2*arsinh(1) has an embedded collar of half-width collar_width(l).
 TWO_ARSINH_ONE = 2.0 * math.asinh(1.0)
 
+# Collar-shrinking parameters: trimming the full half-width by
+# SHRINK_MARGIN keeps the boundary circles short relative to the width
+# for every core length below SHORT_CORE_THRESHOLD
+# (bounds.collar_constants_check).
+SHRINK_MARGIN = 1.3
+SHORT_CORE_THRESHOLD = 0.25
+
 
 @functools.cache
 def _extended_backend():

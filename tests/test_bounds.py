@@ -9,6 +9,8 @@ tests below require the same values, bit for bit, and the same refusals.
 from __future__ import annotations
 
 import math
+import re
+import sys
 import tracemalloc
 import warnings
 
@@ -300,6 +302,18 @@ def test_parse_grid_geometric():
 def test_parse_grid_rejects_malformed(bad):
     with pytest.raises(DomainError):
         parse_grid(bad)
+
+
+@pytest.mark.parametrize("text, geometric", [
+    ("1e-300:1e300:3", True),   # hi / lo overflows
+    ("1e300:1e-300:3", True),   # hi / lo underflows to 0
+    ("1e-310:0.9:3", True),     # a subnormal lo
+    ("-1e308:1e308:3", False),  # hi - lo overflows
+    (f"0:{sys.float_info.max!r}:4", False),  # the last point rounds up
+])
+def test_parse_grid_refuses_points_past_double_range(text, geometric):
+    with pytest.raises(DomainError, match=re.escape(repr(text))):
+        parse_grid(text, geometric=geometric)
 
 
 def test_parse_grid_geometric_needs_positive_endpoints():

@@ -457,6 +457,14 @@ def test_bounds_rejects_genus_one(capsys):
                  "--l1-grid", "1e-4:0.25:50"]) == 2
 
 
+def test_bounds_grid_past_double_range_is_refused_by_its_text(capsys):
+    # 0.9 / 1e-310 overflows: no nan point reaches the bounds
+    err = refusal(capsys, ["bounds", "--genus", "2", "--l1-grid",
+                           "1e-310:0.9:3", "--geometric"])
+    assert err == ("intnorm: error: grid '1e-310:0.9:3' leaves the range "
+                   "of doubles\n")
+
+
 def test_bounds_rejects_grid_reaching_one(capsys):
     assert main(["bounds", "--genus", "2", "--l1-grid", "0.5:2:3"]) == 2
 
@@ -831,6 +839,28 @@ def test_a_failed_write_leaves_no_partial_report(monkeypatch, tmp_path,
     assert err.count("\n") == 1
 
 
+@pytest.mark.parametrize("target", ["/dev/full", "earlier.json"])
+def test_a_failed_write_through_a_symlink_keeps_the_link_and_its_target(
+        monkeypatch, tmp_path, capsys, target):
+    # /dev/full fails the write itself; a regular target fails in _write,
+    # and stays, as open truncated it
+    if target == "earlier.json":
+        (tmp_path / target).write_text("an earlier report")
+
+        def disk_full(report, csv_data, fmt, fh):
+            raise OSError(28, "No space left on device")
+        monkeypatch.setattr(intnorm.cli, "_write", disk_full)
+    link = tmp_path / "out"
+    link.symlink_to(target)
+    assert main(["verify", "--suite", "bounds", "--seed", "1",
+                 "--output", str(link)]) == 2
+    assert link.is_symlink() and link.exists()
+    err = capsys.readouterr().err
+    assert err.startswith(f"intnorm: error: cannot write the report to "
+                          f"{link}: ")
+    assert err.count("\n") == 1
+
+
 def test_a_report_is_written_without_its_whole_text(tmp_path):
     """The report is encoded and written in blocks: the memory it takes
     stays a fraction of its text, where one json.dumps string took three
@@ -854,14 +884,16 @@ def test_a_report_is_written_without_its_whole_text(tmp_path):
 
 
 def test_cylinder_identical_arcs_exit_2(tmp_path, capsys):
-    # the batch flags them as overlapping lifts; their retry refuses them
+    # refused while the file is read, as every other bad arc pair is
     path = tmp_path / "arcs.json"
     path.write_text(json.dumps({"pairs": [
         {"arc1": [0.03, 0.0, 1], "arc2": [0.11, 2.5, 1]},
+        {"arc1": [0.05, 1.2, 1], "arc2": [0.07, 1.2, -1]},
         {"arc1": [0.05, 1.2, 1], "arc2": [0.05, 1.2, 1]}]}))
     assert main(["cylinder", "--core-length", "0.2", "--samples", "1",
                  "--arcs-json", str(path)]) == 2
-    assert capsys.readouterr().err == "intnorm: error: arcs are identical\n"
+    assert capsys.readouterr() == (
+        "", "intnorm: error: arc pair #2: arcs are identical\n")
 
 
 def _ratio_above_k_real(monkeypatch):

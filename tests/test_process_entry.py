@@ -8,6 +8,7 @@ the exit status, and the stdout bytes or the written file, that
 
 from __future__ import annotations
 
+import inspect
 import pathlib
 import re
 import subprocess
@@ -15,6 +16,7 @@ import sys
 
 import pytest
 
+import intnorm
 import intnorm.flat_torus
 from intnorm.cli import main
 from test_faults import _scaled
@@ -113,6 +115,56 @@ def test_import_leaves_out_what_only_some_commands_use(module):
     proc = subprocess.run([sys.executable, "-c", script],
                           capture_output=True, text=True, check=True)
     assert proc.stdout == "[]\n"
+
+
+# the intnorm modules that a first use of the package loads: none for the
+# package itself, then a name's home module and the modules it imports
+@pytest.mark.parametrize("statement, modules", [
+    ("import intnorm", set()),
+    ("from intnorm import Lattice", {"errors", "flat_torus"}),
+    ("from intnorm import hyperbolic_bounds", {"bounds", "errors",
+                                               "hyptrig"}),
+    ("from intnorm import count_crossings_cyl", {"cylinder", "errors",
+                                                 "flat_torus", "hyptrig"}),
+    ("from intnorm import named_stream", {"errors", "seeding"}),
+    ("from intnorm import DomainError", {"errors"}),
+    ("import intnorm; intnorm.cylinder", {"cylinder", "errors",
+                                          "flat_torus", "hyptrig"}),
+    ("from intnorm import run_suites", {"bounds", "cylinder", "errors",
+                                        "flat_torus", "hyptrig", "seeding",
+                                        "suites"}),
+])
+def test_a_name_loads_only_its_home_module_and_what_that_imports(statement,
+                                                                 modules):
+    script = (f"import sys; {statement}; print(sorted(m for m in "
+              "sys.modules if m.startswith('intnorm.')), "
+              "'numpy' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", script],
+                          capture_output=True, text=True, check=True)
+    loaded = sorted(f"intnorm.{m}" for m in modules)
+    # errors is the one module that needs no numpy
+    assert proc.stdout == f"{loaded} {bool(modules - {'errors'})}\n"
+
+
+def test_the_star_import_binds_every_name_to_its_home_object():
+    namespace = {}
+    exec("from intnorm import *", namespace)
+    del namespace["__builtins__"]
+    assert len(namespace) == len(intnorm.__all__) == 52
+    assert sorted(namespace) == intnorm.__all__
+    assert set(intnorm.__all__) <= set(dir(intnorm))
+    for name, value in namespace.items():
+        home = sys.modules[f"intnorm.{intnorm._HOME[name]}"]
+        assert value is getattr(home, name)
+        if inspect.isclass(value) or inspect.isfunction(value):
+            assert value.__module__ == home.__name__
+
+
+def test_an_unknown_name_raises_attribute_error_naming_it():
+    with pytest.raises(AttributeError, match="'no_such_name'"):
+        intnorm.no_such_name  # noqa: B018
+    assert getattr(intnorm, "no_such_name", None) is None
+    assert intnorm.cylinder is sys.modules["intnorm.cylinder"]
 
 
 def test_the_console_script_is_the_entry():
