@@ -70,4 +70,4 @@ def __getattr__(name: str):
 
 
 def __dir__() -> list[str]:
-    return sorted(globals().keys() | _HOME.keys())
+    return sorted(globals().keys() | _HOME.keys() | _EXPORTS.keys())

@@ -349,12 +349,17 @@ def collar_constants_check(
 MAX_GRID_STEPS = 100_000
 
 
+def _unbuildable_grid(text: str, what: str) -> DomainError:
+    return DomainError(f"grid {text!r} cannot be built: {what} leaves the "
+                       "range of doubles")
+
+
 def parse_grid(text: str, *, geometric: bool = False) -> tuple[float, ...]:
     """Parse a grid specification "lo:hi:steps" into a tuple of floats,
     evenly spaced either arithmetically or (with geometric=True)
     geometrically.  steps = 1 yields just lo; more than MAX_GRID_STEPS
-    steps, or points beyond the range of positive (geometric) or finite
-    doubles, are refused before anything is built."""
+    steps, or a grid whose hi / lo (geometric), hi - lo or last point
+    leaves the range of doubles, are refused before anything is built."""
     parts = text.split(":")
     if len(parts) != 3:
         raise DomainError(
@@ -377,19 +382,23 @@ def parse_grid(text: str, *, geometric: bool = False) -> tuple[float, ...]:
             raise DomainError(
                 "geometric grids need positive endpoints, got "
                 f"{lo} and {hi}")
-        span = hi / lo  # 0 or inf beyond double range
-        ratio = math.log(span) / (steps - 1) if 0.0 < span < math.inf \
-            else math.nan
+        span = hi / lo
+        if not 0.0 < span < math.inf:
+            raise _unbuildable_grid(text, "hi / lo")
+        ratio = math.log(span) / (steps - 1)
 
         def point(i):
             return lo * math.exp(ratio * i)
     else:
-        step = (hi - lo) / (steps - 1)
+        span = hi - lo
+        if not math.isfinite(span):
+            raise _unbuildable_grid(text, "hi - lo")
+        step = span / (steps - 1)
 
         def point(i):
             return lo + step * i
-    # the points run monotonically from lo to the last one
-    last = point(steps - 1)
-    if not math.isfinite(last) or (geometric and last == 0.0):
-        raise DomainError(f"grid {text!r} leaves the range of doubles")
+    # the points run monotonically from lo to the last one, which can
+    # still round past the largest double
+    if not math.isfinite(point(steps - 1)):
+        raise _unbuildable_grid(text, "its last point")
     return tuple(map(point, range(steps)))

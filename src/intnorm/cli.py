@@ -42,7 +42,8 @@ import numpy as np
 
 from . import __version__, cylinder
 from .bounds import asymptotic_profile, parse_grid
-from .cylinder import ArcSpec, count_crossings_cyl_batch, make_collar
+from .cylinder import ArcSpec, check_distinct_arcs, \
+    count_crossings_cyl_batch, make_collar
 from .errors import DomainError, GeometryError, RetrySignal
 from .flat_torus import Lattice, RealClass, best_ratio_search, k_real, \
     norm_comparison_report, segment_bound_check, systole, torus_diameter
@@ -207,10 +208,9 @@ def run_cylinder(args) -> tuple[dict, Optional[tuple]]:
         try:  # ArcSpec checks the numbers of each arc
             for item in pairs:
                 pair = ArcSpec(*item["arc1"]), ArcSpec(*item["arc2"])
-                if pair[0] == pair[1]:
-                    raise DomainError("arcs are identical")
+                check_distinct_arcs(*pair)
                 arcs.append(pair)
-        except (KeyError, TypeError, DomainError) as exc:
+        except (KeyError, TypeError, GeometryError) as exc:
             raise DomainError(f"arc pair #{len(arcs)}: {exc}") from None
         # entry_t, winding and crossing sign, each of shape (2, pairs)
         entry_t, winding, sign = np.array(

@@ -297,11 +297,17 @@ def crossing_count_oracle_cyl(cyl: Cylinder, arc1: ArcSpec,
     return crossing_batch_cyl(cyl, *_one_pair(arc1, arc2)).report(0)
 
 
+def check_distinct_arcs(arc1, arc2) -> None:
+    """Refuse two arcs, as ArcSpecs or as (entry_t, winding,
+    crossing_sign) tuples, that agree in all three numbers."""
+    if arc1 == arc2:
+        raise DegenerateInputError("arcs are identical")
+
+
 def _one_pair(arc1: ArcSpec, arc2: ArcSpec) -> np.ndarray:
     """The entry positions, windings and crossing signs of two arcs, as
     the (3, 2, 1) arguments of a batch of one pair."""
-    if arc1 == arc2:
-        raise DegenerateInputError("arcs are identical")
+    check_distinct_arcs(arc1, arc2)
     return np.array((arc1.entry_t, arc2.entry_t, arc1.winding, arc2.winding,
                      arc1.crossing_sign, arc2.crossing_sign),
                     dtype=float).reshape(3, 2, 1)
@@ -411,8 +417,7 @@ def count_crossings_cyl_batch(cyl: Cylinder, entry_t, winding, crossing_sign,
     def jittered(i: int) -> CrossingBatch:
         (t1, t2), (w1, w2), (s1, s2) = np.asarray(
             (entry_t, winding, crossing_sign), dtype=float)[:, :, i].tolist()
-        if (t1, w1, s1) == (t2, w2, s2):
-            raise DegenerateInputError("arcs are identical")
+        check_distinct_arcs((t1, w1, s1), (t2, w2, s2))
         t2 = (t2 + rng.uniform(0.0, l * JITTER_SCALE)) % l
         return crossing_batch_cyl(cyl, [[t1], [t2]], [[w1], [w2]],
                                   [[s1], [s2]])

@@ -304,15 +304,18 @@ def test_parse_grid_rejects_malformed(bad):
         parse_grid(bad)
 
 
-@pytest.mark.parametrize("text, geometric", [
-    ("1e-300:1e300:3", True),   # hi / lo overflows
-    ("1e300:1e-300:3", True),   # hi / lo underflows to 0
-    ("1e-310:0.9:3", True),     # a subnormal lo
-    ("-1e308:1e308:3", False),  # hi - lo overflows
-    (f"0:{sys.float_info.max!r}:4", False),  # the last point rounds up
+@pytest.mark.parametrize("text, geometric, what", [
+    ("1e-300:1e300:3", True, "hi / lo"),      # overflows
+    ("1e300:1e-300:3", True, "hi / lo"),      # underflows to 0
+    ("1e-310:0.9:3", True, "hi / lo"),        # a subnormal lo
+    ("-1e308:1e308:3", False, "hi - lo"),     # overflows
+    (f"0:{sys.float_info.max!r}:4", False, "its last point"),  # rounds up
 ])
-def test_parse_grid_refuses_points_past_double_range(text, geometric):
-    with pytest.raises(DomainError, match=re.escape(repr(text))):
+def test_parse_grid_refuses_a_grid_past_double_range(text, geometric, what):
+    # every point asked for may be a double; what overflows is named
+    with pytest.raises(DomainError, match=re.escape(
+            f"grid {text!r} cannot be built: {what} leaves the range of "
+            "doubles")):
         parse_grid(text, geometric=geometric)
 
 

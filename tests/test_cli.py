@@ -461,8 +461,8 @@ def test_bounds_grid_past_double_range_is_refused_by_its_text(capsys):
     # 0.9 / 1e-310 overflows: no nan point reaches the bounds
     err = refusal(capsys, ["bounds", "--genus", "2", "--l1-grid",
                            "1e-310:0.9:3", "--geometric"])
-    assert err == ("intnorm: error: grid '1e-310:0.9:3' leaves the range "
-                   "of doubles\n")
+    assert err == ("intnorm: error: grid '1e-310:0.9:3' cannot be built: "
+                   "hi / lo leaves the range of doubles\n")
 
 
 def test_bounds_rejects_grid_reaching_one(capsys):

@@ -146,6 +146,16 @@ def test_a_name_loads_only_its_home_module_and_what_that_imports(statement,
     assert proc.stdout == f"{loaded} {bool(modules - {'errors'})}\n"
 
 
+def test_dir_lists_every_name_and_submodule_before_any_is_loaded():
+    script = ("import sys, intnorm; listed = dir(intnorm); print(sorted("
+              "m for m in sys.modules if m.startswith('intnorm.')), "
+              "set(intnorm.__all__ + list(intnorm._EXPORTS)) <= set(listed),"
+              " 'cylinder' in listed)")
+    proc = subprocess.run([sys.executable, "-c", script],
+                          capture_output=True, text=True, check=True)
+    assert proc.stdout == "[] True True\n"
+
+
 def test_the_star_import_binds_every_name_to_its_home_object():
     namespace = {}
     exec("from intnorm import *", namespace)
