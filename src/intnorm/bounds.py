@@ -36,7 +36,7 @@ import numpy as np
 
 from .errors import DomainError, integer, real
 from .hyptrig import ARRAYS, SHRINK_MARGIN, TWO_ARSINH_ONE, \
-    _boundary_length, _collar_width, _extended, _over_array
+    _boundary_length, _collar_width, _evaluate, _extended, _over_array
 
 
 @dataclass(frozen=True)
@@ -99,24 +99,23 @@ def _hyperbolic_terms(s: int, l1, extended: bool) -> tuple:
     or over a float64 array of them.
 
     An array is evaluated at once in double precision, through
-    ``hyptrig.ARRAYS``, and value by value in extended precision or where
-    a value leaves double range, so that the refusal names the first.
+    ``hyptrig._over_array``, and value by value in extended precision.
 
     lower < upper needs no check: lower < 1/(210*l1) and
     upper > 18/(l1*cl(l1)), and cl < 750 on every l1 that collar_width
     accepts, far below the 3,780 that the reverse order needs.
     """
     if isinstance(l1, np.ndarray):
-        terms = None if extended else _over_array(_hyperbolic, s, l1)
-        if terms is None:
-            terms = np.array([_hyperbolic_terms(s, x, extended)
-                              for x in l1.tolist()]).reshape(-1, 5).T
-        return tuple(terms)
+        def one(s, x):
+            return _hyperbolic_terms(s, x, extended)
+        terms = (np.array([one(s, x) for x in l1.tolist()]).T if extended
+                 else _over_array(_hyperbolic, one, s, l1))
+        return tuple(np.reshape(terms, (5, -1)))  # (5, n), also at n = 0
     try:
         terms = (tuple(map(float, _extended(_hyperbolic, s, l1)))
                  if extended else _hyperbolic(math, s, l1))
-    except OverflowError:  # a genus too large for a float, in double
-        terms = (math.inf,)
+    except (OverflowError, ZeroDivisionError):  # a genus too large for a
+        terms = (math.inf,)  # float, or l1/2 rounds to 0, in double
     if math.inf in terms:  # all positive, so inf is the one value past range
         raise DomainError(f"hyperbolic bounds at s={s}, l1={l1} leave "
                           "the range of double precision")
@@ -234,12 +233,10 @@ def _collar_value(raw) -> float:
 
 
 def _collar_widths(x: np.ndarray) -> np.ndarray:
-    """cl over a float64 array; value by value where one leaves double
-    range, so that the refusal names the first."""
-    cl = _over_array(_collar_width, x)
-    if cl is None:
-        cl = np.array([_collar_width(math, v) for v in x.tolist()])
-    return cl
+    """cl over a float64 array, refused as collar_width refuses the first
+    value that leaves double range."""
+    return _over_array(_collar_width, lambda v: _evaluate(
+        _collar_width, "length", False, v), x)
 
 
 @dataclass(frozen=True)

@@ -79,7 +79,7 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--format", dest="fmt", choices=("json", "csv"),
                         default="json",
                         help="csv is available for the tabular sweeps "
-                             "(bounds, cylinder)")
+                             "(bounds, cylinder without --arcs-json)")
     common.add_argument("--output", default=None,
                         help="write the report to this path instead of "
                              "stdout")
@@ -185,6 +185,9 @@ def run_torus(args) -> tuple[dict, Optional[tuple]]:
 
 
 def run_cylinder(args) -> tuple[dict, Optional[tuple]]:
+    if args.fmt == "csv" and args.arcs_json is not None:
+        raise DomainError("csv output holds the sweep's samples only, not "
+                          "the pairs of --arcs-json; use --format json")
     if not 1 <= args.samples <= MAX_SAMPLES:
         raise DomainError(f"need 1 to {MAX_SAMPLES} samples, "
                           f"got {args.samples}")
@@ -216,6 +219,15 @@ def run_cylinder(args) -> tuple[dict, Optional[tuple]]:
         entry_t, winding, sign = np.array(
             [[(a.entry_t, a.winding, a.crossing_sign) for a in pair]
              for pair in arcs]).reshape(-1, 2, 3).T
+
+        def check(entry_t, winding, sign):
+            cylinder.intersection_bounds(*winding, sign[0] == sign[1])
+            cylinder._oracle_terms(cyl, entry_t, winding, sign)
+        # the first pair outside the window's domain or the oracle's is
+        # named before any pair is solved
+        refused = cylinder._first_refused_pair(check, entry_t, winding, sign)
+        if refused is not None:
+            raise DomainError(f"arc pair #{refused[0]}: {refused[1]}")
         first_sign = sign[0].astype(np.int64)
         wb = cylinder.intersection_bounds(*winding, sign[0] == sign[1])
         # a pair that needs a retry is solved again on its own, in file

@@ -313,6 +313,39 @@ def _one_pair(arc1: ArcSpec, arc2: ArcSpec) -> np.ndarray:
                     dtype=float).reshape(3, 2, 1)
 
 
+def _oracle_terms(cyl: Cylinder, entry_t: np.ndarray, winding: np.ndarray,
+                  crossing_sign: np.ndarray):
+    """``_fermi_arcs`` of a batch, with each pair's first deck translate
+    to try and the number of them; refused with DomainError where an arc
+    leaves the oracle's domain or a pair has more than MAX_TRANSLATES
+    translates to try."""
+    arcs = _fermi_arcs(cyl, entry_t, winding, crossing_sign)
+    (m1, m2), (h1, h2) = arcs[2:]
+    l = cyl.core_length
+    first = np.ceil((m1 - m2 - h1 - h2) / l)
+    runs = (np.floor((m1 - m2 + h1 + h2) / l) - first + 1).astype(np.int64)
+    if runs.max(initial=0) > MAX_TRANSLATES:
+        raise DomainError(f"{runs[runs > MAX_TRANSLATES][0]} deck "
+                          "translates to try exceed the oracle's bound "
+                          f"{MAX_TRANSLATES}")
+    return arcs, first, runs
+
+
+def _first_refused_pair(check, *batch):
+    """None where ``check(*batch)`` raises no DomainError; else the first
+    pair, in pair order, that ``check`` refuses on its own, and that
+    refusal.  Each array of ``batch`` holds one pair per column."""
+    try:
+        check(*batch)
+    except DomainError:
+        for i in range(batch[0].shape[1]):
+            try:
+                check(*(a[:, i:i + 1] for a in batch))
+            except DomainError as exc:
+                return i, exc
+    return None
+
+
 def crossing_batch_cyl(cyl: Cylinder, entry_t, winding,
                        crossing_sign) -> CrossingBatch:
     """The oracle of ``crossing_count_oracle_cyl`` on n arc pairs at once.
@@ -322,7 +355,7 @@ def crossing_batch_cyl(cyl: Cylinder, entry_t, winding,
     Each pair's run of translates first..last becomes rows of one numpy
     solve, ROW_CHUNK rows at a time, and each test of the one-pair oracle
     a mask over the rows.  The domain checks and their errors are those of
-    the one-pair oracle; the first arc that fails one names the error.
+    the one-pair oracle; the first pair that fails one names the error.
     A batch of more than MAX_BATCH_TRANSLATES translates in all is refused
     with DomainError before any row is built.  RetrySignal is not raised
     but flagged per pair; identical arcs are flagged as overlapping.
@@ -331,16 +364,14 @@ def crossing_batch_cyl(cyl: Cylinder, entry_t, winding,
     if l < MIN_CORE_LENGTH:
         raise DomainError(f"core length {l!r} is below the oracle's bound "
                           f"{MIN_CORE_LENGTH}")
-    (a1, a2), (b1, b2), (m1, m2), (h1, h2) = _fermi_arcs(
-        cyl, *(np.asarray(v, dtype=float)
-               for v in (entry_t, winding, crossing_sign)))
-    base = m1 - m2
-    first = np.ceil((base - h1 - h2) / l)
-    runs = (np.floor((base + h1 + h2) / l) - first + 1).astype(np.int64)
-    if runs.max(initial=0) > MAX_TRANSLATES:
-        raise DomainError(f"{runs[runs > MAX_TRANSLATES][0]} deck "
-                          "translates to try exceed the oracle's bound "
-                          f"{MAX_TRANSLATES}")
+    batch = [np.asarray(v, dtype=float)
+             for v in (entry_t, winding, crossing_sign)]
+    try:
+        arcs, first, runs = _oracle_terms(cyl, *batch)
+    except DomainError:
+        raise _first_refused_pair(lambda *pairs: _oracle_terms(cyl, *pairs),
+                                  *batch)[1] from None
+    (a1, a2), (b1, b2), (m1, m2), _ = arcs
     if runs.sum() > MAX_BATCH_TRANSLATES:
         raise DomainError(f"{runs.sum()} deck translates of a batch exceed "
                           f"the bound {MAX_BATCH_TRANSLATES}")

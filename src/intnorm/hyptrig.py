@@ -18,6 +18,11 @@ numpy's, whose +, -, * and / round as Python floats do.  Its functions
 apply ``math``'s to each element, not numpy's ufuncs: on x86-64 with
 AVX-512, numpy's SIMD sinh, asinh, cosh and acosh differ from libm in the
 last bits on 15-30% of 200,000 arguments.
+
+An expression is a pure formula: it uses of its backend only the
+functions it names, and never refuses a value.  The two evaluators
+refuse one that leaves the range of double precision: ``_evaluate`` at
+one point, ``_over_array`` over float64 arrays.
 """
 
 from __future__ import annotations
@@ -76,14 +81,13 @@ def _per_element(f):
 
 ARRAYS = SimpleNamespace(
     sinh=_per_element(math.sinh), asinh=_per_element(math.asinh),
-    cosh=_per_element(math.cosh), log=_per_element(math.log), inf=math.inf,
-    isfinite=lambda a: bool(np.isfinite(a).all()))
+    cosh=_per_element(math.cosh), log=_per_element(math.log))
 
 
-def _over_array(expr, *args):
-    """``expr`` over float64 arrays through ``ARRAYS``, or None where a
-    value leaves the range of double precision.  The caller then evaluates
-    each value alone, so that the scalar path's refusal names the first.
+def _over_array(expr, one, *args):
+    """``expr`` over float64 arrays through ``ARRAYS``; or, where a value
+    leaves the range of double precision, ``one`` at each value of the
+    last argument in turn, whose refusal names the first.
 
     numpy's overflow and division by zero give inf here without a
     warning; an inf anywhere in the result counts as out of range.
@@ -91,35 +95,32 @@ def _over_array(expr, *args):
     try:
         with np.errstate(divide="ignore", over="ignore"):
             out = expr(ARRAYS, *args)
-    except (OverflowError, DomainError):
-        return None
-    return out if np.isfinite(out).all() else None
+        if np.isfinite(out).all():
+            return out
+    except OverflowError:  # a Python int too large for a float
+        pass
+    *fixed, values = args  # a column per value where ``one`` gives tuples
+    return np.array([one(*fixed, v) for v in values.tolist()]).T
 
 
 def _collar_width(m, length):
     # float64 runs out of range where 1/sinh(length/2) overflows (length
     # below about 1e-308, or length/2 rounds to 0) or sinh itself
     # overflows (length above 1420)
-    try:
-        width = m.asinh(1 / m.sinh(length / 2))
-    except (OverflowError, ZeroDivisionError):
-        width = m.inf
-    if not m.isfinite(width):
-        raise DomainError(f"collar width of length {length!r} is outside "
-                          "the range of double precision")
-    return width
+    return m.asinh(1 / m.sinh(length / 2))
 
 
 def _evaluate(expr, names: str, extended: bool, *args):
     """``expr`` at ``args`` over mpmath with ``extended``, else over
     ``math``, refused with DomainError where that value is not finite:
-    math's cosh raises OverflowError, a product rounds to inf, or
+    math's sinh or cosh raises OverflowError, a division by a value that
+    rounds to 0 raises ZeroDivisionError, a product rounds to inf, or
     cosh*cosh - sinh*sinh to inf - inf."""
     if extended:
         return _extended(expr, *args)
     try:
         value = expr(math, *args)
-    except OverflowError:
+    except (OverflowError, ZeroDivisionError):
         value = math.inf
     if math.isfinite(value):
         return value

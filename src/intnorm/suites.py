@@ -243,9 +243,9 @@ def _scale_equivariance(seed: int) -> tuple[int, list[str]]:
         sys_small = torus_mod.systole(lat)
         if abs(torus_mod.systole(big) - 2.0 * sys_small) > 1e-12 * sys_small:
             vs.append(f"systole not doubled for {_basis(lat)}")
-        if (abs(torus_mod.torus_diameter(big)
-                - 2.0 * torus_mod.torus_diameter(lat))
-                > 1e-12 * torus_mod.torus_diameter(lat)):
+        diam_small = torus_mod.torus_diameter(lat)
+        if abs(torus_mod.torus_diameter(big) - 2.0 * diam_small) \
+                > 1e-12 * diam_small:
             vs.append(f"diameter not doubled for {_basis(lat)}")
         r_small = torus_mod.best_ratio_search(lat, 20.0 * sys_small).ratio
         r_big = torus_mod.best_ratio_search(big, 40.0 * sys_small).ratio

@@ -19,7 +19,7 @@ from intnorm.bounds import CollarCheckReport, ProfileRow, \
     _default_collar_grid, _default_monotonicity_grid, _hyperbolic_terms
 from intnorm.cylinder import SHRINK_MARGIN
 from intnorm.errors import integer, real
-from intnorm.hyptrig import _boundary_length, _collar_width
+from intnorm.hyptrig import _boundary_length, _collar_width, _evaluate
 
 
 def asymptotic_profile(s: int, l1_grid: Sequence[float], *,
@@ -67,7 +67,7 @@ def collar_constants_check(
         if x > 0.25:
             raise DomainError(
                 f"collar grid values must lie in (0, 0.25], got {x}")
-        cl = _collar_width(math, x)
+        cl = _evaluate(_collar_width, "length", False, x)
         w = cl - SHRINK_MARGIN
         circle = _boundary_length(math, x, w)
         width_margin = min(width_margin, 2.0 * w - 5.0 * circle)
@@ -93,7 +93,8 @@ def collar_constants_check(
                 "monotonicity grid values must lie in (0, 2*arsinh(1)], "
                 f"got {v}")
     mono_decrement = math.inf
-    values = [1.0 / (x * _collar_width(math, x)) for x in mono]
+    values = [1.0 / (x * _evaluate(_collar_width, "length", False, x))
+              for x in mono]
     for x_prev, x_next, f_prev, f_next in zip(mono, mono[1:],
                                               values, values[1:]):
         if x_next == x_prev:

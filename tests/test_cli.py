@@ -360,8 +360,8 @@ def test_cylinder_arc_pair_whose_window_overflows_exits_2(
     path.write_text(json.dumps({"pairs": [{"arc1": arc1, "arc2": arc2}]}))
     assert refusal(capsys, ["cylinder", "--core-length", "0.2",
                             "--samples", "1", "--arcs-json", str(path)]) \
-        == (f"intnorm: error: windings {windings} must be finite and below "
-            "2**62\n")
+        == (f"intnorm: error: arc pair #0: windings {windings} must be "
+            "finite and below 2**62\n")
 
 
 def test_cylinder_arc_pair_still_stuck_exits_2(monkeypatch, tmp_path,
@@ -388,6 +388,47 @@ def test_cylinder_arc_pair_past_the_translate_bound_exits_2(tmp_path,
     assert main(["cylinder", "--core-length", "1e-4", "--samples", "1",
                  "--arcs-json", str(path)]) == 2
     assert "translates" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("core, mode, pairs, line", [
+    # an entry outside [0, l) on the second pair
+    ("0.1", "shrunk", [{"arc1": [0.03, 0.5, 1], "arc2": [0.02, 0.5, -1]},
+                       {"arc1": [0.5, 1.5, 1], "arc2": [0.02, 0.5, -1]}],
+     "arc pair #1: entry_t must lie in [0, 0.1), got 0.5"),
+    # a core advance past the oracle's bound
+    ("0.1", "shrunk", [{"arc1": [0.03, 5000.0, 1], "arc2": [0.02, 0.5, -1]}],
+     "arc pair #0: core advance 500.0 of winding 5000.0 exceeds the "
+     "oracle's bound 400.0"),
+    # more translates than the oracle's bound; the first pair is fine
+    ("1e-6", "full", [{"arc1": [0.0, 1.0, 1], "arc2": [0.0, 2.5, 1]},
+                      {"arc1": [0.0, 1e5, 1], "arc2": [0.0, 100000.5, 1]}],
+     "arc pair #1: 200001 deck translates to try exceed the oracle's bound "
+     "100000"),
+    # the first pair refused names the error, whatever rule it breaks
+    ("0.2", "shrunk", [{"arc1": [0.03, 0.5, 1], "arc2": [0.11, 2.5, 1]},
+                       {"arc1": [0.03, 3000.0, 1], "arc2": [0.11, 0.5, 1]},
+                       {"arc1": [0.3, 0.5, 1], "arc2": [0.11, 2.5, 1]}],
+     "arc pair #1: core advance 600.0 of winding 3000.0 exceeds the "
+     "oracle's bound 400.0"),
+])
+def test_cylinder_arc_pair_outside_the_oracle_domain_is_named(
+        core, mode, pairs, line, tmp_path, capsys):
+    path = tmp_path / "arcs.json"
+    path.write_text(json.dumps({"pairs": pairs}))
+    assert refusal(capsys, ["cylinder", "--core-length", core, "--mode",
+                            mode, "--samples", "1", "--arcs-json",
+                            str(path)]) == f"intnorm: error: {line}\n"
+
+
+def test_cylinder_csv_refuses_arc_pairs(tmp_path, capsys):
+    """The csv table holds the sweep's samples only: pairs asked for with
+    --arcs-json would be dropped without a word, so the command is
+    refused before any work."""
+    path = tmp_path / "arcs.json"
+    path.write_text(json.dumps({"pairs": PINNED_PAIRS}))
+    assert "--arcs-json" in refusal(
+        capsys, ["cylinder", "--core-length", "0.2", "--samples", "2",
+                 "--format", "csv", "--arcs-json", str(path)])
 
 
 def test_cylinder_malformed_arc_file(tmp_path, capsys):
@@ -811,7 +852,7 @@ def test_reports_hold_only_json_types(monkeypatch, tmp_path, argv):
     a type the encoder refuses (a numpy integer, say) once it has begun."""
     arcs = tmp_path / "arcs.json"
     arcs.write_text(json.dumps({"pairs": PINNED_PAIRS + RETRIED_PAIRS}))
-    if argv[0] == "cylinder":
+    if argv[0] == "cylinder" and "csv" not in argv:  # csv holds no pairs
         argv = argv + ["--arcs-json", str(arcs)]
     emitted = []
     monkeypatch.setattr(intnorm.cli, "_emit",

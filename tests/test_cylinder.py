@@ -459,6 +459,18 @@ def test_batch_translates_are_bounded(monkeypatch):
         crossing_batch_cyl(CYL, *arrays)
 
 
+def test_batch_refusal_names_the_first_pair_outside_the_domain():
+    """Pair 1's second arc advances 600 core lengths and pair 2's first
+    arc enters past the core: pair 1, the first in pair order, names the
+    refusal, as the one-pair oracle on it alone would."""
+    entry_t = [[0.03, 0.03, 0.3], [0.11, 0.11, 0.11]]
+    winding = [[0.5, 0.5, 0.5], [2.5, 3000.0, 2.5]]
+    signs = [[1, 1, 1], [1, 1, 1]]
+    with pytest.raises(DomainError, match="^core advance 600.0 of winding "
+                                          "3000.0 exceeds"):
+        crossing_batch_cyl(CYL, entry_t, winding, signs)
+
+
 def test_batch_past_its_translate_bound_is_refused_before_its_rows():
     # 20 pairs of about 98,000 translates each, each within MAX_TRANSLATES
     cyl = make_collar(1e-3, "full")

@@ -13,6 +13,7 @@ import random
 import sys
 import threading
 import time
+from types import SimpleNamespace
 
 import mpmath
 import pytest
@@ -26,7 +27,7 @@ from intnorm import (
     collar_width,
     crossing_arc_length,
 )
-from intnorm import hyptrig
+from intnorm import bounds, hyptrig
 from intnorm.hyptrig import EXTENDED_DPS, fermi_distance
 
 # 20-digit values from the extended-precision derivation run.
@@ -93,6 +94,30 @@ EXTENDED_FORMS = (
     (_fermi, hyptrig._fermi_distance,
      lambda r: tuple(r.uniform(-5, 5) for _ in range(4))),
 )
+
+
+# A backend with the functions that the formulas name and nothing else,
+# as an interval context would supply them: no inf and no isfinite.
+NAMED_ONLY = SimpleNamespace(**{name: getattr(math, name) for name in (
+    "sinh", "asinh", "cosh", "acosh", "hypot", "sqrt", "log")})
+
+
+def test_every_formula_is_pure():
+    """Each closed form uses of its backend only the functions it names
+    and refuses no value: over NAMED_ONLY it gives math's values bit for
+    bit, and past double range it gives inf, for the evaluators to
+    refuse."""
+    rng = random.Random(5)
+    forms = [(expr, draw) for _, expr, draw in EXTENDED_FORMS]
+    forms.append((bounds._hyperbolic,
+                  lambda r: (r.randint(2, 50), 10 ** r.uniform(-12, 0.2))))
+    for expr, draw in forms:
+        for _ in range(100):
+            args = draw(rng)
+            assert (repr(expr(NAMED_ONLY, *args))
+                    == repr(expr(math, *args))), (expr.__name__, args)
+    assert hyptrig._collar_width(NAMED_ONLY, 1e-320) == math.inf
+    assert bounds._hyperbolic(NAMED_ONLY, 2, 1e-320)[3] == math.inf
 
 
 def test_extended_values_are_those_of_the_global_context():
