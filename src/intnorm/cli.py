@@ -219,21 +219,20 @@ def run_cylinder(args) -> tuple[dict, Optional[tuple]]:
         entry_t, winding, sign = np.array(
             [[(a.entry_t, a.winding, a.crossing_sign) for a in pair]
              for pair in arcs]).reshape(-1, 2, 3).T
-
-        def check(entry_t, winding, sign):
-            cylinder.intersection_bounds(*winding, sign[0] == sign[1])
-            cylinder._oracle_terms(cyl, entry_t, winding, sign)
-        # the first pair outside the window's domain or the oracle's is
-        # named before any pair is solved
-        refused = cylinder._first_refused_pair(check, entry_t, winding, sign)
-        if refused is not None:
-            raise DomainError(f"arc pair #{refused[0]}: {refused[1]}")
         first_sign = sign[0].astype(np.int64)
-        wb = cylinder.intersection_bounds(*winding, sign[0] == sign[1])
-        # a pair that needs a retry is solved again on its own, in file
-        # order, its jitters drawn from a child stream of the sweep's
-        batch = count_crossings_cyl_batch(cyl, entry_t, winding, sign,
-                                          rng.spawn(1)[0])
+        try:
+            wb = cylinder.intersection_bounds(*winding, sign[0] == sign[1])
+            # a pair that needs a retry is solved again on its own, in
+            # file order, its jitters drawn from a child stream of the
+            # sweep's
+            batch = count_crossings_cyl_batch(cyl, entry_t, winding, sign,
+                                              rng.spawn(1)[0])
+        except DomainError:
+            refused = cylinder.refused_pair(cyl, entry_t, winding, sign)
+            if refused is None:  # no one pair's, as the batch's total
+                raise
+            raise DomainError(f"arc pair #{refused[0]}: {refused[1]}") \
+                from None
         for i, vs in window_violations(batch, wb, first_sign).items():
             if batch.retry[i]:  # the first pair still stuck is refused
                 raise RetrySignal(f"arc pair #{i}: oracle {vs[0]}")

@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -331,19 +332,29 @@ def _oracle_terms(cyl: Cylinder, entry_t: np.ndarray, winding: np.ndarray,
     return arcs, first, runs
 
 
-def _first_refused_pair(check, *batch):
-    """None where ``check(*batch)`` raises no DomainError; else the first
-    pair, in pair order, that ``check`` refuses on its own, and that
-    refusal.  Each array of ``batch`` holds one pair per column."""
-    try:
-        check(*batch)
-    except DomainError:
-        for i in range(batch[0].shape[1]):
-            try:
-                check(*(a[:, i:i + 1] for a in batch))
-            except DomainError as exc:
-                return i, exc
+def _first_refused(check, batch):
+    """The first pair, in pair order, that ``check`` refuses on its own
+    with DomainError, and that refusal; None where it refuses none.  Each
+    array of ``batch`` holds one pair per column."""
+    for i in range(batch[0].shape[1]):
+        try:
+            check(*(a[:, i:i + 1] for a in batch))
+        except DomainError as exc:
+            return i, exc
     return None
+
+
+def refused_pair(cyl: Cylinder, entry_t, winding, crossing_sign):
+    """The first pair of a batch, in pair order, outside the domain of
+    ``intersection_bounds`` or of the oracle, and its refusal; None where
+    every pair is inside both.  The arguments are those of
+    ``crossing_batch_cyl``.  A batch call refuses its first pair outside
+    the domain without saying which pair that is; this says which."""
+    def check(entry_t, winding, crossing_sign):
+        intersection_bounds(*winding, crossing_sign[0] == crossing_sign[1])
+        _oracle_terms(cyl, entry_t, winding, crossing_sign)
+    return _first_refused(check, np.asarray((entry_t, winding, crossing_sign),
+                                            dtype=float))
 
 
 def crossing_batch_cyl(cyl: Cylinder, entry_t, winding,
@@ -369,8 +380,8 @@ def crossing_batch_cyl(cyl: Cylinder, entry_t, winding,
     try:
         arcs, first, runs = _oracle_terms(cyl, *batch)
     except DomainError:
-        raise _first_refused_pair(lambda *pairs: _oracle_terms(cyl, *pairs),
-                                  *batch)[1] from None
+        raise _first_refused(partial(_oracle_terms, cyl),
+                             batch)[1] from None
     (a1, a2), (b1, b2), (m1, m2), _ = arcs
     if runs.sum() > MAX_BATCH_TRANSLATES:
         raise DomainError(f"{runs.sum()} deck translates of a batch exceed "

@@ -471,6 +471,21 @@ def test_batch_refusal_names_the_first_pair_outside_the_domain():
         crossing_batch_cyl(CYL, entry_t, winding, signs)
 
 
+def test_refused_pair_names_the_first_pair_outside_either_domain():
+    """Pair 1's windings leave the window's domain and pair 2's second
+    arc advances 600 core lengths: pair 1 comes first, with the window's
+    refusal; a batch inside both domains has no refused pair."""
+    entry_t = [[0.03, 0.03, 0.03], [0.11, 0.11, 0.11]]
+    winding = [[0.5, 1e308, 0.5], [2.5, 1e308, 3000.0]]
+    signs = [[1, 1, 1], [1, 1, 1]]
+    i, exc = intnorm.cylinder.refused_pair(CYL, entry_t, winding, signs)
+    assert (i, str(exc)) == (1, "windings 1e+308 and 1e+308 must be finite "
+                                "and below 2**62")
+    assert intnorm.cylinder.refused_pair(
+        CYL, [e[:1] for e in entry_t], [w[:1] for w in winding],
+        [s[:1] for s in signs]) is None
+
+
 def test_batch_past_its_translate_bound_is_refused_before_its_rows():
     # 20 pairs of about 98,000 translates each, each within MAX_TRANSLATES
     cyl = make_collar(1e-3, "full")
