@@ -322,9 +322,9 @@ def _oracle_terms(cyl: Cylinder, entry_t: np.ndarray, winding: np.ndarray,
     translates to try."""
     arcs = _fermi_arcs(cyl, entry_t, winding, crossing_sign)
     (m1, m2), (h1, h2) = arcs[2:]
-    l = cyl.core_length
-    first = np.ceil((m1 - m2 - h1 - h2) / l)
-    runs = (np.floor((m1 - m2 + h1 + h2) / l) - first + 1).astype(np.int64)
+    base, l = m1 - m2, cyl.core_length
+    first = np.ceil((base - h1 - h2) / l)
+    runs = (np.floor((base + h1 + h2) / l) - first + 1).astype(np.int64)
     if runs.max(initial=0) > MAX_TRANSLATES:
         raise DomainError(f"{runs[runs > MAX_TRANSLATES][0]} deck "
                           "translates to try exceed the oracle's bound "
