@@ -214,6 +214,8 @@ def asymptotic_profile(s: int, l1_grid: Sequence[float], *,
     """
     s = integer("genus", s, 2)
     l1 = _float_grid(l1_grid, _profile_value, lambda x: (x > 0) & (x < 1.0))
+    if not l1.size:  # no rows, whatever the genus
+        return ()
     lower, upper, rate, cl, asinh_term = _hyperbolic_terms(s, l1, extended)
     log_abs = -ARRAYS.log(l1)
     scale = l1 * log_abs

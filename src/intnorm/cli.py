@@ -33,6 +33,7 @@ import contextlib
 import itertools
 import json
 import os
+import reprlib
 import stat
 import sys
 import time
@@ -202,37 +203,51 @@ def run_cylinder(args) -> tuple[dict, Optional[tuple]]:
         try:
             with open(args.arcs_json, "r", encoding="utf-8") as fh:
                 doc = json.load(fh)
-            pairs = doc["pairs"]
-        except (OSError, ValueError, KeyError, TypeError) as exc:
+        except (OSError, ValueError) as exc:
             raise DomainError(
                 f"cannot read arc pairs from {args.arcs_json}: "
                 f"{exc}") from None
+        pairs = doc.get("pairs") if isinstance(doc, dict) else None
+        if not isinstance(pairs, list):
+            raise DomainError(f"cannot read arc pairs from {args.arcs_json}: "
+                              'expected {"pairs": [...]}')
         arcs = []
-        try:  # ArcSpec checks the numbers of each arc
-            for item in pairs:
+        for item in pairs:
+            where = f"arc pair #{len(arcs)}"
+            if not (isinstance(item, dict)
+                    and {"arc1", "arc2"} <= item.keys()):
+                raise DomainError(f'{where}: expected {{"arc1": [...], '
+                                  '"arc2": [...]}')
+            for key in ("arc1", "arc2"):
+                if not (isinstance(item[key], list) and len(item[key]) == 3):
+                    raise DomainError(
+                        f"{where}: {key} must be [entry_t, winding, "
+                        f"crossing_sign], got {reprlib.repr(item[key])}")
+            try:  # ArcSpec checks the numbers of each arc
                 pair = ArcSpec(*item["arc1"]), ArcSpec(*item["arc2"])
                 check_distinct_arcs(*pair)
-                arcs.append(pair)
-        except (KeyError, TypeError, GeometryError) as exc:
-            raise DomainError(f"arc pair #{len(arcs)}: {exc}") from None
+            except GeometryError as exc:
+                raise DomainError(f"{where}: {exc}") from None
+            arcs.append(pair)
         # entry_t, winding and crossing sign, each of shape (2, pairs)
         entry_t, winding, sign = np.array(
             [[(a.entry_t, a.winding, a.crossing_sign) for a in pair]
              for pair in arcs]).reshape(-1, 2, 3).T
         first_sign = sign[0].astype(np.int64)
         try:
-            wb = cylinder.intersection_bounds(*winding, sign[0] == sign[1])
             # a pair that needs a retry is solved again on its own, in
             # file order, its jitters drawn from a child stream of the
             # sweep's
             batch = count_crossings_cyl_batch(cyl, entry_t, winding, sign,
                                               rng.spawn(1)[0])
         except DomainError:
-            refused = cylinder.refused_pair(cyl, entry_t, winding, sign)
-            if refused is None:  # no one pair's, as the batch's total
+            refused = cylinder.refused_pair(cyl, entry_t, winding)
+            if refused is None:  # the call's translates, no one pair's
                 raise
             raise DomainError(f"arc pair #{refused[0]}: {refused[1]}") \
                 from None
+        # inside the oracle's domain no window leaves int64
+        wb = cylinder.intersection_bounds(*winding, sign[0] == sign[1])
         for i, vs in window_violations(batch, wb, first_sign).items():
             if batch.retry[i]:  # the first pair still stuck is refused
                 raise RetrySignal(f"arc pair #{i}: oracle {vs[0]}")

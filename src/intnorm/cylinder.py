@@ -30,7 +30,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -49,19 +48,16 @@ from .hyptrig import SHORT_CORE_THRESHOLD, SHRINK_MARGIN, boundary_length, \
     collar_width, crossing_arc_length
 
 # Domain of the crossing oracle: the core advance |winding| * core_length
-# of each arc, the core length (measured, see crossing_count_oracle_cyl),
-# and the number of deck translates tried, about |w1| + |w2|, which the
-# advance does not bound on a short core.  One call at MAX_TRANSLATES
-# takes about 10 ms and peaks near 8 MB under tracemalloc, mostly the
-# crossings it returns (Intel Xeon, 2 vCPUs, numpy 2.4).
+# of each arc, the core length and the half-width (measured, see
+# crossing_count_oracle_cyl), and the deck translates one call tries,
+# about |w1| + |w2| a pair, which the advance does not bound on a short
+# core.  A call at MAX_TRANSLATES, one pair or many, with a crossing at
+# every translate, takes about 0.09 s and a tracemalloc peak near 57 MB
+# (Intel Xeon, 2 vCPUs, numpy 2.4).
 MAX_ADVANCE = 400.0
 MIN_CORE_LENGTH = 1e-9
-MAX_TRANSLATES = 100_000
-
-# Most deck translates of a batch, which bound its rows and crossings.
-# Ten pairs at MAX_TRANSLATES, with a crossing at every translate, take
-# about 0.13 s and a tracemalloc peak near 57 MB (Intel Xeon, 2 vCPUs).
-MAX_BATCH_TRANSLATES = 1_000_000
+MIN_HALF_WIDTH = 1e-3
+MAX_TRANSLATES = 1_000_000
 
 # (pair, translate) rows that crossing_batch_cyl solves at once, with 2.6
 # MB of temporaries.  The pair and k of every translate come first: a
@@ -230,25 +226,22 @@ def _fermi_arcs(cyl: Cylinder, entry_t: np.ndarray, winding: np.ndarray,
     D = winding * core_length: the arc is the part with |s| < w of the
     geodesic A*tanh(s) = B*sinh(t - m), with A = sinh(D/2),
     B = crossing_sign*tanh(w) and m = entry_t + D/2, and it spans t
-    within |D|/2 of m.  Row 0 holds the first arcs, row 1 the second."""
+    within |D|/2 of m.  Row 0 holds the first arcs, row 1 the second.
+    Refused with the DomainError of ``refused_pair`` where an arc leaves
+    the oracle's domain."""
     l = cyl.core_length
     half = winding * l / 2.0
     h = np.abs(half)
-    if not ((0.0 <= entry_t) & (entry_t < l)
-            & (h <= MAX_ADVANCE / 2.0)).all():
-        for e, wind, hh in zip(entry_t, winding, h):
-            bad = np.flatnonzero(~((0.0 <= e) & (e < l)))
-            if bad.size:
-                raise DomainError(f"entry_t must lie in [0, {l}), "
-                                  f"got {e[bad[0]].item()}")
-            bad = np.flatnonzero(~(hh <= MAX_ADVANCE / 2.0))
-            if bad.size:
-                raise DomainError(
-                    f"core advance {2.0 * hh[bad[0]].item()!r} of winding "
-                    f"{wind[bad[0]].item()!r} exceeds the oracle's bound "
-                    f"{MAX_ADVANCE}")
+    if not _inside(l, entry_t, h).all():
+        raise refused_pair(cyl, entry_t, winding)[1]
     return (np.sinh(half), crossing_sign * math.tanh(cyl.half_width),
             entry_t + half, h)
+
+
+def _inside(l: float, entry_t: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """Which arcs lie inside the oracle's domain: an entry in [0, l) and
+    a core advance 2*h of at most MAX_ADVANCE."""
+    return (0.0 <= entry_t) & (entry_t < l) & (h <= MAX_ADVANCE / 2.0)
 
 
 def crossing_count_oracle_cyl(cyl: Cylinder, arc1: ArcSpec,
@@ -272,20 +265,25 @@ def crossing_count_oracle_cyl(cyl: Cylinder, arc1: ArcSpec,
     ``crossing_batch_cyl``.
 
     Domain, refused with DomainError: a core advance
-    |winding| * core_length above MAX_ADVANCE = 400 on either arc, and a
-    core length below MIN_CORE_LENGTH = 1e-9.  Measured against the window
-    and sign rule and against a 60-digit evaluation of the same model:
+    |winding| * core_length above MAX_ADVANCE = 400 on either arc, a core
+    length below MIN_CORE_LENGTH = 1e-9 and a half-width below
+    MIN_HALF_WIDTH = 1e-3.  Measured against the window and sign rule and
+    against a 60-digit evaluation of the same model:
     - advances up to 480 on cores 0.05, 0.1 and 0.2 give no violation.
       P*e^d reaches e^(1.5*advance), which overflows past an advance of
       about 473; at advances up to 500, crossings go missing.
-    - the half-width sets no limit: w = 462 at core 0.2 is clean.
+    - a wide half-width sets no limit: w = 462 at core 0.2 is clean.  A
+      thin one does, as S_TOLERANCE is absolute and no jitter moves a
+      crossing out of its band: of ``lemma_sweep``'s samples on full
+      collars, 2 in 100,000 stay stuck at w = 4.5e-6 and 18,763 in 20,000
+      at w = 9.2e-10, none in 200,000 at w = 1e-3.
     - the core length does.  e^d keeps d only to about 1e-16, so a crossing
       that close to an arc end can land on the wrong side of it, at a rate
       of roughly 1e-16/core_length per pair: 4 wrong pairs in 1000 at core
       1e-14, 1 in 2000 at 1e-13 and at 1e-12, none in 1000 at 1e-9.
     On a short core the advance leaves the number of translates, about
-    |w1| + |w2|, open, so more than MAX_TRANSLATES = 100,000 are refused
-    too; a call at that bound takes about 10 ms.
+    |w1| + |w2|, open, so a call that would try more than MAX_TRANSLATES =
+    1,000,000 is refused too; a call at that bound takes about 0.09 s.
 
     Raises RetrySignal when the two lifts overlap (the same core point and
     slope, where numerator and denominator both vanish) or a crossing lies
@@ -314,47 +312,27 @@ def _one_pair(arc1: ArcSpec, arc2: ArcSpec) -> np.ndarray:
                     dtype=float).reshape(3, 2, 1)
 
 
-def _oracle_terms(cyl: Cylinder, entry_t: np.ndarray, winding: np.ndarray,
-                  crossing_sign: np.ndarray):
-    """``_fermi_arcs`` of a batch, with each pair's first deck translate
-    to try and the number of them; refused with DomainError where an arc
-    leaves the oracle's domain or a pair has more than MAX_TRANSLATES
-    translates to try."""
-    arcs = _fermi_arcs(cyl, entry_t, winding, crossing_sign)
-    (m1, m2), (h1, h2) = arcs[2:]
-    base, l = m1 - m2, cyl.core_length
-    first = np.ceil((base - h1 - h2) / l)
-    runs = (np.floor((base + h1 + h2) / l) - first + 1).astype(np.int64)
-    if runs.max(initial=0) > MAX_TRANSLATES:
-        raise DomainError(f"{runs[runs > MAX_TRANSLATES][0]} deck "
-                          "translates to try exceed the oracle's bound "
-                          f"{MAX_TRANSLATES}")
-    return arcs, first, runs
-
-
-def _first_refused(check, batch):
-    """The first pair, in pair order, that ``check`` refuses on its own
-    with DomainError, and that refusal; None where it refuses none.  Each
-    array of ``batch`` holds one pair per column."""
-    for i in range(batch[0].shape[1]):
-        try:
-            check(*(a[:, i:i + 1] for a in batch))
-        except DomainError as exc:
-            return i, exc
-    return None
-
-
-def refused_pair(cyl: Cylinder, entry_t, winding, crossing_sign):
-    """The first pair of a batch, in pair order, outside the domain of
-    ``intersection_bounds`` or of the oracle, and its refusal; None where
-    every pair is inside both.  The arguments are those of
-    ``crossing_batch_cyl``.  A batch call refuses its first pair outside
-    the domain without saying which pair that is; this says which."""
-    def check(entry_t, winding, crossing_sign):
-        intersection_bounds(*winding, crossing_sign[0] == crossing_sign[1])
-        _oracle_terms(cyl, entry_t, winding, crossing_sign)
-    return _first_refused(check, np.asarray((entry_t, winding, crossing_sign),
-                                            dtype=float))
+def refused_pair(cyl: Cylinder, entry_t, winding):
+    """The first pair of a batch, in pair order, with an arc outside the
+    oracle's domain, and its refusal, named by the pair's first such arc,
+    entry before advance; None where every arc is inside.  The arguments
+    are the first two of ``crossing_batch_cyl``, which refuses that pair
+    without naming it."""
+    l = cyl.core_length
+    entry_t, winding = (np.asarray(v, dtype=float) for v in (entry_t, winding))
+    h = np.abs(winding * l / 2.0)
+    outside = ~_inside(l, entry_t, h)
+    if not outside.any():
+        return None
+    i = int(outside.any(axis=0).argmax())
+    arc = outside[:, i].argmax()
+    e = entry_t[arc, i].item()
+    if not 0.0 <= e < l:
+        return i, DomainError(f"entry_t must lie in [0, {l}), got {e}")
+    return i, DomainError(
+        f"core advance {2.0 * h[arc, i].item()!r} of winding "
+        f"{winding[arc, i].item()!r} exceeds the oracle's bound "
+        f"{MAX_ADVANCE}")
 
 
 def crossing_batch_cyl(cyl: Cylinder, entry_t, winding,
@@ -365,27 +343,29 @@ def crossing_batch_cyl(cyl: Cylinder, entry_t, winding,
 
     Each pair's run of translates first..last becomes rows of one numpy
     solve, ROW_CHUNK rows at a time, and each test of the one-pair oracle
-    a mask over the rows.  The domain checks and their errors are those of
-    the one-pair oracle; the first pair that fails one names the error.
-    A batch of more than MAX_BATCH_TRANSLATES translates in all is refused
-    with DomainError before any row is built.  RetrySignal is not raised
-    but flagged per pair; identical arcs are flagged as overlapping.
+    a mask over the rows.  The domain and its errors are those of the
+    one-pair oracle, with ``refused_pair``'s pair naming the error, and
+    MAX_TRANSLATES bounds the translates of the whole call: more are
+    refused before any row is built.  RetrySignal is not raised but
+    flagged per pair; identical arcs are flagged as overlapping.
     """
     l, w = cyl.core_length, cyl.half_width
     if l < MIN_CORE_LENGTH:
         raise DomainError(f"core length {l!r} is below the oracle's bound "
                           f"{MIN_CORE_LENGTH}")
-    batch = [np.asarray(v, dtype=float)
-             for v in (entry_t, winding, crossing_sign)]
-    try:
-        arcs, first, runs = _oracle_terms(cyl, *batch)
-    except DomainError:
-        raise _first_refused(partial(_oracle_terms, cyl),
-                             batch)[1] from None
-    (a1, a2), (b1, b2), (m1, m2), _ = arcs
-    if runs.sum() > MAX_BATCH_TRANSLATES:
-        raise DomainError(f"{runs.sum()} deck translates of a batch exceed "
-                          f"the bound {MAX_BATCH_TRANSLATES}")
+    if w < MIN_HALF_WIDTH:
+        raise DomainError(f"half-width {w!r} is below the oracle's bound "
+                          f"{MIN_HALF_WIDTH}")
+    (a1, a2), (b1, b2), (m1, m2), (h1, h2) = _fermi_arcs(
+        cyl, *(np.asarray(v, dtype=float)
+               for v in (entry_t, winding, crossing_sign)))
+    base = m1 - m2
+    first = np.ceil((base - h1 - h2) / l)
+    runs = np.floor((base + h1 + h2) / l) - first + 1
+    if runs.sum() > MAX_TRANSLATES:
+        raise DomainError(f"{int(runs.sum())} deck translates to try exceed "
+                          f"the oracle's bound {MAX_TRANSLATES}")
+    runs = runs.astype(np.int64)
     p, q = b2 * a1, b1 * a2
     # lifts can overlap only where their slopes agree
     same_slope = (np.abs(p - q)
@@ -453,7 +433,9 @@ def count_crossings_cyl_batch(cyl: Cylinder, entry_t, winding, crossing_sign,
     own, in pair order, its second entry position moved from its own value
     by a uniform jitter in (0, core_length * JITTER_SCALE) drawn from rng;
     see ``retry_flagged``.  Identical arcs, which the batch flags, raise
-    DegenerateInputError when their turn comes."""
+    DegenerateInputError when their turn comes.  Only the batch call can
+    be refused: a retry moves an entry within [0, core_length) and tries
+    the translates of one pair of the batch, no more than it tried."""
     l = cyl.core_length
 
     def jittered(i: int) -> CrossingBatch:

@@ -389,6 +389,16 @@ def test_arrays_refuse_as_the_scalar_loops_do(case):
         assert got == _outcome(reference, case, extended)
 
 
+def test_an_empty_grid_has_no_rows_whatever_the_genus():
+    """A genus past float range is refused at a grid value, as the scalar
+    loop refuses it; a grid with no value has no rows."""
+    for extended in (False, True):
+        assert asymptotic_profile(10 ** 400, (), extended=extended) == () \
+            == reference.asymptotic_profile(10 ** 400, (), extended=extended)
+        with pytest.raises(DomainError, match="range of double precision"):
+            asymptotic_profile(10 ** 400, (0.1,), extended=extended)
+
+
 def test_arrays_equal_the_scalar_profile_on_a_deep_grid():
     grid = parse_grid("1e-300:0.999:2000", geometric=True)
     with warnings.catch_warnings():

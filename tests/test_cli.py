@@ -253,16 +253,25 @@ def test_cylinder_arc_batch_past_its_translate_bound_exits_2(
         for n in (20, 30, 40)]}))
     argv = ["cylinder", "--core-length", "0.2", "--samples", "1",
             "--arcs-json", str(path)]
-    monkeypatch.setattr(intnorm.cylinder, "MAX_BATCH_TRANSLATES", 90)
+    monkeypatch.setattr(intnorm.cylinder, "MAX_TRANSLATES", 90)
     code, doc = run_json(capsys, argv)
     assert code == 0
     assert [p["count"] for p in doc["results"]["pairs"]] == [20, 30, 40]
-    monkeypatch.setattr(intnorm.cylinder, "MAX_BATCH_TRANSLATES", 89)
+    monkeypatch.setattr(intnorm.cylinder, "MAX_TRANSLATES", 89)
     assert main(argv) == 2
     out, err = capsys.readouterr()
     assert out == ""
-    assert err == ("intnorm: error: 90 deck translates of a batch exceed "
-                   "the bound 89\n")
+    assert err == ("intnorm: error: 90 deck translates to try exceed the "
+                   "oracle's bound 89\n")
+
+
+def test_cylinder_collar_too_thin_for_the_graze_tolerance_exits_2(capsys):
+    """At half-width 6.1e-7 the oracle's absolute graze tolerance leaves
+    samples stuck whatever their jitter, which read as violations."""
+    assert refusal(capsys, ["cylinder", "--core-length", "30", "--mode",
+                            "full", "--samples", "20000"]) \
+        == ("intnorm: error: half-width 6.118046410036707e-07 is below "
+            "the oracle's bound 0.001\n")
 
 
 def test_cylinder_explicit_arc_pairs(tmp_path, capsys):
@@ -349,19 +358,20 @@ def test_arc_pairs_keep_their_retries_pinned(monkeypatch, tmp_path, capsys):
         "f8cc7512f4865687fbe163b72a4be0c14f3bebbee420a6b2dc587e910e52331f")
 
 
-@pytest.mark.parametrize("arc1,arc2,windings", [
-    # finite windings whose sum is not
-    ([0.03, 1e308, 1], [0.11, 1e308, -1], "1e+308 and 1e+308"),
-    ([0.01, 1e300, 1], [0.02, 1.5, 1], "1e+300 and 1.5"),
+@pytest.mark.parametrize("arc1,arc2,advance", [
+    # finite windings whose sum is not, refused for their core advance
+    ([0.03, 1e308, 1], [0.11, 1e308, -1], "2.0000000000000002e+307 of "
+                                          "winding 1e+308"),
+    ([0.01, 1e300, 1], [0.02, 1.5, 1], "2e+299 of winding 1e+300"),
 ])
 def test_cylinder_arc_pair_whose_window_overflows_exits_2(
-        arc1, arc2, windings, tmp_path, capsys):
+        arc1, arc2, advance, tmp_path, capsys):
     path = tmp_path / "arcs.json"
     path.write_text(json.dumps({"pairs": [{"arc1": arc1, "arc2": arc2}]}))
     assert refusal(capsys, ["cylinder", "--core-length", "0.2",
                             "--samples", "1", "--arcs-json", str(path)]) \
-        == (f"intnorm: error: arc pair #0: windings {windings} must be "
-            "finite and below 2**62\n")
+        == (f"intnorm: error: arc pair #0: core advance {advance} exceeds "
+            "the oracle's bound 400.0\n")
 
 
 def test_cylinder_arc_pair_still_stuck_exits_2(monkeypatch, tmp_path,
@@ -399,11 +409,12 @@ def test_cylinder_arc_pair_past_the_translate_bound_exits_2(tmp_path,
     ("0.1", "shrunk", [{"arc1": [0.03, 5000.0, 1], "arc2": [0.02, 0.5, -1]}],
      "arc pair #0: core advance 500.0 of winding 5000.0 exceeds the "
      "oracle's bound 400.0"),
-    # more translates than the oracle's bound; the first pair is fine
+    # more translates than the oracle's bound, summed over pairs that
+    # are each inside it: no one pair is named
     ("1e-6", "full", [{"arc1": [0.0, 1.0, 1], "arc2": [0.0, 2.5, 1]},
-                      {"arc1": [0.0, 1e5, 1], "arc2": [0.0, 100000.5, 1]}],
-     "arc pair #1: 200001 deck translates to try exceed the oracle's bound "
-     "100000"),
+                      {"arc1": [0.0, 3e5, 1], "arc2": [0.0, 300000.5, 1]},
+                      {"arc1": [0.0, 3e5, 1], "arc2": [0.0, 300000.5, 1]}],
+     "1200006 deck translates to try exceed the oracle's bound 1000000"),
     # the first pair refused names the error, whatever rule it breaks
     ("0.2", "shrunk", [{"arc1": [0.03, 0.5, 1], "arc2": [0.11, 2.5, 1]},
                        {"arc1": [0.03, 3000.0, 1], "arc2": [0.11, 0.5, 1]},
@@ -429,6 +440,29 @@ def test_cylinder_csv_refuses_arc_pairs(tmp_path, capsys):
     assert "--arcs-json" in refusal(
         capsys, ["cylinder", "--core-length", "0.2", "--samples", "2",
                  "--format", "csv", "--arcs-json", str(path)])
+
+
+@pytest.mark.parametrize("doc, line", [
+    ({"pairs": {"a": 1}},
+     'cannot read arc pairs from {}: expected {{"pairs": [...]}}'),
+    ([1], 'cannot read arc pairs from {}: expected {{"pairs": [...]}}'),
+    ({"pairs": [[0.03, 0.5, 1]]},
+     'arc pair #0: expected {{"arc1": [...], "arc2": [...]}}'),
+    ({"pairs": [{"arc1": [0.03, 0.5, 1], "arc2": [0.11, 2.5, 1]},
+                {"arc1": [0.03, 0.5, 1, 7], "arc2": [0.11, 2.5, 1]}]},
+     "arc pair #1: arc1 must be [entry_t, winding, crossing_sign], got "
+     "[0.03, 0.5, 1, 7]"),
+    ({"pairs": [{"arc1": [0.03, 0.5, 1], "arc2": 0.11}]},
+     "arc pair #0: arc2 must be [entry_t, winding, crossing_sign], got "
+     "0.11"),
+], ids=["pairs-object", "list", "pair-list", "arc-of-four", "arc-number"])
+def test_cylinder_arc_file_of_the_wrong_shape_names_the_shape(
+        doc, line, tmp_path, capsys):
+    path = tmp_path / "arcs.json"
+    path.write_text(json.dumps(doc))
+    assert refusal(capsys, ["cylinder", "--core-length", "0.2",
+                            "--samples", "1", "--arcs-json", str(path)]) \
+        == f"intnorm: error: {line.format(path)}\n"
 
 
 def test_cylinder_malformed_arc_file(tmp_path, capsys):

@@ -33,9 +33,10 @@ from intnorm import (
 )
 import intnorm.cylinder
 from intnorm.cylinder import (MAX_ADVANCE, MAX_TRANSLATES, MIN_CORE_LENGTH,
-                              ROW_CHUNK, CrossingBatch, crossing_batch_cyl,
-                              crossing_count_oracle_cyl, halfplane_to_fermi,
-                              rewind_cell_violations, rewind_shift)
+                              MIN_HALF_WIDTH, ROW_CHUNK, CrossingBatch,
+                              crossing_batch_cyl, crossing_count_oracle_cyl,
+                              halfplane_to_fermi, rewind_cell_violations,
+                              rewind_shift)
 from intnorm.flat_torus import MAX_RETRIES
 from intnorm.seeding import named_stream
 from intnorm.suites import lemma_sweep, window_violations
@@ -271,6 +272,27 @@ def test_oracle_rejects_cores_below_its_bound():
         crossing_count_oracle_cyl(past, arc1, arc2)
 
 
+def test_oracle_rejects_half_widths_below_its_bound():
+    """On a thinner collar the absolute graze tolerance leaves samples
+    stuck however they are jittered; at the bound none is, see the
+    oracle's Domain."""
+    arc1 = ArcSpec(entry_t=0.03, winding=0.5, crossing_sign=1)
+    arc2 = ArcSpec(entry_t=0.11, winding=-2.5, crossing_sign=1)
+    at_edge = Cylinder(core_length=0.2, half_width=MIN_HALF_WIDTH)
+    rep = crossing_count_oracle_cyl(at_edge, arc1, arc2)
+    assert rep.count in (3, 4)
+    assert rep.uniform_sign() == -1
+    past = Cylinder(core_length=0.2,
+                    half_width=math.nextafter(MIN_HALF_WIDTH, 0.0))
+    with pytest.raises(DomainError, match="^half-width 0.0009999999999999998 "
+                                          "is below the oracle's bound"):
+        crossing_count_oracle_cyl(past, arc1, arc2)
+    # the thinnest full collar inside the bound
+    assert make_collar(15.20180508575082, "full").half_width \
+        >= MIN_HALF_WIDTH > make_collar(15.201805085750822,
+                                        "full").half_width
+
+
 def test_oracle_sign_table_matches_winding_rule():
     """All four crossing-sign combinations reproduce the sign of the
     winding difference (same side) / sum (opposite sides), multiplied by
@@ -445,18 +467,42 @@ def test_batch_with_a_run_near_the_translate_bound():
 def test_batch_translates_are_bounded(monkeypatch):
     """A perpendicular first arc 0.4 core lengths past the second arc's
     entry tries exactly n translates against a second winding n; a batch
-    of such pairs is solved at MAX_BATCH_TRANSLATES and refused one
-    translate past it."""
+    of such pairs is solved at MAX_TRANSLATES and refused one translate
+    past it."""
     windings = (3.0, 5.0, 4.0)
     arrays = ([[0.11] * 3, [0.03] * 3], [[0.0] * 3, list(windings)],
               [[1] * 3, [1] * 3])
-    monkeypatch.setattr(intnorm.cylinder, "MAX_BATCH_TRANSLATES", 12)
+    monkeypatch.setattr(intnorm.cylinder, "MAX_TRANSLATES", 12)
     batch = crossing_batch_cyl(CYL, *arrays)
     assert np.diff(batch.offsets).tolist() == [3, 5, 4]
-    monkeypatch.setattr(intnorm.cylinder, "MAX_BATCH_TRANSLATES", 11)
-    with pytest.raises(DomainError, match="^12 deck translates of a batch "
-                                          "exceed the bound 11$"):
+    monkeypatch.setattr(intnorm.cylinder, "MAX_TRANSLATES", 11)
+    with pytest.raises(DomainError, match="^12 deck translates to try "
+                                          "exceed the oracle's bound 11$"):
         crossing_batch_cyl(CYL, *arrays)
+
+
+def test_one_pair_at_the_translate_bound_is_solved():
+    """The perpendicular first arc of ``test_batch_translates_are_bounded``
+    against a second winding of a million on a short core: one pair
+    alone tries as many translates as the bound allows and is solved,
+    and one translate more is refused before any row is built."""
+    short = Cylinder(core_length=1e-4, half_width=3.0)
+    n = 1_000_000
+    entry_t, signs = [[5.5e-5], [1.5e-5]], [[1], [1]]
+    batch = crossing_batch_cyl(short, entry_t, [[0.0], [float(n)]], signs)
+    lo, hi, sign = intersection_bounds(0.0, float(n), True)
+    assert lo <= batch.offsets[1] <= hi
+    assert set(batch.signs.tolist()) == {sign}
+    tracemalloc.start()
+    try:
+        with pytest.raises(DomainError, match=f"^{n + 1} deck translates to "
+                                              "try exceed the oracle's "
+                                              f"bound {n}$"):
+            crossing_batch_cyl(short, entry_t, [[0.0], [n + 1.0]], signs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_batch_refusal_names_the_first_pair_outside_the_domain():
@@ -472,30 +518,36 @@ def test_batch_refusal_names_the_first_pair_outside_the_domain():
 
 
 def test_refused_pair_names_the_first_pair_outside_either_domain():
-    """Pair 1's windings leave the window's domain and pair 2's second
-    arc advances 600 core lengths: pair 1 comes first, with the window's
-    refusal; a batch inside both domains has no refused pair."""
+    """Pair 1's windings would leave the window's domain and pair 2's
+    second arc advances 600 core lengths: pair 1 comes first, refused for
+    the advance of its first arc, as every winding past the window's
+    domain is; a batch inside the domain has no refused pair.  An arc
+    entering past the core and advancing 600 core lengths is refused for
+    its entry."""
     entry_t = [[0.03, 0.03, 0.03], [0.11, 0.11, 0.11]]
     winding = [[0.5, 1e308, 0.5], [2.5, 1e308, 3000.0]]
-    signs = [[1, 1, 1], [1, 1, 1]]
-    i, exc = intnorm.cylinder.refused_pair(CYL, entry_t, winding, signs)
-    assert (i, str(exc)) == (1, "windings 1e+308 and 1e+308 must be finite "
-                                "and below 2**62")
+    i, exc = intnorm.cylinder.refused_pair(CYL, entry_t, winding)
+    assert (i, str(exc)) == (1, "core advance 2.0000000000000002e+307 of "
+                                "winding 1e+308 exceeds the oracle's bound "
+                                "400.0")
     assert intnorm.cylinder.refused_pair(
-        CYL, [e[:1] for e in entry_t], [w[:1] for w in winding],
-        [s[:1] for s in signs]) is None
+        CYL, [e[:1] for e in entry_t], [w[:1] for w in winding]) is None
+    i, exc = intnorm.cylinder.refused_pair(CYL, [[0.03], [0.3]],
+                                           [[0.5], [3000.0]])
+    assert (i, str(exc)) == (0, "entry_t must lie in [0, 0.2), got 0.3")
 
 
 def test_batch_past_its_translate_bound_is_refused_before_its_rows():
-    # 20 pairs of about 98,000 translates each, each within MAX_TRANSLATES
+    # 20 pairs of about 98,000 translates each
     cyl = make_collar(1e-3, "full")
     n = 20
     entries = [[1e-4] * n, [9e-4] * n]
     windings = [[49_000.0] * n, [-49_000.0] * n]
-    assert 98_000 * n > intnorm.cylinder.MAX_BATCH_TRANSLATES
+    assert 98_000 * n > intnorm.cylinder.MAX_TRANSLATES
     tracemalloc.start()
     try:
-        with pytest.raises(DomainError, match="translates of a batch"):
+        with pytest.raises(DomainError, match="translates to try exceed "
+                                              "the oracle's bound"):
             crossing_batch_cyl(cyl, entries, windings, [[1] * n, [1] * n])
         peak = tracemalloc.get_traced_memory()[1]
     finally:
