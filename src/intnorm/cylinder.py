@@ -51,9 +51,10 @@ from .hyptrig import SHORT_CORE_THRESHOLD, SHRINK_MARGIN, boundary_length, \
 # of each arc, the core length and the half-width (measured, see
 # crossing_count_oracle_cyl), and the deck translates one call tries,
 # about |w1| + |w2| a pair, which the advance does not bound on a short
-# core.  A call at MAX_TRANSLATES, one pair or many, with a crossing at
-# every translate, takes about 0.09 s and a tracemalloc peak near 57 MB
-# (Intel Xeon, 2 vCPUs, numpy 2.4).
+# core.  At MAX_TRANSLATES, with a crossing at every translate, one pair
+# takes about 0.045 s and a tracemalloc peak of 34 MB, and ten pairs of
+# 100,000 translates about 0.07 s and 57 MB (Intel Xeon, 2 vCPUs, numpy
+# 2.4).
 MAX_ADVANCE = 400.0
 MIN_CORE_LENGTH = 1e-9
 MIN_HALF_WIDTH = 1e-3
@@ -61,7 +62,9 @@ MAX_TRANSLATES = 1_000_000
 
 # (pair, translate) rows that crossing_batch_cyl solves at once, with 2.6
 # MB of temporaries.  The pair and k of every translate come first: a
-# tracemalloc peak of 24 MB for 980,000 translates that do not cross.
+# tracemalloc peak of 23 MB for ten pairs of 100,000 translates that do
+# not cross, and of 15 MB for one pair of 1,000,000, which has no pair
+# index.
 ROW_CHUNK = 16_384
 
 # Fermi distance from the collar boundary |s| = half_width within which a
@@ -276,14 +279,22 @@ def crossing_count_oracle_cyl(cyl: Cylinder, arc1: ArcSpec,
       thin one does, as S_TOLERANCE is absolute and no jitter moves a
       crossing out of its band: of ``lemma_sweep``'s samples on full
       collars, 2 in 100,000 stay stuck at w = 4.5e-6 and 18,763 in 20,000
-      at w = 9.2e-10, none in 200,000 at w = 1e-3.
+      at w = 9.2e-10, none in 200,000 at w = 1e-3.  At w = 1e-3 a pair
+      that crosses on the boundary can stay stuck:
+      ArcSpec(0.0, 0.5, 1) and ArcSpec(0.0, -2.5, 1), which share their
+      entry, still graze on Cylinder(0.2, 1e-3) after every retry of
+      ``count_crossings_cyl``, as a jitter of at most core_length *
+      JITTER_SCALE moves that crossing by about 1e-9 in s; at half-widths
+      3e-3 and 3.0 the pair counts 3.
     - the core length does.  e^d keeps d only to about 1e-16, so a crossing
       that close to an arc end can land on the wrong side of it, at a rate
       of roughly 1e-16/core_length per pair: 4 wrong pairs in 1000 at core
       1e-14, 1 in 2000 at 1e-13 and at 1e-12, none in 1000 at 1e-9.
     On a short core the advance leaves the number of translates, about
     |w1| + |w2|, open, so a call that would try more than MAX_TRANSLATES =
-    1,000,000 is refused too; a call at that bound takes about 0.09 s.
+    1,000,000 is refused too.  At that bound, with a crossing at every
+    translate, one pair takes about 0.045 s and a batch of ten pairs
+    about 0.07 s.
 
     Raises RetrySignal when the two lifts overlap (the same core point and
     slope, where numerator and denominator both vanish) or a crossing lies
@@ -348,6 +359,12 @@ def crossing_batch_cyl(cyl: Cylinder, entry_t, winding,
     MAX_TRANSLATES bounds the translates of the whole call: more are
     refused before any row is built.  RetrySignal is not raised but
     flagged per pair; identical arcs are flagged as overlapping.
+
+    A batch of one pair, as every one-pair caller and every retry makes,
+    has no pair index: its constants are floats, broadcast into every
+    row, where a batch of many gathers them per row.  The float
+    expressions are the same, so a pair alone and the same pair in a
+    batch give the same bits.
     """
     l, w = cyl.core_length, cyl.half_width
     if l < MIN_CORE_LENGTH:
@@ -356,16 +373,22 @@ def crossing_batch_cyl(cyl: Cylinder, entry_t, winding,
     if w < MIN_HALF_WIDTH:
         raise DomainError(f"half-width {w!r} is below the oracle's bound "
                           f"{MIN_HALF_WIDTH}")
-    (a1, a2), (b1, b2), (m1, m2), (h1, h2) = _fermi_arcs(
-        cyl, *(np.asarray(v, dtype=float)
-               for v in (entry_t, winding, crossing_sign)))
+    arcs = _fermi_arcs(cyl, *(np.asarray(v, dtype=float)
+                              for v in (entry_t, winding, crossing_sign)))
+    count = arcs[0].shape[1]
+    if count == 1:
+        # a batch of one pair has no pair index: its constants are floats,
+        # broadcast into every row
+        arcs = [v.ravel().tolist() for v in arcs]
+    (a1, a2), (b1, b2), (m1, m2), (h1, h2) = arcs
     base = m1 - m2
     first = np.ceil((base - h1 - h2) / l)
     runs = np.floor((base + h1 + h2) / l) - first + 1
-    if runs.sum() > MAX_TRANSLATES:
-        raise DomainError(f"{int(runs.sum())} deck translates to try exceed "
+    total = runs.sum()
+    if total > MAX_TRANSLATES:
+        raise DomainError(f"{int(total)} deck translates to try exceed "
                           f"the oracle's bound {MAX_TRANSLATES}")
-    runs = runs.astype(np.int64)
+    runs, total = runs.astype(np.int64), int(total)
     p, q = b2 * a1, b1 * a2
     # lifts can overlap only where their slopes agree
     same_slope = (np.abs(p - q)
@@ -374,52 +397,68 @@ def crossing_batch_cyl(cyl: Cylinder, entry_t, winding,
     # tanh(s) comes from the equation of the flatter arc: its B and A, and
     # whether it is the second arc, whose equation is in x - d
     flat = np.abs(a1) >= np.abs(a2)
-    b, a, shift = np.where(flat, b1, b2), np.where(flat, a1, a2), ~flat
-    ends = runs.cumsum()
-    pair = np.arange(len(runs)).repeat(runs)
-    k = np.arange(len(pair)) + (first - (ends - runs)).repeat(runs)
+    (b, a), shift = np.where(flat, (b1, a1), (b2, a2)), ~flat
+    # the pair and translate k of every row; no pair index where all rows
+    # are the one pair's
+    if count == 1:
+        pair, k = None, np.arange(total) + first
+    else:
+        ends = runs.cumsum()
+        pair = np.arange(count).repeat(runs)
+        k = np.arange(total) + (first - (ends - runs)).repeat(runs)
 
-    retry = np.zeros(len(runs), dtype=np.int8)
+    retry = np.zeros(count, dtype=np.int8)
     hits = []
     # at least one pass, so that an empty batch yields empty arrays
-    for lo in range(0, max(len(k), 1), ROW_CHUNK):
-        i = pair[lo:lo + ROW_CHUNK]
-        pi, qi = p[i], q[i]
+    for lo in range(0, max(total, 1), ROW_CHUNK):
+        i = None if pair is None else pair[lo:lo + ROW_CHUNK]
+        pi, qi = _rows(p, i), _rows(q, i)
         # A ratio that is not positive and finite makes x, tau and s NaN
         # or infinite.  Then |tau| < 1, the graze test and s <= w all
         # fail, so no row needs masking before the tests; the NaNs and
         # infinities are no errors.
         with np.errstate(all="ignore"):
-            d = m2[i] + k[lo:lo + ROW_CHUNK] * l - m1[i]
+            d = _rows(m2, i) + k[lo:lo + ROW_CHUNK] * l - _rows(m1, i)
             num = pi * np.exp(d) - qi
             den = pi * np.exp(-d) - qi
             x = 0.5 * np.log(num / den)
-            s = np.abs(np.arctanh(b[i] * np.sinh(x - d * shift[i]) / a[i]))
+            s = np.abs(np.arctanh(_rows(b, i) * np.sinh(
+                x - d * _rows(shift, i)) / _rows(a, i)))
             graze = np.abs(s - w) <= S_TOLERANCE
             hit = (s <= w).nonzero()[0]
         overlap = check_overlap and \
-            (np.abs(d) <= OVERLAP_TOLERANCE * l) & same_slope[i]
+            (np.abs(d) <= OVERLAP_TOLERANCE * l) & _rows(same_slope, i)
         if np.count_nonzero(graze) or np.count_nonzero(overlap):
             _flag_first(retry, i, np.where(overlap, OVERLAP,
                                            np.where(graze, GRAZE, 0)))
         # a crossing is positive where A1*B2*cosh(x - d) < A2*B1*cosh(x)
-        i, x, d = i[hit], x[hit], d[hit]
-        hits.append((i, m1[i] + x,
-                     pi[hit] * np.cosh(x - d) < qi[hit] * np.cosh(x)))
+        i, x, d = (None if i is None else i[hit]), x[hit], d[hit]
+        hits.append((i, _rows(m1, i) + x,
+                     _rows(p, i) * np.cosh(x - d) < _rows(q, i) * np.cosh(x)))
     pairs, t, negative = hits[0] if len(hits) == 1 else \
-        (np.concatenate(c) for c in zip(*hits))
-    offsets = np.zeros(len(runs) + 1, dtype=np.int64)
-    np.bincount(pairs, minlength=len(runs)).cumsum(out=offsets[1:])
-    order = np.lexsort((t, pairs))
+        (None if c[0] is None else np.concatenate(c) for c in zip(*hits))
+    offsets = np.zeros(count + 1, dtype=np.int64)
+    offsets[1:] = len(t) if pairs is None else \
+        np.bincount(pairs, minlength=count).cumsum()
+    order = np.lexsort((t,) if pairs is None else (t, pairs))
     return CrossingBatch(offsets=offsets,
                          signs=negative[order].astype(np.int8) * 2 - 1,
                          retry=retry)
 
 
-def _flag_first(retry: np.ndarray, pair: np.ndarray,
+def _rows(value, i):
+    """A per-pair value at the rows of pairs i, or, for i None, the one
+    pair's own value, which broadcasts into every row."""
+    return value if i is None else value[i]
+
+
+def _flag_first(retry: np.ndarray, pair: np.ndarray | None,
                 code: np.ndarray) -> None:
     """Give each pair not flagged yet the code of its first flagged row;
-    the rows run in order of pair and translate."""
+    the rows run in order of pair and translate, and pair is None where
+    they all belong to the one pair of the batch."""
+    if pair is None:
+        pair = np.zeros(len(code), dtype=np.intp)
     rows = np.flatnonzero(code)
     p, lead = np.unique(pair[rows], return_index=True)
     c = code[rows[lead]]
@@ -453,10 +492,10 @@ def count_crossings_cyl_batch(cyl: Cylinder, entry_t, winding, crossing_sign,
 def count_crossings_cyl(cyl: Cylinder, arc1: ArcSpec, arc2: ArcSpec,
                         rng) -> CrossingReport:
     """Run the cylinder crossing oracle, perturbing the second arc's entry
-    position by a uniform jitter in (0, core_length * 1e-6) whenever a
-    near-degenerate configuration flags the pair, at most MAX_RETRIES
-    times, and then RetrySignal: one uniform of rng per retry, each added
-    to the original entry."""
+    position by a uniform jitter in (0, core_length * JITTER_SCALE)
+    whenever a near-degenerate configuration flags the pair, at most
+    MAX_RETRIES times, and then RetrySignal: one uniform of rng per
+    retry, each added to the original entry."""
     return count_crossings_cyl_batch(cyl, *_one_pair(arc1, arc2),
                                      rng).report(0)
 

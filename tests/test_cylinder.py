@@ -10,7 +10,7 @@ from itertools import product
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import example, given, settings, target
 from hypothesis import strategies as st
 
 from intnorm import (
@@ -293,6 +293,21 @@ def test_oracle_rejects_half_widths_below_its_bound():
                                         "full").half_width
 
 
+@pytest.mark.xfail(strict=True, raises=RetrySignal,
+                   reason="ROADMAP item 6: a jitter of at most core_length "
+                          "* JITTER_SCALE moves the crossing on the boundary "
+                          "by about 1e-9 in s, inside S_TOLERANCE")
+def test_arcs_sharing_an_entry_on_the_thinnest_collar_are_counted():
+    """Two arcs entering at one point cross on the collar boundary.  On
+    wider collars the retries move that crossing out of the graze band
+    and the pair counts 3; at MIN_HALF_WIDTH every retry still grazes."""
+    arc1, arc2 = ArcSpec(0.0, 0.5, 1), ArcSpec(0.0, -2.5, 1)
+    for half_width in (3e-3, 3.0, MIN_HALF_WIDTH):
+        rep = count_crossings_cyl(Cylinder(0.2, half_width), arc1, arc2,
+                                  np.random.default_rng(3))
+        assert rep.count == 3
+
+
 def test_oracle_sign_table_matches_winding_rule():
     """All four crossing-sign combinations reproduce the sign of the
     winding difference (same side) / sum (opposite sides), multiplied by
@@ -464,6 +479,93 @@ def test_batch_with_a_run_near_the_translate_bound():
     assert outcomes[21][0] == 0.9 * MAX_TRANSLATES + 1
 
 
+# The core of the thinnest full collar inside MIN_HALF_WIDTH.
+THINNEST_FULL_CORE = 15.20180508575082
+# Windings drawn for the pair-alone test reach the advance bound on cores
+# down to 0.2 and this many core lengths on shorter ones, so that a batch
+# stays far below MAX_TRANSLATES and the test fast.
+PAIR_ALONE_WINDINGS = 2000.0
+
+
+@st.composite
+def _collar_batches(draw):
+    """A collar, shrunk or full, of core 1e-9 to 0.2 or the thinnest full
+    collar, and 2 to 5 pairs of arcs on it, each winding zero or
+    log-uniform up to the advance bound; the draws are steered toward the
+    short core, the thin collar, the large advance and the many
+    translates."""
+    core = draw(st.one_of(
+        st.floats(math.log(MIN_CORE_LENGTH), math.log(0.2)).map(math.exp),
+        st.just(THINNEST_FULL_CORE)))
+    cyl = make_collar(core, "full" if core > 0.2 else
+                      draw(st.sampled_from(["shrunk", "full"])))
+    edge = min(MAX_ADVANCE / core, PAIR_ALONE_WINDINGS)
+    while edge * core / 2.0 > MAX_ADVANCE / 2.0:
+        edge = math.nextafter(edge, 0.0)
+    winding = st.one_of(
+        st.just(0.0),
+        st.floats(math.log(1e-3), math.log(edge)).map(
+            lambda u: min(math.exp(u), edge)))
+    arc = st.tuples(st.floats(0.0, core, exclude_max=True), winding,
+                    st.sampled_from([-1, 1]))
+    pairs = draw(st.lists(st.tuples(arc, arc), min_size=2, max_size=5))
+    target(-math.log(core), label="core length down")
+    target(-math.log(cyl.half_width), label="half-width down")
+    most = max(abs(a[1]) for pair in pairs for a in pair)
+    target(most * core / MAX_ADVANCE, label="advance up")
+    target(sum(abs(a[1]) for pair in pairs for a in pair),
+           label="translates up")
+    return cyl, pairs
+
+
+@given(case=_collar_batches())
+@settings(max_examples=80, deadline=None, derandomize=True)
+# empty (perpendicular arcs far apart), a zero winding against a crossing
+# arc, graze and overlap among ordinary pairs
+@example(case=(CYL, [((0.03, 0.0, 1), (0.11, 0.0, 1)),
+                     ((0.03, 0.0, 1), (0.11, 2.5, 1)),
+                     ((0.1, 0.0, 1), (0.05, 0.25, 1)),
+                     ((0.1, 0.0, 1), (0.1, 0.0, -1)),
+                     ((0.02, -3.4, 1), (0.15, 1.3, 1))]))
+# one row overlapping and grazing at once: the overlap names the flag
+@example(case=(make_collar(THINNEST_FULL_CORE, "full"),
+               [((2.6686220093763775, 0.10157561819430844, 1),
+                 (2.668622009376214, 0.10157561819431918, 1)),
+                ((4.6239677276396325, 0.1854894285219217, 1),
+                 (4.623967727639382, 0.18548942852193817, 1)),
+                ((0.0, 0.5, 1), (0.0, -2.5, 1))]))
+# slopes one ulp of A inside and outside OVERLAP_TOLERANCE, where the two
+# lifts meet at one core point
+@example(case=(CYL, [((0.0515325561042142, 4.135733553814221, 1),
+                      (0.051532556104292526, 4.135733553813438, 1)),
+                     ((0.06523691115879877, 4.9962925177928215, 1),
+                      (0.06523691115889113, 4.996292517791899, 1))]))
+# the shortest core, at the advance bound, and the thinnest collar there
+@example(case=(make_collar(MIN_CORE_LENGTH, "shrunk"),
+               [((0.0, 0.5, 1), (5e-10, -PAIR_ALONE_WINDINGS, 1)),
+                ((3e-10, 7.25, -1), (9e-10, 7.25, -1))]))
+@example(case=(Cylinder(0.2, MIN_HALF_WIDTH),
+               [((0.0, 0.5, 1), (0.0, -2.5, 1)),
+                ((0.03, 0.5, 1), (0.11, -2.5, 1))]))
+def test_a_pair_alone_is_its_slice_of_the_batch(case):
+    """A batch of one pair broadcasts its constants where a batch of many
+    gathers them per row; both must give the same offsets, int8 signs and
+    retry code, bit for bit.  Among the examples, a row that overlaps and
+    grazes at once and slopes at the edge of OVERLAP_TOLERANCE, where the
+    last bit of A decides."""
+    cyl, pairs = case
+    arrays = np.array([[[arc[f] for arc in arcs] for arcs in zip(*pairs)]
+                       for f in range(3)], dtype=float)
+    batch = crossing_batch_cyl(cyl, *arrays)
+    for i in range(len(pairs)):
+        one = crossing_batch_cyl(cyl, *arrays[:, :, i:i + 1])
+        lo, hi = batch.offsets[i:i + 2].tolist()
+        assert one.offsets.tolist() == [0, hi - lo], pairs[i]
+        assert one.signs.dtype == batch.signs.dtype == np.int8
+        assert one.signs.tolist() == batch.signs[lo:hi].tolist(), pairs[i]
+        assert one.retry.tolist() == batch.retry[i:i + 1].tolist(), pairs[i]
+
+
 def test_batch_translates_are_bounded(monkeypatch):
     """A perpendicular first arc 0.4 core lengths past the second arc's
     entry tries exactly n translates against a second winding n; a batch
@@ -485,24 +587,31 @@ def test_one_pair_at_the_translate_bound_is_solved():
     """The perpendicular first arc of ``test_batch_translates_are_bounded``
     against a second winding of a million on a short core: one pair
     alone tries as many translates as the bound allows and is solved,
-    and one translate more is refused before any row is built."""
+    with a crossing at each, within 45 MB; and one translate more is
+    refused before any row is built."""
     short = Cylinder(core_length=1e-4, half_width=3.0)
     n = 1_000_000
     entry_t, signs = [[5.5e-5], [1.5e-5]], [[1], [1]]
-    batch = crossing_batch_cyl(short, entry_t, [[0.0], [float(n)]], signs)
-    lo, hi, sign = intersection_bounds(0.0, float(n), True)
-    assert lo <= batch.offsets[1] <= hi
-    assert set(batch.signs.tolist()) == {sign}
     tracemalloc.start()
     try:
+        batch = crossing_batch_cyl(short, entry_t, [[0.0], [float(n)]],
+                                   signs)
+        solved = tracemalloc.get_traced_memory()[1]
+        count, seen = batch.offsets[1], set(batch.signs.tolist())
+        del batch
+        tracemalloc.reset_peak()
         with pytest.raises(DomainError, match=f"^{n + 1} deck translates to "
                                               "try exceed the oracle's "
                                               f"bound {n}$"):
             crossing_batch_cyl(short, entry_t, [[0.0], [n + 1.0]], signs)
-        peak = tracemalloc.get_traced_memory()[1]
+        refused = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 1 << 20
+    lo, hi, sign = intersection_bounds(0.0, float(n), True)
+    assert lo <= count <= hi
+    assert seen == {sign}
+    assert solved < 45 << 20
+    assert refused < 1 << 20
 
 
 def test_batch_refusal_names_the_first_pair_outside_the_domain():
