@@ -51,20 +51,21 @@ from .hyptrig import SHORT_CORE_THRESHOLD, SHRINK_MARGIN, boundary_length, \
 # of each arc, the core length and the half-width (measured, see
 # crossing_count_oracle_cyl), and the deck translates one call tries,
 # about |w1| + |w2| a pair, which the advance does not bound on a short
-# core.  At MAX_TRANSLATES, with a crossing at every translate, one pair
-# takes about 0.045 s and a tracemalloc peak of 34 MB, and ten pairs of
-# 100,000 translates about 0.07 s and 57 MB (Intel Xeon, 2 vCPUs, numpy
-# 2.4).
+# core.  MAX_TRANSLATES bounds time, not memory: at it, with a crossing
+# at every translate, one pair takes 0.02-0.03 s and ten pairs of
+# 100,000 translates 0.04-0.06 s, at tracemalloc peaks of 2.2 and 2.7
+# MB, mostly the int8 signs, 1 MB held in chunks and 1 MB joined (Intel
+# Xeon, 2 vCPUs, numpy 2.4).
 MAX_ADVANCE = 400.0
 MIN_CORE_LENGTH = 1e-9
 MIN_HALF_WIDTH = 1e-3
 MAX_TRANSLATES = 1_000_000
 
-# (pair, translate) rows that crossing_batch_cyl solves at once, with 2.6
-# MB of temporaries.  The pair and k of every translate come first: a
-# tracemalloc peak of 23 MB for ten pairs of 100,000 translates that do
-# not cross, and of 15 MB for one pair of 1,000,000, which has no pair
-# index.
+# (pair, translate) rows that crossing_batch_cyl solves at once.  A chunk
+# takes each row's pair and translate from the row's number, so a call's
+# temporaries are those of one chunk: a tracemalloc peak of 1.5 MB for
+# ten pairs of 100,000 translates that do not cross, and of 1.0 MB for
+# one pair of about 1,000,000.
 ROW_CHUNK = 16_384
 
 # Fermi distance from the collar boundary |s| = half_width within which a
@@ -263,8 +264,9 @@ def crossing_count_oracle_cyl(cyl: Cylinder, arc1: ArcSpec,
     A crossing lies inside both arcs exactly when |s| < w there.  Its sign
     compares the slopes, A1*B2*cosh(x - d) - A2*B1*cosh(x), negated to
     match the orientation of the half-plane model.  No winding arithmetic
-    enters.  The signs are reported in the order of the crossings along
-    the core.  The translates are solved together as rows of arrays, see
+    enters.  The signs are reported in the order of k, which is the order
+    of the crossings along the core, one way or the other.  The
+    translates are solved together as rows of arrays, see
     ``crossing_batch_cyl``.
 
     Domain, refused with DomainError: a core advance
@@ -293,8 +295,8 @@ def crossing_count_oracle_cyl(cyl: Cylinder, arc1: ArcSpec,
     On a short core the advance leaves the number of translates, about
     |w1| + |w2|, open, so a call that would try more than MAX_TRANSLATES =
     1,000,000 is refused too.  At that bound, with a crossing at every
-    translate, one pair takes about 0.045 s and a batch of ten pairs
-    about 0.07 s.
+    translate, one pair takes 0.02-0.03 s and a batch of ten pairs
+    0.04-0.06 s.
 
     Raises RetrySignal when the two lifts overlap (the same core point and
     slope, where numerator and denominator both vanish) or a crossing lies
@@ -354,15 +356,28 @@ def crossing_batch_cyl(cyl: Cylinder, entry_t, winding,
 
     Each pair's run of translates first..last becomes rows of one numpy
     solve, ROW_CHUNK rows at a time, and each test of the one-pair oracle
-    a mask over the rows.  The domain and its errors are those of the
-    one-pair oracle, with ``refused_pair``'s pair naming the error, and
-    MAX_TRANSLATES bounds the translates of the whole call: more are
-    refused before any row is built.  RetrySignal is not raised but
-    flagged per pair; identical arcs are flagged as overlapping.
+    a mask over the rows.  A chunk takes each row's pair and translate k
+    from the row's number, adds its crossings to per-pair counts and
+    appends their int8 signs in row order: of what a chunk builds, only
+    the signs outlive it.
+
+    So a pair's signs come in the order of k, and that is the order of
+    its crossings along the core, one way or the other.  The translates
+    of the second arc's geodesic cross the core at one angle, so no two
+    meet: two that met would bound a triangle with the core whose angles
+    sum to more than pi.  The first arc, a geodesic too, crosses these
+    disjoint lines in the order of k, and its t is monotone along it.
+
+    The domain and its errors are those of the one-pair oracle, with
+    ``refused_pair``'s pair naming the error, and MAX_TRANSLATES bounds
+    the translates of the whole call: more are refused before any row is
+    built.  RetrySignal is not raised but flagged per pair; identical
+    arcs are flagged as overlapping.
 
     A batch of one pair, as every one-pair caller and every retry makes,
     has no pair index: its constants are floats, broadcast into every
-    row, where a batch of many gathers them per row.  The float
+    row, where a batch of many gathers them per row, and its count is
+    the number of its signs.  The float
     expressions are the same, so a pair alone and the same pair in a
     batch give the same bits.
     """
@@ -398,27 +413,27 @@ def crossing_batch_cyl(cyl: Cylinder, entry_t, winding,
     # whether it is the second arc, whose equation is in x - d
     flat = np.abs(a1) >= np.abs(a2)
     (b, a), shift = np.where(flat, (b1, a1), (b2, a2)), ~flat
-    # the pair and translate k of every row; no pair index where all rows
-    # are the one pair's
+    # row r of the call tries translate r + k0 of the pair whose run holds
+    # it; a lone pair's run is every row, and its count is that of its
+    # signs
     if count == 1:
-        pair, k = None, np.arange(total) + first
+        ends, k0 = None, first
     else:
-        ends = runs.cumsum()
-        pair = np.arange(count).repeat(runs)
-        k = np.arange(total) + (first - (ends - runs)).repeat(runs)
-
+        ends, counts = runs.cumsum(), np.zeros(count, dtype=np.int64)
+        k0 = first - (ends - runs)
     retry = np.zeros(count, dtype=np.int8)
-    hits = []
-    # at least one pass, so that an empty batch yields empty arrays
-    for lo in range(0, max(total, 1), ROW_CHUNK):
-        i = None if pair is None else pair[lo:lo + ROW_CHUNK]
+    # an empty first chunk, so that a call without rows joins no signs
+    signs = [np.zeros(0, dtype=np.int8)]
+    for lo in range(0, total, ROW_CHUNK):
+        r = np.arange(lo, min(lo + ROW_CHUNK, total))
+        i = None if ends is None else ends.searchsorted(r, side="right")
         pi, qi = _rows(p, i), _rows(q, i)
         # A ratio that is not positive and finite makes x, tau and s NaN
         # or infinite.  Then |tau| < 1, the graze test and s <= w all
         # fail, so no row needs masking before the tests; the NaNs and
         # infinities are no errors.
         with np.errstate(all="ignore"):
-            d = _rows(m2, i) + k[lo:lo + ROW_CHUNK] * l - _rows(m1, i)
+            d = _rows(m2, i) + (r + _rows(k0, i)) * l - _rows(m1, i)
             num = pi * np.exp(d) - qi
             den = pi * np.exp(-d) - qi
             x = 0.5 * np.log(num / den)
@@ -431,19 +446,17 @@ def crossing_batch_cyl(cyl: Cylinder, entry_t, winding,
         if np.count_nonzero(graze) or np.count_nonzero(overlap):
             _flag_first(retry, i, np.where(overlap, OVERLAP,
                                            np.where(graze, GRAZE, 0)))
+        if i is not None:
+            i = i[hit]
+            counts += np.bincount(i, minlength=count)
         # a crossing is positive where A1*B2*cosh(x - d) < A2*B1*cosh(x)
-        i, x, d = (None if i is None else i[hit]), x[hit], d[hit]
-        hits.append((i, _rows(m1, i) + x,
-                     _rows(p, i) * np.cosh(x - d) < _rows(q, i) * np.cosh(x)))
-    pairs, t, negative = hits[0] if len(hits) == 1 else \
-        (None if c[0] is None else np.concatenate(c) for c in zip(*hits))
+        x, d = x[hit], d[hit]
+        signs.append((_rows(p, i) * np.cosh(x - d)
+                      < _rows(q, i) * np.cosh(x)).astype(np.int8) * 2 - 1)
+    signs = np.concatenate(signs)
     offsets = np.zeros(count + 1, dtype=np.int64)
-    offsets[1:] = len(t) if pairs is None else \
-        np.bincount(pairs, minlength=count).cumsum()
-    order = np.lexsort((t,) if pairs is None else (t, pairs))
-    return CrossingBatch(offsets=offsets,
-                         signs=negative[order].astype(np.int8) * 2 - 1,
-                         retry=retry)
+    offsets[1:] = len(signs) if ends is None else counts.cumsum()
+    return CrossingBatch(offsets=offsets, signs=signs, retry=retry)
 
 
 def _rows(value, i):

@@ -141,7 +141,8 @@ class CrossingBatch(NamedTuple):
 
     Pair i crosses with the int8 signs signs[offsets[i]:offsets[i + 1]]:
     on the torus one sign for every crossing, on the collar the signs in
-    the order of the crossings along the core.  retry[i] is 0, or SEAM
+    the order of the deck translates, which is the order of the crossings
+    along the core, one way or the other.  retry[i] is 0, or SEAM
     (torus), OVERLAP or GRAZE (collar) where the one-pair oracle raises
     RetrySignal on pair i; the crossings of such a pair mean nothing.
     """

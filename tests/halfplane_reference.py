@@ -15,6 +15,8 @@ The loop oracle solves the same equations as ``intnorm.cylinder``, one
 translate at a time in scalar floats.  It reads the oracle's bounds and
 tolerances from ``intnorm.cylinder`` at call time, so the tests hold the
 vectorised oracle to it on the whole domain, for one pair or for many.
+Its crossings, with their positions t along the core, come from
+``translate_hits`` in the order of the translates.
 """
 
 from __future__ import annotations
@@ -171,7 +173,17 @@ def _fermi_arc(cyl: Cylinder,
 def crossing_count_oracle_loop(cyl: Cylinder, arc1: ArcSpec,
                                arc2: ArcSpec) -> CrossingReport:
     """``cylinder.crossing_count_oracle_cyl`` with one scalar solve per
-    deck translate: same domain, errors and RetrySignal reasons."""
+    deck translate: same domain, errors and RetrySignal reasons.  The
+    signs come in the order of the crossings' t along the core."""
+    hits = sorted(translate_hits(cyl, arc1, arc2), key=lambda h: h[1])
+    return CrossingReport(count=len(hits), signs=tuple(h[2] for h in hits))
+
+
+def translate_hits(cyl: Cylinder, arc1: ArcSpec,
+                   arc2: ArcSpec) -> list[tuple[int, float, int]]:
+    """The crossings of ``crossing_count_oracle_loop``, one scalar solve
+    per deck translate, as (k, t, sign) in the order of k: translate k of
+    the second arc meets the first at t along the core, with that sign."""
     if arc1 == arc2:
         raise DegenerateInputError("arcs are identical")
     l, w = cyl.core_length, cyl.half_width
@@ -188,7 +200,7 @@ def crossing_count_oracle_loop(cyl: Cylinder, arc1: ArcSpec,
                           f"{cyl_mod.MAX_TRANSLATES}")
     p, q = b2 * a1, b1 * a2
     tol = cyl_mod.OVERLAP_TOLERANCE
-    hits: list[tuple[float, int]] = []
+    hits: list[tuple[int, float, int]] = []
     for k in range(first, last + 1):
         d = m2 + k * l - m1
         if abs(d) <= tol * l and abs(p - q) <= tol * (abs(p) + abs(q)):
@@ -209,6 +221,5 @@ def crossing_count_oracle_loop(cyl: Cylinder, arc1: ArcSpec,
         if abs(s) > w:
             continue
         cross = a1 * b2 * math.cosh(x - d) - a2 * b1 * math.cosh(x)
-        hits.append((m1 + x, 1 if cross < 0 else -1))
-    hits.sort(key=lambda h: h[0])
-    return CrossingReport(count=len(hits), signs=tuple(h[1] for h in hits))
+        hits.append((k, m1 + x, 1 if cross < 0 else -1))
+    return hits
