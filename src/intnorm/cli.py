@@ -43,8 +43,7 @@ import numpy as np
 
 from . import __version__, cylinder
 from .bounds import asymptotic_profile, parse_grid
-from .cylinder import ArcSpec, check_distinct_arcs, \
-    count_crossings_cyl_batch, make_collar
+from .cylinder import ArcSpec, count_crossings_cyl_batch, make_collar
 from .errors import DomainError, GeometryError, RetrySignal
 from .flat_torus import Lattice, RealClass, best_ratio_search, k_real, \
     norm_comparison_report, segment_bound_check, systole, torus_diameter
@@ -224,11 +223,9 @@ def run_cylinder(args) -> tuple[dict, Optional[tuple]]:
                         f"{where}: {key} must be [entry_t, winding, "
                         f"crossing_sign], got {reprlib.repr(item[key])}")
             try:  # ArcSpec checks the numbers of each arc
-                pair = ArcSpec(*item["arc1"]), ArcSpec(*item["arc2"])
-                check_distinct_arcs(*pair)
+                arcs.append((ArcSpec(*item["arc1"]), ArcSpec(*item["arc2"])))
             except GeometryError as exc:
                 raise DomainError(f"{where}: {exc}") from None
-            arcs.append(pair)
         # entry_t, winding and crossing sign, each of shape (2, pairs)
         entry_t, winding, sign = np.array(
             [[(a.entry_t, a.winding, a.crossing_sign) for a in pair]
@@ -240,12 +237,10 @@ def run_cylinder(args) -> tuple[dict, Optional[tuple]]:
             # sweep's
             batch = count_crossings_cyl_batch(cyl, entry_t, winding, sign,
                                               rng.spawn(1)[0])
-        except DomainError:
-            refused = cylinder.refused_pair(cyl, entry_t, winding)
-            if refused is None:  # the call's translates, no one pair's
+        except GeometryError as exc:
+            if exc.pair is None:  # a rule of the whole call
                 raise
-            raise DomainError(f"arc pair #{refused[0]}: {refused[1]}") \
-                from None
+            raise DomainError(f"arc pair #{exc.pair}: {exc}") from None
         # inside the oracle's domain no window leaves int64
         wb = cylinder.intersection_bounds(*winding, sign[0] == sign[1])
         for i, vs in window_violations(batch, wb, first_sign).items():

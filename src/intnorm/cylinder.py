@@ -150,13 +150,13 @@ def winding_from_endpoints(cyl: Cylinder, t_in: float,
                            t_out_unwrapped: float) -> float:
     """Winding number (t_out_unwrapped - t_in) / core_length of an arc
     whose endpoints sit at core positions t_in and, after unwrapping the
-    covering, t_out_unwrapped."""
+    covering, t_out_unwrapped; DomainError past double range."""
     t_in = real("t_in", t_in)
     t_out_unwrapped = real("t_out_unwrapped", t_out_unwrapped)
     if not (0.0 <= t_in < cyl.core_length):
         raise DomainError(
             f"t_in must lie in [0, {cyl.core_length}), got {t_in}")
-    return (t_out_unwrapped - t_in) / cyl.core_length
+    return real("winding", (t_out_unwrapped - t_in) / cyl.core_length)
 
 
 def arc_length(cyl: Cylinder, arc: ArcSpec) -> float:
@@ -205,10 +205,10 @@ def intersection_bounds(c_wind: float | np.ndarray,
 
 def dehn_twist_winding(c_wind: float, crossing_sign: int, z: float) -> float:
     """Winding number after a Dehn twist of order z around the core:
-    c_wind + crossing_sign * z.  In particular z = -crossing_sign * c_wind
-    kills the winding."""
-    return (real("c_wind", c_wind)
-            + _crossing_sign("crossing_sign", crossing_sign) * real("z", z))
+    c_wind + crossing_sign * z, DomainError past double range.  In
+    particular z = -crossing_sign * c_wind kills the winding."""
+    return real("winding", real("c_wind", c_wind) + _crossing_sign(
+        "crossing_sign", crossing_sign) * real("z", z))
 
 
 # ---------------------------------------------------------------------------
@@ -231,21 +231,43 @@ def _fermi_arcs(cyl: Cylinder, entry_t: np.ndarray, winding: np.ndarray,
     geodesic A*tanh(s) = B*sinh(t - m), with A = sinh(D/2),
     B = crossing_sign*tanh(w) and m = entry_t + D/2, and it spans t
     within |D|/2 of m.  Row 0 holds the first arcs, row 1 the second.
-    Refused with the DomainError of ``refused_pair`` where an arc leaves
-    the oracle's domain."""
+    Where an arc leaves the oracle's domain, an entry outside [0, l) or
+    a core advance |D| above MAX_ADVANCE, ``_refuse_first_pair`` refuses
+    the first pair that breaks a pair rule."""
     l = cyl.core_length
     half = winding * l / 2.0
     h = np.abs(half)
-    if not _inside(l, entry_t, h).all():
-        raise refused_pair(cyl, entry_t, winding)[1]
+    inside = (0.0 <= entry_t) & (entry_t < l) & (h <= MAX_ADVANCE / 2.0)
+    if not inside.all():
+        _refuse_first_pair(l, entry_t, winding, crossing_sign, inside)
     return (np.sinh(half), crossing_sign * math.tanh(cyl.half_width),
             entry_t + half, h)
 
 
-def _inside(l: float, entry_t: np.ndarray, h: np.ndarray) -> np.ndarray:
-    """Which arcs lie inside the oracle's domain: an entry in [0, l) and
-    a core advance 2*h of at most MAX_ADVANCE."""
-    return (0.0 <= entry_t) & (entry_t < l) & (h <= MAX_ADVANCE / 2.0)
+def _refuse_first_pair(l, entry_t, winding, crossing_sign, inside=None):
+    """Refuse the first pair, if any, in pair order, whose arcs are
+    identical (DegenerateInputError) or, where ``inside`` marks the arcs
+    inside the domain, that has an arc outside it (DomainError for its
+    first such arc, entry before advance), named by the error's ``pair``.
+    Identical arcs share their slope, so the oracle tests them only where
+    an arc is outside or two slopes agree, off its common path."""
+    identical = ((entry_t[0] == entry_t[1]) & (winding[0] == winding[1])
+                 & (crossing_sign[0] == crossing_sign[1]))
+    refused = identical if inside is None else identical | ~inside.all(0)
+    if not refused.any():
+        return
+    i = int(refused.argmax())
+    if identical[i]:
+        exc = DegenerateInputError("arcs are identical")
+    else:
+        arc = (~inside[:, i]).argmax()
+        e, c = entry_t[arc, i].item(), winding[arc, i].item()
+        exc = DomainError(
+            f"entry_t must lie in [0, {l}), got {e}" if not 0.0 <= e < l
+            else f"core advance {2.0 * abs(c * l / 2.0)!r} of winding "
+                 f"{c!r} exceeds the oracle's bound {MAX_ADVANCE}")
+    exc.pair = i
+    raise exc
 
 
 def crossing_count_oracle_cyl(cyl: Cylinder, arc1: ArcSpec,
@@ -309,43 +331,12 @@ def crossing_count_oracle_cyl(cyl: Cylinder, arc1: ArcSpec,
     return crossing_batch_cyl(cyl, *_one_pair(arc1, arc2)).report(0)
 
 
-def check_distinct_arcs(arc1, arc2) -> None:
-    """Refuse two arcs, as ArcSpecs or as (entry_t, winding,
-    crossing_sign) tuples, that agree in all three numbers."""
-    if arc1 == arc2:
-        raise DegenerateInputError("arcs are identical")
-
-
 def _one_pair(arc1: ArcSpec, arc2: ArcSpec) -> np.ndarray:
     """The entry positions, windings and crossing signs of two arcs, as
     the (3, 2, 1) arguments of a batch of one pair."""
-    check_distinct_arcs(arc1, arc2)
     return np.array((arc1.entry_t, arc2.entry_t, arc1.winding, arc2.winding,
                      arc1.crossing_sign, arc2.crossing_sign),
                     dtype=float).reshape(3, 2, 1)
-
-
-def refused_pair(cyl: Cylinder, entry_t, winding):
-    """The first pair of a batch, in pair order, with an arc outside the
-    oracle's domain, and its refusal, named by the pair's first such arc,
-    entry before advance; None where every arc is inside.  The arguments
-    are the first two of ``crossing_batch_cyl``, which refuses that pair
-    without naming it."""
-    l = cyl.core_length
-    entry_t, winding = (np.asarray(v, dtype=float) for v in (entry_t, winding))
-    h = np.abs(winding * l / 2.0)
-    outside = ~_inside(l, entry_t, h)
-    if not outside.any():
-        return None
-    i = int(outside.any(axis=0).argmax())
-    arc = outside[:, i].argmax()
-    e = entry_t[arc, i].item()
-    if not 0.0 <= e < l:
-        return i, DomainError(f"entry_t must lie in [0, {l}), got {e}")
-    return i, DomainError(
-        f"core advance {2.0 * h[arc, i].item()!r} of winding "
-        f"{winding[arc, i].item()!r} exceeds the oracle's bound "
-        f"{MAX_ADVANCE}")
 
 
 def crossing_batch_cyl(cyl: Cylinder, entry_t, winding,
@@ -368,11 +359,13 @@ def crossing_batch_cyl(cyl: Cylinder, entry_t, winding,
     sum to more than pi.  The first arc, a geodesic too, crosses these
     disjoint lines in the order of k, and its t is monotone along it.
 
-    The domain and its errors are those of the one-pair oracle, with
-    ``refused_pair``'s pair naming the error, and MAX_TRANSLATES bounds
-    the translates of the whole call: more are refused before any row is
-    built.  RetrySignal is not raised but flagged per pair; identical
-    arcs are flagged as overlapping.
+    The batch is the one gate of the collar oracle, and it refuses before
+    any row is built: first a core length or half-width outside the
+    domain of the one-pair oracle; then the first pair, in pair order,
+    whose arcs are identical or that has an arc outside that domain,
+    named by the error's ``pair`` (see ``_refuse_first_pair``); then more
+    than MAX_TRANSLATES translates in the whole call.  RetrySignal is not
+    raised but flagged per pair.
 
     A batch of one pair, as every one-pair caller and every retry makes,
     has no pair index: its constants are floats, broadcast into every
@@ -388,14 +381,22 @@ def crossing_batch_cyl(cyl: Cylinder, entry_t, winding,
     if w < MIN_HALF_WIDTH:
         raise DomainError(f"half-width {w!r} is below the oracle's bound "
                           f"{MIN_HALF_WIDTH}")
-    arcs = _fermi_arcs(cyl, *(np.asarray(v, dtype=float)
-                              for v in (entry_t, winding, crossing_sign)))
+    entry_t, winding, crossing_sign = (
+        np.asarray(v, dtype=float) for v in (entry_t, winding, crossing_sign))
+    arcs = _fermi_arcs(cyl, entry_t, winding, crossing_sign)
     count = arcs[0].shape[1]
     if count == 1:
         # a batch of one pair has no pair index: its constants are floats,
         # broadcast into every row
         arcs = [v.ravel().tolist() for v in arcs]
     (a1, a2), (b1, b2), (m1, m2), (h1, h2) = arcs
+    p, q = b2 * a1, b1 * a2
+    # lifts can overlap only where their slopes agree, as identical arcs' do
+    same_slope = (np.abs(p - q)
+                  <= OVERLAP_TOLERANCE * (np.abs(p) + np.abs(q)))
+    check_overlap = np.count_nonzero(same_slope) > 0
+    if check_overlap:
+        _refuse_first_pair(l, entry_t, winding, crossing_sign)
     base = m1 - m2
     first = np.ceil((base - h1 - h2) / l)
     runs = np.floor((base + h1 + h2) / l) - first + 1
@@ -404,11 +405,6 @@ def crossing_batch_cyl(cyl: Cylinder, entry_t, winding,
         raise DomainError(f"{int(total)} deck translates to try exceed "
                           f"the oracle's bound {MAX_TRANSLATES}")
     runs, total = runs.astype(np.int64), int(total)
-    p, q = b2 * a1, b1 * a2
-    # lifts can overlap only where their slopes agree
-    same_slope = (np.abs(p - q)
-                  <= OVERLAP_TOLERANCE * (np.abs(p) + np.abs(q)))
-    check_overlap = np.count_nonzero(same_slope) > 0
     # tanh(s) comes from the equation of the flatter arc: its B and A, and
     # whether it is the second arc, whose equation is in x - d
     flat = np.abs(a1) >= np.abs(a2)
@@ -484,16 +480,14 @@ def count_crossings_cyl_batch(cyl: Cylinder, entry_t, winding, crossing_sign,
     """``crossing_batch_cyl`` with each flagged pair solved again on its
     own, in pair order, its second entry position moved from its own value
     by a uniform jitter in (0, core_length * JITTER_SCALE) drawn from rng;
-    see ``retry_flagged``.  Identical arcs, which the batch flags, raise
-    DegenerateInputError when their turn comes.  Only the batch call can
-    be refused: a retry moves an entry within [0, core_length) and tries
-    the translates of one pair of the batch, no more than it tried."""
+    see ``retry_flagged``.  Only the batch call can be refused: a retry
+    moves an entry within [0, core_length) and tries the translates of
+    one pair of the batch, no more than it tried."""
     l = cyl.core_length
 
     def jittered(i: int) -> CrossingBatch:
         (t1, t2), (w1, w2), (s1, s2) = np.asarray(
             (entry_t, winding, crossing_sign), dtype=float)[:, :, i].tolist()
-        check_distinct_arcs((t1, w1, s1), (t2, w2, s2))
         t2 = (t2 + rng.uniform(0.0, l * JITTER_SCALE)) % l
         return crossing_batch_cyl(cyl, [[t1], [t2]], [[w1], [w2]],
                                   [[s1], [s2]])

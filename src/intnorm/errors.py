@@ -7,7 +7,11 @@ import reprlib
 
 
 class GeometryError(ValueError):
-    """Base class for invalid geometric input."""
+    """Base class for invalid geometric input.  ``pair`` is the index of
+    the arc pair that ``cylinder.crossing_batch_cyl`` refuses, None for
+    every other error."""
+
+    pair = None
 
 
 class DomainError(GeometryError):

@@ -308,7 +308,6 @@ def window_violations(batch: cyl_mod.CrossingBatch,
 class SweepResult:
     """Outcome of a winding-versus-oracle sweep on one cylinder."""
 
-    core_length: float
     samples: int
     violations: tuple[str, ...]
     max_count: int
@@ -403,8 +402,8 @@ def lemma_sweep(core_length: float, samples: int, rng, *,
                     "signs": None if rep is None else list(rep.signs),
                     "ok": not vs,
                 })
-    return SweepResult(core_length=core_length, samples=samples,
-                       violations=tuple(violations), max_count=max_count,
+    return SweepResult(samples=samples, violations=tuple(violations),
+                       max_count=max_count,
                        records=tuple(records) if collect_records else None)
 
 

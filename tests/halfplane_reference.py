@@ -184,12 +184,12 @@ def translate_hits(cyl: Cylinder, arc1: ArcSpec,
     """The crossings of ``crossing_count_oracle_loop``, one scalar solve
     per deck translate, as (k, t, sign) in the order of k: translate k of
     the second arc meets the first at t along the core, with that sign."""
-    if arc1 == arc2:
-        raise DegenerateInputError("arcs are identical")
     l, w = cyl.core_length, cyl.half_width
     if l < cyl_mod.MIN_CORE_LENGTH:
         raise DomainError(f"core length {l!r} is below the oracle's bound "
                           f"{cyl_mod.MIN_CORE_LENGTH}")
+    if arc1 == arc2:
+        raise DegenerateInputError("arcs are identical")
     a1, b1, m1, h1 = _fermi_arc(cyl, arc1)
     a2, b2, m2, h2 = _fermi_arc(cyl, arc2)
     first = math.ceil((m1 - m2 - h1 - h2) / l)

@@ -415,6 +415,11 @@ def test_cylinder_arc_pair_past_the_translate_bound_exits_2(tmp_path,
                       {"arc1": [0.0, 3e5, 1], "arc2": [0.0, 300000.5, 1]},
                       {"arc1": [0.0, 3e5, 1], "arc2": [0.0, 300000.5, 1]}],
      "1200006 deck translates to try exceed the oracle's bound 1000000"),
+    # an entry outside [0, l) before a pair of identical arcs: the first
+    # pair in file order names the error, whatever rule each breaks
+    ("0.1", "shrunk", [{"arc1": [0.5, 1.0, 1], "arc2": [0.02, 2, -1]},
+                       {"arc1": [0.01, 1.5, 1], "arc2": [0.01, 1.5, 1]}],
+     "arc pair #0: entry_t must lie in [0, 0.1), got 0.5"),
     # the first pair refused names the error, whatever rule it breaks
     ("0.2", "shrunk", [{"arc1": [0.03, 0.5, 1], "arc2": [0.11, 2.5, 1]},
                        {"arc1": [0.03, 3000.0, 1], "arc2": [0.11, 0.5, 1]},
@@ -959,7 +964,7 @@ def test_a_report_is_written_without_its_whole_text(tmp_path):
 
 
 def test_cylinder_identical_arcs_exit_2(tmp_path, capsys):
-    # refused while the file is read, as every other bad arc pair is
+    # refused by the oracle's batch, which names the pair
     path = tmp_path / "arcs.json"
     path.write_text(json.dumps({"pairs": [
         {"arc1": [0.03, 0.0, 1], "arc2": [0.11, 2.5, 1]},

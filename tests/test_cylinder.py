@@ -20,6 +20,7 @@ from intnorm import (
     Cylinder,
     DegenerateInputError,
     DomainError,
+    GeometryError,
     ModeError,
     RejectedInputError,
     RetrySignal,
@@ -105,6 +106,10 @@ def test_winding_from_endpoints_validates_entry():
         winding_from_endpoints(CYL, -0.01, 0.3)
     with pytest.raises(DomainError):
         winding_from_endpoints(CYL, 0.1, math.inf)
+    # finite endpoints whose winding is past double range
+    with pytest.raises(DomainError, match="^winding must be a finite real, "
+                                          "got inf$"):
+        winding_from_endpoints(Cylinder(0.1, 1.0), 0.05, 1e308)
 
 
 def test_arc_spec_validation():
@@ -572,16 +577,29 @@ def test_a_pair_alone_is_its_slice_of_the_batch(case):
     grazes at once and slopes at the edge of OVERLAP_TOLERANCE, where the
     last bit of A decides.  Both are solved again in row chunks of a few
     rows, so that a pair's runs, its hits and its first flagged row fall
-    in different chunks; the batch must not change."""
+    in different chunks; the batch must not change.  A pair of identical
+    arcs, which the draws can give, is refused alone, and the first such
+    pair refuses the batch, named by its index; the other pairs are then
+    compared without them."""
     cyl, pairs = case
     arrays = np.array([[[arc[f] for arc in arcs] for arcs in zip(*pairs)]
                        for f in range(3)], dtype=float)
+    alone = [_batch_or_refusal(cyl, *arrays[:, :, i:i + 1])
+             for i in range(len(pairs))]
+    refused = [i for i, one in enumerate(alone)
+               if not isinstance(one, CrossingBatch)]
+    if refused:
+        assert {alone[i] for i in refused} \
+            == {("DegenerateInputError", "arcs are identical", 0)}
+        assert _batch_or_refusal(cyl, *arrays) \
+            == alone[refused[0]][:2] + (refused[0],)
+        arrays = np.delete(arrays, refused, axis=2)
     batches = []
     for chunk in (ROW_CHUNK, STRADDLING_CHUNK):
         with patch.object(intnorm.cylinder, "ROW_CHUNK", chunk):
             batch = crossing_batch_cyl(cyl, *arrays)
             batches.append([v.tolist() for v in batch])
-            for i in range(len(pairs)):
+            for i in range(arrays.shape[2]):
                 one = crossing_batch_cyl(cyl, *arrays[:, :, i:i + 1])
                 lo, hi = batch.offsets[i:i + 2].tolist()
                 assert one.offsets.tolist() == [0, hi - lo], (chunk, i)
@@ -591,6 +609,15 @@ def test_a_pair_alone_is_its_slice_of_the_batch(case):
                 assert one.retry.tolist() == batch.retry[i:i + 1].tolist(), \
                     (chunk, i)
     assert batches[0] == batches[1]
+
+
+def _batch_or_refusal(cyl: Cylinder, *arrays):
+    """``crossing_batch_cyl`` on the arrays, or the type, message and
+    ``pair`` of the error that refuses them."""
+    try:
+        return crossing_batch_cyl(cyl, *arrays)
+    except GeometryError as exc:
+        return type(exc).__name__, str(exc), exc.pair
 
 
 def _share_an_end(cyl: Cylinder, arc1: ArcSpec, arc2: ArcSpec) -> bool:
@@ -744,24 +771,58 @@ def test_batch_refusal_names_the_first_pair_outside_the_domain():
         crossing_batch_cyl(CYL, entry_t, winding, signs)
 
 
-def test_refused_pair_names_the_first_pair_outside_either_domain():
+def test_the_batch_names_the_first_pair_outside_either_domain():
     """Pair 1's windings would leave the window's domain and pair 2's
     second arc advances 600 core lengths: pair 1 comes first, refused for
     the advance of its first arc, as every winding past the window's
-    domain is; a batch inside the domain has no refused pair.  An arc
-    entering past the core and advancing 600 core lengths is refused for
-    its entry."""
+    domain is; a batch inside the domain is solved.  An arc entering
+    past the core and advancing 600 core lengths is refused for its
+    entry."""
     entry_t = [[0.03, 0.03, 0.03], [0.11, 0.11, 0.11]]
     winding = [[0.5, 1e308, 0.5], [2.5, 1e308, 3000.0]]
-    i, exc = intnorm.cylinder.refused_pair(CYL, entry_t, winding)
-    assert (i, str(exc)) == (1, "core advance 2.0000000000000002e+307 of "
-                                "winding 1e+308 exceeds the oracle's bound "
-                                "400.0")
-    assert intnorm.cylinder.refused_pair(
-        CYL, [e[:1] for e in entry_t], [w[:1] for w in winding]) is None
-    i, exc = intnorm.cylinder.refused_pair(CYL, [[0.03], [0.3]],
-                                           [[0.5], [3000.0]])
-    assert (i, str(exc)) == (0, "entry_t must lie in [0, 0.2), got 0.3")
+    signs = [[1, 1, 1], [1, 1, 1]]
+    assert _batch_or_refusal(CYL, entry_t, winding, signs) == (
+        "DomainError", "core advance 2.0000000000000002e+307 of winding "
+                       "1e+308 exceeds the oracle's bound 400.0", 1)
+    crossing_batch_cyl(CYL, *([v[:1] for v in rows]
+                              for rows in (entry_t, winding, signs)))
+    assert _batch_or_refusal(CYL, [[0.03], [0.3]], [[0.5], [3000.0]],
+                             [[1], [1]]) == (
+        "DomainError", "entry_t must lie in [0, 0.2), got 0.3", 0)
+
+
+@pytest.mark.parametrize("identical, outside", [(3, 7), (7, 3)])
+def test_the_first_pair_with_identical_arcs_or_an_arc_outside_is_refused(
+        identical, outside):
+    """Among 20 pairs of about 98,000 translates each, past the call's
+    bound, one pair of identical arcs and one with an entry past the
+    core: the earlier of the two is refused, named by its index, before
+    any row is built, and identical arcs stay refused as identical when
+    both enter past the core.  Without the two, the call's translates
+    are refused, and that error names no pair."""
+    cyl = make_collar(1e-3, "full")
+    n = 20
+    entries = np.array([[1e-4] * n, [9e-4] * n])
+    windings = np.array([[49_000.0] * n, [-49_000.0] * n])
+    signs = np.ones((2, n))
+    assert _batch_or_refusal(cyl, entries, windings, signs)[1:] == (
+        "1960000 deck translates to try exceed the oracle's bound 1000000",
+        None)
+    entries[:, identical], windings[:, identical] = 5e-4, 49_000.0
+    entries[1, outside] = 0.5
+    tracemalloc.start()
+    try:
+        refusal = _batch_or_refusal(cyl, entries, windings, signs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert refusal == (("DegenerateInputError", "arcs are identical",
+                        identical) if identical < outside else
+                       ("DomainError", "entry_t must lie in [0, 0.001), "
+                                       "got 0.5", outside))
+    assert peak < 1 << 20
+    entries[:, identical] = 1.5
+    assert _batch_or_refusal(cyl, entries, windings, signs) == refusal
 
 
 def test_batch_past_its_translate_bound_is_refused_before_its_rows():
@@ -1036,6 +1097,10 @@ def test_dehn_twist_winding_validation():
         dehn_twist_winding(1.0, 0, 1.0)
     with pytest.raises(DomainError):
         dehn_twist_winding(math.inf, 1, 1.0)
+    # a finite winding and order whose sum is past double range
+    with pytest.raises(DomainError, match="^winding must be a finite real, "
+                                          "got inf$"):
+        dehn_twist_winding(1e308, 1, 1e308)
 
 
 def test_dehn_twist_inverts_exactly_on_dyadics():

@@ -2,8 +2,9 @@
 benchmark's tracer still finds every function it wraps.
 
 A function in ``intnorm.__all__`` that only the benchmark or the tests
-call belongs in its module, not in the package's exports; a keyword that
-no caller passes is a mode nobody runs.  A name that ``bench/tracing.py``
+call belongs in its module, not in the package's exports; a function or
+class that only the tests read is dead code; a keyword that no caller
+passes is a mode nobody runs.  A name that ``bench/tracing.py``
 traces and the library drops would break ``bench/run.py --trace 1``
 without a failing test, and one that it wraps but no longer reaches
 would read 0 in every run.
@@ -45,22 +46,48 @@ def _public_functions() -> list[str]:
     return functions
 
 
+def _reads(*dirs: str) -> dict[str, set[tuple[Path, str | None]]]:
+    """Each name read in the files under dirs, as a name or an attribute:
+    a call, or a table that callers go through, not an import or a
+    string; with the file and the module-level definition, if any, that
+    reads it."""
+    reads = {}
+    for path in _paths(*dirs):
+        for top in _tree(path).body:
+            for node in ast.walk(top):
+                if isinstance(node, ast.Attribute):
+                    name = node.attr
+                elif isinstance(node, ast.Name) and type(node.ctx) is ast.Load:
+                    name = node.id
+                else:
+                    continue
+                reads.setdefault(name, set()).add(
+                    (path, getattr(top, "name", None)))
+    return reads
+
+
 def test_every_public_function_is_used_outside_the_tests():
-    # a use is a name or attribute read in the library or the demos,
-    # outside the module that defines the function: a call, or a table
-    # that callers go through; imports and strings are not, and the
-    # benchmark alone is not
-    used = {}  # name -> the files that read it
-    for path in _paths("src", "demos"):
-        for node in ast.walk(_tree(path)):
-            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-                used.setdefault(node.id, set()).add(path)
-            elif isinstance(node, ast.Attribute):
-                used.setdefault(node.attr, set()).add(path)
+    # a use is a read in the library or the demos, outside the module
+    # that defines the function; the benchmark alone is not
+    used = {name: {path for path, _ in where}
+            for name, where in _reads("src", "demos").items()}
     home = {name: Path(inspect.getsourcefile(getattr(intnorm, name))).resolve()
             for name in _public_functions()}
     assert [name for name in home
             if not used.get(name, set()) - {home[name]}] == []
+
+
+def test_every_definition_is_read_outside_itself():
+    # a module-level function or class of the library that the library,
+    # the demos and the benchmark read only in its own body, if at all,
+    # is dead code: the tests alone do not keep it
+    reads = _reads("src", "demos", "bench")
+    dead = [f"{path.stem}.{top.name}" for path in _paths("src")
+            for top in _tree(path).body
+            if isinstance(top, (ast.FunctionDef, ast.ClassDef))
+            and not (top.name.startswith("__") and top.name.endswith("__"))
+            and not reads.get(top.name, set()) - {(path, top.name)}]
+    assert dead == []
 
 
 def test_every_public_keyword_is_passed():
