@@ -43,30 +43,23 @@ from .errors import (
     real,
 )
 from .flat_torus import GRAZE, OVERLAP, CrossingBatch, CrossingReport, \
-    retry_flagged
+    _rows, _solve_rows, retry_flagged
 from .hyptrig import SHORT_CORE_THRESHOLD, SHRINK_MARGIN, boundary_length, \
     collar_width, crossing_arc_length
 
 # Domain of the crossing oracle: the core advance |winding| * core_length
 # of each arc, the core length and the half-width (measured, see
-# crossing_count_oracle_cyl), and the deck translates one call tries,
+# crossing_batch_cyl), and the deck translates one call tries,
 # about |w1| + |w2| a pair, which the advance does not bound on a short
 # core.  MAX_TRANSLATES bounds time, not memory: at it, with a crossing
 # at every translate, one pair takes 0.02-0.03 s and ten pairs of
-# 100,000 translates 0.04-0.06 s, at tracemalloc peaks of 2.2 and 2.7
+# 100,000 translates 0.04-0.05 s, at tracemalloc peaks of 2.5 and 3.4
 # MB, mostly the int8 signs, 1 MB held in chunks and 1 MB joined (Intel
 # Xeon, 2 vCPUs, numpy 2.4).
 MAX_ADVANCE = 400.0
 MIN_CORE_LENGTH = 1e-9
 MIN_HALF_WIDTH = 1e-3
 MAX_TRANSLATES = 1_000_000
-
-# (pair, translate) rows that crossing_batch_cyl solves at once.  A chunk
-# takes each row's pair and translate from the row's number, so a call's
-# temporaries are those of one chunk: a tracemalloc peak of 1.5 MB for
-# ten pairs of 100,000 translates that do not cross, and of 1.0 MB for
-# one pair of about 1,000,000.
-ROW_CHUNK = 16_384
 
 # Fermi distance from the collar boundary |s| = half_width within which a
 # crossing raises RetrySignal.
@@ -287,38 +280,8 @@ def crossing_count_oracle_cyl(cyl: Cylinder, arc1: ArcSpec,
     compares the slopes, A1*B2*cosh(x - d) - A2*B1*cosh(x), negated to
     match the orientation of the half-plane model.  No winding arithmetic
     enters.  The signs are reported in the order of k, which is the order
-    of the crossings along the core, one way or the other.  The
-    translates are solved together as rows of arrays, see
-    ``crossing_batch_cyl``.
-
-    Domain, refused with DomainError: a core advance
-    |winding| * core_length above MAX_ADVANCE = 400 on either arc, a core
-    length below MIN_CORE_LENGTH = 1e-9 and a half-width below
-    MIN_HALF_WIDTH = 1e-3.  Measured against the window and sign rule and
-    against a 60-digit evaluation of the same model:
-    - advances up to 480 on cores 0.05, 0.1 and 0.2 give no violation.
-      P*e^d reaches e^(1.5*advance), which overflows past an advance of
-      about 473; at advances up to 500, crossings go missing.
-    - a wide half-width sets no limit: w = 462 at core 0.2 is clean.  A
-      thin one does, as S_TOLERANCE is absolute and no jitter moves a
-      crossing out of its band: of ``lemma_sweep``'s samples on full
-      collars, 2 in 100,000 stay stuck at w = 4.5e-6 and 18,763 in 20,000
-      at w = 9.2e-10, none in 200,000 at w = 1e-3.  At w = 1e-3 a pair
-      that crosses on the boundary can stay stuck:
-      ArcSpec(0.0, 0.5, 1) and ArcSpec(0.0, -2.5, 1), which share their
-      entry, still graze on Cylinder(0.2, 1e-3) after every retry of
-      ``count_crossings_cyl``, as a jitter of at most core_length *
-      JITTER_SCALE moves that crossing by about 1e-9 in s; at half-widths
-      3e-3 and 3.0 the pair counts 3.
-    - the core length does.  e^d keeps d only to about 1e-16, so a crossing
-      that close to an arc end can land on the wrong side of it, at a rate
-      of roughly 1e-16/core_length per pair: 4 wrong pairs in 1000 at core
-      1e-14, 1 in 2000 at 1e-13 and at 1e-12, none in 1000 at 1e-9.
-    On a short core the advance leaves the number of translates, about
-    |w1| + |w2|, open, so a call that would try more than MAX_TRANSLATES =
-    1,000,000 is refused too.  At that bound, with a crossing at every
-    translate, one pair takes 0.02-0.03 s and a batch of ten pairs
-    0.04-0.06 s.
+    of the crossings along the core, one way or the other.  The call is
+    ``crossing_batch_cyl`` on one pair, which states the domain.
 
     Raises RetrySignal when the two lifts overlap (the same core point and
     slope, where numerator and denominator both vanish) or a crossing lies
@@ -341,38 +304,53 @@ def _one_pair(arc1: ArcSpec, arc2: ArcSpec) -> np.ndarray:
 
 def crossing_batch_cyl(cyl: Cylinder, entry_t, winding,
                        crossing_sign) -> CrossingBatch:
-    """The oracle of ``crossing_count_oracle_cyl`` on n arc pairs at once.
-    Each argument has shape (2, n): row 0 for the first arc of each pair,
-    row 1 for the second.
+    """The oracle of ``crossing_count_oracle_cyl`` on n arc pairs at once,
+    and its one gate.  Each argument has shape (2, n): row 0 for the first
+    arc of each pair, row 1 for the second.  Each pair's run of translates
+    first..last is solved by ``_solve_rows``, each test of the one-pair
+    oracle a mask over a chunk's rows, with the same float expressions in
+    a batch of one pair as in a batch of many, so that both give the same
+    bits.  RetrySignal is not raised but flagged per pair.
 
-    Each pair's run of translates first..last becomes rows of one numpy
-    solve, ROW_CHUNK rows at a time, and each test of the one-pair oracle
-    a mask over the rows.  A chunk takes each row's pair and translate k
-    from the row's number, adds its crossings to per-pair counts and
-    appends their int8 signs in row order: of what a chunk builds, only
-    the signs outlive it.
+    A pair's signs come in row order, the order of k, and that is the
+    order of its crossings along the core, one way or the other.  The
+    translates of the second arc's geodesic cross the core at one angle,
+    so no two meet: two that met would bound a triangle with the core
+    whose angles sum to more than pi.  The first arc, a geodesic too,
+    crosses these disjoint lines in the order of k, and its t is monotone
+    along it.
 
-    So a pair's signs come in the order of k, and that is the order of
-    its crossings along the core, one way or the other.  The translates
-    of the second arc's geodesic cross the core at one angle, so no two
-    meet: two that met would bound a triangle with the core whose angles
-    sum to more than pi.  The first arc, a geodesic too, crosses these
-    disjoint lines in the order of k, and its t is monotone along it.
-
-    The batch is the one gate of the collar oracle, and it refuses before
-    any row is built: first a core length or half-width outside the
-    domain of the one-pair oracle; then the first pair, in pair order,
-    whose arcs are identical or that has an arc outside that domain,
-    named by the error's ``pair`` (see ``_refuse_first_pair``); then more
-    than MAX_TRANSLATES translates in the whole call.  RetrySignal is not
-    raised but flagged per pair.
-
-    A batch of one pair, as every one-pair caller and every retry makes,
-    has no pair index: its constants are floats, broadcast into every
-    row, where a batch of many gathers them per row, and its count is
-    the number of its signs.  The float
-    expressions are the same, so a pair alone and the same pair in a
-    batch give the same bits.
+    Domain.  Before any row is built, the batch refuses with DomainError
+    first a core length below MIN_CORE_LENGTH = 1e-9 or a half-width
+    below MIN_HALF_WIDTH = 1e-3; then the first pair, in pair order, whose
+    arcs are identical (DegenerateInputError) or that has an arc with an
+    entry outside [0, core_length) or a core advance |winding| *
+    core_length above MAX_ADVANCE = 400, named by the error's ``pair``
+    (see ``_refuse_first_pair``); then more than MAX_TRANSLATES =
+    1,000,000 translates in the whole call, about |w1| + |w2| a pair,
+    which the advance leaves open on a short core.
+    Measured against the window and sign rule and
+    against a 60-digit evaluation of the same model:
+    - advances up to 480 on cores 0.05, 0.1 and 0.2 give no violation.
+      P*e^d reaches e^(1.5*advance), which overflows past an advance of
+      about 473; at advances up to 500, crossings go missing.
+    - a wide half-width sets no limit: w = 462 at core 0.2 is clean.  A
+      thin one does, as S_TOLERANCE is absolute and no jitter moves a
+      crossing out of its band: of ``lemma_sweep``'s samples on full
+      collars, 2 in 100,000 stay stuck at w = 4.5e-6 and 18,763 in 20,000
+      at w = 9.2e-10, none in 200,000 at w = 1e-3.  At w = 1e-3 a pair
+      that crosses on the boundary can stay stuck:
+      ArcSpec(0.0, 0.5, 1) and ArcSpec(0.0, -2.5, 1), which share their
+      entry, still graze on Cylinder(0.2, 1e-3) after every retry of
+      ``count_crossings_cyl``, as a jitter of at most core_length *
+      JITTER_SCALE moves that crossing by about 1e-9 in s; at half-widths
+      3e-3 and 3.0 the pair counts 3.
+    - the core length does.  e^d keeps d only to about 1e-16, so a crossing
+      that close to an arc end can land on the wrong side of it, at a rate
+      of roughly 1e-16/core_length per pair: 4 wrong pairs in 1000 at core
+      1e-14, 1 in 2000 at 1e-13 and at 1e-12, none in 1000 at 1e-9.
+    At MAX_TRANSLATES, with a crossing at every translate, one pair takes
+    0.02-0.03 s and a batch of ten pairs 0.04-0.05 s.
     """
     l, w = cyl.core_length, cyl.half_width
     if l < MIN_CORE_LENGTH:
@@ -404,32 +382,19 @@ def crossing_batch_cyl(cyl: Cylinder, entry_t, winding,
     if total > MAX_TRANSLATES:
         raise DomainError(f"{int(total)} deck translates to try exceed "
                           f"the oracle's bound {MAX_TRANSLATES}")
-    runs, total = runs.astype(np.int64), int(total)
     # tanh(s) comes from the equation of the flatter arc: its B and A, and
     # whether it is the second arc, whose equation is in x - d
     flat = np.abs(a1) >= np.abs(a2)
     (b, a), shift = np.where(flat, (b1, a1), (b2, a2)), ~flat
-    # row r of the call tries translate r + k0 of the pair whose run holds
-    # it; a lone pair's run is every row, and its count is that of its
-    # signs
-    if count == 1:
-        ends, k0 = None, first
-    else:
-        ends, counts = runs.cumsum(), np.zeros(count, dtype=np.int64)
-        k0 = first - (ends - runs)
-    retry = np.zeros(count, dtype=np.int8)
-    # an empty first chunk, so that a call without rows joins no signs
-    signs = [np.zeros(0, dtype=np.int8)]
-    for lo in range(0, total, ROW_CHUNK):
-        r = np.arange(lo, min(lo + ROW_CHUNK, total))
-        i = None if ends is None else ends.searchsorted(r, side="right")
+
+    def solve(r, i):
         pi, qi = _rows(p, i), _rows(q, i)
         # A ratio that is not positive and finite makes x, tau and s NaN
         # or infinite.  Then |tau| < 1, the graze test and s <= w all
         # fail, so no row needs masking before the tests; the NaNs and
         # infinities are no errors.
         with np.errstate(all="ignore"):
-            d = _rows(m2, i) + (r + _rows(k0, i)) * l - _rows(m1, i)
+            d = _rows(m2, i) + (r + _rows(first, i)) * l - _rows(m1, i)
             num = pi * np.exp(d) - qi
             den = pi * np.exp(-d) - qi
             x = 0.5 * np.log(num / den)
@@ -439,40 +404,16 @@ def crossing_batch_cyl(cyl: Cylinder, entry_t, winding,
             hit = (s <= w).nonzero()[0]
         overlap = check_overlap and \
             (np.abs(d) <= OVERLAP_TOLERANCE * l) & _rows(same_slope, i)
+        code = None
         if np.count_nonzero(graze) or np.count_nonzero(overlap):
-            _flag_first(retry, i, np.where(overlap, OVERLAP,
-                                           np.where(graze, GRAZE, 0)))
-        if i is not None:
-            i = i[hit]
-            counts += np.bincount(i, minlength=count)
+            code = np.where(overlap, OVERLAP, np.where(graze, GRAZE, 0))
         # a crossing is positive where A1*B2*cosh(x - d) < A2*B1*cosh(x)
-        x, d = x[hit], d[hit]
-        signs.append((_rows(p, i) * np.cosh(x - d)
-                      < _rows(q, i) * np.cosh(x)).astype(np.int8) * 2 - 1)
-    signs = np.concatenate(signs)
-    offsets = np.zeros(count + 1, dtype=np.int64)
-    offsets[1:] = len(signs) if ends is None else counts.cumsum()
-    return CrossingBatch(offsets=offsets, signs=signs, retry=retry)
+        x, d, i_hit = x[hit], d[hit], None if i is None else i[hit]
+        signs = (_rows(p, i_hit) * np.cosh(x - d)
+                 < _rows(q, i_hit) * np.cosh(x)).astype(np.int8) * 2 - 1
+        return ((i, hit, signs, code),)
 
-
-def _rows(value, i):
-    """A per-pair value at the rows of pairs i, or, for i None, the one
-    pair's own value, which broadcasts into every row."""
-    return value if i is None else value[i]
-
-
-def _flag_first(retry: np.ndarray, pair: np.ndarray | None,
-                code: np.ndarray) -> None:
-    """Give each pair not flagged yet the code of its first flagged row;
-    the rows run in order of pair and translate, and pair is None where
-    they all belong to the one pair of the batch."""
-    if pair is None:
-        pair = np.zeros(len(code), dtype=np.intp)
-    rows = np.flatnonzero(code)
-    p, lead = np.unique(pair[rows], return_index=True)
-    c = code[rows[lead]]
-    fresh = retry[p] == 0
-    retry[p[fresh]] = c[fresh]
+    return _solve_rows(runs.astype(np.int64).reshape(-1), solve)
 
 
 def count_crossings_cyl_batch(cyl: Cylinder, entry_t, winding, crossing_sign,

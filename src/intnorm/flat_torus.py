@@ -66,16 +66,21 @@ SEAM_TOLERANCE = 1e-9
 
 # Domain of the crossing oracle: the most |a| + |c| + |Int(u, v)| of a
 # call, or of a batch summed, about the number of translates it tries.  A
-# crossing costs about 0.04 us and 24 bytes, and a row of the crossing
+# crossing costs about 0.02 us and 24 bytes, and a row of the crossing
 # parallelogram about 0.03 us, so MAX_CROSSING_CANDIDATES keeps one call
-# under about 0.1 s and 60 MB (measured, see crossing_count_oracle).
+# under about 0.1 s and 80 MB (measured, see crossing_batch).
 MAX_CROSSING_CANDIDATES = 2_480_000
 
-# Rows that crossing_batch expands at once, and translates that it solves
-# at once, with 6 MB of temporaries.  The translates of a row chunk take
-# 24-32 bytes each: a tracemalloc peak of 79 MB for a batch of 2 or 4
-# pairs at MAX_CROSSING_CANDIDATES (Intel Xeon, 2 vCPUs, numpy 2.4).
-_ROW_CHUNK = 65_536
+# Rows that the crossing oracles solve at once (see _solve_rows): on the
+# collar (pair, translate) rows, on the torus rows of the crossing
+# parallelograms and then their translates.  A chunk takes each row's pair
+# from the row's number, so a call's temporaries are those of one chunk:
+# a tracemalloc peak of 1.3 MB for the 2,696,757 rows of a thin pair at
+# MAX_CROSSING_CANDIDATES, where 65,536 rows took 5.8 MB.  The translates
+# of a torus row are expanded at once, 24-32 bytes each, so one row of
+# 2,479,999 translates still takes 60 MB, and a batch of 2 or 4 pairs of
+# one row each 79 MB (Intel Xeon, 2 vCPUs, numpy 2.4).
+ROW_CHUNK = 16_384
 
 # Most cells an enumeration box may hold, and most candidate pairs a
 # search may evaluate: each costs tens of bytes of int64 and float64
@@ -145,6 +150,17 @@ class CrossingBatch(NamedTuple):
     along the core, one way or the other.  retry[i] is 0, or SEAM
     (torus), OVERLAP or GRAZE (collar) where the one-pair oracle raises
     RetrySignal on pair i; the crossings of such a pair mean nothing.
+
+    Both oracles build it with one row driver, ``_solve_rows``: pair i
+    has a run of rows, and solve(r, i) is handed each chunk of ROW_CHUNK
+    rows as the index r of each row within its pair's run and the rows'
+    pairs i, None for a batch of one pair, whose constants broadcast
+    (see ``_rows``).  It returns its items in row order, as pieces
+    (pair, hit, signs, code): each item's pair, the hits among the items,
+    the hits' int8 signs and each item's retry code, or None where no
+    item is flagged.  A pair counts its hits, keeps their signs in row
+    order and takes the code of its first flagged item.  A batch of one
+    pair has no pair index, and its count is the number of its signs.
     """
 
     offsets: np.ndarray
@@ -188,6 +204,55 @@ def retry_flagged(batch: CrossingBatch, resolve) -> CrossingBatch:
             if not batch.retry[i]:
                 break
     return batch
+
+
+def _rows(value, i):
+    """A per-pair value at the rows of pairs i, or, for i None, the one
+    pair's own value, which broadcasts into every row."""
+    return value if i is None else value[i]
+
+
+def _flag_first(retry: np.ndarray, pair: np.ndarray | None,
+                code: np.ndarray) -> None:
+    """Give each pair not flagged yet the code of its first flagged item;
+    the items run in order of pair and row, and pair is None where they
+    all belong to the one pair of the batch."""
+    if pair is None:
+        pair = np.zeros(len(code), dtype=np.intp)
+    rows = np.flatnonzero(code)
+    p, lead = np.unique(pair[rows], return_index=True)
+    c = code[rows[lead]]
+    fresh = retry[p] == 0
+    retry[p[fresh]] = c[fresh]
+
+
+def _solve_rows(runs: np.ndarray, solve) -> CrossingBatch:
+    """The row driver of both crossing oracles: the CrossingBatch of the
+    pairs whose runs of rows have the int64 lengths runs, each chunk
+    solved by solve as ``CrossingBatch`` states."""
+    count = len(runs)
+    retry = np.zeros(count, dtype=np.int8)
+    # an empty first piece, so that a call without rows joins int8 signs
+    signs = [np.zeros(0, dtype=np.int8)]
+    if count == 1:
+        ends, total = None, int(runs[0])
+    else:
+        ends, total = runs.cumsum(), int(runs.sum())
+        starts, counts = ends - runs, np.zeros(count, dtype=np.int64)
+    for lo in range(0, total, ROW_CHUNK):
+        r = np.arange(lo, min(lo + ROW_CHUNK, total))
+        i = None if ends is None else ends.searchsorted(r, side="right")
+        for pair, hit, hit_signs, code in solve(
+                r if i is None else r - starts[i], i):
+            if code is not None:
+                _flag_first(retry, pair, code)
+            if pair is not None:
+                counts += np.bincount(pair[hit], minlength=count)
+            signs.append(hit_signs)
+    signs = np.concatenate(signs)
+    offsets = np.zeros(count + 1, dtype=np.int64)
+    offsets[1:] = len(signs) if ends is None else counts.cumsum()
+    return CrossingBatch(offsets, signs, retry)
 
 
 def _pair(name: str, value, check=real) -> tuple:
@@ -852,16 +917,8 @@ def crossing_count_oracle(lat: Lattice, u, v, offset) -> CrossingReport:
     translates tried are those of the crossing parallelogram, widened in
     t and s by SEAM_TOLERANCE plus a rounding bound (see
     ``_parallelogram``): |Int| + O(|a| + |c|) of them.  The call is
-    ``crossing_batch`` on one pair.
-
-    Raises RetrySignal when a crossing falls within SEAM_TOLERANCE of a
-    base-point seam; the caller should re-randomize the offset.  Raises
-    DomainError, before allocating, when |a| + |c| + |Int| exceeds
-    MAX_CROSSING_CANDIDATES = 2,480,000, or when the rounding bound on t
-    and s exceeds 1.  At that bound, on the square lattice, one row with
-    |Int| = 2,479,999 took 0.09-0.11 s and a tracemalloc peak of 60 MB,
-    and 2,479,999 rows with |Int| = 1 took 0.06-0.08 s and 6 MB (Intel
-    Xeon, 2 vCPUs, numpy 2.4).
+    ``crossing_batch`` on one pair, which states the domain; a seam
+    raises RetrySignal, and the caller should re-randomize the offset.
 
     Not exported: only the benchmark under bench/ calls it.
     """
@@ -870,38 +927,37 @@ def crossing_count_oracle(lat: Lattice, u, v, offset) -> CrossingReport:
 
 def crossing_batch(lat: Lattice, u, v, offsets) -> CrossingBatch:
     """The oracle of ``crossing_count_oracle`` on n pairs at once, given
-    as n-long sequences of pairs such as (n, 2) arrays.  The rows of all
-    parallelograms, and then their translates, are solved _ROW_CHUNK at
-    a time with the one-pair oracle's float expressions, and its errors;
-    the first pair that fails a domain check names the error, and then a
-    sum of |a| + |c| + |Int| past MAX_CROSSING_CANDIDATES, before any row
-    is built.  A seam is flagged per pair as SEAM, not raised.
+    as n-long sequences of pairs such as (n, 2) arrays, and its one gate.
+    The rows of all parallelograms, and then each chunk's translates, are
+    solved by ``_solve_rows``, ROW_CHUNK at a time, with the one-pair
+    oracle's float expressions.  A seam is flagged per pair as SEAM.
+
+    Before any row is built, the first pair that fails a check of
+    ``_parallelogram`` is refused (DegenerateInputError for classes that
+    are zero or proportional, DomainError past the domain), and then a
+    sum of |a| + |c| + |Int| past MAX_CROSSING_CANDIDATES = 2,480,000.
+    The domain of a pair is that sum at most the bound, and a rounding
+    bound on t and s of at most 1.  At the bound, on the square lattice,
+    one row with |Int| = 2,479,999 took 0.04-0.05 s and a tracemalloc peak
+    of 60 MB, and 2,696,757 rows with |Int| = 1 took 0.07-0.08 s and
+    1.3 MB (Intel Xeon, 2 vCPUs, numpy 2.4).
     """
     par = np.array([_parallelogram(lat, *pair)
                     for pair in zip(u, v, offsets)], dtype=float)
     par = par.reshape(-1, 21)
-    count, ends = len(par), par[:, 1].cumsum()
     if par[:, 20].sum() > MAX_CROSSING_CANDIDATES:
         raise DomainError(f"{int(par[:, 20].sum())} candidate translates of "
                           f"a batch exceed the bound {MAX_CROSSING_CANDIDATES}")
-    # the first row i of each pair, less the index of that row
-    base = par[:, 0] - ends + par[:, 1]
     tol = SEAM_TOLERANCE
+    sign = par[:, 2].astype(np.int8)
+    # a batch of one pair has no pair index: its constants are floats,
+    # broadcast into every row
+    cols = par[0].tolist() if len(par) == 1 else par.T
 
-    def per_column(k: slice, pair):
-        # the constants k of each column's pair, as rows; a batch of one
-        # pair has no pair index and broadcasts its own
-        return par[0, k].tolist() if pair is None else par[pair, k].T
-
-    retry = np.zeros(count, dtype=np.int8)
-    counts = np.zeros(count, dtype=np.int64)
-    total = int(ends[-1]) if count else 0
-    for r0 in range(0, total, _ROW_CHUNK):
-        r = np.arange(r0, min(r0 + _ROW_CHUNK, total))
-        pair = np.searchsorted(ends, r, side="right") if count > 1 else None
-        i = r + (base[0] if pair is None else base[pair])
-        o1, o2, tp, sp, tq, sq, ta, sa, tb, sb = per_column(slice(3, 13),
-                                                             pair)
+    def solve(r, pair):
+        i0, o1, o2, tp, sp, tq, sq, ta, sa, tb, sb = [
+            _rows(c, pair) for c in (cols[0], *cols[3:13])]
+        i = r + i0
         x = i + o1
         tpx, spx = tp * x, sp * x
         first = np.ceil(np.maximum((tpx - ta) / tq, (spx - sa) / sq) - o2)
@@ -912,10 +968,11 @@ def crossing_batch(lat: Lattice, u, v, offsets) -> CrossingBatch:
         tpair = None if pair is None else pair.repeat(sizes)
         starts = first - (sizes.cumsum() - sizes)
         tj = starts.repeat(sizes) + np.arange(len(ti), dtype=float)
-        for lo in range(0, len(ti), _ROW_CHUNK):
-            p = None if tpair is None else tpair[lo:lo + _ROW_CHUNK]
-            ii, jj = ti[lo:lo + _ROW_CHUNK], tj[lo:lo + _ROW_CHUNK]
-            ox, oy, nvy, nuy, vx, ux, det_m = per_column(slice(13, 20), p)
+        for lo in range(0, len(ti), ROW_CHUNK):
+            p = None if tpair is None else tpair[lo:lo + ROW_CHUNK]
+            ii, jj = ti[lo:lo + ROW_CHUNK], tj[lo:lo + ROW_CHUNK]
+            ox, oy, nvy, nuy, vx, ux, det_m = [_rows(c, p)
+                                               for c in cols[13:20]]
             rx, ry = lat.embed((ii, jj))
             rx += ox
             ry += oy
@@ -924,8 +981,6 @@ def crossing_batch(lat: Lattice, u, v, offsets) -> CrossingBatch:
             np.divide(nuy * rx + ux * ry, det_m, out=ts[1])
             hit = (ts > tol) & (ts < 1.0 - tol)
             hit = hit[0] & hit[1]
-            counts += np.count_nonzero(hit) if p is None else \
-                np.bincount(p[hit], minlength=count)
             # a parameter within tol of 0 or 1 is no hit, so only the
             # misses can lie at a seam
             miss = ~hit
@@ -933,12 +988,15 @@ def crossing_batch(lat: Lattice, u, v, offsets) -> CrossingBatch:
             near = (np.abs(ts) <= tol) | (np.abs(ts - 1.0) <= tol)
             inside = (ts > -tol) & (ts < 1.0 + tol)
             seam = (near[0] & inside[1]) | (near[1] & inside[0])
+            code = None
             if np.count_nonzero(seam):
-                retry[0 if p is None else p[miss][seam]] = SEAM
-    edges = np.zeros(count + 1, dtype=np.int64)
-    counts.cumsum(out=edges[1:])
-    return CrossingBatch(edges, par[:, 2].astype(np.int8).repeat(counts),
-                         retry)
+                code = np.zeros(len(ii), dtype=np.int8)
+                code[miss] = seam * SEAM
+            signs = sign.repeat(np.count_nonzero(hit)) if p is None \
+                else sign[p[hit]]
+            yield p, hit, signs, code
+
+    return _solve_rows(par[:, 1].astype(np.int64), solve)
 
 
 def random_offset(lat: Lattice, rng) -> tuple[float, float]:

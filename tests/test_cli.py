@@ -75,12 +75,15 @@ def test_torus_skewed_basis_of_a_benign_lattice(capsys):
 
 
 def test_torus_at_cutoff_150_stays_small(tmp_path):
-    # about 24.8k primitive classes: one dense table would be 4.9 GB
-    script = ("import resource, sys\n"
+    # about 24.8k primitive classes: one dense table would be 4.9 GB.  The
+    # child reports its own peak, VmHWM, which starts afresh at exec; on
+    # Linux its ru_maxrss would carry the peak of this test process.
+    script = ("import sys\n"
               "from intnorm.cli import main\n"
               "code = main(sys.argv[1:])\n"
-              "print(code, resource.getrusage(resource.RUSAGE_SELF)"
-              ".ru_maxrss)\n")
+              "with open('/proc/self/status') as f:\n"
+              "    print(code, *[line.split()[1] for line in f\n"
+              "                  if line.startswith('VmHWM:')])\n")
     proc = subprocess.run(
         [sys.executable, "-c", script, "torus", "--lattice",
          "1,0,1/2,0.8660254037844386", "--cutoff", "150",

@@ -34,12 +34,13 @@ from intnorm import (
     winding_from_endpoints,
 )
 import intnorm.cylinder
+import intnorm.flat_torus
 from intnorm.cylinder import (MAX_ADVANCE, MAX_TRANSLATES, MIN_CORE_LENGTH,
-                              MIN_HALF_WIDTH, ROW_CHUNK, CrossingBatch,
+                              MIN_HALF_WIDTH, CrossingBatch,
                               crossing_batch_cyl, crossing_count_oracle_cyl,
                               halfplane_to_fermi, rewind_cell_violations,
                               rewind_shift)
-from intnorm.flat_torus import MAX_RETRIES
+from intnorm.flat_torus import MAX_RETRIES, ROW_CHUNK
 from intnorm.hyptrig import SHORT_CORE_THRESHOLD
 from intnorm.seeding import named_stream
 from intnorm.suites import lemma_sweep, window_violations
@@ -596,7 +597,7 @@ def test_a_pair_alone_is_its_slice_of_the_batch(case):
         arrays = np.delete(arrays, refused, axis=2)
     batches = []
     for chunk in (ROW_CHUNK, STRADDLING_CHUNK):
-        with patch.object(intnorm.cylinder, "ROW_CHUNK", chunk):
+        with patch.object(intnorm.flat_torus, "ROW_CHUNK", chunk):
             batch = crossing_batch_cyl(cyl, *arrays)
             batches.append([v.tolist() for v in batch])
             for i in range(arrays.shape[2]):

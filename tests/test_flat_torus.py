@@ -671,6 +671,23 @@ def test_crossing_oracle_refuses_past_its_candidate_bound():
     assert peak < 1e5
 
 
+def test_thin_parallelogram_at_the_candidate_bound_is_solved_in_chunks():
+    """The accepted thin pair of the test above: |Int| = 1 over 2,479,998
+    rows, so its cost is rows, not translates, and a call holds the
+    temporaries of one ROW_CHUNK of them."""
+    u, v = (1_239_999, 1), (1_240_000, 1)
+    assert abs(u[0]) + abs(v[0]) + abs(intersection_number(u, v)) \
+        == flat_torus.MAX_CROSSING_CANDIDATES
+    tracemalloc.start()
+    try:
+        rep = crossing_count_oracle(SQUARE, u, v, (0.37, 0.41))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep == CrossingReport(1, (-1,))
+    assert peak < 3 << 20
+
+
 def test_crossing_batch_refuses_past_its_candidate_bound_before_its_rows(
         monkeypatch):
     """|a| + |c| + |Int| is bounded over a whole batch, not pair by pair:
@@ -767,13 +784,17 @@ def _one_pair_outcome(lat, u, v, offset):
     return _outcome(lambda: crossing_count_oracle(lat, u, v, offset))
 
 
+@pytest.mark.parametrize("chunk", [flat_torus.ROW_CHUNK, 1, 3])
 @pytest.mark.parametrize("text", BASES)
-def test_batch_matches_one_pair_calls(text, monkeypatch):
+def test_batch_matches_one_pair_calls(text, chunk, monkeypatch):
     """A batch of mixed pairs, some of them flagged at a seam, gives each
     pair the outcome of its own call, and the retry driver re-solves the
     flagged ones alone, in pair order, from fresh offsets of its stream;
     a pair still flagged after MAX_RETRIES keeps the outcome of its last
-    try."""
+    try.  The batch is solved also in row chunks of one and three rows,
+    which split pairs, rows and their translates across chunks; the
+    outcomes of the one-pair calls, at the default chunk, must not
+    change."""
     monkeypatch.setattr(flat_torus, "SEAM_TOLERANCE", 0.01)
     lat = Lattice.from_string(text)
     rng = np.random.default_rng(29)
@@ -787,8 +808,10 @@ def test_batch_matches_one_pair_calls(text, monkeypatch):
         offsets.append(_lattice_point(lat, rng.uniform(-1.0, 2.0, size=2)))
     expected = [_one_pair_outcome(lat, *p) for p in zip(us, vs, offsets)]
     assert sum(e.startswith("RetrySignal") for e in expected) > 5
-    batch = flat_torus.crossing_batch(lat, np.array(us), np.array(vs),
-                                      np.array(offsets))
+    with monkeypatch.context() as patched:
+        patched.setattr(flat_torus, "ROW_CHUNK", chunk)
+        batch = flat_torus.crossing_batch(lat, np.array(us), np.array(vs),
+                                          np.array(offsets))
     assert batch.signs.dtype == np.int8
     assert [_outcome(lambda: batch.report(i))
             for i in range(len(us))] == expected

@@ -90,6 +90,23 @@ def test_every_definition_is_read_outside_itself():
     assert dead == []
 
 
+def test_every_module_constant_is_read():
+    # a name assigned at module level in the library that the library,
+    # the demos and the benchmark never read is dead code too
+    reads = _reads("src", "demos", "bench")
+    names = [(path, target.id) for path in _paths("src")
+             for top in _tree(path).body
+             if isinstance(top, (ast.Assign, ast.AnnAssign))
+             for node in (top.targets if isinstance(top, ast.Assign)
+                          else [top.target])
+             for target in ast.walk(node) if isinstance(target, ast.Name)
+             and not (target.id.startswith("__")
+                      and target.id.endswith("__"))]
+    assert {"ROW_CHUNK", "SEAM", "MAX_TRANSLATES"} <= {n for _, n in names}
+    assert [f"{path.stem}.{name}" for path, name in names
+            if name not in reads] == []
+
+
 def test_every_public_keyword_is_passed():
     # (callee, keyword) of every call that passes a keyword by name
     passed = set()
