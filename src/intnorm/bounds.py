@@ -28,6 +28,7 @@ returns floats.
 from __future__ import annotations
 
 import math
+import reprlib
 import warnings
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Optional, Sequence
@@ -117,8 +118,8 @@ def _hyperbolic_terms(s: int, l1, extended: bool) -> tuple:
     except (OverflowError, ZeroDivisionError):  # a genus too large for a
         terms = (math.inf,)  # float, or l1/2 rounds to 0, in double
     if math.inf in terms:  # all positive, so inf is the one value past range
-        raise DomainError(f"hyperbolic bounds at s={s}, l1={l1} leave "
-                          "the range of double precision")
+        raise DomainError(f"hyperbolic bounds at s={reprlib.repr(s)}, "
+                          f"l1={l1} leave the range of double precision")
     return terms
 
 

@@ -190,7 +190,7 @@ def run_cylinder(args) -> tuple[dict, Optional[tuple]]:
                           "the pairs of --arcs-json; use --format json")
     if not 1 <= args.samples <= MAX_SAMPLES:
         raise DomainError(f"need 1 to {MAX_SAMPLES} samples, "
-                          f"got {args.samples}")
+                          f"got {reprlib.repr(args.samples)}")
     cyl = make_collar(args.core_length, args.mode)
     rng = named_stream(args.seed, "cli.cylinder")
     res = lemma_sweep(args.core_length, args.samples, rng, mode=args.mode,

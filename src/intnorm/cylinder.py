@@ -102,6 +102,7 @@ def make_collar(core_length: float, mode: str = "shrunk") -> Cylinder:
     """
     if mode not in ("full", "shrunk"):
         raise ModeError(f"unknown collar mode {mode!r}")
+    core_length = real("core_length", core_length, positive=True)
     w = collar_width(core_length)
     if mode == "shrunk":
         if core_length >= SHORT_CORE_THRESHOLD:
@@ -411,7 +412,7 @@ def crossing_batch_cyl(cyl: Cylinder, entry_t, winding,
         x, d, i_hit = x[hit], d[hit], None if i is None else i[hit]
         signs = (_rows(p, i_hit) * np.cosh(x - d)
                  < _rows(q, i_hit) * np.cosh(x)).astype(np.int8) * 2 - 1
-        return ((i, hit, signs, code),)
+        return ((i, i_hit, signs, code),)
 
     return _solve_rows(runs.astype(np.int64).reshape(-1), solve)
 

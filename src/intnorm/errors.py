@@ -78,5 +78,6 @@ def integer(name: str, value, minimum=None) -> int:
                                   f"got {reprlib.repr(value)}")
         value = int(value)
     if minimum is not None and value < minimum:
-        raise DomainError(f"{name} must be >= {minimum}, got {value}")
+        raise DomainError(f"{name} must be >= {minimum}, "
+                          f"got {reprlib.repr(value)}")
     return value

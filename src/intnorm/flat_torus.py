@@ -66,9 +66,9 @@ SEAM_TOLERANCE = 1e-9
 
 # Domain of the crossing oracle: the most |a| + |c| + |Int(u, v)| of a
 # call, or of a batch summed, about the number of translates it tries.  A
-# crossing costs about 0.02 us and 24 bytes, and a row of the crossing
-# parallelogram about 0.03 us, so MAX_CROSSING_CANDIDATES keeps one call
-# under about 0.1 s and 80 MB (measured, see crossing_batch).
+# crossing costs about 0.01-0.03 us and 10 bytes, and a row of the crossing
+# parallelogram about 0.015 us, so MAX_CROSSING_CANDIDATES keeps one call
+# under about 0.1 s and 30 MB (measured, see crossing_batch).
 MAX_CROSSING_CANDIDATES = 2_480_000
 
 # Rows that the crossing oracles solve at once (see _solve_rows): on the
@@ -76,10 +76,11 @@ MAX_CROSSING_CANDIDATES = 2_480_000
 # parallelograms and then their translates.  A chunk takes each row's pair
 # from the row's number, so a call's temporaries are those of one chunk:
 # a tracemalloc peak of 1.3 MB for the 2,696,757 rows of a thin pair at
-# MAX_CROSSING_CANDIDATES, where 65,536 rows took 5.8 MB.  The translates
-# of a torus row are expanded at once, 24-32 bytes each, so one row of
-# 2,479,999 translates still takes 60 MB, and a batch of 2 or 4 pairs of
-# one row each 79 MB (Intel Xeon, 2 vCPUs, numpy 2.4).
+# MAX_CROSSING_CANDIDATES, where 65,536 rows took 5.8 MB.  The torus keeps
+# one row index per translate of a chunk of rows, 8 bytes each, and takes
+# each translate's i, j and pair from it, so one row of 2,479,999
+# translates peaks at 24 MB, and a batch of 2 or 4 pairs of one row each
+# at 25 MB (Intel Xeon, 2 vCPUs, numpy 2.4).
 ROW_CHUNK = 16_384
 
 # Most cells an enumeration box may hold, and most candidate pairs a
@@ -156,11 +157,11 @@ class CrossingBatch(NamedTuple):
     rows as the index r of each row within its pair's run and the rows'
     pairs i, None for a batch of one pair, whose constants broadcast
     (see ``_rows``).  It returns its items in row order, as pieces
-    (pair, hit, signs, code): each item's pair, the hits among the items,
-    the hits' int8 signs and each item's retry code, or None where no
-    item is flagged.  A pair counts its hits, keeps their signs in row
-    order and takes the code of its first flagged item.  A batch of one
-    pair has no pair index, and its count is the number of its signs.
+    (pair, hit_pairs, signs, code): each item's pair, the hits' pairs,
+    their int8 signs and each item's retry code, or None where no item
+    is flagged.  A pair counts its hits in hit_pairs, keeps their signs
+    in row order and takes the code of its first flagged item.  A batch
+    of one pair has None as pair and hit_pairs and counts its signs.
     """
 
     offsets: np.ndarray
@@ -242,12 +243,12 @@ def _solve_rows(runs: np.ndarray, solve) -> CrossingBatch:
     for lo in range(0, total, ROW_CHUNK):
         r = np.arange(lo, min(lo + ROW_CHUNK, total))
         i = None if ends is None else ends.searchsorted(r, side="right")
-        for pair, hit, hit_signs, code in solve(
+        for pair, hit_pairs, hit_signs, code in solve(
                 r if i is None else r - starts[i], i):
             if code is not None:
                 _flag_first(retry, pair, code)
-            if pair is not None:
-                counts += np.bincount(pair[hit], minlength=count)
+            if hit_pairs is not None:
+                counts += np.bincount(hit_pairs, minlength=count)
             signs.append(hit_signs)
     signs = np.concatenate(signs)
     offsets = np.zeros(count + 1, dtype=np.int64)
@@ -938,9 +939,9 @@ def crossing_batch(lat: Lattice, u, v, offsets) -> CrossingBatch:
     sum of |a| + |c| + |Int| past MAX_CROSSING_CANDIDATES = 2,480,000.
     The domain of a pair is that sum at most the bound, and a rounding
     bound on t and s of at most 1.  At the bound, on the square lattice,
-    one row with |Int| = 2,479,999 took 0.04-0.05 s and a tracemalloc peak
-    of 60 MB, and 2,696,757 rows with |Int| = 1 took 0.07-0.08 s and
-    1.3 MB (Intel Xeon, 2 vCPUs, numpy 2.4).
+    one row with |Int| = 2,479,999 took 0.03 s and a tracemalloc peak of
+    24 MB, four pairs of one row 0.06-0.07 s and 25 MB, and 2,696,757 rows
+    with |Int| = 1 took 0.04 s and 1.3 MB (Intel Xeon, 2 vCPUs, numpy 2.4).
     """
     par = np.array([_parallelogram(lat, *pair)
                     for pair in zip(u, v, offsets)], dtype=float)
@@ -964,13 +965,13 @@ def crossing_batch(lat: Lattice, u, v, offsets) -> CrossingBatch:
         sizes = np.floor(np.minimum((tpx - tb) / tq, (spx - sb) / sq)
                          - o2) - first + 1.0
         sizes = np.maximum(sizes, 0.0).astype(np.int64)
-        ti = i.repeat(sizes)
-        tpair = None if pair is None else pair.repeat(sizes)
-        starts = first - (sizes.cumsum() - sizes)
-        tj = starts.repeat(sizes) + np.arange(len(ti), dtype=float)
-        for lo in range(0, len(ti), ROW_CHUNK):
-            p = None if tpair is None else tpair[lo:lo + ROW_CHUNK]
-            ii, jj = ti[lo:lo + ROW_CHUNK], tj[lo:lo + ROW_CHUNK]
+        # translate t lies in row[t], at j = skip[row[t]] + t
+        row = np.arange(len(sizes)).repeat(sizes)
+        skip = first - (sizes.cumsum() - sizes)
+        for lo in range(0, len(row), ROW_CHUNK):
+            k = row[lo:lo + ROW_CHUNK]
+            p = None if pair is None else pair[k]
+            ii, jj = i[k], skip[k] + np.arange(lo, lo + len(k), dtype=float)
             ox, oy, nvy, nuy, vx, ux, det_m = [_rows(c, p)
                                                for c in cols[13:20]]
             rx, ry = lat.embed((ii, jj))
@@ -992,9 +993,9 @@ def crossing_batch(lat: Lattice, u, v, offsets) -> CrossingBatch:
             if np.count_nonzero(seam):
                 code = np.zeros(len(ii), dtype=np.int8)
                 code[miss] = seam * SEAM
-            signs = sign.repeat(np.count_nonzero(hit)) if p is None \
-                else sign[p[hit]]
-            yield p, hit, signs, code
+            p_hit = None if p is None else p[hit]
+            yield p, p_hit, (sign.repeat(np.count_nonzero(hit))
+                             if p is None else sign[p_hit]), code
 
     return _solve_rows(par[:, 1].astype(np.int64), solve)
 

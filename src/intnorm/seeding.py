@@ -11,6 +11,7 @@ reports byte-for-byte reproducible.
 from __future__ import annotations
 
 import hashlib
+import reprlib
 
 import numpy as np
 
@@ -29,7 +30,8 @@ def check_seed(seed) -> int:
     """The seed as an int that fits in 64 unsigned bits, or DomainError."""
     seed = integer("seed", seed)
     if not 0 <= seed < _MAX_SEED:
-        raise DomainError(f"seed must fit in 64 unsigned bits, got {seed}")
+        raise DomainError("seed must fit in 64 unsigned bits, "
+                          f"got {reprlib.repr(seed)}")
     return seed
 
 

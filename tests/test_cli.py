@@ -848,6 +848,34 @@ def test_a_seed_past_64_unsigned_bits_is_refused_before_the_work(
                    f"got {seed}\n")
 
 
+_HUGE = str(10 ** 2999)
+
+
+@pytest.mark.parametrize("argv, name", [
+    (["verify", "--seed", _HUGE], "seed must fit in 64 unsigned bits, got "),
+    (["bounds", "--genus", "-" + _HUGE, "--l1-grid", "0.1:0.2:2"],
+     "genus must be >= 2, got -"),
+    (["cylinder", "--core-length", "0.2", "--samples", _HUGE],
+     "samples, got "),
+    (["bounds", "--genus", str(10 ** 400), "--l1-grid", "0.1:0.2:2"],
+     "hyperbolic bounds at s="),
+], ids=["seed", "genus", "samples", "genus-past-double"])
+def test_a_huge_integer_is_quoted_short_in_its_error_line(argv, name,
+                                                          capsys):
+    # a 3,000-digit number is quoted, not echoed whole
+    err = refusal(capsys, argv)
+    assert name in err
+    assert len(err) < 200
+
+
+@pytest.mark.parametrize("length", ["0", "-1", "nan"])
+def test_a_core_length_that_is_not_positive_is_named_as_such(length,
+                                                             capsys):
+    err = refusal(capsys, ["cylinder", f"--core-length={length}"])
+    assert err == ("intnorm: error: core_length must be a positive finite "
+                   f"real, got {float(length)!r}\n")
+
+
 @pytest.mark.parametrize("argv, keep", [
     # the reader takes 10 bytes of a report of about 450 KB and goes
     (["cylinder", "--core-length", "0.2", "--samples", "1000"], 10),

@@ -688,6 +688,27 @@ def test_thin_parallelogram_at_the_candidate_bound_is_solved_in_chunks():
     assert peak < 3 << 20
 
 
+@pytest.mark.parametrize("pairs, c", [(1, 2_479_999), (4, 619_999)])
+def test_rows_of_translates_at_the_candidate_bound_are_solved_in_chunks(
+        pairs, c):
+    """One row of 2,479,999 translates, or four pairs of one row of
+    619,999 each: a call holds one row index per translate, 8 bytes, and
+    the temporaries of one ROW_CHUNK of translates."""
+    u, v = (1, 0), (0, c)
+    assert pairs * (1 + c) == flat_torus.MAX_CROSSING_CANDIDATES
+    tracemalloc.start()
+    try:
+        batch = flat_torus.crossing_batch(SQUARE, [u] * pairs, [v] * pairs,
+                                          [(0.37, 0.41)] * pairs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.diff(batch.offsets).tolist() == [c] * pairs
+    assert np.unique(batch.signs).tolist() == [1]
+    assert not batch.retry.any()
+    assert peak < 32 << 20
+
+
 def test_crossing_batch_refuses_past_its_candidate_bound_before_its_rows(
         monkeypatch):
     """|a| + |c| + |Int| is bounded over a whole batch, not pair by pair:

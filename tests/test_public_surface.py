@@ -2,12 +2,12 @@
 benchmark's tracer still finds every function it wraps.
 
 A function in ``intnorm.__all__`` that only the benchmark or the tests
-call belongs in its module, not in the package's exports; a function or
-class that only the tests read is dead code; a keyword that no caller
-passes is a mode nobody runs.  A name that ``bench/tracing.py``
-traces and the library drops would break ``bench/run.py --trace 1``
-without a failing test, and one that it wraps but no longer reaches
-would read 0 in every run.
+call belongs in its module, not in the package's exports; a function,
+class, method or constant that only the tests read is dead code; a
+keyword that no caller passes is a mode nobody runs.  A name that
+``bench/tracing.py`` traces and the library drops would break
+``bench/run.py --trace 1`` without a failing test, and one that it wraps
+but no longer reaches would read 0 in every run.
 """
 
 from __future__ import annotations
@@ -88,6 +88,28 @@ def test_every_definition_is_read_outside_itself():
             and not (top.name.startswith("__") and top.name.endswith("__"))
             and not reads.get(top.name, set()) - {(path, top.name)}]
     assert dead == []
+
+
+def test_every_method_is_read():
+    # a method or property of a library class that the library, the demos
+    # and the benchmark never read is dead code as well; an override of a
+    # base class's method, such as cli._Parser.error, is called by the
+    # base class
+    reads = _reads("src", "demos", "bench")
+    methods = [(path, top, node.name) for path in _paths("src")
+               for top in _tree(path).body if isinstance(top, ast.ClassDef)
+               for node in top.body if isinstance(node, ast.FunctionDef)
+               and not (node.name.startswith("__")
+                        and node.name.endswith("__"))]
+    assert {"report", "det", "from_string"} <= {n for _, _, n in methods}
+
+    def overrides(path, top, name):
+        cls = getattr(importlib.import_module(f"intnorm.{path.stem}"),
+                      top.name)
+        return any(hasattr(base, name) for base in cls.__mro__[1:])
+
+    assert [f"{path.stem}.{top.name}.{name}" for path, top, name in methods
+            if name not in reads and not overrides(path, top, name)] == []
 
 
 def test_every_module_constant_is_read():
