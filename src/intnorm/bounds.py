@@ -28,14 +28,13 @@ returns floats.
 from __future__ import annotations
 
 import math
-import reprlib
 import warnings
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .errors import DomainError, integer, real
+from .errors import DomainError, integer, quote, real
 from .hyptrig import ARRAYS, SHRINK_MARGIN, TWO_ARSINH_ONE, \
     _boundary_length, _collar_width, _evaluate, _extended, _over_array
 
@@ -118,7 +117,7 @@ def _hyperbolic_terms(s: int, l1, extended: bool) -> tuple:
     except (OverflowError, ZeroDivisionError):  # a genus too large for a
         terms = (math.inf,)  # float, or l1/2 rounds to 0, in double
     if math.inf in terms:  # all positive, so inf is the one value past range
-        raise DomainError(f"hyperbolic bounds at s={reprlib.repr(s)}, "
+        raise DomainError(f"hyperbolic bounds at s={quote(s)}, "
                           f"l1={l1} leave the range of double precision")
     return terms
 

@@ -33,7 +33,6 @@ import contextlib
 import itertools
 import json
 import os
-import reprlib
 import stat
 import sys
 import time
@@ -44,7 +43,7 @@ import numpy as np
 from . import __version__, cylinder
 from .bounds import asymptotic_profile, parse_grid
 from .cylinder import ArcSpec, count_crossings_cyl_batch, make_collar
-from .errors import DomainError, GeometryError, RetrySignal
+from .errors import DomainError, GeometryError, RetrySignal, quote
 from .flat_torus import Lattice, RealClass, best_ratio_search, k_real, \
     norm_comparison_report, segment_bound_check, systole, torus_diameter
 from .hyptrig import EXTENDED_DPS
@@ -190,7 +189,7 @@ def run_cylinder(args) -> tuple[dict, Optional[tuple]]:
                           "the pairs of --arcs-json; use --format json")
     if not 1 <= args.samples <= MAX_SAMPLES:
         raise DomainError(f"need 1 to {MAX_SAMPLES} samples, "
-                          f"got {reprlib.repr(args.samples)}")
+                          f"got {quote(args.samples)}")
     cyl = make_collar(args.core_length, args.mode)
     rng = named_stream(args.seed, "cli.cylinder")
     res = lemma_sweep(args.core_length, args.samples, rng, mode=args.mode,
@@ -221,7 +220,7 @@ def run_cylinder(args) -> tuple[dict, Optional[tuple]]:
                 if not (isinstance(item[key], list) and len(item[key]) == 3):
                     raise DomainError(
                         f"{where}: {key} must be [entry_t, winding, "
-                        f"crossing_sign], got {reprlib.repr(item[key])}")
+                        f"crossing_sign], got {quote(item[key])}")
             try:  # ArcSpec checks the numbers of each arc
                 arcs.append((ArcSpec(*item["arc1"]), ArcSpec(*item["arc2"])))
             except GeometryError as exc:

@@ -1,9 +1,11 @@
-"""Exception types shared by the geometry modules, and the two checks
-through which every numeric argument of the library passes."""
+"""Exception types shared by the geometry modules, the two checks
+through which every numeric argument of the library passes, and the one
+way their messages quote a value."""
 
 import math
 import numbers
 import reprlib
+import sys
 
 
 class GeometryError(ValueError):
@@ -51,6 +53,20 @@ class RetrySignal(RuntimeError):
     """
 
 
+def quote(value) -> str:
+    """``value`` quoted short for an error message, by ``reprlib.repr``.
+    An int with more digits than Python converts to a string
+    (``sys.get_int_max_str_digits``) is quoted by its sign and that
+    limit, without a conversion, which would raise ValueError."""
+    try:
+        return reprlib.repr(value)
+    except ValueError:
+        if not isinstance(value, int):
+            raise
+        return (f"{'-' if value < 0 else ''}<an integer of more than "
+                f"{sys.get_int_max_str_digits()} digits>")
+
+
 def real(name: str, value, positive: bool = False) -> float:
     """``value`` as a float, or DomainError unless it is a real number,
     not a bool, finite in double precision and, if ``positive``, > 0."""
@@ -66,7 +82,7 @@ def real(name: str, value, positive: bool = False) -> float:
     if math.isfinite(x) and (not positive or x > 0.0):
         return x
     raise error(f"{name} must be a {'positive ' if positive else ''}finite "
-                f"real, got {reprlib.repr(value)}")
+                f"real, got {quote(value)}")
 
 
 def integer(name: str, value, minimum=None) -> int:
@@ -75,9 +91,9 @@ def integer(name: str, value, minimum=None) -> int:
     if type(value) is not int:  # the common case skips the ABC test
         if isinstance(value, bool) or not isinstance(value, numbers.Integral):
             raise NumberTypeError(f"{name} must be an integer, "
-                                  f"got {reprlib.repr(value)}")
+                                  f"got {quote(value)}")
         value = int(value)
     if minimum is not None and value < minimum:
         raise DomainError(f"{name} must be >= {minimum}, "
-                          f"got {reprlib.repr(value)}")
+                          f"got {quote(value)}")
     return value

@@ -13,14 +13,14 @@ number by literally counting transversal crossings of straight
 representatives.
 
 The enumeration box is taken in the Lagrange-reduced basis, so it holds
-a bounded multiple of the N classes it returns.  No search builds an
-N x N table.  Pair by pair, |Int(u, v)| / (|u| |v|) =
-|sin(angle(u, v))| / covolume, so ``best_ratio_search`` and
-``segment_bound_check`` sort the directions by angle and evaluate only
-the pairs near perpendicular: O(N log N) time and O(N) memory.
-``min_length_product`` finds the shortest partners of each class in its
-Bezout coset: O(N).  Each returns what the full table would, float bits
-and tie-broken pairs included.
+a bounded multiple of the N classes it returns, and only the rows of the
+disc inside it are built.  No search builds an N x N table.  Pair by
+pair, |Int(u, v)| / (|u| |v|) = |sin(angle(u, v))| / covolume, so
+``best_ratio_search`` and ``segment_bound_check`` sort the directions by
+angle and evaluate only the pairs near perpendicular: O(N log N) time
+and O(N) memory.  ``min_length_product`` finds the shortest partners of
+each class in its Bezout coset: O(N).  Each returns what the full table
+would, float bits and tie-broken pairs included.
 
 ``crossing_count_oracle`` tries only the lattice translates in the
 crossing parallelogram, scanned by rows in lattice coordinates: about
@@ -83,10 +83,15 @@ MAX_CROSSING_CANDIDATES = 2_480_000
 # at 25 MB (Intel Xeon, 2 vCPUs, numpy 2.4).
 ROW_CHUNK = 16_384
 
-# Most cells an enumeration box may hold, and most candidate pairs a
-# search may evaluate: each costs tens of bytes of int64 and float64
-# arrays, a few hundred MB at the bound.
+# Most cells the whole enumeration box in the reduced basis may hold.  The
+# guard still counts the whole box, which holds about three times the
+# cells that enumerate_classes builds, the rows of its disc: at the bound
+# (hexagonal, cutoff 1223, 2.7M classes) a tracemalloc peak of 200 MB and
+# 0.35 s, where building the whole box took 520-650 MB and 0.6-0.9 s
+# (Intel Xeon, 2 vCPUs, numpy 2.4).
 _MAX_ENUM_CELLS = 8_000_000
+# Most candidate pairs a search may evaluate: each costs tens of bytes of
+# int64 and float64 arrays, a few hundred MB at the bound.
 _MAX_SEARCH_PAIRS = 4_000_000
 
 # Largest coefficient of an enumerated class in the given basis: products
@@ -411,6 +416,36 @@ def _reach(lat: Lattice, cutoff: float) -> float:
     return cutoff * (1.0 + 1e-9 + 16.0 * _EPS * _skew(lat))
 
 
+def _disc_cells(lat: Lattice, c1: IntegerClass, c2: IntegerClass,
+                reach: float, pmax: int, qmax: int) -> tuple:
+    """The cells p*c1 + q*c2 of the rows that enumerate_classes builds:
+    their coefficients (a, b) in the given basis, in canonical sign, and
+    their squared lengths."""
+    (a1, b1), (a2, b2) = c1, c2
+    # the row bounds in ratios of lengths only, which no scale overflows
+    (x1, y1), (x2, y2) = lat.embed(c1), lat.embed(c2)
+    n2 = math.hypot(x2, y2)
+    pf, qf = reach * n2, reach * lat.covolume / n2
+    mu = (x1 / n2) * (x2 / n2) + (y1 / n2) * (y2 / n2)
+    P = np.arange(pmax + 1)
+    # p / pf, at most 1: past pf a row keeps only the cells by its centre
+    s = np.divide(np.minimum(P, pf), pf, out=np.zeros(P.size), where=P > 0)
+    half = qf * np.sqrt(1.0 - s * s)
+    lo = np.clip(np.ceil(-P * mu - half) - 1.0, -qmax, qmax).astype(np.int64)
+    hi = np.clip(np.floor(-P * mu + half) + 1.0, -qmax, qmax).astype(np.int64)
+    lo[0] = max(lo[0], 1)  # row 0 from q = 1: the rest are their negatives
+    sizes = np.maximum(hi - lo + 1, 0)
+    P = np.repeat(P, sizes)
+    Q = np.arange(P.size) + np.repeat(lo - (np.cumsum(sizes) - sizes), sizes)
+    A = P * a1 + Q * a2
+    B = P * b1 + Q * b2
+    flip = (A < 0) | ((A == 0) & (B < 0))
+    np.negative(A, out=A, where=flip)
+    np.negative(B, out=B, where=flip)
+    vx, vy = lat.embed((A, B))
+    return A, B, vx * vx + vy * vy
+
+
 def enumerate_classes(lat: Lattice, cutoff: float, *,
                       primitive_only: bool = False
                       ) -> tuple[np.ndarray, np.ndarray]:
@@ -423,14 +458,23 @@ def enumerate_classes(lat: Lattice, cutoff: float, *,
     |p| <= |v| * |r2| / covolume and |q| <= |v| * |r1| / covolume
     (Cauchy-Schwarz against the dual basis), so no class of length below
     the cutoff can fall outside the box, and the box holds a bounded
-    multiple of the class count however skewed the given basis is.  The
-    classes are mapped back to coefficients (a, b) in the given basis, and
-    their lengths are computed from a*e1 + b*e2, where v and -v have the
-    same length bit for bit.  Classes come back sorted lexicographically
-    by (a, b).
+    multiple of the class count however skewed the given basis is.
 
-    Raises DomainError when the box holds more than 8M cells, or when a
-    coefficient in the given basis could exceed 2**31, past which
+    Only half the box is built, one cell of each {v, -v} pair, and only
+    the cells near the disc of radius R = _reach(lat, cutoff): the rows
+    p = 0..pmax (row 0 from q = 1), each cut to
+    |q + p*mu| <= (R / |r2|) * sqrt(1 - (p / pf)**2), with
+    mu = <r1, r2> / |r2|**2 and pf = R * |r2| / covolume, and widened by
+    one cell a side (U. Fincke and M. Pohst, Math. Comp. 44, 1985).  That
+    is about a third of the box's cells.  Each cell is mapped to its
+    coefficients (a, b) in the given basis, and to the canonical sign,
+    before its length is computed from a*e1 + b*e2, so that a class has
+    the same length bit for bit whichever of v and -v its cell held.  The
+    gcd is taken only of the cells inside the cutoff, and the classes come
+    back sorted lexicographically by (a, b), through one integer key.
+
+    Raises DomainError when the whole box holds more than 8M cells, or
+    when a coefficient in the given basis could exceed 2**31, past which
     intersection numbers would overflow int64.
     """
     cutoff = real("cutoff", cutoff, positive=True)
@@ -452,19 +496,17 @@ def enumerate_classes(lat: Lattice, cutoff: float, *,
             f"classes of length {cutoff} reach coefficient {coefficient} in "
             f"the given basis, beyond {_MAX_COEFFICIENT}; use a "
             "better-conditioned basis")
-    P, Q = np.meshgrid(np.arange(-pmax, pmax + 1, dtype=np.int64),
-                       np.arange(-qmax, qmax + 1, dtype=np.int64),
-                       indexing="ij")
-    A = (P * a1 + Q * a2).ravel()
-    B = (P * b1 + Q * b2).ravel()
-    vx, vy = lat.embed((A, B))
-    lsq = vx * vx + vy * vy
-    keep = ((lsq > 0.0) & (lsq <= (cutoff * (1.0 + _CUTOFF_SLACK)) ** 2)
-            & ((A > 0) | ((A == 0) & (B > 0))))
-    if primitive_only:
-        keep &= np.gcd(np.abs(A), np.abs(B)) == 1
+    A, B, lsq = _disc_cells(lat, c1, c2, reach, pmax, qmax)
+    keep = (lsq > 0.0) & (lsq <= (cutoff * (1.0 + _CUTOFF_SLACK)) ** 2)
     A, B, lsq = A[keep], B[keep], lsq[keep]
-    order = np.lexsort((B, A))
+    if primitive_only:
+        keep = np.gcd(A, B) == 1
+        A, B, lsq = A[keep], B[keep], lsq[keep]
+    # 0 <= a <= 2**31 and 0 <= b + 2**31 <= 2**32 (the coefficient guard),
+    # so this key is one-to-one, sorts as (a, b) does and stays below 2**64
+    key = A.astype(np.uint64) * np.uint64(2 ** 32 + 1) + (
+        B + 2 ** 31).astype(np.uint64)
+    order = np.argsort(key)
     classes = np.stack([A[order], B[order]], axis=1)
     return classes, np.sqrt(lsq[order])
 
@@ -551,10 +593,12 @@ def _near_perpendicular_pairs(lat: Lattice, classes: np.ndarray,
     pair that sets it, and every pair within the angle from perpendicular
     that it leaves open, are kept, widened for the tie band and for the
     rounding of the lengths and angles, which grows with the skew of the
-    given basis (a bound past 1/covolume leaves only that).  O(N log N)
-    time and O(N) memory, with a few pairs per class.  Raises DomainError
-    past 4M candidate pairs, which only a badly skewed given basis with a
-    large cutoff reaches.
+    given basis (a bound past 1/covolume leaves only that).  The three
+    searchsorted queries about the perpendiculars are issued in angle
+    order, in which they come sorted, and their answers are taken back to
+    class order.  O(N log N) time and O(N) memory, with a few pairs per
+    class.  Raises DomainError past 4M candidate pairs, which only a badly
+    skewed given basis with a large cutoff reaches.
     """
     count = classes.shape[0]
     if count == 1:
@@ -564,11 +608,14 @@ def _near_perpendicular_pairs(lat: Lattice, classes: np.ndarray,
     x, y = lat.embed((a, b))
     angle = np.arctan2(y, x) % np.pi
     order = np.argsort(angle)
-    ring = np.concatenate((angle[order] - np.pi, angle[order],
-                           angle[order] + np.pi))
-    normal = angle + np.pi / 2
+    sorted_angle = angle[order]
+    ring = np.concatenate((sorted_angle - np.pi, sorted_angle,
+                           sorted_angle + np.pi))
     every = np.arange(count)
-    at = np.searchsorted(ring, normal)
+    rank = np.empty(count, np.int64)  # each class's place in angle order
+    rank[order] = every
+    normal = sorted_angle + np.pi / 2
+    at = np.searchsorted(ring, normal)[rank]
     i = np.concatenate((every, every))
     j = order[np.concatenate((at - 1, at)) % count]
     ratios = _intersections(classes, i, j) / (lengths[i] * lengths[j])
@@ -581,7 +628,8 @@ def _near_perpendicular_pairs(lat: Lattice, classes: np.ndarray,
     cosine = math.sqrt(max(0.0, (1.0 - sine) * (1.0 + sine)))
     width = min(math.asin(min(cosine, 1.0)) + err, math.pi / 2)
     lo = np.searchsorted(ring, normal - width, side="left")
-    sizes = np.searchsorted(ring, normal + width, side="right") - lo
+    sizes = (np.searchsorted(ring, normal + width, side="right") - lo)[rank]
+    lo = lo[rank]
     total = int(sizes.sum())
     if total > _MAX_SEARCH_PAIRS:
         raise DomainError(

@@ -11,11 +11,10 @@ reports byte-for-byte reproducible.
 from __future__ import annotations
 
 import hashlib
-import reprlib
 
 import numpy as np
 
-from .errors import DomainError, integer
+from .errors import DomainError, integer, quote
 
 _MAX_SEED = 2 ** 64
 
@@ -31,7 +30,7 @@ def check_seed(seed) -> int:
     seed = integer("seed", seed)
     if not 0 <= seed < _MAX_SEED:
         raise DomainError("seed must fit in 64 unsigned bits, "
-                          f"got {reprlib.repr(seed)}")
+                          f"got {quote(seed)}")
     return seed
 
 

@@ -254,17 +254,47 @@ def _scale_equivariance(seed: int) -> tuple[int, list[str]]:
     return len(lats), vs
 
 
+def _search_completeness(seed: int) -> tuple[int, list[str]]:
+    """The perpendicular pair search keeps every pair that the full N x N
+    table of |Int| / (l_i * l_j) puts in the tie band of its maximum, on
+    the square and hexagonal lattices at 8 systoles: 60 and 72 classes,
+    30 and 21 pairs in the band.  Those pairs are exactly perpendicular,
+    which the search keeps however narrow a wrong |Int| makes its window,
+    so such a fault fails ``ratio_value`` alone.  Random lattices are
+    left out: the one pair of their band is short of perpendicular, and
+    that window drops it."""
+    named = [("square", _SQUARE), ("hexagonal", _HEXAGONAL)]
+    vs: list[str] = []
+    for name, lat in named:
+        classes, lengths = torus_mod.enumerate_classes(
+            lat, 8.0 * torus_mod.systole(lat), primitive_only=True)
+        i, j = torus_mod._near_perpendicular_pairs(lat, classes, lengths)
+        a, b = classes[:, 0], classes[:, 1]
+        table = (np.abs(np.outer(a, b) - np.outer(b, a))
+                 / np.outer(lengths, lengths))
+        bi, bj = np.nonzero(np.triu(table >= table.max() * (1.0 - 1e-14), 1))
+        kept = set(zip(i.tolist(), j.tolist()))
+        missed = sum(p not in kept for p in zip(bi.tolist(), bj.tolist()))
+        if missed:
+            vs.append(f"pair search misses {missed} of {bi.size} pairs in "
+                      f"the tie band of the full table on the {name} "
+                      "lattice")
+    return len(named), vs
+
+
 _TORUS_CHECKS = (
     ("ratio_value", _ratio_value),
     ("oracle_equivalence", _oracle_equivalence),
     ("norm_comparison", _norm_comparison),
     ("scale_equivariance", _scale_equivariance),
+    ("search_completeness", _search_completeness),
 )
 
 
 def torus_suite(seed: int) -> SuiteReport:
     """All flat-torus invariants: exact ratio value, oracle equivalence,
-    norm comparison, and scale equivariance."""
+    norm comparison, scale equivariance, and the completeness of the
+    perpendicular pair search."""
     return _run_checks("torus", seed, _TORUS_CHECKS)
 
 

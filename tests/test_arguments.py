@@ -198,3 +198,17 @@ def test_the_two_checks_return_plain_python_numbers():
     # a refused type is a TypeError as well
     with pytest.raises(TypeError, match=r"^n must be an integer, got 1\.5$"):
         integer("n", 1.5)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: collar_width(10 ** 5000),
+    lambda: hyperbolic_bounds(-10 ** 5000, 0.5),
+    lambda: hyperbolic_bounds(10 ** 5000, 0.5),
+    lambda: named_stream(10 ** 5000, "x"),
+], ids=["real", "integer-minimum", "bounds-terms", "seed"])
+def test_an_integer_past_the_string_limit_is_refused_as_a_domain_error(call):
+    # more digits than Python converts to a string: the message must quote
+    # the number without converting it
+    with pytest.raises(DomainError) as info:
+        call()
+    assert len(str(info.value)) < 200

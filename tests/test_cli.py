@@ -118,6 +118,12 @@ def test_torus_hexagonal_decimal_basis(capsys):
     # a skewed basis at the default cutoff
     (["--lattice", "1,0,1/3,1"],
      "e2e5a7fa20f3e618bf70ba1381609e84d965f886e015c9e593993643a27504e3"),
+    # about 99k classes, each row of the enumeration cut to the disc
+    (["--lattice", "1,0,1/2,0.8660254037844386", "--cutoff", "300"],
+     "7865f11638fe23429af844ce1582f8de41fd6c168f1edae9b3a7721aa3f843e8"),
+    # a basis whose box in the given basis holds 38M cells
+    (["--lattice", "1,0,10000.5,1"],
+     "d1b068de131b1b2497891e7fb144d59e66fc67472184dc21b2704ff68ef413f8"),
 ])
 def test_torus_report_is_pinned(capsys, argv, digest):
     """The whole torus report, byte for byte: a change in a ratio bit, a
@@ -616,7 +622,7 @@ def test_verify_bounds_suite_reproducible(tmp_path):
 # The checks of each suite, in report order.
 VERIFY_CHECKS = {
     "torus": ["ratio_value", "oracle_equivalence", "norm_comparison",
-              "scale_equivariance"],
+              "scale_equivariance", "search_completeness"],
     "cylinder": ["winding_window_and_sign", "flipped_sign_convention",
                  "rewind_grid"],
     "bounds": ["extended_precision_agreement", "bound_ordering",
@@ -635,7 +641,8 @@ def test_verify_all_runs_the_pinned_checks(capsys):
     assert {s["suite"]: {c["name"]: (c["cases"], c["failures"])
                          for c in s["checks"]} for s in suites} == {
         "torus": {"ratio_value": (24, 0), "oracle_equivalence": (485, 0),
-                  "norm_comparison": (100, 0), "scale_equivariance": (3, 0)},
+                  "norm_comparison": (100, 0), "scale_equivariance": (3, 0),
+                  "search_completeness": (2, 0)},
         "cylinder": {"winding_window_and_sign": (10000, 0),
                      "flipped_sign_convention": (1000, 0),
                      "rewind_grid": (728, 0)},
@@ -652,7 +659,7 @@ def test_verify_all_output_is_pinned(capsys):
     assert main(["verify", "--suite", "all", "--seed", "1"]) == 0
     out = capsys.readouterr().out.encode()
     assert hashlib.sha256(out).hexdigest() == (
-        "ca8e9322155e1ca30e0ca638a36b9f3bdd570ccc379a22d2fa9ef027979c91b6")
+        "14ccc45292e857ffff6b1d5161e0a35a11255ed3ef43af93b4a0f2ac0e6bd206")
 
 
 @pytest.fixture

@@ -273,6 +273,47 @@ def test_enumeration_keeps_the_class_set_of_the_given_basis_box(text):
     assert l1 == dense.enumerate_classes_box(lat, 1.5 * l1)[1].min()
 
 
+# the longest class of the exact hexagonal basis below 10, as a cutoff
+_HEX_CLASS_LENGTH = float(dense.enumerate_classes_reduced_box(HEX, 10.0)[1].max())
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("lat, cutoff", [
+    (Lattice.from_string("1,0,10000.5,1"), 16.0),
+    (Lattice.from_string("1,0,1000000000.5,1"), 1.5),
+    (Lattice((1e-150, 0.0), (0.5e-150, 0.8660254037844386e-150)), 2e-149),
+    (Lattice((1e150, 0.0), (0.5e150, 0.8660254037844386e150)), 2e151),
+    (HEX, _HEX_CLASS_LENGTH),
+    (SQUARE, 0.5),
+], ids=["past-the-given-box-guard", "coefficients-past-1e9", "scale-1e-150",
+        "scale-1e150", "cutoff-a-class-length", "cutoff-below-the-systole"])
+def test_enumeration_matches_the_whole_reduced_box(lat, cutoff):
+    """The rows of the disc give the classes of the whole reduced-basis
+    box, arrays bit for bit, in both modes, with no numpy warning."""
+    for primitive_only in (True, False):
+        got, want = (
+            f(lat, cutoff, primitive_only=primitive_only)
+            for f in (enumerate_classes, dense.enumerate_classes_reduced_box))
+        for new, old in zip(got, want):
+            assert (new.dtype, new.shape) == (old.dtype, old.shape)
+            assert new.tobytes() == old.tobytes()
+    if lat is HEX:  # the class at the cutoff is kept
+        assert cutoff in got[1]
+    else:  # below the systole there is none
+        assert (got[1].size == 0) == (cutoff == 0.5)
+
+
+def test_enumeration_builds_only_the_rows_of_the_disc():
+    # about 99k classes; the whole reduced-basis box peaked at 37 MB
+    tracemalloc.start()
+    try:
+        enumerate_classes(HEX, 300.0, primitive_only=True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 20e6
+
+
 # ----------------------------------------------------------------- searches
 
 def test_best_ratio_square_reaches_real_supremum():

@@ -8,6 +8,11 @@ cutoffs only.  The tests require the O(N) searches of
 ``intnorm.flat_torus`` to return exactly what these return, float bits
 and tie-broken pairs included.
 
+``enumerate_classes_reduced_box`` fills the whole coefficient box of the
+Lagrange-reduced basis, both signs of every cell, and keeps the
+canonical classes; ``enumerate_classes`` builds only the rows of the
+disc in half of that box, and must return the same arrays bit for bit.
+
 ``crossing_count_oracle_box`` is the crossing oracle over the Cartesian
 bounding-box window of lattice translates, which holds far more
 translates than crossings and grows without bound on a skewed basis; the
@@ -34,11 +39,14 @@ from intnorm import (
     RetrySignal,
     systole,
 )
+from intnorm.errors import real
 from intnorm.flat_torus import SEAM_TOLERANCE, MinProductResult, \
-    RatioResult, SegmentBoundReport, _pair
+    RatioResult, SegmentBoundReport, _pair, _reach, class_length, \
+    reduced_basis
 
 _CUTOFF_SLACK = 1e-12
 _MAX_ENUM_CELLS = 8_000_000
+_MAX_COEFFICIENT = 2 ** 31
 
 
 def enumerate_classes_box(lat: Lattice, cutoff: float, *,
@@ -72,6 +80,49 @@ def enumerate_classes_box(lat: Lattice, cutoff: float, *,
     keep = (lsq > 0.0) & (lsq <= (cutoff * (1.0 + _CUTOFF_SLACK)) ** 2)
     if canonical:
         keep &= (A > 0) | ((A == 0) & (B > 0))
+    if primitive_only:
+        keep &= np.gcd(np.abs(A), np.abs(B)) == 1
+    A, B, lsq = A[keep], B[keep], lsq[keep]
+    order = np.lexsort((B, A))
+    classes = np.stack([A[order], B[order]], axis=1)
+    return classes, np.sqrt(lsq[order])
+
+
+def enumerate_classes_reduced_box(lat: Lattice, cutoff: float, *,
+                                  primitive_only: bool = False
+                                  ) -> tuple[np.ndarray, np.ndarray]:
+    """The canonical nonzero integer classes of length <= cutoff, with
+    their lengths sorted by (a, b), from every cell of the box
+    |p| <= pmax, |q| <= qmax in the reduced basis, with the guards and
+    refusals of ``intnorm.flat_torus.enumerate_classes``."""
+    cutoff = real("cutoff", cutoff, positive=True)
+    c1, c2 = reduced_basis(lat)
+    reach = _reach(lat, cutoff) / lat.covolume
+    # clipped so that an infinite reach still gives an integer, and a refusal
+    pmax, qmax = (math.ceil(min(reach * class_length(lat, c), _MAX_ENUM_CELLS))
+                  for c in (c2, c1))
+    cells = (2 * pmax + 1) * (2 * qmax + 1)
+    if cells > _MAX_ENUM_CELLS:
+        raise DomainError(
+            f"enumeration box with {cells} cells is too large; "
+            "reduce the cutoff")
+    (a1, b1), (a2, b2) = c1, c2
+    coefficient = max(pmax * abs(a1) + qmax * abs(a2),
+                      pmax * abs(b1) + qmax * abs(b2))
+    if coefficient > _MAX_COEFFICIENT:
+        raise DomainError(
+            f"classes of length {cutoff} reach coefficient {coefficient} in "
+            f"the given basis, beyond {_MAX_COEFFICIENT}; use a "
+            "better-conditioned basis")
+    P, Q = np.meshgrid(np.arange(-pmax, pmax + 1, dtype=np.int64),
+                       np.arange(-qmax, qmax + 1, dtype=np.int64),
+                       indexing="ij")
+    A = (P * a1 + Q * a2).ravel()
+    B = (P * b1 + Q * b2).ravel()
+    vx, vy = lat.embed((A, B))
+    lsq = vx * vx + vy * vy
+    keep = ((lsq > 0.0) & (lsq <= (cutoff * (1.0 + _CUTOFF_SLACK)) ** 2)
+            & ((A > 0) | ((A == 0) & (B > 0))))
     if primitive_only:
         keep &= np.gcd(np.abs(A), np.abs(B)) == 1
     A, B, lsq = A[keep], B[keep], lsq[keep]
