@@ -25,8 +25,8 @@ would, float bits and tie-broken pairs included.
 ``crossing_count_oracle`` tries only the lattice translates in the
 crossing parallelogram, scanned by rows in lattice coordinates: about
 |a| + |c| + |Int(u, v)| of them, however skewed the basis.  Its domain is
-stated and enforced: that sum at most MAX_CROSSING_CANDIDATES, over a
-call or a batch, and crossings that double precision can place on the
+stated and enforced: that sum at most MAX_CROSSING_CANDIDATES per call,
+one pair or many, and crossings that double precision can place on the
 segments (a rounding bound on the segment parameters of at most 1),
 which rules out classes very long against their intersection number and
 offsets far from the origin.  A pair with a crossing at a seam is
@@ -64,8 +64,8 @@ _CUTOFF_SLACK = 1e-12
 # random base point (see retry_flagged).
 SEAM_TOLERANCE = 1e-9
 
-# Domain of the crossing oracle: the most |a| + |c| + |Int(u, v)| of a
-# call, or of a batch summed, about the number of translates it tries.  A
+# Domain of the crossing oracle: the most |a| + |c| + |Int(u, v)| summed
+# per call, one pair or many, about the number of translates it tries.  A
 # crossing costs about 0.01-0.03 us and 10 bytes, and a row of the crossing
 # parallelogram about 0.015 us, so MAX_CROSSING_CANDIDATES keeps one call
 # under about 0.1 s and 30 MB (measured, see crossing_batch).
@@ -76,19 +76,17 @@ MAX_CROSSING_CANDIDATES = 2_480_000
 # parallelograms and then their translates.  A chunk takes each row's pair
 # from the row's number, so a call's temporaries are those of one chunk:
 # a tracemalloc peak of 1.3 MB for the 2,696,757 rows of a thin pair at
-# MAX_CROSSING_CANDIDATES, where 65,536 rows took 5.8 MB.  The torus keeps
-# one row index per translate of a chunk of rows, 8 bytes each, and takes
-# each translate's i, j and pair from it, so one row of 2,479,999
-# translates peaks at 24 MB, and a batch of 2 or 4 pairs of one row each
-# at 25 MB (Intel Xeon, 2 vCPUs, numpy 2.4).
+# MAX_CROSSING_CANDIDATES.  The torus keeps one row index per translate of
+# a chunk of rows, 8 bytes each, and takes each translate's i, j and pair
+# from it: one row of 2,479,999 translates peaks at 24 MB, a batch of 2 or
+# 4 pairs of one row each at 25 MB (Intel Xeon, 2 vCPUs, numpy 2.4).
 ROW_CHUNK = 16_384
 
 # Most cells the whole enumeration box in the reduced basis may hold.  The
 # guard still counts the whole box, which holds about three times the
 # cells that enumerate_classes builds, the rows of its disc: at the bound
 # (hexagonal, cutoff 1223, 2.7M classes) a tracemalloc peak of 200 MB and
-# 0.35 s, where building the whole box took 520-650 MB and 0.6-0.9 s
-# (Intel Xeon, 2 vCPUs, numpy 2.4).
+# 0.35 s (Intel Xeon, 2 vCPUs, numpy 2.4).
 _MAX_ENUM_CELLS = 8_000_000
 # Most candidate pairs a search may evaluate: each costs tens of bytes of
 # int64 and float64 arrays, a few hundred MB at the bound.
@@ -900,9 +898,13 @@ def _parallelogram(lat: Lattice, u, v, offset) -> tuple:
     the limits computed here: 32 eps * k^2 / (|n| * covolume), where k
     bounds the lengths met on the way, as ``_reach`` bounds the rounding
     of class lengths.  Rows number at most (|a| + |c|) * (1 + 2 * margin)
-    + 1.  Raises DomainError when |a| + |c| + |n| exceeds
-    MAX_CROSSING_CANDIDATES, or when the rounding bound exceeds 1, past
-    which the computed t and s say nothing of where a crossing lies.
+    + 1.  Raises DomainError when the rounding bound exceeds 1, past which
+    the computed t and s say nothing of where a crossing lies; the bound
+    MAX_CROSSING_CANDIDATES on |a| + |c| + |n| is checked per call, one
+    pair or many, by ``crossing_batch``.  A known fault (ROADMAP item 12):
+    the rows are widened by the margin, but a crossing is flagged only
+    within SEAM_TOLERANCE of a seam, so one that rounding moves across a
+    seam by more than that is dropped or added with no flag.
     """
     (a, b), (c, d) = _pair("u", u, integer), _pair("v", v, integer)
     if (a, b) == (0, 0) or (c, d) == (0, 0):
@@ -915,18 +917,12 @@ def _parallelogram(lat: Lattice, u, v, offset) -> tuple:
     (e1x, e1y), (e2x, e2y), det = lat.e1, lat.e2, lat.det
     o1 = (ox * e2y - oy * e2x) / det
     o2 = (-ox * e1y + oy * e1x) / det
-    if abs(a) + abs(c) + abs(n) > MAX_CROSSING_CANDIDATES:
-        raise DomainError(
-            f"the crossing oracle would try about |a| + |c| + |Int| = "
-            f"{abs(a) + abs(c) + abs(n)} translates for {(a, b)} and "
-            f"{(c, d)}, beyond its bound of {MAX_CROSSING_CANDIDATES}; use "
-            "shorter classes")
     try:
         k = ((abs(a) + abs(c) + abs(o1) + 1.0) * math.hypot(e1x, e1y)
              + (abs(b) + abs(d) + abs(o2) + 1.0) * math.hypot(e2x, e2y))
-    except OverflowError:  # a coefficient past the range of a double
-        k = math.inf
-    rounding = 32.0 * _EPS * k / abs(det) * k / abs(n)
+        rounding = 32.0 * _EPS * k / abs(det) * k / abs(n)
+    except OverflowError:  # a coefficient or n past the range of a double
+        rounding = math.inf
     if not rounding <= 1.0:
         raise DomainError(
             f"crossings of {(a, b)} and {(c, d)} from the offset {(ox, oy)} "
@@ -935,8 +931,9 @@ def _parallelogram(lat: Lattice, u, v, offset) -> tuple:
             "better-conditioned basis or an offset nearer the origin")
     lo = -(SEAM_TOLERANCE + rounding)
     hi = 1.0 + SEAM_TOLERANCE + rounding
-    ilo = math.ceil(min(lo * a, hi * a) - max(lo * c, hi * c) - o1)
-    ihi = math.floor(max(lo * a, hi * a) - min(lo * c, hi * c) - o1)
+    # floats: a bound past a double's range is inf, for the call to refuse
+    ilo = np.ceil(min(lo * a, hi * a) - max(lo * c, hi * c) - o1)
+    ihi = np.floor(max(lo * a, hi * a) - min(lo * c, hi * c) - o1)
     low, high = sorted((n * lo, n * hi))
     (tp, tq, ta, tb), (sp, sq, sa, sb) = [
         (p, q, *((low, high) if q < 0 else (high, low))) if q else
@@ -946,7 +943,7 @@ def _parallelogram(lat: Lattice, u, v, offset) -> tuple:
     ux, uy = lat.embed((a, b))
     vx, vy = lat.embed((c, d))
     cross_uv = ux * vy - uy * vx
-    return (ilo, max(ihi - ilo + 1, 0),
+    return (ilo, max(ihi - ilo + 1.0, 0.0),
             1 if (det > 0) == (cross_uv > 0) else -1, o1, o2, tp, sp, tq,
             sq, ta, sa, tb, sb, ox, oy, -vy, -uy, vx, ux, -cross_uv,
             abs(a) + abs(c) + abs(n))
@@ -966,8 +963,9 @@ def crossing_count_oracle(lat: Lattice, u, v, offset) -> CrossingReport:
     translates tried are those of the crossing parallelogram, widened in
     t and s by SEAM_TOLERANCE plus a rounding bound (see
     ``_parallelogram``): |Int| + O(|a| + |c|) of them.  The call is
-    ``crossing_batch`` on one pair, which states the domain; a seam
-    raises RetrySignal, and the caller should re-randomize the offset.
+    ``crossing_batch`` on one pair, which states the domain and bounds the
+    candidates per call, one pair or many; a seam raises RetrySignal, and
+    the caller should re-randomize the offset.
 
     Not exported: only the benchmark under bench/ calls it.
     """
@@ -983,20 +981,21 @@ def crossing_batch(lat: Lattice, u, v, offsets) -> CrossingBatch:
 
     Before any row is built, the first pair that fails a check of
     ``_parallelogram`` is refused (DegenerateInputError for classes that
-    are zero or proportional, DomainError past the domain), and then a
-    sum of |a| + |c| + |Int| past MAX_CROSSING_CANDIDATES = 2,480,000.
-    The domain of a pair is that sum at most the bound, and a rounding
-    bound on t and s of at most 1.  At the bound, on the square lattice,
-    one row with |Int| = 2,479,999 took 0.03 s and a tracemalloc peak of
-    24 MB, four pairs of one row 0.06-0.07 s and 25 MB, and 2,696,757 rows
-    with |Int| = 1 took 0.04 s and 1.3 MB (Intel Xeon, 2 vCPUs, numpy 2.4).
+    are zero or proportional, DomainError for an offset or a rounding
+    bound past the domain), and then the call, one pair or many, if its
+    sum of |a| + |c| + |Int| passes MAX_CROSSING_CANDIDATES = 2,480,000.
+    The domain is that sum at most the bound per call, and a rounding
+    bound on t and s of at most 1 per pair.  At the bound, on the square
+    lattice, one row with |Int| = 2,479,999 took 0.03 s and a tracemalloc
+    peak of 24 MB, four pairs of one row 0.06-0.07 s and 25 MB, 2,696,757
+    rows with |Int| = 1 0.04 s and 1.3 MB (Intel Xeon, 2 vCPUs, numpy 2.4).
     """
-    par = np.array([_parallelogram(lat, *pair)
-                    for pair in zip(u, v, offsets)], dtype=float)
-    par = par.reshape(-1, 21)
-    if par[:, 20].sum() > MAX_CROSSING_CANDIDATES:
-        raise DomainError(f"{int(par[:, 20].sum())} candidate translates of "
-                          f"a batch exceed the bound {MAX_CROSSING_CANDIDATES}")
+    par = [_parallelogram(lat, *pair) for pair in zip(u, v, offsets)]
+    total = sum(p[20] for p in par)  # in ints: it may pass a double
+    if total > MAX_CROSSING_CANDIDATES:
+        raise DomainError(f"{total} candidate translates of a batch exceed "
+                          f"the bound {MAX_CROSSING_CANDIDATES}")
+    par = np.array(par, dtype=float).reshape(-1, 21)
     tol = SEAM_TOLERANCE
     sign = par[:, 2].astype(np.int8)
     # a batch of one pair has no pair index: its constants are floats,
@@ -1028,19 +1027,13 @@ def crossing_batch(lat: Lattice, u, v, offsets) -> CrossingBatch:
             ts = np.empty((2, len(ii)))  # t and s, tested as rows
             np.divide(nvy * rx + vx * ry, det_m, out=ts[0])
             np.divide(nuy * rx + ux * ry, det_m, out=ts[1])
+            # a hit has t and s in (tol, 1 - tol), a seam is any other
+            # translate with t and s in (-tol, 1 + tol)
             hit = (ts > tol) & (ts < 1.0 - tol)
             hit = hit[0] & hit[1]
-            # a parameter within tol of 0 or 1 is no hit, so only the
-            # misses can lie at a seam
-            miss = ~hit
-            ts = ts[:, miss]
-            near = (np.abs(ts) <= tol) | (np.abs(ts - 1.0) <= tol)
-            inside = (ts > -tol) & (ts < 1.0 + tol)
-            seam = (near[0] & inside[1]) | (near[1] & inside[0])
-            code = None
-            if np.count_nonzero(seam):
-                code = np.zeros(len(ii), dtype=np.int8)
-                code[miss] = seam * SEAM
+            seam = (ts > -tol) & (ts < 1.0 + tol)
+            seam = seam[0] & seam[1] & ~hit
+            code = seam * np.int8(SEAM) if seam.any() else None
             p_hit = None if p is None else p[hit]
             yield p, p_hit, (sign.repeat(np.count_nonzero(hit))
                              if p is None else sign[p_hit]), code
