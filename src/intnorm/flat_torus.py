@@ -18,9 +18,11 @@ disc inside it are built.  No search builds an N x N table.  Pair by
 pair, |Int(u, v)| / (|u| |v|) = |sin(angle(u, v))| / covolume, so
 ``best_ratio_search`` and ``segment_bound_check`` sort the directions by
 angle and evaluate only the pairs near perpendicular: O(N log N) time
-and O(N) memory.  ``min_length_product`` finds the shortest partners of
-each class in its Bezout coset: O(N).  Each returns what the full table
-would, float bits and tie-broken pairs included.
+and O(N) memory.  The two share that pass, kept for the last lattice and
+cutoff searched (see ``_perpendicular_search``).  ``min_length_product``
+finds the shortest partners of each class in its Bezout coset: O(N).
+Each returns what the full table would, float bits and tie-broken pairs
+included.
 
 ``crossing_count_oracle`` tries only the lattice translates in the
 crossing parallelogram, scanned by rows in lattice coordinates: about
@@ -49,6 +51,7 @@ from .errors import (
     EmptySearchError,
     RetrySignal,
     integer,
+    quote,
     real,
 )
 
@@ -265,7 +268,7 @@ def _pair(name: str, value, check=real) -> tuple:
         x, y = value
     except (TypeError, ValueError):
         raise DomainError(f"{name} must be a pair of numbers, "
-                          f"got {value!r}") from None
+                          f"got {quote(value)}") from None
     return check(name, x), check(name, y)
 
 
@@ -639,16 +642,45 @@ def _near_perpendicular_pairs(lat: Lattice, classes: np.ndarray,
         order[(lo[owner] + step) % count], j[k]))
 
 
-def _perpendicular_search(lat: Lattice, cutoff: float, empty: str) -> tuple:
+# (lattice, cutoff, pass): the pass that _perpendicular_search keeps, as
+# its docstring states.
+_last_pass: tuple = (None, None, None)
+
+
+def _perpendicular_search(lat: Lattice, cutoff: float) -> Optional[tuple]:
     """The shared pass of the ratio and segment searches: the canonical
     primitive classes of length <= cutoff, their lengths, and the index
-    pairs i, j near perpendicular with their |Int|.  Raises
-    EmptySearchError(empty) when there is no such class."""
+    pairs i, j near perpendicular with their |Int|; None when there is no
+    such class.
+
+    The last pass is kept, so that ``best_ratio_search`` and
+    ``segment_bound_check`` on one lattice and cutoff, as ``intnorm
+    torus`` runs them, compute it once.  Its key is the Lattice object
+    itself, by identity against the strong reference the entry holds, and
+    the cutoff after ``real()``: an equal but distinct lattice (equality
+    takes the entries -0.0 and 0.0 for equal) computes a fresh pass.  Its
+    arrays are read-only, so no caller can alter a later search's input.
+    A refused or empty search is not kept.  The entry is one tuple,
+    replaced in one assignment, so a thread sees a whole entry, either
+    one; two threads may both compute a pass.  It holds the last pass until
+    a search on another lattice or cutoff: 33,083,064 bytes of arrays at
+    cutoff 1000 on the exact hexagonal lattice, 1,102,758 classes and
+    275,703 pairs.
+    """
+    global _last_pass
+    cutoff = real("cutoff", cutoff, positive=True)
+    held, at, found = _last_pass
+    if held is lat and at == cutoff:
+        return found
     classes, lengths = enumerate_classes(lat, cutoff, primitive_only=True)
     if classes.shape[0] == 0:
-        raise EmptySearchError(empty)
+        return None
     i, j = _near_perpendicular_pairs(lat, classes, lengths)
-    return classes, lengths, i, j, _intersections(classes, i, j)
+    found = classes, lengths, i, j, _intersections(classes, i, j)
+    for array in found:
+        array.flags.writeable = False
+    _last_pass = lat, cutoff, found
+    return found
 
 
 def _inverse_mod(x: np.ndarray, m: np.ndarray) -> np.ndarray:
@@ -773,11 +805,15 @@ def best_ratio_search(lat: Lattice, cutoff: float) -> RatioResult:
     Only the pairs nearest to perpendicular are evaluated (see
     ``_near_perpendicular_pairs``): O(N log N) time and O(N) memory in the
     number N of classes.  The ratio, its 1e-14 tie band and the tie-break
-    are those of the full N x N table.
+    are those of the full N x N table.  The classes and pairs come from
+    ``_perpendicular_search``, which keeps its last pass, read-only, for
+    ``segment_bound_check`` on the same Lattice object and cutoff.
     """
-    classes, lengths, i, j, inter = _perpendicular_search(
-        lat, cutoff, f"no primitive classes of length <= {cutoff}; "
-        "the cutoff sits below the systole")
+    found = _perpendicular_search(lat, cutoff)
+    if found is None:
+        raise EmptySearchError(f"no primitive classes of length <= {cutoff}; "
+                               "the cutoff sits below the systole")
+    classes, lengths, i, j, inter = found
     ratio = inter / (lengths[i] * lengths[j])
     best = float(ratio.max())
     tied = ratio >= best * (1.0 - 1e-14)
@@ -806,7 +842,8 @@ def min_length_product(lat: Lattice, n: int, cutoff: float) -> MinProductResult:
     i, j = _shortest_coset_pairs(lat, classes, n, cutoff)
     if i.size == 0:
         raise CutoffTooSmallError(
-            f"no pair with |intersection| = {n} inside cutoff {cutoff}")
+            f"no pair with |intersection| = {quote(n)} inside cutoff "
+            f"{cutoff}")
     product = lengths[i] * lengths[j]
     best = float(product.min())
     tied = product <= best * (1.0 + 1e-14)
@@ -840,10 +877,15 @@ def segment_bound_check(lat: Lattice, cutoff: float) -> SegmentBoundReport:
     ``_near_perpendicular_pairs``), so only those are evaluated: O(N log N)
     time and O(N) memory.  ``pairs_checked`` counts the pairs the search
     covers, N * (N - 1) / 2, and ``argmax_pair`` is the first maximum in
-    lexicographic order, as in the full N x N table.
+    lexicographic order, as in the full N x N table.  The classes and
+    pairs come from ``_perpendicular_search``, which keeps its last pass,
+    read-only, for ``best_ratio_search`` on the same Lattice object and
+    cutoff.
     """
-    classes, lengths, i, j, inter = _perpendicular_search(
-        lat, cutoff, f"no primitive classes of length <= {cutoff}")
+    found = _perpendicular_search(lat, cutoff)
+    if found is None:
+        raise EmptySearchError(f"no primitive classes of length <= {cutoff}")
+    classes, lengths, i, j, inter = found
     l1 = float(lengths.min())  # the systole: the shortest class is primitive
     normalized = inter * (l1 * l1) / (lengths[i] * lengths[j])
     k = int(np.argmax(normalized))
@@ -879,6 +921,11 @@ def norm_comparison_report(lat: Lattice, h) -> NormComparison:
     return NormComparison(stable=stable, l2=l2, two_sided_ok=ok)
 
 
+def _quote_pair(a: int, b: int, c: int, d: int) -> str:
+    """The classes (a, b) and (c, d) for a message, each entry quoted."""
+    return f"({quote(a)}, {quote(b)}) and ({quote(c)}, {quote(d)})"
+
+
 def _parallelogram(lat: Lattice, u, v, offset) -> tuple:
     """Check one pair against the oracle's domain and return its constants
     in one tuple: the first row i of its crossing parallelogram, the row
@@ -912,7 +959,7 @@ def _parallelogram(lat: Lattice, u, v, offset) -> tuple:
     n = a * d - b * c
     if n == 0:
         raise DegenerateInputError(
-            f"classes {(a, b)} and {(c, d)} are proportional")
+            f"classes {_quote_pair(a, b, c, d)} are proportional")
     ox, oy = _pair("offset", offset)
     (e1x, e1y), (e2x, e2y), det = lat.e1, lat.e2, lat.det
     o1 = (ox * e2y - oy * e2x) / det
@@ -925,9 +972,9 @@ def _parallelogram(lat: Lattice, u, v, offset) -> tuple:
         rounding = math.inf
     if not rounding <= 1.0:
         raise DomainError(
-            f"crossings of {(a, b)} and {(c, d)} from the offset {(ox, oy)} "
-            f"are known only to within {rounding:.3g} of the segments' "
-            "length in double precision; use shorter classes, a "
+            f"crossings of {_quote_pair(a, b, c, d)} from the offset "
+            f"{(ox, oy)} are known only to within {rounding:.3g} of the "
+            "segments' length in double precision; use shorter classes, a "
             "better-conditioned basis or an offset nearer the origin")
     lo = -(SEAM_TOLERANCE + rounding)
     hi = 1.0 + SEAM_TOLERANCE + rounding

@@ -282,19 +282,53 @@ def _search_completeness(seed: int) -> tuple[int, list[str]]:
     return len(named), vs
 
 
+def _systole_and_diameter(seed: int) -> tuple[int, list[str]]:
+    """The systole and diameter of the square and hexagonal lattices take
+    their closed forms, 1 and sqrt(2)/2, and 1 and 1/sqrt(3).  Both meet
+    Hermite's bound systole^2 <= (2/sqrt(3)) covolume, the hexagonal one
+    with equality, and pi diameter^2 >= covolume: the discs of radius the
+    diameter about the lattice points cover the plane.  Scaling alone
+    (``scale_equivariance``) cannot see a systole or diameter off by a
+    constant factor."""
+    named = [("square", _SQUARE, math.sqrt(2.0) / 2.0, False),
+             ("hexagonal", _HEXAGONAL, 1.0 / math.sqrt(3.0), True)]
+    vs: list[str] = []
+    for name, lat, diameter, densest in named:
+        sys_len = torus_mod.systole(lat)
+        diam = torus_mod.torus_diameter(lat)
+        on = f"on the {name} lattice"
+        if abs(sys_len - 1.0) > 1e-12:
+            vs.append(f"systole {sys_len!r} is not 1 {on}")
+        if abs(diam - diameter) > 1e-12 * diameter:
+            vs.append(f"diameter {diam!r} is not {diameter!r} {on}")
+        square = sys_len * sys_len
+        hermite = 2.0 / math.sqrt(3.0) * lat.covolume
+        if square > hermite * (1.0 + 1e-12) or (
+                densest and square < hermite * (1.0 - 1e-12)):
+            vs.append(f"systole^2 {square!r} breaks Hermite's bound "
+                      f"{hermite!r} {on}")
+        disc = math.pi * diam * diam
+        if disc < lat.covolume * (1.0 - 1e-12):
+            vs.append(f"pi diameter^2 {disc!r} is below the covolume "
+                      f"{lat.covolume!r} {on}")
+    return 4 * len(named), vs
+
+
 _TORUS_CHECKS = (
     ("ratio_value", _ratio_value),
     ("oracle_equivalence", _oracle_equivalence),
     ("norm_comparison", _norm_comparison),
     ("scale_equivariance", _scale_equivariance),
     ("search_completeness", _search_completeness),
+    ("systole_and_diameter", _systole_and_diameter),
 )
 
 
 def torus_suite(seed: int) -> SuiteReport:
     """All flat-torus invariants: exact ratio value, oracle equivalence,
-    norm comparison, scale equivariance, and the completeness of the
-    perpendicular pair search."""
+    norm comparison, scale equivariance, the completeness of the
+    perpendicular pair search, and the closed forms and bounds of the
+    systole and diameter."""
     return _run_checks("torus", seed, _TORUS_CHECKS)
 
 

@@ -622,7 +622,8 @@ def test_verify_bounds_suite_reproducible(tmp_path):
 # The checks of each suite, in report order.
 VERIFY_CHECKS = {
     "torus": ["ratio_value", "oracle_equivalence", "norm_comparison",
-              "scale_equivariance", "search_completeness"],
+              "scale_equivariance", "search_completeness",
+              "systole_and_diameter"],
     "cylinder": ["winding_window_and_sign", "flipped_sign_convention",
                  "rewind_grid"],
     "bounds": ["extended_precision_agreement", "bound_ordering",
@@ -642,7 +643,8 @@ def test_verify_all_runs_the_pinned_checks(capsys):
                          for c in s["checks"]} for s in suites} == {
         "torus": {"ratio_value": (24, 0), "oracle_equivalence": (485, 0),
                   "norm_comparison": (100, 0), "scale_equivariance": (3, 0),
-                  "search_completeness": (2, 0)},
+                  "search_completeness": (2, 0),
+                  "systole_and_diameter": (8, 0)},
         "cylinder": {"winding_window_and_sign": (10000, 0),
                      "flipped_sign_convention": (1000, 0),
                      "rewind_grid": (728, 0)},
@@ -659,7 +661,7 @@ def test_verify_all_output_is_pinned(capsys):
     assert main(["verify", "--suite", "all", "--seed", "1"]) == 0
     out = capsys.readouterr().out.encode()
     assert hashlib.sha256(out).hexdigest() == (
-        "14ccc45292e857ffff6b1d5161e0a35a11255ed3ef43af93b4a0f2ac0e6bd206")
+        "19dd3cff83a182df41eacd5f523c2a8e7d70438709a493c5f5497c9116508212")
 
 
 @pytest.fixture

@@ -4,9 +4,12 @@ enumeration, extremal-ratio searches, and the geodesic crossing oracle.
 
 from __future__ import annotations
 
+import contextlib
+import io
 import math
 import subprocess
 import sys
+import threading
 import tracemalloc
 from fractions import Fraction
 
@@ -37,6 +40,7 @@ from intnorm import (
     torus_diameter,
 )
 from intnorm import flat_torus
+from intnorm.cli import main
 from intnorm.flat_torus import crossing_count_oracle, reduced_basis
 
 import torus_reference as dense
@@ -474,6 +478,79 @@ def test_searches_refuse_more_candidate_pairs_than_their_bound(
         segment_bound_check(SQUARE, 10.0)
 
 
+def _displaced(monkeypatch):
+    """No pass kept from an earlier search, restored after the test."""
+    monkeypatch.setattr(flat_torus, "_last_pass", (None, None, None))
+
+
+def test_the_ratio_and_segment_searches_share_one_pass(monkeypatch):
+    """best_ratio_search and segment_bound_check on one Lattice object and
+    cutoff, after real(), enumerate and pair once; another cutoff or an
+    equal but distinct lattice computes afresh.  Each result is the one a
+    fresh pass gives, and the kept arrays are read-only."""
+    _displaced(monkeypatch)
+    enums = _recording(monkeypatch, flat_torus, "enumerate_classes")
+    pairs = _recording(monkeypatch, flat_torus, "_near_perpendicular_pairs")
+    lat = Lattice.from_string("1,0,1/2,7/8")
+    best, seg = best_ratio_search(lat, 6.0), segment_bound_check(lat, 6)
+    assert (len(enums), len(pairs)) == (1, 1)
+    segment_bound_check(lat, 6.5)
+    best_ratio_search(lat, 6.5)
+    assert (len(enums), len(pairs)) == (2, 2)
+    twin = Lattice(lat.e1, lat.e2, lat.exact)
+    assert twin == lat
+    best_ratio_search(twin, 6.5)
+    assert (len(enums), len(pairs)) == (3, 3)
+    for array in flat_torus._last_pass[2]:
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 0
+    _displaced(monkeypatch)
+    assert repr(best_ratio_search(lat, 6.0)) == repr(best)
+    _displaced(monkeypatch)
+    assert repr(segment_bound_check(lat, 6.0)) == repr(seg)
+    assert (len(enums), len(pairs)) == (5, 5)
+
+
+def test_intnorm_torus_makes_one_perpendicular_pass(monkeypatch):
+    _displaced(monkeypatch)
+    enums = _recording(monkeypatch, flat_torus, "enumerate_classes")
+    pairs = _recording(monkeypatch, flat_torus, "_near_perpendicular_pairs")
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["torus", "--lattice", "1,0,1/2,0.8660254037844386",
+                     "--cutoff", "20"]) == 0
+    # the systole's enumeration and the one pass of both searches
+    assert (len(enums), len(pairs)) == (2, 1)
+
+
+def test_threads_sharing_the_kept_pass_get_whole_results(monkeypatch):
+    """Threads that alternate two lattices and cutoffs, switching often,
+    each get the results of a pass of their own lattice and cutoff."""
+    _displaced(monkeypatch)
+    jobs = [(SQUARE, 7.0), (HEX, 6.0)]
+    want = [(repr(best_ratio_search(*job)), repr(segment_bound_check(*job)))
+            for job in jobs]
+    got, interval = [], sys.getswitchinterval()
+
+    def work(k):
+        for n in range(30):
+            job = jobs[(k + n) % 2]
+            got.append(((k + n) % 2, repr(best_ratio_search(*job)),
+                        repr(segment_bound_check(*job))))
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(k,))
+                   for k in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert len(got) == 120
+    assert all((best, seg) == want[k] for k, best, seg in got)
+
+
 # ------------------------------------------------------------ segment bound
 
 def test_segment_bound_square():
@@ -836,15 +913,38 @@ def test_crossing_oracle_refuses_unresolvable_crossings():
         crossing_count_oracle(SQUARE, (3, 1), (1, 2), (1e12, 0.5))
 
 
+@pytest.mark.parametrize("call, error", [
+    (lambda: crossing_count_oracle(SQUARE, (10**5000, 0), (0, 1),
+                                   (0.37, 0.41)), DomainError),
+    (lambda: crossing_count_oracle(SQUARE, (10**5000, 0), (2 * 10**5000, 0),
+                                   (0.37, 0.41)), DegenerateInputError),
+    (lambda: crossing_count_oracle(SQUARE, 10**5000, (0, 1), (0.3, 0.4)),
+     DomainError),
+    (lambda: min_length_product(SQUARE, 10**5000, 3.0), CutoffTooSmallError),
+    (lambda: best_ratio_search(SQUARE, 10**5000), DomainError),
+    (lambda: segment_bound_check(SQUARE, 10**5000), DomainError),
+], ids=["rounding", "proportional", "not-a-pair", "min-product", "ratio",
+        "segment"])
+def test_an_integer_past_the_string_limit_is_quoted_in_torus_refusals(
+        call, error):
+    # more digits than Python converts to a string: each message quotes
+    # the number without converting it.  The rounding message for (1, 0)
+    # and (0, 1) alone runs to 212 characters
+    with pytest.raises(error) as info:
+        call()
+    assert type(info.value) is error
+    assert len(str(info.value)) < 300
+
+
 # ------------------------------------------- batches and the retry driver
 
 def _recording(monkeypatch, module, name):
     """Wrap module.name so that the arguments of every call are kept."""
     real, calls = getattr(module, name), []
 
-    def recorded(*args):
+    def recorded(*args, **kwargs):
         calls.append(args)
-        return real(*args)
+        return real(*args, **kwargs)
     monkeypatch.setattr(module, name, recorded)
     return calls
 
