@@ -22,7 +22,9 @@ on dense grids.
 
 The hyperbolic bounds and profiles share one expression of (s, l1) over
 the ``hyptrig`` backends; ``extended=True`` evaluates it in mpmath and
-returns floats.
+returns floats.  The bounds suite checks that expression against literal
+60-digit values of the closed forms, not against its own extended
+evaluation, which would share any error in it.
 """
 
 from __future__ import annotations

@@ -23,7 +23,8 @@ process entry of ``python -m intnorm`` and of the ``intnorm`` console
 script: it ends the process through ``os._exit`` once the report is
 written, which skips the interpreter's teardown.  A module that only some
 commands need (``csv`` here, ``fractions`` and mpmath in the library) is
-imported where it is used.
+imported where it is used: mpmath by ``bounds --precision extended``
+alone, since ``verify`` checks the bounds against literal values.
 """
 
 from __future__ import annotations

@@ -6,10 +6,11 @@ context at ``EXTENDED_DPS`` significant digits, which returns an ``mpf``
 of mpmath's global context.  The private context is built on the first
 extended call, so a process that never asks for one does not import
 mpmath, and its precision is its own: ``mpmath.mp`` never changes, in
-this thread or in any other.  The tests back the frozen reference values
-with the extended mode; ``bounds`` reuses the expressions, and ``suites``
-evaluates ``_crossing_arc_length`` over numpy arrays (``np.acosh`` needs
-numpy 2).
+this thread or in any other.  The extended mode serves
+``bounds --precision extended``, ``extended=True`` and the tests that
+back the frozen reference values; ``verify`` does not call it.
+``bounds`` reuses the expressions, and ``suites`` evaluates
+``_crossing_arc_length`` over numpy arrays (``np.acosh`` needs numpy 2).
 
 A third backend, ``ARRAYS``, evaluates an expression once over float64
 arrays, bit for bit as ``math`` evaluates it on each element: ``bounds``

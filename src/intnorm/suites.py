@@ -1,6 +1,6 @@
 """Verification suites: every closed-form statement in the library is
-re-checked here against brute force, exact arithmetic, or extended
-precision, over seeded random samples and dense grids.
+re-checked here against brute force, exact arithmetic, or literal
+60-digit values, over seeded random samples and dense grids.
 
 Each check is a plain function of the seed that returns
 ``(cases, violations)``: how many cases it ran and one message per failed
@@ -24,6 +24,13 @@ sweeps block by block, ``cylinder --arcs-json`` in one call and the torus
 oracle lattice by lattice, window [|Int|, |Int|]; a pair still flagged
 after its retries fails it as stuck.  ``intnorm torus`` alone judges
 ``segment_violations``, which ``ratio_violations`` implies.
+
+The bounds suite compares the double-precision hyperbolic bounds and
+profiles at a few (genus, l1) anchors with literal doubles: the theorem's
+closed forms at 60 digits, each rounded once (``_BOUND_ANCHORS``,
+``_PROFILE_ANCHORS``).  An error in the one expression that both
+precisions of ``bounds`` share therefore shows, and ``verify`` never
+imports mpmath.
 """
 
 from __future__ import annotations
@@ -526,21 +533,47 @@ def cylinder_suite(seed: int) -> SuiteReport:
 # bounds
 
 
+# The hyperbolic bounds (lower, upper, collar_rate) of the theorem at
+# five (genus s, systole l1) anchors, and their normalized profiles
+# (lower_profile, upper_profile, lower_profile_tail, upper_profile_tail)
+# at two, from the closed forms with cl(x) = arsinh(1/sinh(x/2)):
+#   lower  1/((s-1)*l1*(105*s + 4*arsinh(4/l1)))
+#   upper  144 + 18*(s-1)/(l1*cl(l1))
+#   rate   1/(2*l1*cl(l1))
+#   the profiles lower and upper times l1*|log l1|, and the tails
+#   |log l1|/(4*(s-1)*arsinh(4/l1)) and 18*(s-1)*|log l1|/cl(l1).
+# Each is the value at the double l1, evaluated with mpmath at 60
+# significant digits (mp.dps = 60, l1 = mpf(l1)) and rounded once to the
+# nearest double, written as its shortest repr.  They are literals, not
+# evaluations through bounds._hyperbolic, so that an error in that one
+# expression cannot move both sides of the comparison.
+_BOUND_ANCHORS = {
+    (2, 0.1): (0.04395049336762614, 192.79255031409983, 1.355348619836106),
+    (3, 0.1): (0.015036294695696032, 241.58510062819963, 1.355348619836106),
+    (2, 1e-3): (4.065887092977074, 2314.2305551387367, 60.28418208718713),
+    (5, 0.01): (0.045311324336352564, 1345.7091046492765, 8.345202115619976),
+    (20, 0.25): (9.959298825843235e-05, 637.1703086153673, 0.721009223121882),
+}
+_PROFILE_ANCHORS = {
+    (2, 1e-3): (0.02808615303025772, 15.986138334041371,
+                0.19215544637598175, 14.991421573867944),
+    (3, 1e-4): (0.012786487506145463, 31.42296415742002,
+                0.10197650896059346, 31.29033525606356),
+}
+
+
 def _extended_precision_agreement(seed: int) -> tuple[int, list[str]]:
-    """Double and extended evaluations of the hyperbolic bounds agree."""
-    anchors = ((2, 0.1), (3, 0.1), (2, 1e-3), (5, 0.01), (20, 0.25))
-    fields = ("lower", "upper", "collar_rate")
+    """The double-precision hyperbolic bounds agree, to 1e-6 relative,
+    with their 60-digit values at the anchors of ``_BOUND_ANCHORS``."""
+    fields = bounds_mod.HyperbolicBounds._fields
     vs: list[str] = []
-    for s, l1 in anchors:
+    for (s, l1), exact in _BOUND_ANCHORS.items():
         db = bounds_mod.hyperbolic_bounds(s, l1)
-        ex = bounds_mod.hyperbolic_bounds(s, l1, extended=True)
-        for field in fields:
-            d = getattr(db, field)
-            e = getattr(ex, field)
+        for field, d, e in zip(fields, db, exact):
             if abs(d - e) > 1e-6 * abs(e):
                 vs.append(f"{field}({s}, {l1}) drifts from extended "
                           f"precision: {d!r} vs {e!r}")
-    return len(anchors) * len(fields), vs
+    return len(_BOUND_ANCHORS) * len(fields), vs
 
 
 def ordering_violations(s: int, l1: float, hb) -> list[str]:
@@ -578,7 +611,8 @@ def _bound_ordering(seed: int) -> tuple[int, list[str]]:
 
 def _asymptotic_profiles(seed: int) -> tuple[int, list[str]]:
     """Tail profiles monotone with the stated limits, the full lower
-    profile monotone, all anchored to extended precision."""
+    profile monotone, and the profiles within 1e-9 relative of their
+    60-digit values at the anchors of ``_PROFILE_ANCHORS``."""
     vs: list[str] = []
     profile_grid = bounds_mod.parse_grid("1e-2:1e-12:51", geometric=True)
     rows = bounds_mod.asymptotic_profile(2, profile_grid)
@@ -599,17 +633,15 @@ def _asymptotic_profiles(seed: int) -> tuple[int, list[str]]:
     if abs(last.upper_profile_tail - 18.0) > 0.05 * 18.0:
         vs.append(f"upper tail profile {last.upper_profile_tail!r} at "
                   f"l1=1e-12 not within 5% of 18")
-    anchors = ((2, 1e-3), (3, 1e-4))
-    for s, l1 in anchors:
+    for (s, l1), exact in _PROFILE_ANCHORS.items():
         (row,) = bounds_mod.asymptotic_profile(s, (l1,))
-        (ex,) = bounds_mod.asymptotic_profile(s, (l1,), extended=True)
-        for field in ("lower_profile", "upper_profile",
-                      "lower_profile_tail", "upper_profile_tail"):
-            d, e = getattr(row, field), getattr(ex, field)
-            if abs(d - e) > 1e-9 * e:
+        for field, e in zip(("lower_profile", "upper_profile",
+                             "lower_profile_tail", "upper_profile_tail"),
+                            exact):
+            if abs(getattr(row, field) - e) > 1e-9 * e:
                 vs.append(f"{field} at (s={s}, l1={l1}) drifts from "
                           "extended precision")
-    return len(rows) + len(anchors), vs
+    return len(rows) + len(_PROFILE_ANCHORS), vs
 
 
 def _collar_constants(seed: int) -> tuple[int, list[str]]:
@@ -628,7 +660,7 @@ _BOUNDS_CHECKS = (
 
 
 def bounds_suite(seed: int) -> SuiteReport:
-    """All bound-formula invariants: double-versus-extended agreement,
+    """All bound-formula invariants: agreement with the 60-digit anchors,
     ordering across the (genus, l1) grid, profile monotonicity and
     limits, and the collar constants on their full ranges."""
     return _run_checks("bounds", seed, _BOUNDS_CHECKS)

@@ -24,6 +24,7 @@ import bounds_reference as reference
 from intnorm import (
     BoundReport,
     DomainError,
+    HyperbolicBounds,
     SurfaceParams,
     TWO_ARSINH_ONE,
     asymptotic_profile,
@@ -33,6 +34,7 @@ from intnorm import (
     parse_grid,
 )
 from intnorm import bounds as bounds_module
+from intnorm import suites
 from intnorm.bounds import MAX_GRID_STEPS, _default_collar_grid, \
     _default_monotonicity_grid
 from intnorm.seeding import named_stream
@@ -226,6 +228,66 @@ def test_asymptotic_profile_extended_mode():
                                                  rel=2e-15)
     assert e.upper_profile_tail == pytest.approx(float(upper_tail),
                                                  rel=2e-15)
+
+
+# ------------------------------------------------------- the suite's anchors
+
+def _closed_forms(s: int, l1: float) -> dict[str, float]:
+    """The theorem's closed forms at genus s and the double l1, evaluated
+    with mpmath at 60 significant digits and each rounded once to the
+    nearest double: with cl(x) = arsinh(1/sinh(x/2)), the lower bound
+    1/((s-1)*l1*(105*s + 4*arsinh(4/l1))), the upper bound
+    144 + 18*(s-1)/(l1*cl(l1)), the collar rate 1/(2*l1*cl(l1)), the
+    bounds times l1*|log l1|, and the tails |log l1|/(4*(s-1)*arsinh(4/l1))
+    and 18*(s-1)*|log l1|/cl(l1)."""
+    with mpmath.workdps(60):
+        x = mpmath.mpf(l1)
+        cl = mpmath.asinh(1 / mpmath.sinh(x / 2))
+        asinh_term = mpmath.asinh(4 / x)
+        log_abs = -mpmath.log(x)
+        lower = 1 / ((s - 1) * x * (105 * s + 4 * asinh_term))
+        upper = 144 + 18 * (s - 1) / (x * cl)
+        values = {
+            "lower": lower, "upper": upper, "collar_rate": 1 / (2 * x * cl),
+            "lower_profile": lower * x * log_abs,
+            "upper_profile": upper * x * log_abs,
+            "lower_profile_tail": log_abs / (4 * (s - 1) * asinh_term),
+            "upper_profile_tail": 18 * (s - 1) * log_abs / cl,
+        }
+        return {name: float(v) for name, v in values.items()}
+
+
+_PROFILE_FIELDS = ("lower_profile", "upper_profile", "lower_profile_tail",
+                   "upper_profile_tail")
+
+
+@pytest.mark.parametrize("s, l1", list(suites._BOUND_ANCHORS))
+def test_each_bound_anchor_is_its_60_digit_closed_form(s, l1):
+    """The literals that extended_precision_agreement compares with are
+    the 60-digit closed forms rounded once, and the floats that
+    hyperbolic_bounds returns in extended precision: there each 50-digit
+    value rounds once to the same double."""
+    literal = suites._BOUND_ANCHORS[s, l1]
+    exact = _closed_forms(s, l1)
+    assert literal == tuple(exact[f] for f in HyperbolicBounds._fields)
+    assert literal == tuple(hyperbolic_bounds(s, l1, extended=True))
+
+
+@pytest.mark.parametrize("s, l1", list(suites._PROFILE_ANCHORS))
+def test_each_profile_anchor_is_its_60_digit_closed_form(s, l1):
+    """The literals that asymptotic_profiles compares with are the
+    60-digit closed forms rounded once.  asymptotic_profile in extended
+    precision rounds its terms to doubles first and normalizes them in
+    double precision.  With the literal's own, each column carries at most
+    five roundings, each off by at most 2**-53 relative, and math.log's
+    error of under 2**-52 relative: under 7 ulps of the literal in all
+    (1 ulp or none at these anchors)."""
+    literal = suites._PROFILE_ANCHORS[s, l1]
+    exact = _closed_forms(s, l1)
+    assert literal == tuple(exact[f] for f in _PROFILE_FIELDS)
+    (row,) = asymptotic_profile(s, (l1,), extended=True)
+    for field, value in zip(_PROFILE_FIELDS, literal):
+        assert abs(getattr(row, field) - value) <= 7 * math.ulp(value)
 
 
 # ------------------------------------------------------------- collar checks

@@ -20,7 +20,7 @@ import pytest
 import intnorm
 import intnorm.cli
 from intnorm.cli import _PROFILE_COLUMNS, _RECORD_COLUMNS, main
-from test_faults import _scaled
+from test_faults import _scaled, off_anchors
 
 TOP_LEVEL_KEYS = {"command", "inputs", "results", "violations",
                   "timing_ms", "version"}
@@ -1050,11 +1050,13 @@ def _l2_one_percent_off(monkeypatch):
 
 
 def _lower_above_the_collar_rate(monkeypatch):
+    # off the anchors of the bounds suite, where the lower bound is
+    # compared with a literal
     real = intnorm.bounds._hyperbolic_terms
 
     def above(s, l1, extended):
         lower, upper, rate, *rest = real(s, l1, extended)
-        return (2.0 * rate, upper, rate, *rest)
+        return (off_anchors(s, l1, lower, 2.0 * rate), upper, rate, *rest)
     monkeypatch.setattr(intnorm.bounds, "_hyperbolic_terms", above)
 
 

@@ -19,11 +19,27 @@ import pytest
 
 import intnorm
 from intnorm.cli import main
-from intnorm.suites import _BOUNDS_CHECKS, _CYLINDER_CHECKS, _TORUS_CHECKS
+from intnorm.suites import _BOUND_ANCHORS, _BOUNDS_CHECKS, \
+    _CYLINDER_CHECKS, _PROFILE_ANCHORS, _TORUS_CHECKS
 
 # The checks of verify, in report order.
 CHECKS = [name for table in (_TORUS_CHECKS, _CYLINDER_CHECKS, _BOUNDS_CHECKS)
           for name, _ in table]
+
+# The (genus, l1) at which the bounds suite compares the hyperbolic bounds
+# or their profiles with literal values.  A fault of the bounds that
+# extended_precision_agreement or asymptotic_profiles is not meant to see
+# stays off these.
+ANCHORS = set(_BOUND_ANCHORS) | set(_PROFILE_ANCHORS)
+
+
+def off_anchors(s, l1, true, faulty):
+    """``faulty`` off the anchors and ``true`` on them, at one l1 or over
+    an array of them."""
+    if isinstance(l1, np.ndarray):
+        return np.where(np.isin(l1, [x for g, x in ANCHORS if g == s]),
+                        true, faulty)
+    return true if (s, l1) in ANCHORS else faulty
 
 
 def _scaled(module, name, factor):
@@ -136,13 +152,29 @@ def _double_lower_high(monkeypatch):
 
 
 def _genus_inverted(monkeypatch):
-    # (s - 1) replaced by 1/(s - 1) in the lower bound, in both precisions
+    # (s - 1) replaced by 1/(s - 1) in the lower bound, in both precisions,
+    # off the anchors: bound_ordering's genus sweeps at l1 = 0.1 and 0.01
+    # still see it, around the anchors (3, 0.1) and (5, 0.01)
     real = intnorm.bounds._hyperbolic
 
     def inverted(m, s, l1):
         lower, *rest = real(m, s, l1)
-        return (lower * (s - 1) ** 2, *rest)
+        return (off_anchors(s, l1, lower, lower * (s - 1) ** 2), *rest)
     monkeypatch.setattr(intnorm.bounds, "_hyperbolic", inverted)
+
+
+def _collar_width_high_below_the_anchors(monkeypatch):
+    # cl 1% high below the least l1 of the anchors, 1e-4, where only the
+    # profile grid of asymptotic_profiles, down to 1e-12, reads it
+    real = intnorm.bounds._collar_width
+    least = min(l1 for _, l1 in ANCHORS)
+
+    def high(m, length):
+        cl = real(m, length)
+        if isinstance(length, np.ndarray):
+            return np.where(length < least, 1.01 * cl, cl)
+        return 1.01 * cl if length < least else cl
+    monkeypatch.setattr(intnorm.bounds, "_collar_width", high)
 
 
 def _shrink_margin_wide(monkeypatch):
@@ -197,7 +229,7 @@ FAULTS = [
     pytest.param(_genus_inverted, "bound_ordering", None,
                  "not strictly decreasing in the genus",
                  id="lower-over-1/(s-1)"),
-    pytest.param(_scaled(intnorm.bounds, "_collar_width", 1.01),
+    pytest.param(_collar_width_high_below_the_anchors,
                  "asymptotic_profiles", None, "upper tail profile",
                  id="collar_width-x1.01"),
     pytest.param(_shrink_margin_wide, "collar_constants", None,
@@ -233,3 +265,34 @@ def test_the_readme_names_the_checks_that_verify_runs():
                              readme, re.DOTALL).groups()
     assert int(count) == len(CHECKS)
     assert re.findall(r"`(\w+)`", names) == CHECKS
+
+
+# A constant factor in one of the paper's three hyperbolic quantities,
+# planted in bounds._hyperbolic and so in both precisions: the term it
+# scales (lower, upper or collar_rate) and the factor.  Each fails
+# extended_precision_agreement at all five anchors, and the lower and
+# upper ones asymptotic_profiles as well, so they cannot be rows of the
+# table above.  All six passed verify while its anchors were evaluated
+# through bounds._hyperbolic itself.
+@pytest.mark.parametrize("field, factor", [
+    ("lower", 1.01), ("lower", 0.5), ("upper", 1.01), ("upper", 0.99),
+    ("upper", 2.0), ("collar_rate", 1.01)])
+def test_a_constant_factor_in_a_hyperbolic_bound_fails_verify(
+        monkeypatch, capsys, field, factor):
+    term = ("lower", "upper", "collar_rate").index(field)
+    real = intnorm.bounds._hyperbolic
+
+    def scaled(m, s, l1):
+        terms = list(real(m, s, l1))
+        terms[term] = factor * terms[term]
+        return tuple(terms)
+    monkeypatch.setattr(intnorm.bounds, "_hyperbolic", scaled)
+    assert main(["verify", "--suite", "all", "--seed", "1"]) == 1
+    doc = json.loads(capsys.readouterr().out)
+    failures = {c["name"]: c["failures"]
+                for s in doc["results"]["suites"] for c in s["checks"]}
+    assert failures["extended_precision_agreement"] == len(_BOUND_ANCHORS)
+    drifts = [v for v in doc["violations"]
+              if re.match(r"\[bounds\] \w+\(\d+, ", v)]
+    assert len(drifts) == len(_BOUND_ANCHORS)
+    assert all(v.startswith(f"[bounds] {field}(") for v in drifts)

@@ -117,6 +117,23 @@ def test_import_leaves_out_what_only_some_commands_use(module):
     assert proc.stdout == "[]\n"
 
 
+@pytest.mark.parametrize("argv", [
+    ["verify", "--suite", "all", "--seed", "1"],
+    ["torus", "--lattice", "1,0,0,1"],
+    ["cylinder", "--core-length", "0.2", "--samples", "10"],
+    ["bounds", "--genus", "2", "--l1-grid", "1e-4:0.25:5"],
+])
+def test_a_command_in_double_precision_leaves_out_mpmath(argv):
+    """verify compares the bounds with literal 60-digit values, so no
+    command loads mpmath short of ``bounds --precision extended``."""
+    script = ("import sys, intnorm.cli; status = intnorm.cli.main("
+              "sys.argv[1:]); print(status, 'mpmath' in sys.modules, "
+              "file=sys.stderr)")
+    proc = subprocess.run([sys.executable, "-c", script, *argv],
+                          capture_output=True, text=True, check=True)
+    assert proc.stderr.splitlines()[-1] == "0 False"
+
+
 # the intnorm modules that a first use of the package loads: none for the
 # package itself, then a name's home module and the modules it imports
 @pytest.mark.parametrize("statement, modules", [
