@@ -46,10 +46,10 @@ class RejectedInputError(GeometryError):
 
 
 class RetrySignal(RuntimeError):
-    """A crossing oracle hit a near-degenerate configuration.
+    """The collar crossing oracle hit a near-degenerate configuration.
 
-    Not an input error: the caller is expected to re-randomize the free
-    parameter (base-point offset, entry position) and try again.
+    Not an input error: the caller is expected to jitter an arc's entry
+    position and try again.  The torus oracle never raises it.
     """
 
 

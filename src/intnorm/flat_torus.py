@@ -31,9 +31,8 @@ stated and enforced: that sum at most MAX_CROSSING_CANDIDATES per call,
 one pair or many, and crossings that double precision can place on the
 segments (a rounding bound on the segment parameters of at most 1),
 which rules out classes very long against their intersection number and
-offsets far from the origin.  A pair with a crossing at a seam is
-flagged in its ``CrossingBatch``; ``retry_flagged``, the retry driver of
-both oracles, retries it up to MAX_RETRIES times and leaves it flagged.
+offsets far from the origin.  Inside it every count is exact, seams
+included (see ``crossing_batch``), so the torus oracle never retries.
 """
 
 from __future__ import annotations
@@ -62,16 +61,11 @@ if TYPE_CHECKING:  # fractions is imported where an exact basis needs it
 # cutoff, so classes sitting exactly on the boundary are kept.
 _CUTOFF_SLACK = 1e-12
 
-# Parameter-space tolerance around the base-point seam of a closed
-# geodesic; crossings this close to the seam trigger a retry, with a new
-# random base point (see retry_flagged).
-SEAM_TOLERANCE = 1e-9
-
 # Domain of the crossing oracle: the most |a| + |c| + |Int(u, v)| summed
 # per call, one pair or many, about the number of translates it tries.  A
 # crossing costs about 0.01-0.03 us and 10 bytes, and a row of the crossing
 # parallelogram about 0.015 us, so MAX_CROSSING_CANDIDATES keeps one call
-# under about 0.1 s and 30 MB (measured, see crossing_batch).
+# under about 0.1 s and 30 MB (measured, see ROW_CHUNK).
 MAX_CROSSING_CANDIDATES = 2_480_000
 
 # Rows that the crossing oracles solve at once (see _solve_rows): on the
@@ -138,12 +132,10 @@ class CrossingReport:
         return first
 
 
-# Why a pair of a CrossingBatch needs a retry, with the RetrySignal
-# message of each reason.
-OVERLAP, GRAZE, SEAM = 1, 2, 3
+# Why a collar pair needs a retry, with the RetrySignal message of each.
+OVERLAP, GRAZE = 1, 2
 _RETRY_MESSAGES = {OVERLAP: "overlapping geodesic lifts",
-                   GRAZE: "crossing grazes the collar boundary",
-                   SEAM: "crossing within tolerance of a base-point seam"}
+                   GRAZE: "crossing grazes the collar boundary"}
 
 
 class CrossingBatch(NamedTuple):
@@ -154,9 +146,9 @@ class CrossingBatch(NamedTuple):
     Pair i crosses with the int8 signs signs[offsets[i]:offsets[i + 1]]:
     on the torus one sign for every crossing, on the collar the signs in
     the order of the deck translates, which is the order of the crossings
-    along the core, one way or the other.  retry[i] is 0, or SEAM
-    (torus), OVERLAP or GRAZE (collar) where the one-pair oracle raises
-    RetrySignal on pair i; the crossings of such a pair mean nothing.
+    along the core, one way or the other.  retry[i] is 0, or OVERLAP or
+    GRAZE where the collar's one-pair oracle raises RetrySignal on pair i;
+    the crossings of such a pair mean nothing.  The torus flags no pair.
 
     Both oracles build it with one row driver, ``_solve_rows``: pair i
     has a run of rows, and solve(r, i) is handed each chunk of ROW_CHUNK
@@ -195,13 +187,13 @@ class CrossingBatch(NamedTuple):
             (self.signs[:lo], one.signs, self.signs[hi:])), retry)
 
 
-# Retries of a flagged pair after its first try, for both oracles.
+# Retries of a flagged pair of the collar oracle after its first try.
 MAX_RETRIES = 8
 
 
 def retry_flagged(batch: CrossingBatch, resolve) -> CrossingBatch:
-    """The retry driver of both crossing oracles: each flagged pair i of
-    the batch, in pair order, is replaced by resolve(i), its batch of one
+    """The retry driver of the collar oracle: each flagged pair i of the
+    batch, in pair order, is replaced by resolve(i), its batch of one
     under a fresh perturbation, until that is not flagged or MAX_RETRIES
     are spent.  A pair still flagged then keeps the flag of its last try,
     so that ``report`` raises RetrySignal for it."""
@@ -930,7 +922,8 @@ def _parallelogram(lat: Lattice, u, v, offset) -> tuple:
     """Check one pair against the oracle's domain and return its constants
     in one tuple: the first row i of its crossing parallelogram, the row
     count, the sign of its crossings, o1, o2, its two slabs (p, q, A, B)
-    interleaved, the coefficients of t and s, and |a| + |c| + |n|.
+    interleaved, the coefficients of t and s, the rounding bound,
+    |a| + |c| + |n| and (a, b, c, d, ox, oy), the classes as ints.
 
     In lattice coordinates the two segments meet at t*u - s*v = (i, j) + o,
     o the offset in the basis.  With n = a*d - b*c, x = i + o1 and
@@ -940,18 +933,14 @@ def _parallelogram(lat: Lattice, u, v, offset) -> tuple:
     both slabs (p, q) = (d, c) and (b, a), A and B being n*lo and n*hi in
     the order that the sign of q gives.  A slab with q = 0 only repeats
     the row range and is left out, with infinite limits.  The margin in
-    lo = -margin and hi = 1 + margin is SEAM_TOLERANCE plus a bound on the
-    rounding of the t and s that the oracle computes in the plane, and of
-    the limits computed here: 32 eps * k^2 / (|n| * covolume), where k
-    bounds the lengths met on the way, as ``_reach`` bounds the rounding
-    of class lengths.  Rows number at most (|a| + |c|) * (1 + 2 * margin)
-    + 1.  Raises DomainError when the rounding bound exceeds 1, past which
-    the computed t and s say nothing of where a crossing lies; the bound
-    MAX_CROSSING_CANDIDATES on |a| + |c| + |n| is checked per call, one
-    pair or many, by ``crossing_batch``.  A known fault (ROADMAP item 12):
-    the rows are widened by the margin, but a crossing is flagged only
-    within SEAM_TOLERANCE of a seam, so one that rounding moves across a
-    seam by more than that is dropped or added with no flag.
+    lo = -margin and hi = 1 + margin is a bound on the rounding of the t
+    and s that the oracle computes in the plane, and of the limits computed
+    here: 32 eps * k^2 / (|n| * covolume), where k bounds the lengths met
+    on the way, as ``_reach`` bounds the rounding of class lengths.  Rows
+    number at most (|a| + |c|) * (1 + 2 * margin) + 1.  Raises DomainError
+    when the rounding bound exceeds 1, past which the computed t and s say
+    nothing of where a crossing lies, or a translate's j may pass 2**62;
+    the bound on |a| + |c| + |n| is checked per call by ``crossing_batch``.
     """
     (a, b), (c, d) = _pair("u", u, integer), _pair("v", v, integer)
     if (a, b) == (0, 0) or (c, d) == (0, 0):
@@ -976,8 +965,9 @@ def _parallelogram(lat: Lattice, u, v, offset) -> tuple:
             f"{(ox, oy)} are known only to within {rounding:.3g} of the "
             "segments' length in double precision; use shorter classes, a "
             "better-conditioned basis or an offset nearer the origin")
-    lo = -(SEAM_TOLERANCE + rounding)
-    hi = 1.0 + SEAM_TOLERANCE + rounding
+    lo, hi = -rounding, 1.0 + rounding
+    if hi * (abs(b) + abs(d)) + abs(o2) >= 2.0 ** 62:  # the j of the rows
+        raise DomainError(f"classes {_quote_pair(a, b, c, d)} reach past 2**62")
     # floats: a bound past a double's range is inf, for the call to refuse
     ilo = np.ceil(min(lo * a, hi * a) - max(lo * c, hi * c) - o1)
     ihi = np.floor(max(lo * a, hi * a) - min(lo * c, hi * c) - o1)
@@ -993,7 +983,7 @@ def _parallelogram(lat: Lattice, u, v, offset) -> tuple:
     return (ilo, max(ihi - ilo + 1.0, 0.0),
             1 if (det > 0) == (cross_uv > 0) else -1, o1, o2, tp, sp, tq,
             sq, ta, sa, tb, sb, ox, oy, -vy, -uy, vx, ux, -cross_uv,
-            abs(a) + abs(c) + abs(n))
+            rounding, abs(a) + abs(c) + abs(n), (a, b, c, d, ox, oy))
 
 
 def crossing_count_oracle(lat: Lattice, u, v, offset) -> CrossingReport:
@@ -1007,12 +997,9 @@ def crossing_count_oracle(lat: Lattice, u, v, offset) -> CrossingReport:
     crossings and the sign of each.  It never consults the intersection
     formula, which is the point: the expected outcome is
     count = |a*d - b*c| with every sign equal to sign(a*d - b*c).  The
-    translates tried are those of the crossing parallelogram, widened in
-    t and s by SEAM_TOLERANCE plus a rounding bound (see
-    ``_parallelogram``): |Int| + O(|a| + |c|) of them.  The call is
-    ``crossing_batch`` on one pair, which states the domain and bounds the
-    candidates per call, one pair or many; a seam raises RetrySignal, and
-    the caller should re-randomize the offset.
+    call is ``crossing_batch`` on one pair, which tries the |Int| +
+    O(|a| + |c|) translates of the crossing parallelogram (see
+    ``_parallelogram``), decides seams exactly and states the domain.
 
     Not exported: only the benchmark under bench/ calls it.
     """
@@ -1024,30 +1011,55 @@ def crossing_batch(lat: Lattice, u, v, offsets) -> CrossingBatch:
     as n-long sequences of pairs such as (n, 2) arrays, and its one gate.
     The rows of all parallelograms, and then each chunk's translates, are
     solved by ``_solve_rows``, ROW_CHUNK at a time, with the one-pair
-    oracle's float expressions.  A seam is flagged per pair as SEAM.
+    oracle's float expressions.
+
+    A translate is a crossing when its t and s lie in [0, 1).  The floats
+    decide where both lie past the pair's rounding bound from 0 and 1,
+    and the same plane quantities in integers decide the rest: a float
+    filter and an exact test (J. R. Shewchuk, Discrete Comput. Geom. 18,
+    1997).  Every double is a dyadic rational; with D = e1 x e2 and O the
+    offset, t = (O x V + i*(e1 x V) + j*(e2 x V)) / (U x V), and by
+    bilinearity e1 x V = d*D, e2 x V = -c*D and U x V = n*D, so t = (O x
+    V/D + d*i - c*j) / n and s = (O x U/D + b*i - a*j) / n.  Then "t in
+    [0, 1)" is one integer window of width |n| for d*i - c*j, set by one
+    rational, built only for a pair with a translate in the band.  Each
+    pair counts |Int|, and none is flagged.
 
     Before any row is built, the first pair that fails a check of
     ``_parallelogram`` is refused (DegenerateInputError for classes that
-    are zero or proportional, DomainError for an offset or a rounding
-    bound past the domain), and then the call, one pair or many, if its
+    are zero or proportional, DomainError for an offset, a rounding bound
+    or rows past the domain), and then the call, one pair or many, if its
     sum of |a| + |c| + |Int| passes MAX_CROSSING_CANDIDATES = 2,480,000.
-    The domain is that sum at most the bound per call, and a rounding
-    bound on t and s of at most 1 per pair.  At the bound, on the square
-    lattice, one row with |Int| = 2,479,999 took 0.03 s and a tracemalloc
-    peak of 24 MB, four pairs of one row 0.06-0.07 s and 25 MB, 2,696,757
-    rows with |Int| = 1 0.04 s and 1.3 MB (Intel Xeon, 2 vCPUs, numpy 2.4).
     """
     par = [_parallelogram(lat, *pair) for pair in zip(u, v, offsets)]
-    total = sum(p[20] for p in par)  # in ints: it may pass a double
+    total = sum(p[21] for p in par)  # in ints: it may pass a double
     if total > MAX_CROSSING_CANDIDATES:
         raise DomainError(f"{total} candidate translates of a batch exceed "
                           f"the bound {MAX_CROSSING_CANDIDATES}")
-    par = np.array(par, dtype=float).reshape(-1, 21)
-    tol = SEAM_TOLERANCE
+    exact_pairs = [p[22] for p in par]
+    par = np.array([p[:21] for p in par], dtype=float).reshape(-1, 21)
     sign = par[:, 2].astype(np.int8)
     # a batch of one pair has no pair index: its constants are floats,
     # broadcast into every row
     cols = par[0].tolist() if len(par) == 1 else par.T
+
+    def exact(i, j, pair):  # is each translate (i, j) of pair a crossing
+        from fractions import Fraction
+        keys, w = [0] if pair is None else np.unique(pair).tolist(), []
+        for a, b, c, d, *o in (exact_pairs[key] for key in keys):
+            e1x, e1y, e2x, e2y, ox, oy = map(Fraction, (*lat.e1, *lat.e2, *o))
+            det = e1x * e2y - e1y * e2x
+            o1, o2 = (ox * e2y - oy * e2x) / det, (oy * e1x - ox * e1y) / det
+            n = a * d - b * c
+            f = 1 if n > 0 else -1  # O x V/D = d*o1 - c*o2
+            w.append([x % 2 ** 64 for x in (
+                f * d, -f * c, math.ceil(f * (c * o2 - d * o1)),
+                f * b, -f * a, math.ceil(f * (a * o2 - b * o1)), f * n)])
+        td, tc, tlo, sb, sa, slo, n = np.array(w, dtype=np.uint64)[
+            0 if pair is None else np.searchsorted(keys, pair)].T
+        # 0 <= x < |n| in one unsigned compare: |x| <= 3|n| + 1 < 2**63
+        i, j = (x.astype(np.int64).view(np.uint64) for x in (i, j))
+        return (td * i + tc * j - tlo < n) & (sb * i + sa * j - slo < n)
 
     def solve(r, pair):
         i0, o1, o2, tp, sp, tq, sq, ta, sa, tb, sb = [
@@ -1061,29 +1073,29 @@ def crossing_batch(lat: Lattice, u, v, offsets) -> CrossingBatch:
         sizes = np.maximum(sizes, 0.0).astype(np.int64)
         # translate t lies in row[t], at j = skip[row[t]] + t
         row = np.arange(len(sizes)).repeat(sizes)
-        skip = first - (sizes.cumsum() - sizes)
+        skip = first.astype(np.int64) - (sizes.cumsum() - sizes)
         for lo in range(0, len(row), ROW_CHUNK):
             k = row[lo:lo + ROW_CHUNK]
             p = None if pair is None else pair[k]
             ii, jj = i[k], skip[k] + np.arange(lo, lo + len(k), dtype=float)
-            ox, oy, nvy, nuy, vx, ux, det_m = [_rows(c, p)
-                                               for c in cols[13:20]]
+            ox, oy, nvy, nuy, vx, ux, det_m, bound = [
+                _rows(c, p) for c in cols[13:21]]
             rx, ry = lat.embed((ii, jj))
             rx += ox
             ry += oy
             ts = np.empty((2, len(ii)))  # t and s, tested as rows
             np.divide(nvy * rx + vx * ry, det_m, out=ts[0])
             np.divide(nuy * rx + ux * ry, det_m, out=ts[1])
-            # a hit has t and s in (tol, 1 - tol), a seam is any other
-            # translate with t and s in (-tol, 1 + tol)
-            hit = (ts > tol) & (ts < 1.0 - tol)
+            # t, s in [0, 1): in floats past the bound of 0 and 1, else exactly
+            hit = (ts > bound) & (ts < 1.0 - bound)
             hit = hit[0] & hit[1]
-            seam = (ts > -tol) & (ts < 1.0 + tol)
-            seam = seam[0] & seam[1] & ~hit
-            code = seam * np.int8(SEAM) if seam.any() else None
+            band = np.flatnonzero(~hit)
+            if band.size:
+                hit[band] = exact(ii[band], skip[k[band]] + (band + lo),
+                                  None if p is None else p[band])
             p_hit = None if p is None else p[hit]
             yield p, p_hit, (sign.repeat(np.count_nonzero(hit))
-                             if p is None else sign[p_hit]), code
+                             if p is None else sign[p_hit]), None
 
     return _solve_rows(par[:, 1].astype(np.int64), solve)
 
@@ -1093,19 +1105,7 @@ def random_offset(lat: Lattice, rng) -> tuple[float, float]:
     return lat.embed(rng.random(2).tolist())
 
 
-def count_crossings_batch(lat: Lattice, u, v, offsets,
-                          rng) -> CrossingBatch:
-    """``crossing_batch`` with every pair flagged at a seam retried from a
-    fresh ``random_offset`` of rng by ``retry_flagged``."""
-    return retry_flagged(
-        crossing_batch(lat, u, v, offsets),
-        lambda i: crossing_batch(lat, u[i:i + 1], v[i:i + 1],
-                                 [random_offset(lat, rng)]))
-
-
 def count_crossings(lat: Lattice, u, v, rng) -> CrossingReport:
-    """Run the torus crossing oracle with a random base-point offset,
-    re-randomized at a seam up to MAX_RETRIES times, and then RetrySignal:
-    two uniforms of rng per try, the first included."""
-    return count_crossings_batch(lat, [u], [v], [random_offset(lat, rng)],
-                                 rng).report(0)
+    """The torus crossing oracle from the offset that ``random_offset``
+    draws from two uniforms of rng; it decides seams, and never retries."""
+    return crossing_batch(lat, [u], [v], [random_offset(lat, rng)]).report(0)

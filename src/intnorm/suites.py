@@ -11,19 +11,19 @@ every check passed.  Sample sizes are fixed in the checks.  All randomness
 is drawn from named Philox streams keyed by the seed, one stream per
 sampling check (``rewind_grid`` decides its 728 cells exactly and draws
 none), so a fixed seed reproduces the identical report byte for byte.
-The oracle checks solve their pairs in batches; a pair that needs a
-retry is solved again on its own, in pair order, with its perturbations
-drawn from a child stream (``rng.spawn(1)[0]``), so the samples do not
-depend on the retries.  One-pair calls such as ``count_crossings`` draw
-from the generator they are given.
+The oracle checks solve their pairs in batches; a collar pair that
+needs a retry is solved again on its own, in pair order, with its
+perturbations drawn from a child stream (``rng.spawn(1)[0]``), so the
+samples do not depend on the retries.  One-pair calls such as
+``count_crossings`` draw from the generator they are given.
 
 The verdicts that the command line also reports are written once here:
 ``ratio_violations``, ``norm_violations``, ``ordering_violations``, and
 ``window_violations`` for a batch of pairs, which judges the window
 sweeps block by block, ``cylinder --arcs-json`` in one call and the torus
-oracle lattice by lattice, window [|Int|, |Int|]; a pair still flagged
-after its retries fails it as stuck.  ``intnorm torus`` alone judges
-``segment_violations``, which ``ratio_violations`` implies.
+oracle lattice by lattice, window [|Int|, |Int|]; a collar pair still
+flagged after its retries fails it as stuck.  ``intnorm torus`` alone
+judges ``segment_violations``, which ``ratio_violations`` implies.
 
 The bounds suite compares the double-precision hyperbolic bounds and
 profiles at a few (genus, l1) anchors with literal doubles: the theorem's
@@ -193,12 +193,10 @@ def _oracle_equivalence(seed: int) -> tuple[int, list[str]]:
     """Straight-line crossing counts match |a*d - b*c|, with its sign.
 
     Each pair draws its two classes and then, unless they are parallel,
-    its first offset from one stream, as ``count_crossings`` would.  The
-    pairs of a lattice are solved in one batch, with their retries drawn
-    from a child stream, and judged by ``window_violations`` with the
-    window [|Int|, |Int|] and the sign of Int."""
+    its offset from one stream, as ``count_crossings`` would.  The pairs
+    of a lattice are solved in one batch and judged by ``window_violations``
+    with the window [|Int|, |Int|] and the sign of Int."""
     rng = named_stream(seed, "torus.oracle")
-    retries = rng.spawn(1)[0]
     vs: list[str] = []
     cases = 0
     for lat in _lattices(seed):
@@ -213,7 +211,7 @@ def _oracle_equivalence(seed: int) -> tuple[int, list[str]]:
             continue
         us, ws, offsets, n = (list(x) for x in zip(*pairs))
         cases += len(pairs)
-        batch = torus_mod.count_crossings_batch(lat, us, ws, offsets, retries)
+        batch = torus_mod.crossing_batch(lat, us, ws, offsets)
         size = np.abs(n)
         for i, window in window_violations(batch, cyl_mod.WindingBounds(
                 size, size, np.sign(n)), 1).items():

@@ -15,7 +15,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings, target
 from hypothesis import strategies as st
 
 from intnorm import (
@@ -26,7 +26,6 @@ from intnorm import (
     EmptySearchError,
     IntegerClass,
     Lattice,
-    RetrySignal,
     best_ratio_search,
     class_length,
     count_crossings,
@@ -649,17 +648,14 @@ def test_crossing_report_uniform_sign_rejects_mixed():
 
 # ---------------------------------------- crossing oracle vs box reference
 
-def _crossing_outcome(oracle, lat, u, v, offset):
-    """The report's repr, or RetrySignal."""
-    try:
-        return repr(oracle(lat, u, v, offset))
-    except RetrySignal:
-        return "RetrySignal"
-
-
 def _lattice_point(lat, frac):
     return (frac[0] * lat.e1[0] + frac[1] * lat.e2[0],
             frac[0] * lat.e1[1] + frac[1] * lat.e2[1])
+
+
+def _report(n):
+    """The report of |n| crossings, each of the sign of n."""
+    return CrossingReport(abs(n), (1 if n > 0 else -1,) * abs(n))
 
 
 @pytest.mark.parametrize("text", BASES)
@@ -674,36 +670,32 @@ def test_crossing_oracle_matches_box_reference(text):
                 continue
             # offsets in the fundamental domain, and some lattice steps out
             offset = _lattice_point(lat, rng.uniform(-3.0, 4.0, size=2))
-            outcome = _crossing_outcome(crossing_count_oracle, lat, (a, b),
-                                        (c, d), offset)
-            assert outcome == _crossing_outcome(
-                dense.crossing_count_oracle_box, lat, (a, b), (c, d),
-                offset), ((a, b), (c, d), offset)
+            assert crossing_count_oracle(lat, (a, b), (c, d), offset) == \
+                dense.crossing_count_oracle_box(lat, (a, b), (c, d),
+                                                offset), \
+                ((a, b), (c, d), offset)
             checked += 1
         # crossings forced near a seam, at a lattice translate of the
-        # v-segment: within the seam tolerance both oracles must retry, and
-        # within rounding of its edge they must agree
+        # v-segment: 5e-10 from it, where both oracles once retried, and
+        # in steps of 3e-17 about the 1e-9 of their former seam band,
+        # both count |Int|
         shift = _lattice_point(lat, (2, -1))
-        tol = flat_torus.SEAM_TOLERANCE
         for u, v in (((3, 1), (1, 2)), ((2, -5), (7, 3))):
             (ux, uy), (vx, vy) = lat.embed(u), lat.embed(v)
+            expected = _report(intersection_number(u, v))
 
             def near(t, s):
                 return (t * ux - s * vx + shift[0], t * uy - s * vy + shift[1])
-            for t, s in ((5e-10, 0.5), (-5e-10, 0.5), (0.5, 1.0 - 5e-10)):
+            points = [(5e-10, 0.5), (-5e-10, 0.5), (0.5, 1.0 - 5e-10)]
+            for k in range(-6, 7):
+                step = 1e-9 + k * 3e-17
+                points += [(-step, 0.5), (1.0 + step, 0.5), (0.5, -step),
+                           (0.5, 1.0 + step)]
+            for t, s in points:
                 for oracle in (crossing_count_oracle,
                                dense.crossing_count_oracle_box):
-                    assert _crossing_outcome(oracle, lat, u, v, near(t, s)) \
-                        == "RetrySignal", (oracle.__name__, u, v, t, s)
-            for k in range(-6, 7):
-                step = k * 3e-17
-                for t, s in ((-tol + step, 0.5), (1.0 + tol + step, 0.5),
-                             (0.5, -tol + step), (0.5, 1.0 + tol + step)):
-                    outcome = _crossing_outcome(crossing_count_oracle, lat, u,
-                                                v, near(t, s))
-                    assert outcome == _crossing_outcome(
-                        dense.crossing_count_oracle_box, lat, u, v,
-                        near(t, s)), (u, v, t, s)
+                    assert oracle(lat, u, v, near(t, s)) == expected, \
+                        (oracle.__name__, u, v, t, s)
 
 
 @given(m=st.lists(st.floats(-3.0, 3.0), min_size=4, max_size=4),
@@ -721,8 +713,8 @@ def test_crossing_oracle_matches_box_reference_on_random_bases(m, exact, u,
     lat = Lattice.from_string(text) if exact else \
         Lattice(e1=(m[0], m[1]), e2=(m[2], m[3]))
     offset = _lattice_point(lat, frac)
-    assert _crossing_outcome(crossing_count_oracle, lat, u, v, offset) == \
-        _crossing_outcome(dense.crossing_count_oracle_box, lat, u, v, offset)
+    assert crossing_count_oracle(lat, u, v, offset) == \
+        dense.crossing_count_oracle_box(lat, u, v, offset)
 
 
 def test_crossing_oracle_on_a_skewed_basis():
@@ -873,32 +865,118 @@ def test_a_pairs_own_checks_come_before_the_calls_bound():
     (Lattice((1e-154, 0.0), (0.0, 1e154)), (int(sys.float_info.max), 0),
      (0, 1), "candidate translates"),
     (Lattice((1e-154, 0.0), (0.0, 1e154)), (-int(sys.float_info.max), 0),
-     (0, 1), "candidate translates")])
+     (0, 1), "candidate translates"),
+    (Lattice((1e19 / 3, 0.0), (0.0, 1.0)), (1, 10**19), (0, 10**6),
+     r"reach past 2\*\*62$")])
 def test_classes_at_the_range_of_a_double_are_refused(lat, u, v, match):
     """Int past the range of a double is refused by the pair's rounding
     bound; a coefficient whose rows are infinite, on a basis that keeps
-    the rounding bound small, by the call's candidate bound."""
+    the rounding bound small, by the call's candidate bound; a translate
+    whose j could pass 2**62, which the rounding bound leaves open, by
+    its own check."""
     with pytest.raises(DomainError, match=match):
         crossing_count_oracle(lat, u, v, (0.37, 0.41))
 
 
-@pytest.mark.xfail(strict=True, raises=AssertionError,
-                   reason="ROADMAP item 12: the rows are widened by the "
-                          "rounding bound, 0.69 here, but a crossing is "
-                          "flagged only within SEAM_TOLERANCE of a seam")
 def test_a_crossing_that_rounding_moves_across_a_seam_is_not_miscounted():
     """A pair inside the oracle's domain, on a basis of skew 5.9, whose
-    crossing rounding moves across a seam: the count must be right, or
-    the pair flagged or refused.  Today one crossing is lost, unflagged."""
+    crossing rounding moves across a seam: its rounding bound is 0.69,
+    and the translates within it of a seam are decided exactly."""
     lat = Lattice((1.0, 0.0), (9.959048460484995, 1.7216346487612137))
     u, v = (-2, 725344), (3, -1088017)
     assert intersection_number(u, v) == 2
-    try:
-        rep = crossing_count_oracle(lat, u, v, (8.216980732998518,
-                                                1.3617090002600667))
-    except (RetrySignal, DomainError):
-        return
+    rep = crossing_count_oracle(lat, u, v, (8.216980732998518,
+                                            1.3617090002600667))
     assert rep == CrossingReport(2, (1, 1))
+
+
+# Examples that the torus oracle's edge harness draws: 100 in tier-1, or
+# the budget of the "torus-edge" hypothesis profile
+# (pytest --hypothesis-profile=torus-edge, see conftest.py).
+EDGE_EXAMPLES = (settings.default.max_examples
+                 if settings.get_current_profile_name() == "torus-edge"
+                 else 100)
+
+
+@st.composite
+def _skewed_long_pairs(draw):
+    """A basis of skew up to about 1e6, in either orientation, and a pair
+    u, v = m*u + (w1, w2) of long, nearly parallel classes, with the
+    offset at a lattice point or anywhere in the fundamental domain."""
+    angle = draw(st.one_of(st.just(0.0), st.floats(0.0, 2.0 * math.pi)))
+    shear = draw(st.floats(-1e3, 1e3))
+    height = draw(st.floats(math.log(1e-3), math.log(1e3)).map(math.exp))
+    height *= draw(st.sampled_from([-1.0, 1.0]))
+    cos, sin = math.cos(angle), math.sin(angle)
+    lat = Lattice((cos, sin), (cos * shear - sin * height,
+                               sin * shear + cos * height))
+    a = draw(st.integers(-60, 60))
+    b = draw(st.floats(0.0, math.log(1e12)).map(lambda x: int(math.exp(x))))
+    m, w1 = draw(st.integers(-60, 60)), draw(st.sampled_from([0, 0, 1, -1]))
+    w2 = draw(st.integers(-3000, 3000))
+    frac = draw(st.one_of(st.tuples(st.integers(-3, 3), st.integers(-3, 3)),
+                          st.tuples(st.floats(0.0, 1.0, exclude_max=True),
+                                    st.floats(0.0, 1.0, exclude_max=True))))
+    return lat, (a, b), (m * a + w1, m * b + w2), _lattice_point(lat, frac)
+
+
+@given(case=_skewed_long_pairs())
+@settings(max_examples=EDGE_EXAMPLES, deadline=None, derandomize=True)
+# |Int| = 20,000 with a rounding bound of about 0.5: every translate
+# lies within it of a seam
+@example(case=(SQUARE, (1, 593164160), (1, 593184160), (0.37, 0.41)))
+def test_the_oracle_counts_int_up_to_the_edges_of_its_domain(case):
+    """On skewed bases with long classes, steered toward a rounding bound
+    of 1 and toward the candidate bound, the oracle counts |Int| with the
+    one sign of Int, or refuses the pair with the DomainError of its
+    gate; it never raises RetrySignal."""
+    lat, u, v, offset = case
+    n = intersection_number(u, v)
+    assume(n != 0)
+    try:
+        rep = crossing_count_oracle(lat, u, v, offset)
+    except DomainError:
+        return
+    # the rounding bound that _parallelogram returns with the pair's rows
+    target(flat_torus._parallelogram(lat, u, v, offset)[20],
+           label="rounding bound up")
+    target((abs(u[0]) + abs(v[0]) + abs(n))
+           / flat_torus.MAX_CROSSING_CANDIDATES, label="candidates up")
+    assert rep == _report(n)
+
+
+@pytest.mark.parametrize("lat, u, v, bound", [
+    (SQUARE, (1, 5931641601), (1, 5933641601), 0.5),
+    # products d*i of about 3e19, which wrap past 2**64
+    (Lattice((2 * 9_999_999_800_000 / 1_200_001, 0.0), (0.0, 1.0)),
+     (600_000, 9_999_999_800_000), (600_001, 10_000_016_466_668), 0.68),
+    # translates at j of about 3e17, which no double holds exactly
+    (Lattice((2e17, 0.0), (0.0, 1.0)), (1, 3 * 10**17),
+     (1, 3 * 10**17 + 100_000), 0.5)],
+    ids=["unit-square", "past-2**64", "past-2**53"])
+def test_a_pair_with_every_translate_near_a_seam_counts_int(lat, u, v,
+                                                            bound):
+    """|Int| of 100,000 and more, with a rounding bound of 0.5 and more:
+    every translate that the rows hold is decided exactly."""
+    offset = _lattice_point(lat, (0.37, 0.41))
+    assert flat_torus._parallelogram(lat, u, v, offset)[20] > bound
+    rep = crossing_count_oracle(lat, u, v, offset)
+    n = intersection_number(u, v)
+    assert (rep.count, rep.uniform_sign()) == (n, 1) and n >= 100_000
+
+
+@pytest.mark.parametrize("text", ["1,0,0,1", "1,0,1/2,0.8660254037844386",
+                                  "1,0,1/2,7/8"])
+def test_a_base_point_at_a_lattice_point_counts_each_crossing_once(text):
+    """From a lattice point, crossings lie on both seams at once, at
+    t = s = 0: each is counted once."""
+    lat = Lattice.from_string(text)
+    for u, v in (((3, 1), (1, 2)), ((2, -5), (7, 3)), ((1, 0), (0, 1)),
+                 ((4, 1), (-1, 3))):
+        for frac in ((0, 0), (2, -1), (-3, 5)):
+            assert crossing_count_oracle(
+                lat, u, v, _lattice_point(lat, frac)) == \
+                _report(intersection_number(u, v)), (u, v, frac)
 
 
 def test_crossing_oracle_refuses_unresolvable_crossings():
@@ -936,7 +1014,7 @@ def test_an_integer_past_the_string_limit_is_quoted_in_torus_refusals(
     assert len(str(info.value)) < 300
 
 
-# ------------------------------------------- batches and the retry driver
+# --------------------------------------------------------------- batches
 
 def _recording(monkeypatch, module, name):
     """Wrap module.name so that the arguments of every call are kept."""
@@ -949,62 +1027,32 @@ def _recording(monkeypatch, module, name):
     return calls
 
 
-def test_count_crossings_draws_two_uniforms_a_try(monkeypatch):
-    """Under a seam tolerance this wide most offsets graze a seam: every
-    try, the first included, takes the next two uniforms of the stream as
-    its offset, and a pair still stuck after MAX_RETRIES retries raises
-    with the reason of its flag."""
-    monkeypatch.setattr(flat_torus, "SEAM_TOLERANCE", 0.06)
+def test_count_crossings_draws_two_uniforms_a_call(monkeypatch):
+    """Each call solves its pair once, from the offset of the next two
+    uniforms of the stream, and counts |Int|: the torus never retries."""
     calls = _recording(monkeypatch, flat_torus, "crossing_batch")
     lat = Lattice.from_string("1,0,1/2,7/8")
     rng, replay = np.random.default_rng(5), np.random.default_rng(5)
-    tries, outcomes = [], set()
     for u, v in (((3, 1), (1, 2)), ((2, -5), (7, 3)), ((1, 0), (0, 1)),
                  ((4, 1), (-1, 3))) * 3:
         del calls[:]
-        try:
-            rep = count_crossings(lat, u, v, rng)
-            assert rep.count == abs(intersection_number(u, v))
-            outcomes.add("counted")
-        except RetrySignal as exc:
-            assert str(exc) == "crossing within tolerance of a base-point seam"
-            assert len(calls) == 1 + flat_torus.MAX_RETRIES
-            outcomes.add("stuck")
-        tries.append(len(calls))
-        for _, _, _, offsets in calls:
-            f1, f2 = replay.random(2).tolist()
-            assert offsets == [(f1 * lat.e1[0] + f2 * lat.e2[0],
-                                f1 * lat.e1[1] + f2 * lat.e2[1])]
-    assert outcomes == {"counted", "stuck"}
-    assert 1 in tries and any(1 < t < 1 + flat_torus.MAX_RETRIES
-                              for t in tries)
+        assert count_crossings(lat, u, v, rng) == \
+            _report(intersection_number(u, v))
+        f1, f2 = replay.random(2).tolist()
+        assert [offsets for _, _, _, offsets in calls] == [
+            [_lattice_point(lat, (f1, f2))]]
     assert rng.random(4).tolist() == replay.random(4).tolist()
-
-
-def _outcome(report):
-    """The repr of report(), or the RetrySignal that it raised."""
-    try:
-        return repr(report())
-    except RetrySignal as exc:
-        return f"RetrySignal: {exc}"
-
-
-def _one_pair_outcome(lat, u, v, offset):
-    return _outcome(lambda: crossing_count_oracle(lat, u, v, offset))
 
 
 @pytest.mark.parametrize("chunk", [flat_torus.ROW_CHUNK, 1, 3])
 @pytest.mark.parametrize("text", BASES)
 def test_batch_matches_one_pair_calls(text, chunk, monkeypatch):
-    """A batch of mixed pairs, some of them flagged at a seam, gives each
-    pair the outcome of its own call, and the retry driver re-solves the
-    flagged ones alone, in pair order, from fresh offsets of its stream;
-    a pair still flagged after MAX_RETRIES keeps the outcome of its last
-    try.  The batch is solved also in row chunks of one and three rows,
+    """A batch of mixed pairs, a third of them from a lattice point, where
+    translates lie on a seam and are decided exactly, gives each pair the
+    report of its own call, |Int| crossings of the sign of Int, and flags
+    none.  The batch is solved also in row chunks of one and three rows,
     which split pairs, rows and their translates across chunks; the
-    outcomes of the one-pair calls, at the default chunk, must not
-    change."""
-    monkeypatch.setattr(flat_torus, "SEAM_TOLERANCE", 0.01)
+    one-pair calls run at the default chunk."""
     lat = Lattice.from_string(text)
     rng = np.random.default_rng(29)
     us, vs, offsets = [], [], []
@@ -1014,27 +1062,16 @@ def test_batch_matches_one_pair_calls(text, chunk, monkeypatch):
             continue
         us.append((a, b))
         vs.append((c, d))
-        offsets.append(_lattice_point(lat, rng.uniform(-1.0, 2.0, size=2)))
-    expected = [_one_pair_outcome(lat, *p) for p in zip(us, vs, offsets)]
-    assert sum(e.startswith("RetrySignal") for e in expected) > 5
+        frac = rng.uniform(-1.0, 2.0, size=2)
+        offsets.append(_lattice_point(
+            lat, np.floor(frac) if len(us) % 3 == 0 else frac))
+    expected = [crossing_count_oracle(lat, *p) for p in zip(us, vs, offsets)]
+    assert expected == [_report(intersection_number(u, v))
+                        for u, v in zip(us, vs)]
     with monkeypatch.context() as patched:
         patched.setattr(flat_torus, "ROW_CHUNK", chunk)
         batch = flat_torus.crossing_batch(lat, np.array(us), np.array(vs),
                                           np.array(offsets))
     assert batch.signs.dtype == np.int8
-    assert [_outcome(lambda: batch.report(i))
-            for i in range(len(us))] == expected
-    # the driver against one-pair calls of the oracle, in pair order
-    batch = flat_torus.count_crossings_batch(lat, us, vs, offsets,
-                                             np.random.default_rng(31))
-    replay = np.random.default_rng(31)
-    retried = []
-    for i, outcome in enumerate(expected):
-        for _ in range(flat_torus.MAX_RETRIES):
-            if not outcome.startswith("RetrySignal"):
-                break
-            outcome = _one_pair_outcome(
-                lat, us[i], vs[i], flat_torus.random_offset(lat, replay))
-        retried.append(outcome)
-        assert _outcome(lambda: batch.report(i)) == outcome
-    assert any(o.startswith("RetrySignal") for o in retried)
+    assert not batch.retry.any()
+    assert [batch.report(i) for i in range(len(us))] == expected

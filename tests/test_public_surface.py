@@ -124,7 +124,7 @@ def test_every_module_constant_is_read():
              for target in ast.walk(node) if isinstance(target, ast.Name)
              and not (target.id.startswith("__")
                       and target.id.endswith("__"))]
-    assert {"ROW_CHUNK", "SEAM", "MAX_TRANSLATES"} <= {n for _, n in names}
+    assert {"ROW_CHUNK", "GRAZE", "MAX_TRANSLATES"} <= {n for _, n in names}
     assert [f"{path.stem}.{name}" for path, name in names
             if name not in reads] == []
 

@@ -15,8 +15,10 @@ disc in half of that box, and must return the same arrays bit for bit.
 
 ``crossing_count_oracle_box`` is the crossing oracle over the Cartesian
 bounding-box window of lattice translates, which holds far more
-translates than crossings and grows without bound on a skewed basis; the
-tests require the oracle's report, or its RetrySignal, to be the same.
+translates than crossings and grows without bound on a skewed basis.  It
+solves t and s in floats, and decides in Fractions each translate whose
+float t or s lies within EXACT_BAND of 0 or 1; the tests require the
+oracle's report to be the same.
 """
 
 from __future__ import annotations
@@ -36,15 +38,17 @@ from intnorm import (
     EmptySearchError,
     IntegerClass,
     Lattice,
-    RetrySignal,
     systole,
 )
 from intnorm.errors import real
-from intnorm.flat_torus import SEAM_TOLERANCE, MinProductResult, \
-    RatioResult, SegmentBoundReport, _pair, _reach, class_length, \
-    reduced_basis
+from intnorm.flat_torus import MinProductResult, RatioResult, \
+    SegmentBoundReport, _pair, _reach, class_length, reduced_basis
 
 _CUTOFF_SLACK = 1e-12
+# Distance of a float t or s from 0 or 1 within which the box reference
+# decides a translate exactly: far above the rounding of the bases and
+# classes that the tests hand it.
+EXACT_BAND = 1e-6
 _MAX_ENUM_CELLS = 8_000_000
 _MAX_COEFFICIENT = 2 ** 31
 
@@ -262,8 +266,10 @@ def crossing_count_oracle_box(lat: Lattice, u, v, offset) -> CrossingReport:
     the expected outcome is count = |a*d - b*c| with every sign equal to
     sign(a*d - b*c).
 
-    Raises RetrySignal when a crossing falls within SEAM_TOLERANCE of a
-    base-point seam; the caller should re-randomize the offset.
+    A translate is a crossing when its t and s lie in [0, 1), so a
+    crossing at the base point counts once.  Where the float t or s lies
+    within EXACT_BAND of 0 or 1, t and s are solved again in Fractions of
+    the same doubles, e1, e2 and the offset.
     """
     a, b = (operator.index(u[0]), operator.index(u[1]))
     c, d = (operator.index(v[0]), operator.index(v[1]))
@@ -305,15 +311,18 @@ def crossing_count_oracle_box(lat: Lattice, u, v, offset) -> CrossingReport:
     t = (-V[1] * rhs[:, 0] + V[0] * rhs[:, 1]) / det_m
     s = (-U[1] * rhs[:, 0] + U[0] * rhs[:, 1]) / det_m
 
-    tol = SEAM_TOLERANCE
-    near_t = (np.abs(t) <= tol) | (np.abs(t - 1.0) <= tol)
-    near_s = (np.abs(s) <= tol) | (np.abs(s - 1.0) <= tol)
-    in_t = (t > -tol) & (t < 1.0 + tol)
-    in_s = (s > -tol) & (s < 1.0 + tol)
-    if ((near_t & in_s) | (near_s & in_t)).any():
-        raise RetrySignal("crossing within tolerance of a base-point seam")
-
-    hit = (t > tol) & (t < 1.0 - tol) & (s > tol) & (s < 1.0 - tol)
+    hit = (t >= 0.0) & (t < 1.0) & (s >= 0.0) & (s < 1.0)
+    band = np.abs(np.stack([t, s, t - 1.0, s - 1.0])).min(axis=0) \
+        <= EXACT_BAND
+    e1x, e1y, e2x, e2y, fox, foy = map(Fraction, (*lat.e1, *lat.e2, ox, oy))
+    ux, uy = a * e1x + b * e2x, a * e1y + b * e2y
+    vx, vy = c * e1x + d * e2x, c * e1y + d * e2y
+    cross = ux * vy - uy * vx
+    for k in np.flatnonzero(band).tolist():
+        i, j = int(GI.ravel()[k]), int(GJ.ravel()[k])
+        rx, ry = fox + i * e1x + j * e2x, foy + i * e1y + j * e2y
+        te, se = (rx * vy - ry * vx) / cross, (rx * uy - ry * ux) / cross
+        hit[k] = 0 <= te < 1 and 0 <= se < 1
     count = int(hit.sum())
     sign = (1 if lat.det > 0 else -1) * (1 if cross_uv > 0 else -1)
     return CrossingReport(count=count, signs=(sign,) * count)
