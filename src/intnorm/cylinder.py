@@ -53,9 +53,9 @@ from .hyptrig import SHORT_CORE_THRESHOLD, SHRINK_MARGIN, boundary_length, \
 # about |w1| + |w2| a pair, which the advance does not bound on a short
 # core.  MAX_TRANSLATES bounds time, not memory: at it, with a crossing
 # at every translate, one pair takes 0.02-0.03 s and ten pairs of
-# 100,000 translates 0.04-0.05 s, at tracemalloc peaks of 2.5 and 3.4
-# MB, mostly the int8 signs, 1 MB held in chunks and 1 MB joined (Intel
-# Xeon, 2 vCPUs, numpy 2.4).
+# 100,000 translates 0.05-0.08 s, at tracemalloc peaks of 2.2 and
+# 3.2 MB, mostly the int8 signs, 1 MB held in chunks and 1 MB joined
+# (Intel Xeon, 2 vCPUs, numpy 2.4).
 MAX_ADVANCE = 400.0
 MIN_CORE_LENGTH = 1e-9
 MIN_HALF_WIDTH = 1e-3
@@ -219,23 +219,37 @@ def halfplane_to_fermi(x: float, y: float) -> tuple[float, float]:
 
 
 def _fermi_arcs(cyl: Cylinder, entry_t: np.ndarray, winding: np.ndarray,
-                crossing_sign: np.ndarray):
-    """(A, B, m, |D|/2) of every arc, for the core advance
-    D = winding * core_length: the arc is the part with |s| < w of the
-    geodesic A*tanh(s) = B*sinh(t - m), with A = sinh(D/2),
-    B = crossing_sign*tanh(w) and m = entry_t + D/2, and it spans t
-    within |D|/2 of m.  Row 0 holds the first arcs, row 1 the second.
-    Where an arc leaves the oracle's domain, an entry outside [0, l) or
-    a core advance |D| above MAX_ADVANCE, ``_refuse_first_pair`` refuses
-    the first pair that breaks a pair rule."""
+                crossing_sign: np.ndarray) -> tuple:
+    """(A, B, m, |D|/2) of the first arcs and of the second, for the core
+    advance D = winding * core_length: the arc is the part with |s| < w of
+    the geodesic A*tanh(s) = B*sinh(t - m), with A = sinh(D/2),
+    B = crossing_sign*tanh(w) and m = entry_t + D/2, and it spans t within
+    |D|/2 of m.  Row 0 of each (2, n) argument holds the first arcs, row 1
+    the second.  A batch of one pair has no pair index: its constants are
+    floats, where a batch of many has arrays, and the rule is written once
+    in plain operators; np.sinh gives a float the bits of its array loop,
+    which math.sinh need not.  Where an arc leaves the oracle's domain, an
+    entry outside [0, l) or a core advance |D| above MAX_ADVANCE,
+    ``_refuse_first_pair`` refuses the first pair that breaks a pair rule,
+    before any sinh can overflow."""
     l = cyl.core_length
-    half = winding * l / 2.0
-    h = np.abs(half)
-    inside = (0.0 <= entry_t) & (entry_t < l) & (h <= MAX_ADVANCE / 2.0)
-    if not inside.all():
-        _refuse_first_pair(l, entry_t, winding, crossing_sign, inside)
-    return (np.sinh(half), crossing_sign * math.tanh(cyl.half_width),
-            entry_t + half, h)
+    arrays = entry_t.shape[1] != 1
+    (t1, t2), (c1, c2), (e1, e2) = (entry_t, winding, crossing_sign) \
+        if arrays else (v.ravel().tolist()
+                        for v in (entry_t, winding, crossing_sign))
+    half1, half2 = c1 * l / 2.0, c2 * l / 2.0
+    h1, h2 = abs(half1), abs(half2)
+    inside = [(0.0 <= t) & (t < l) & (h <= MAX_ADVANCE / 2.0)
+              for t, h in ((t1, h1), (t2, h2))]
+    pair_inside = inside[0] & inside[1]
+    if not (pair_inside.all() if arrays else pair_inside):
+        _refuse_first_pair(l, entry_t, winding, crossing_sign,
+                           np.reshape(inside, (2, -1)))
+    a1, a2 = np.sinh(half1), np.sinh(half2)
+    if not arrays:
+        a1, a2 = float(a1), float(a2)
+    tanh_w = math.tanh(cyl.half_width)
+    return (a1, e1 * tanh_w, t1 + half1, h1), (a2, e2 * tanh_w, t2 + half2, h2)
 
 
 def _refuse_first_pair(l, entry_t, winding, crossing_sign, inside=None):
@@ -309,9 +323,14 @@ def crossing_batch_cyl(cyl: Cylinder, entry_t, winding,
     and its one gate.  Each argument has shape (2, n): row 0 for the first
     arc of each pair, row 1 for the second.  Each pair's run of translates
     first..last is solved by ``_solve_rows``, each test of the one-pair
-    oracle a mask over a chunk's rows, with the same float expressions in
-    a batch of one pair as in a batch of many, so that both give the same
-    bits.  RetrySignal is not raised but flagged per pair.
+    oracle a mask over a chunk's rows.  The per-pair constants and domain
+    tests are written once in plain operators: a batch of many computes
+    them as arrays, gathered by each row's pair, and a batch of one pair
+    as floats, which broadcast into every row.  The float expressions are
+    the same, so both give the same bits, and a one-pair call pays for its
+    translates, not for pair bookkeeping: about 30-40 us at a few
+    translates and 60-100 us at a thousand (Intel Xeon, 2 vCPUs).
+    RetrySignal is not raised but flagged per pair.
 
     A pair's signs come in row order, the order of k, and that is the
     order of its crossings along the core, one way or the other.  The
@@ -351,7 +370,7 @@ def crossing_batch_cyl(cyl: Cylinder, entry_t, winding,
       of roughly 1e-16/core_length per pair: 4 wrong pairs in 1000 at core
       1e-14, 1 in 2000 at 1e-13 and at 1e-12, none in 1000 at 1e-9.
     At MAX_TRANSLATES, with a crossing at every translate, one pair takes
-    0.02-0.03 s and a batch of ten pairs 0.04-0.05 s.
+    0.02-0.03 s and a batch of ten pairs 0.05-0.08 s.
     """
     l, w = cyl.core_length, cyl.half_width
     if l < MIN_CORE_LENGTH:
@@ -360,33 +379,30 @@ def crossing_batch_cyl(cyl: Cylinder, entry_t, winding,
     if w < MIN_HALF_WIDTH:
         raise DomainError(f"half-width {w!r} is below the oracle's bound "
                           f"{MIN_HALF_WIDTH}")
-    entry_t, winding, crossing_sign = (
-        np.asarray(v, dtype=float) for v in (entry_t, winding, crossing_sign))
-    arcs = _fermi_arcs(cyl, entry_t, winding, crossing_sign)
-    count = arcs[0].shape[1]
-    if count == 1:
-        # a batch of one pair has no pair index: its constants are floats,
-        # broadcast into every row
-        arcs = [v.ravel().tolist() for v in arcs]
-    (a1, a2), (b1, b2), (m1, m2), (h1, h2) = arcs
+    args = [np.asarray(v, dtype=float)
+            for v in (entry_t, winding, crossing_sign)]
+    arrays = args[0].shape[1] != 1
+    (a1, b1, m1, h1), (a2, b2, m2, h2) = _fermi_arcs(cyl, *args)
     p, q = b2 * a1, b1 * a2
     # lifts can overlap only where their slopes agree, as identical arcs' do
-    same_slope = (np.abs(p - q)
-                  <= OVERLAP_TOLERANCE * (np.abs(p) + np.abs(q)))
-    check_overlap = np.count_nonzero(same_slope) > 0
+    same_slope = abs(p - q) <= OVERLAP_TOLERANCE * (abs(p) + abs(q))
+    check_overlap = same_slope.any() if arrays else same_slope
     if check_overlap:
-        _refuse_first_pair(l, entry_t, winding, crossing_sign)
+        _refuse_first_pair(l, *args)
+    # ceil(x) as -(-x // 1) and floor(x) as x // 1, for floats and arrays
     base = m1 - m2
-    first = np.ceil((base - h1 - h2) / l)
-    runs = np.floor((base + h1 + h2) / l) - first + 1
-    total = runs.sum()
+    first = -(-(base - h1 - h2) / l // 1)
+    runs = (base + h1 + h2) / l // 1 - first + 1
+    total = runs.sum() if arrays else runs
     if total > MAX_TRANSLATES:
         raise DomainError(f"{int(total)} deck translates to try exceed "
                           f"the oracle's bound {MAX_TRANSLATES}")
     # tanh(s) comes from the equation of the flatter arc: its B and A, and
-    # whether it is the second arc, whose equation is in x - d
-    flat = np.abs(a1) >= np.abs(a2)
-    (b, a), shift = np.where(flat, (b1, a1), (b2, a2)), ~flat
+    # shift 1.0 where it is the second arc, whose equation is in x - d
+    flat = abs(a1) >= abs(a2)
+    b, a = np.where(flat, (b1, a1), (b2, a2)) if arrays else \
+        (b1, a1) if flat else (b2, a2)
+    shift = 1.0 - flat
 
     def solve(r, i):
         pi, qi = _rows(p, i), _rows(q, i)
@@ -406,15 +422,16 @@ def crossing_batch_cyl(cyl: Cylinder, entry_t, winding,
         overlap = check_overlap and \
             (np.abs(d) <= OVERLAP_TOLERANCE * l) & _rows(same_slope, i)
         code = None
-        if np.count_nonzero(graze) or np.count_nonzero(overlap):
+        if np.count_nonzero(graze) or check_overlap and np.count_nonzero(
+                overlap):
             code = np.where(overlap, OVERLAP, np.where(graze, GRAZE, 0))
         # a crossing is positive where A1*B2*cosh(x - d) < A2*B1*cosh(x)
         x, d, i_hit = x[hit], d[hit], None if i is None else i[hit]
         signs = (_rows(p, i_hit) * np.cosh(x - d)
-                 < _rows(q, i_hit) * np.cosh(x)).astype(np.int8) * 2 - 1
+                 < _rows(q, i_hit) * np.cosh(x)).view(np.int8) * 2 - 1
         return ((i, i_hit, signs, code),)
 
-    return _solve_rows(runs.astype(np.int64).reshape(-1), solve)
+    return _solve_rows(runs.astype(np.int64) if arrays else int(runs), solve)
 
 
 def count_crossings_cyl_batch(cyl: Cylinder, entry_t, winding, crossing_sign,

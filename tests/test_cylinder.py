@@ -760,6 +760,81 @@ def test_ten_pairs_at_the_translate_bound_are_solved():
     assert solved < BOUND_PEAK
 
 
+@pytest.mark.parametrize("n", [0, ROW_CHUNK, ROW_CHUNK + 1])
+def test_a_pair_alone_at_a_chunk_edge_is_its_slice_of_the_batch(n):
+    """The perpendicular first arc of ``test_batch_translates_are_bounded``
+    tries exactly n translates, with a crossing at each: none, one row
+    chunk, and one row past it.  Alone, its floats broadcast into one
+    piece or two; in a batch, between two ordinary pairs, its rows come
+    from the chunks by their pair index.  Both give the same offsets,
+    int8 signs and retry code, and the report of the one-pair oracle."""
+    short = Cylinder(core_length=1e-4, half_width=3.0)
+    entry_t = np.array([[2e-5, 5.5e-5, 1e-5], [7e-5, 1.5e-5, 9e-5]])
+    winding = np.array([[0.5, 0.0, -3.25], [-2.5, float(n), 40.5]])
+    signs = np.array([[1.0, 1.0, -1.0], [1.0, 1.0, 1.0]])
+    if n == 0:  # the first arc sits past the second's one lift
+        entry_t[:, 1], winding[1, 1] = (5.5e-5, 1.5e-5), 0.0
+    batch = crossing_batch_cyl(short, entry_t, winding, signs)
+    one = crossing_batch_cyl(short, entry_t[:, 1:2], winding[:, 1:2],
+                             signs[:, 1:2])
+    lo, hi = batch.offsets[1:3].tolist()
+    assert one.offsets.tolist() == [0, hi - lo] == [0, n]
+    assert one.signs.dtype == batch.signs.dtype == np.int8
+    assert one.signs.tolist() == batch.signs[lo:hi].tolist()
+    assert one.retry.tolist() == batch.retry[1:2].tolist() == [0]
+    arcs = [ArcSpec(*v) for v in zip(entry_t[:, 1], winding[:, 1],
+                                     signs[:, 1].astype(int).tolist())]
+    assert crossing_count_oracle_cyl(short, *arcs) == batch.report(1)
+
+
+def test_an_unflagged_pair_makes_one_batch_call(monkeypatch):
+    """Both one-pair entry points of the collar oracle reach it through
+    one ``crossing_batch_cyl`` call for a pair that no lift flags, and
+    ``count_crossings_cyl`` takes no uniform from its stream."""
+    real, calls = crossing_batch_cyl, []
+
+    def recorded(*args):
+        calls.append(args)
+        return real(*args)
+    monkeypatch.setattr(intnorm.cylinder, "crossing_batch_cyl", recorded)
+    arc1, arc2 = ArcSpec(0.03, 1.0, 1), ArcSpec(0.11, 4.2, -1)
+    rng, replay = np.random.default_rng(11), np.random.default_rng(11)
+    expected = real(CYL, *intnorm.cylinder._one_pair(arc1, arc2)).report(0)
+    assert expected.count > 0
+    for call in (lambda: crossing_count_oracle_cyl(CYL, arc1, arc2),
+                 lambda: count_crossings_cyl(CYL, arc1, arc2, rng)):
+        del calls[:]
+        assert call() == expected
+        assert len(calls) == 1
+    assert rng.random(4).tolist() == replay.random(4).tolist()
+
+
+@pytest.mark.parametrize("arc2, seed, report, jittered", [
+    # identical lifts, crossing in opposite directions
+    (ArcSpec(0.1, 0.0, -1), 2, CrossingReport(0, ()), 0.10000005232242686),
+    # the perpendicular first arc through the second arc's exit point
+    (ArcSpec(0.05, 0.25, 1), 3, CrossingReport(1, (1,)),
+     0.05000001712983343)])
+def test_a_flagged_pair_alone_is_retried_as_before(monkeypatch, arc2, seed,
+                                                   report, jittered):
+    """A flagged pair alone is solved again from one uniform of its
+    stream: the entries of each call, the report and the next draw are
+    pinned to the values the batched oracle gave before lone pairs took
+    their constants as floats."""
+    real, calls = crossing_batch_cyl, []
+
+    def recorded(*args):
+        calls.append(np.asarray(args[1]).tolist())
+        return real(*args)
+    monkeypatch.setattr(intnorm.cylinder, "crossing_batch_cyl", recorded)
+    arc1 = ArcSpec(0.1, 0.0, 1)
+    rng = np.random.default_rng(seed)
+    assert count_crossings_cyl(CYL, arc1, arc2, rng) == report
+    assert calls == [[[0.1], [arc2.entry_t]], [[0.1], [jittered]]]
+    assert rng.random() == {2: 0.2984911434141233,
+                            3: 0.2368105065960997}[seed]
+
+
 def test_batch_refusal_names_the_first_pair_outside_the_domain():
     """Pair 1's second arc advances 600 core lengths and pair 2's first
     arc enters past the core: pair 1, the first in pair order, names the

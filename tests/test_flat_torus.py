@@ -1075,3 +1075,61 @@ def test_batch_matches_one_pair_calls(text, chunk, monkeypatch):
     assert batch.signs.dtype == np.int8
     assert not batch.retry.any()
     assert [batch.report(i) for i in range(len(us))] == expected
+
+
+@pytest.mark.parametrize("v, rows", [((8384, 3), flat_torus.ROW_CHUNK),
+                                     ((8385, 3), flat_torus.ROW_CHUNK + 1)])
+def test_a_pair_alone_at_a_chunk_edge_is_its_slice_of_the_batch(v, rows):
+    """A pair whose parallelogram has exactly one row chunk of rows, or
+    one row past it, and about two chunks of translates: alone, its
+    floats broadcast into every row; in a batch, between two ordinary
+    pairs, its rows come from the chunks by their pair index.  Both give
+    the same offsets and int8 signs, |Int| of the sign of Int, and flag
+    nothing."""
+    u, offset = (8000, 1), (0.37, 0.41)
+    assert flat_torus._parallelogram(SQUARE, u, v, offset)[1] == rows
+    us, vs = [(3, 1), u, (2, -5)], [(1, 2), v, (7, 3)]
+    batch = flat_torus.crossing_batch(SQUARE, us, vs, [offset] * 3)
+    one = flat_torus.crossing_batch(SQUARE, [u], [v], [offset])
+    lo, hi = batch.offsets[1:3].tolist()
+    assert one.offsets.tolist() == [0, hi - lo]
+    assert one.signs.dtype == batch.signs.dtype == np.int8
+    assert one.signs.tolist() == batch.signs[lo:hi].tolist()
+    assert one.retry.tolist() == [0] and not batch.retry.any()
+    assert one.report(0) == batch.report(1) == \
+        _report(intersection_number(u, v))
+
+
+def test_an_unflagged_pair_makes_one_batch_call(monkeypatch):
+    """Both one-pair entry points of the torus oracle reach it through one
+    ``crossing_batch`` call."""
+    calls = _recording(monkeypatch, flat_torus, "crossing_batch")
+    lat = Lattice.from_string("1,0,1/2,7/8")
+    u, v = (2, -5), (7, 3)
+    for call in (lambda: crossing_count_oracle(lat, u, v, (0.37, 0.41)),
+                 lambda: count_crossings(lat, u, v,
+                                         np.random.default_rng(3))):
+        del calls[:]
+        assert call() == _report(intersection_number(u, v))
+        assert len(calls) == 1
+
+
+def test_rows_below_2_62_are_solved_and_rows_past_it_refused():
+    """Classes whose b and d share a sign: the rows of their widened
+    parallelogram reach t*b - s*d of about 3.4e18 at its corners, below
+    2**62, though (1 + rounding) * (|b| + |d|) passes it.  The pair counts
+    |Int| = 1,000,000 from (0.37, 0.41) and from random offsets; a pair
+    whose corners pass 2**62 stays refused."""
+    lat = Lattice((4e18 / 3, 0.0), (0.0, 1.0))
+    u, v = (1, 2 * 10**18), (1, 2 * 10**18 + 10**6)
+    rounding = flat_torus._parallelogram(lat, u, v, (0.37, 0.41))[20]
+    assert (1.0 + rounding) * (abs(u[1]) + abs(v[1])) > 2.0 ** 62
+    rep = crossing_count_oracle(lat, u, v, (0.37, 0.41))
+    assert (rep.count, rep.uniform_sign()) == (10**6, 1)
+    rng = np.random.default_rng(41)
+    for _ in range(2):
+        rep = count_crossings(lat, u, v, rng)
+        assert (rep.count, rep.uniform_sign()) == (10**6, 1)
+    with pytest.raises(DomainError, match=r"reach past 2\*\*62$"):
+        crossing_count_oracle(Lattice((1e19 / 3, 0.0), (0.0, 1.0)),
+                              (1, 10**19), (0, 10**6), (0.37, 0.41))
